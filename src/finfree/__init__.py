@@ -42,9 +42,6 @@ from .matrices import (
     MinorTable,
     char_poly,
     conjugate,
-    mat_add,
-    mat_mul,
-    mat_scale,
     matrix_moment,
     minor_table,
     principal_minors,

@@ -51,6 +51,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(lowest: int):
+    """argparse type: an int no smaller than ``lowest``."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    return convert
+
+
 def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
@@ -103,7 +118,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=[ADDITIVE, MULTIPLICATIVE], required=True)
     p.add_argument("--mc", action="store_true", help="Monte-Carlo over Haar unitaries")
     p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--tolerance", type=float)
     p.add_argument("a")
     p.add_argument("b")
@@ -111,14 +126,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify-pair", help="sample a complementary family pair and check FFP")
     p.add_argument("--families", required=True, help="comma-separated pair, e.g. diag,pb")
     p.add_argument("--kind", choices=[ADDITIVE, MULTIPLICATIVE], required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_at_least(1), default=100)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--bound", type=_at_least(1), default=10)
 
     p = sub.add_parser("moments", help="normalized trace moments of a matrix")
     p.add_argument("matrix")
-    p.add_argument("--k", type=int, help="how many moments (default: the dimension)")
+    p.add_argument("--k", type=_at_least(1), help="how many moments (default: the dimension)")
 
     p = sub.add_parser("cumulants", help="finite free cumulants of a matrix")
     p.add_argument("matrix")
@@ -126,7 +141,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sum-moments", help="moments of A+B via the convolution pipeline")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--count", type=int)
+    p.add_argument("--count", type=_at_least(1))
 
     p = sub.add_parser("rank-bound", help="upper bound for the rank of a finite free variety")
     p.add_argument("--n", type=int, required=True)

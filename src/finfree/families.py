@@ -180,14 +180,6 @@ def random_matrix(rng: random.Random, n: int, bound: int = 10) -> Matrix:
     return Matrix([[rand_fraction(rng, bound) for _ in range(n)] for _ in range(n)])
 
 
-def random_invertible(rng: random.Random, n: int, bound: int = 10) -> Matrix:
-    """Dense invertible sample; singular draws are rejected exactly."""
-    while True:
-        m = random_matrix(rng, n, bound)
-        if m.det():
-            return m
-
-
 def permutation_matrix(perm) -> Matrix:
     n = len(perm)
     return Matrix([[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)])

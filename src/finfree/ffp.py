@@ -23,8 +23,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, SizeGuardError
-from .matrices import Matrix, char_poly
-from .polynomials import Polynomial, average, boxplus, boxtimes
+from .matrices import Matrix, _signed_perm_charpoly_mean, char_poly
+from .polynomials import Polynomial, boxplus, boxtimes
 from .scalars import GaussianRational
 
 ADDITIVE = "additive"
@@ -132,24 +132,13 @@ def multiplicative_condition_2x2(a: Matrix, b: Matrix) -> GaussianRational:
 def signed_permutations(n: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All 2^n n! signed permutations as (permutation, sign vector) pairs.
 
+    The pair (perm, signs) is the matrix P with P e_j = signs[j] e_{perm[j]}.
     Permutations come in lexicographic order, sign vectors count in binary
     with +1 first; exactness makes any reduction order equivalent.
     """
     for perm in itertools.permutations(range(n)):
         for bits in itertools.product((1, -1), repeat=n):
             yield perm, bits
-
-
-def signed_conjugate(b: Matrix, perm, signs) -> Matrix:
-    """P^T B P for the signed permutation P with P e_j = signs[j] e_{perm[j]}.
-
-    Entrywise (P^T B P)_{ij} = signs[i] signs[j] B_{perm[i], perm[j]}.
-    """
-    n = b.n
-    return Matrix(
-        tuple(b.rows[perm[i]][perm[j]] * (signs[i] * signs[j]) for j in range(n))
-        for i in range(n)
-    )
 
 
 def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomial:
@@ -172,12 +161,7 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
             "symmetric inputs; computing the bare average",
             stacklevel=2,
         )
-    polys = []
-    for perm, signs in signed_permutations(n):
-        conj = signed_conjugate(b, perm, signs)
-        target = a + conj if kind == ADDITIVE else a @ conj
-        polys.append(char_poly(target))
-    return average(polys)
+    return _signed_perm_charpoly_mean(a, b, kind == MULTIPLICATIVE, signed_permutations(n))
 
 
 # -- Monte-Carlo expectation over Haar unitaries --------------------------
@@ -221,14 +205,6 @@ def haar_unitaries(n: int, count: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))[:, np.newaxis, :]
 
 
-def haar_orthogonals(n: int, count: int, rng) -> np.ndarray:
-    """Haar-distributed orthogonal matrices from real Ginibre samples."""
-    z = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * np.sign(d)[:, np.newaxis, :]
-
-
 def _charpoly_coeffs_from_roots(roots: np.ndarray) -> np.ndarray:
     """Batched monic coefficients (descending) from eigenvalue batches."""
     count, n = roots.shape
@@ -247,7 +223,6 @@ def expected_charpoly_haar_mc(
     samples: int,
     seed: int,
     tolerance: Optional[float] = None,
-    ensemble: str = "unitary",
     unitaries: Optional[Iterable[np.ndarray]] = None,
 ) -> HaarAverageResult:
     """Monte-Carlo average of chi_{A + U* B U} (or chi_{A U* B U}) over Haar
@@ -272,7 +247,6 @@ def expected_charpoly_haar_mc(
     target_f = np.array([complex(c) for c in target.coeffs])
 
     rng = np.random.Generator(np.random.Philox(seed))
-    sampler = haar_unitaries if ensemble == "unitary" else haar_orthogonals
 
     total = np.zeros(n + 1, dtype=complex)
     done = 0
@@ -284,7 +258,7 @@ def expected_charpoly_haar_mc(
     else:
         chunk = 20000
         batches = (
-            sampler(n, min(chunk, samples - start), rng)
+            haar_unitaries(n, min(chunk, samples - start), rng)
             for start in range(0, samples, chunk)
         )
     for u in batches:

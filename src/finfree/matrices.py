@@ -1,21 +1,45 @@
-"""Exact dense matrices: characteristic polynomials, principal minors,
-conjugation, and power-sum moments.
+"""Exact dense matrices: characteristic polynomials, determinants, principal
+minors, conjugation, and power-sum moments.
 
-The characteristic polynomial is computed with the Faddeev-LeVerrier
-recurrence, which stays in exact rational arithmetic and divides only by
-the integers 1..n:
+The linear algebra runs over Python ints. A matrix A of Gaussian rationals
+is cleared of denominators once: d is the lcm of the denominators of every
+real and imaginary part, and M = d*A is kept as the int matrices (re, im),
+with im left out when every imaginary part is zero, so real input never
+pays for imaginary products. Results become Gaussian rationals only at the
+end. Products of Gaussian ints follow the complex rule on the (re, im)
+parts.
 
-    N_1 = A,            c_1 = -tr(N_1)
-    N_k = A (N_{k-1} + c_{k-1} I),   c_k = -tr(N_k) / k
+Characteristic polynomial: Faddeev-LeVerrier runs on M,
 
-giving chi_A(x) = x^n + c_1 x^{n-1} + ... + c_n.
+    N_1 = M,                          C_1 = -tr(N_1)
+    N_k = M (N_{k-1} + C_{k-1} I),    C_k = -tr(N_k) / k
+
+giving chi_M(x) = x^n + C_1 x^{n-1} + ... + C_n. Each division by k is
+exact: C_k is a coefficient of the characteristic polynomial of a
+(Gaussian) integer matrix, a signed sum of its principal minors, hence a
+(Gaussian) integer; by induction every N_k is an integer matrix and
+-tr(N_k) = k C_k. Since chi_M(x) = det(xI - dA) = d^n chi_A(x/d),
+coefficient k of chi_A is C_k / d^k. The signed-permutation average of
+characteristic polynomials adds the integer C_k of all its conjugates,
+which share one scale, and divides once.
+
+Products: A B = (M_A M_B) / (d_A d_B).
+
+Determinants and principal minors: Bareiss fraction-free elimination on M.
+After step k every entry of the remaining block is a (k+1)-order minor of
+the row-permuted M (Sylvester's identity), so dividing by the previous pivot
+is exact; over the Gaussian integers the quotient is formed as
+z conj(w) / |w|^2, whose parts |w|^2 divides. det(A) = det(M) / d^n, and the
+principal minor on an index set S is det(M_S) / d^|S|.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -75,7 +99,7 @@ class Matrix:
             entries = obj["entries"]
         except (TypeError, KeyError) as exc:
             raise ParseError(f"matrix JSON needs 'n' and 'entries': {exc}") from None
-        m = cls([[GaussianRational.parse(x) for x in row] for row in entries])
+        m = cls([[GaussianRational.from_json(x) for x in row] for row in entries])
         if m.n != n:
             raise ParseError(f"declared n={n} but got {m.n} rows")
         return m
@@ -132,10 +156,9 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._require_same_size(other)
-        cols = tuple(zip(*other.rows))
-        return Matrix(
-            tuple(_dot(row, col) for col in cols) for row in self.rows
-        )
+        da, a = _int_form(self)
+        db, b = _int_form(other)
+        return _to_matrix(_gmul(a, b), da * db)
 
     def scale(self, factor) -> "Matrix":
         s = as_scalar(factor)
@@ -156,26 +179,9 @@ class Matrix:
     # -- exact linear algebra ---------------------------------------------
 
     def det(self) -> GaussianRational:
-        """Exact determinant by Gaussian elimination with row pivoting."""
-        n = self.n
-        m = [list(row) for row in self.rows]
-        det = ONE
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if m[r][col]), None)
-            if pivot_row is None:
-                return ZERO
-            if pivot_row != col:
-                m[col], m[pivot_row] = m[pivot_row], m[col]
-                det = -det
-            pivot = m[col][col]
-            det = det * pivot
-            inv = ONE / pivot
-            for r in range(col + 1, n):
-                factor = m[r][col] * inv
-                if not factor:
-                    continue
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-        return det
+        """Exact determinant by Bareiss elimination on the integer form."""
+        d, m = _int_form(self)
+        return _scaled(_det_int(m), d**self.n)
 
     def inverse(self) -> "Matrix":
         """Exact inverse by Gauss-Jordan; raises on a zero pivot column."""
@@ -213,42 +219,190 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _dot(row, col) -> GaussianRational:
-    acc = ZERO
-    for x, y in zip(row, col):
-        if x and y:
-            acc = acc + x * y
-    return acc
+# -- the integer kernel ------------------------------------------------------
+#
+# A Gaussian integer matrix is a pair (re, im) of lists of int rows; im is
+# None when every imaginary part is zero. A scalar is an (re, im) int pair.
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
+def _int_form(a: Matrix):
+    """(d, (re, im)) with d the lcm of all denominators of A and re + i*im = d*A."""
+    rows = a.rows
+    d = math.lcm(*(x.re.denominator for row in rows for x in row),
+                 *(x.im.denominator for row in rows for x in row))
+    re = [[x.re.numerator * (d // x.re.denominator) for x in row] for row in rows]
+    if a.is_real():
+        return d, (re, None)
+    return d, (re, [[x.im.numerator * (d // x.im.denominator) for x in row] for row in rows])
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
+def _scaled(z, d: int) -> GaussianRational:
+    """The Gaussian integer z = (re, im) divided by the positive integer d."""
+    return GaussianRational(Fraction(z[0], d), Fraction(z[1], d))
 
 
-def mat_scale(a: Matrix, factor) -> Matrix:
-    return a.scale(factor)
+def _to_matrix(m, d: int) -> Matrix:
+    re, im = m
+    if im is None:
+        return Matrix([[GaussianRational(Fraction(x, d)) for x in row] for row in re])
+    return Matrix([[_scaled(z, d) for z in zip(r, i)] for r, i in zip(re, im)])
+
+
+def _parts(m, f):
+    """Apply f to each int matrix of m = (re, im), keeping a missing im missing."""
+    return tuple(None if x is None else f(x) for x in m)
+
+
+def _imul(x, y):
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
+def _iadd(x, y):
+    return [[p + q for p, q in zip(r, s)] for r, s in zip(x, y)]
+
+
+def _isub(x, y):
+    return [[p - q for p, q in zip(r, s)] for r, s in zip(x, y)]
+
+
+def _gadd(a, b):
+    (ar, ai), (br, bi) = a, b
+    if ai is None or bi is None:
+        return _iadd(ar, br), ai if bi is None else bi
+    return _iadd(ar, br), _iadd(ai, bi)
+
+
+def _gmul(a, b):
+    (ar, ai), (br, bi) = a, b
+    re = _imul(ar, br)
+    if ai is None:
+        return re, None if bi is None else _imul(ar, bi)
+    if bi is None:
+        return re, _imul(ai, br)
+    ii = _imul(ai, bi)
+    # Gauss's trick, three products not four: (ar + ai)(br + bi) - ar br - ai bi = ar bi + ai br
+    return _isub(re, ii), _isub(_isub(_imul(_iadd(ar, ai), _iadd(br, bi)), re), ii)
+
+
+def _trace(m):
+    re, im = m
+    tr = sum(row[i] for i, row in enumerate(re))
+    return tr, 0 if im is None else sum(row[i] for i, row in enumerate(im))
+
+
+def _add_diagonal(x, c: int):
+    return [[v + c if i == j else v for j, v in enumerate(row)] for i, row in enumerate(x)]
+
+
+def _shift(m, c):
+    """M + c*I for a Gaussian integer c = (re, im); c is real when M is."""
+    re, im = m
+    return _add_diagonal(re, c[0]), None if im is None else _add_diagonal(im, c[1])
+
+
+def _charpoly_int(m) -> list:
+    """Coefficients C_0..C_n of chi_M as (re, im) int pairs, by
+    Faddeev-LeVerrier; every division by k is exact (module docstring)."""
+    coeffs = [(1, 0)]
+    work = m
+    for k in range(1, len(m[0]) + 1):
+        if k > 1:
+            work = _gmul(m, _shift(work, coeffs[-1]))
+        tr, ti = _trace(work)
+        coeffs.append((-tr // k, -ti // k))
+    return coeffs
+
+
+def _charpoly_scaled(coeffs, d: int, count: int = 1) -> Polynomial:
+    """chi_A from the summed integer coefficients of ``count`` matrices at scale d."""
+    return Polynomial(_scaled(c, count * d**k) for k, c in enumerate(coeffs))
+
+
+class _GaussInt:
+    """A Gaussian integer for Bareiss elimination on complex input.
+
+    Named ``real``/``imag`` like int's own attributes, so ints and these mix;
+    ``//`` is only ever used where the divisor divides exactly.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real = real
+        self.imag = imag
+
+    def __mul__(self, other):
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return _GaussInt(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return _GaussInt(self.real - other.real, self.imag - other.imag)
+
+    def __floordiv__(self, other):
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        norm = c * c + d * d
+        return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+
+def _det_int(m):
+    """det of a Gaussian integer matrix as an (re, im) pair, by Bareiss
+    elimination; each division by the previous pivot is exact."""
+    re, im = m
+    rows = list(re) if im is None else [list(map(_GaussInt, r, i)) for r, i in zip(re, im)]
+    sign, prev = 1, 1
+    while rows:
+        p = next((r for r, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            return 0, 0
+        if p:
+            rows[0], rows[p] = rows[p], rows[0]
+            sign = -sign
+        (pivot, *top), rest = rows[0], rows[1:]
+        rows = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rest]
+        prev = pivot
+    det = sign * prev  # the last pivot is det(M) up to the row-swap sign
+    return det.real, det.imag
 
 
 def char_poly(a: Matrix) -> Polynomial:
     """Exact monic characteristic polynomial det(xI - A)."""
-    n = a.n
-    coeffs = [ONE]
-    work = a
-    c = -work.trace()
-    coeffs.append(c)
-    for k in range(2, n + 1):
-        shifted = Matrix(
-            tuple(x + c if i == j else x for j, x in enumerate(row))
-            for i, row in enumerate(work.rows)
-        )
-        work = a @ shifted
-        c = -work.trace() / k
-        coeffs.append(c)
-    return Polynomial(coeffs)
+    d, m = _int_form(a)
+    return _charpoly_scaled(_charpoly_int(m), d)
+
+
+def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool, signed_perms) -> Polynomial:
+    """Exact mean of chi_{A + Q^T B Q} (``product``: chi_{A Q^T B Q}) over the
+    signed permutations Q given as (perm, signs) pairs, where
+    (Q^T B Q)_{ij} = signs[i] signs[j] B_{perm[i], perm[j]}.
+
+    Every conjugate keeps B's denominators, so all the integer matrices share
+    one scale: their integer coefficients are summed and divided once.
+    """
+    da, ma = _int_form(a)
+    db, mb = _int_form(b)
+    if product:
+        d, combine = da * db, _gmul
+    else:
+        d, combine = math.lcm(da, db), _gadd
+        ma = _parts(ma, lambda x: [[v * (d // da) for v in row] for row in x])
+        mb = _parts(mb, lambda x: [[v * (d // db) for v in row] for row in x])
+    total = [(0, 0)] * (a.n + 1)
+    count = 0
+    for perm, signs in signed_perms:
+        conj = _parts(mb, lambda x: [
+            [x[pi][pj] if si == sj else -x[pi][pj] for pj, sj in zip(perm, signs)]
+            for pi, si in zip(perm, signs)
+        ])
+        coeffs = _charpoly_int(combine(ma, conj))
+        total = [(tr + cr, ti + ci) for (tr, ti), (cr, ci) in zip(total, coeffs)]
+        count += 1
+    return _charpoly_scaled(total, d, count)
 
 
 def conjugate(a: Matrix, p: Matrix) -> Matrix:
@@ -292,12 +446,16 @@ def principal_minors(a: Matrix, k: int) -> list[tuple[tuple[int, ...], GaussianR
     if not 0 <= k <= n:
         raise IndexRangeError(f"minor order {k} out of range 0..{n}")
     _guard_minor_enumeration(n)
-    if k == 0:
-        return [((), ONE)]
+    return _principal_minors(_int_form(a), k)
+
+
+def _principal_minors(form, k: int) -> list:
+    d, m = form
+    scale = d**k
     out = []
-    for subset in itertools.combinations(range(n), k):
-        value = a.submatrix(subset).det()
-        out.append((tuple(i + 1 for i in subset), value))
+    for subset in itertools.combinations(range(len(m[0])), k):
+        sub = _parts(m, lambda x: [[x[i][j] for j in subset] for i in subset])
+        out.append((tuple(i + 1 for i in subset), _scaled(_det_int(sub), scale)))
     return out
 
 
@@ -323,4 +481,5 @@ class MinorTable:
 
 def minor_table(a: Matrix) -> MinorTable:
     _guard_minor_enumeration(a.n)
-    return MinorTable(a.n, {k: principal_minors(a, k) for k in range(a.n + 1)})
+    form = _int_form(a)
+    return MinorTable(a.n, {k: _principal_minors(form, k) for k in range(a.n + 1)})

@@ -47,7 +47,7 @@ class Polynomial:
             coeffs = obj["coeffs"]
         except (TypeError, KeyError) as exc:
             raise ParseError(f"polynomial JSON needs 'degree' and 'coeffs': {exc}") from None
-        p = cls(GaussianRational.parse(c) for c in coeffs)
+        p = cls(GaussianRational.from_json(c) for c in coeffs)
         if p.degree != degree:
             raise ParseError(f"declared degree {degree} but {len(coeffs)} coefficients")
         return p

@@ -50,6 +50,13 @@ class GaussianRational:
         raise ParseError(f"cannot interpret {value!r} as an exact scalar")
 
     @classmethod
+    def from_json(cls, value) -> "GaussianRational":
+        """Decode a JSON scalar: a string encoding (see ``parse``) or an integer."""
+        if isinstance(value, bool):
+            raise ParseError(f"cannot interpret {value!r} as an exact scalar")
+        return cls.from_value(value)
+
+    @classmethod
     def parse(cls, text: str) -> "GaussianRational":
         """Parse the string encoding: "p/q", "p/q+r/s*i", "r/s*i".
 

@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the code paths they check: determinants by
 cofactor expansion (not elimination), characteristic polynomials by minor
-sums (not the trace recurrence), and the additive convolution through the
-derivative form of its definition.
+sums (not the trace recurrence) or by the trace recurrence on the rational
+entries (not the integer kernel), products as entrywise sums, and the
+additive convolution through the derivative form of its definition.
 """
 
 from __future__ import annotations
@@ -34,6 +35,34 @@ def cofactor_det(rows) -> GaussianRational:
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         total = total + rows[0][j] * ((-1) ** j) * cofactor_det(minor)
     return total
+
+
+def matmul_entrywise(x, y) -> list:
+    """Row-by-column sums of GaussianRational products, entry by entry."""
+    return [[sum((p * q for p, q in zip(row, col)), ZERO) for col in zip(*y)] for row in x]
+
+
+def charpoly_faddeev_fraction(m: Matrix) -> Polynomial:
+    """Faddeev-LeVerrier run directly on the GaussianRational entries:
+    N_1 = A, N_k = A (N_{k-1} + c_{k-1} I), c_k = -tr(N_k) / k."""
+    n = m.n
+    coeffs = [ONE]
+    work = m.rows
+    for k in range(1, n + 1):
+        if k > 1:
+            c = coeffs[-1]
+            shifted = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(work)]
+            work = matmul_entrywise(m.rows, shifted)
+        coeffs.append(-sum((work[i][i] for i in range(n)), ZERO) / k)
+    return Polynomial(coeffs)
+
+
+def signed_conjugate(b: Matrix, perm, signs) -> Matrix:
+    """P^T B P for the signed permutation P with P e_j = signs[j] e_{perm[j]},
+    as the explicit product of B with the matrix P."""
+    n = b.n
+    p = Matrix([[signs[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)])
+    return Matrix(matmul_entrywise(matmul_entrywise(p.transpose().rows, b.rows), p.rows))
 
 
 def charpoly_via_minors(m: Matrix) -> Polynomial:

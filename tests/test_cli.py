@@ -234,3 +234,62 @@ class TestErrorPaths:
         code, _, err = run(capsys, "charpoly", path)
         assert code == 1
         assert json.loads(err)["error"] == "parse-error"
+
+    def test_non_integer_json_scalar(self, capsys, write_json):
+        path = write_json("bad.json", {"n": 1, "entries": [[1.5]]})
+        code, out, err = run(capsys, "charpoly", path)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "parse-error"
+
+
+class TestIntegerJson:
+    def test_integer_matrix_entries(self, capsys, write_json):
+        path = write_json("m.json", {"n": 2, "entries": [[1, 0], [0, 1]]})
+        code, out, _ = run(capsys, "charpoly", path)
+        assert code == 0
+        assert json.loads(out) == {"degree": 2, "coeffs": ["1", "-2", "1"]}
+
+    def test_integer_polynomial_coeffs(self, capsys, write_json):
+        p = write_json("p.json", {"degree": 3, "coeffs": [1, -1, 0, 0]})
+        q = write_json("q.json", {"degree": 3, "coeffs": ["1", -3, 2, "0"]})
+        code, out, _ = run(capsys, "convolve", "--kind", "additive", p, q)
+        assert code == 0
+        assert json.loads(out)["coeffs"] == ["1", "-4", "4", "-2/3"]
+
+
+class TestRangeChecks:
+    """Out-of-range counts and seeds are usage errors, not tracebacks."""
+
+    @staticmethod
+    def assert_usage_error(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert set(payload) == {"error", "message"}
+
+    def test_verify_pair_bound_zero(self, capsys):
+        self.assert_usage_error(
+            capsys, "verify-pair", "--families", "diag,pb", "--kind", "additive",
+            "--trials", "2", "--n", "3", "--seed", "1", "--bound", "0",
+        )
+
+    def test_verify_pair_trials_below_one(self, capsys):
+        self.assert_usage_error(
+            capsys, "verify-pair", "--families", "diag,pb", "--kind", "additive",
+            "--trials", "-5", "--n", "3", "--seed", "1",
+        )
+
+    def test_expect_mc_negative_seed(self, capsys, write_json):
+        a = write_json("a.json", {"n": 2, "entries": [["1", "0"], ["0", "-1"]]})
+        self.assert_usage_error(
+            capsys, "expect", "--kind", "additive", "--mc", "--samples", "10", "--seed", "-1", a, a
+        )
+
+    def test_moments_k_below_one(self, capsys, write_json):
+        m = write_json("m.json", GOLDEN_B)
+        self.assert_usage_error(capsys, "moments", m, "--k", "0")
+
+    def test_sum_moments_count_below_one(self, capsys, write_json):
+        m = write_json("m.json", GOLDEN_B)
+        self.assert_usage_error(capsys, "sum-moments", m, m, "--count", "0")
