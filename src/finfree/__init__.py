@@ -59,14 +59,6 @@ from .moments import (
     moments_from_cumulants,
     mult_ffp_moment,
 )
-from .partitions import (
-    SetPartition,
-    bell_number,
-    integer_partitions,
-    join,
-    mobius_from_bottom,
-    set_partitions,
-)
 from .polynomials import Polynomial, boxplus, boxtimes, derivative, evaluate, shift_argument
 from .scalars import GaussianRational, as_scalar
 

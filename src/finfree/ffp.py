@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, SizeGuardError
 from .matrices import Matrix, _signed_perm_charpoly_mean, char_poly
@@ -145,9 +142,13 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
     """Exact average of chi_{A + P^T B P} (or chi_{A P^T B P}) over all
     signed permutation matrices P.
 
-    For real symmetric inputs the result equals the corresponding finite
-    free convolution exactly; for other inputs the average is still
-    computed but carries no equality guarantee, and a warning is issued.
+    The result equals the corresponding finite free convolution exactly for
+    every square Gaussian-rational pair, symmetric or not. Averaging over
+    the signs kills every term that is not principal: in the Laplace
+    expansion of det(xI - A - P^T B P) for the additive case, and in the
+    Cauchy-Binet expansion of e_k(A P^T B P) for the multiplicative case.
+    What is left is a sum of principal minors of A and of B, averaged over
+    the permutations, which is the convolution's coefficient formula.
     """
     a._require_same_size(b)
     n = a.n
@@ -155,12 +156,6 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
         raise SizeGuardError(f"signed-permutation enumeration refused for n={n} > {SIGNED_PERM_LIMIT}")
     if kind not in (ADDITIVE, MULTIPLICATIVE):
         raise ParseError(f"unknown kind {kind!r}")
-    if not (a.is_real() and b.is_real() and a.is_symmetric() and b.is_symmetric()):
-        warnings.warn(
-            "signed-permutation average equals the convolution only for real "
-            "symmetric inputs; computing the bare average",
-            stacklevel=2,
-        )
     return _signed_perm_charpoly_mean(a, b, kind == MULTIPLICATIVE, signed_permutations(n))
 
 
@@ -199,6 +194,8 @@ class HaarAverageResult:
 def haar_unitaries(n: int, count: int, rng) -> np.ndarray:
     """Haar-distributed unitaries: complex Ginibre, QR, phase correction so
     the R factor has positive real diagonal."""
+    import numpy as np
+
     z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     q, r = np.linalg.qr(z / math.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -207,6 +204,8 @@ def haar_unitaries(n: int, count: int, rng) -> np.ndarray:
 
 def _charpoly_coeffs_from_roots(roots: np.ndarray) -> np.ndarray:
     """Batched monic coefficients (descending) from eigenvalue batches."""
+    import numpy as np
+
     count, n = roots.shape
     coeffs = np.zeros((count, n + 1), dtype=complex)
     coeffs[:, 0] = 1.0
@@ -231,8 +230,11 @@ def expected_charpoly_haar_mc(
     This is a statistical diagnostic: the deviation is reported, never
     asserted. Deterministic for a fixed seed (counter-based Philox stream).
     ``unitaries`` overrides the sampler with an explicit batch, which is
-    useful for forcing U = I in tests.
+    useful for forcing U = I in tests. numpy is imported here, not at
+    module level, so every other verb starts without it.
     """
+    import numpy as np
+
     a._require_same_size(b)
     if samples < 1:
         raise SizeGuardError("need at least one sample")

@@ -31,6 +31,9 @@ the row-permuted M (Sylvester's identity), so dividing by the previous pivot
 is exact; over the Gaussian integers the quotient is formed as
 z conj(w) / |w|^2, whose parts |w|^2 divides. det(A) = det(M) / d^n, and the
 principal minor on an index set S is det(M_S) / d^|S|.
+
+Cycle sums: a subset DP over paths in M gives, for each index set I, the sum
+C_I of M-products along the cycles through exactly I; c_I = C_I / d^|I|.
 """
 
 from __future__ import annotations
@@ -99,6 +102,8 @@ class Matrix:
             entries = obj["entries"]
         except (TypeError, KeyError) as exc:
             raise ParseError(f"matrix JSON needs 'n' and 'entries': {exc}") from None
+        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+            raise ParseError("matrix JSON 'entries' must be a list of row lists")
         m = cls([[GaussianRational.from_json(x) for x in row] for row in entries])
         if m.n != n:
             raise ParseError(f"declared n={n} but got {m.n} rows")
@@ -125,11 +130,6 @@ class Matrix:
         for i in range(self.n):
             acc = acc + self.rows[i][i]
         return acc
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i] for i in range(self.n) for j in range(i + 1, self.n)
-        )
 
     def is_real(self) -> bool:
         return all(x.is_real() for row in self.rows for x in row)
@@ -320,7 +320,7 @@ def _charpoly_scaled(coeffs, d: int, count: int = 1) -> Polynomial:
 
 
 class _GaussInt:
-    """A Gaussian integer for Bareiss elimination on complex input.
+    """A Gaussian integer for Bareiss elimination and cycle sums on complex input.
 
     Named ``real``/``imag`` like int's own attributes, so ints and these mix;
     ``//`` is only ever used where the divisor divides exactly.
@@ -337,6 +337,11 @@ class _GaussInt:
         return _GaussInt(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _GaussInt(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         return _GaussInt(self.real - other.real, self.imag - other.imag)
@@ -368,6 +373,52 @@ def _det_int(m):
         prev = pivot
     det = sign * prev  # the last pivot is det(M) up to the row-swap sign
     return det.real, det.imag
+
+
+def _cycle_sums(a: Matrix) -> dict:
+    """{k: [(I, c_I) for each k-subset I in lexicographic order]}, I 1-based,
+    where c_I sums the entry products along every cycle through exactly I.
+
+    Subset DP on the integer form M = d*A: for each anchor s, ``paths[mask]``
+    maps each end vertex v to the sum of M-products along the paths that
+    start at s and visit exactly the indices in ``mask`` (all greater than
+    s). Closing each path with M[v][s] gives C_{{s} u mask}, and
+    c_I = C_I / d^|I|. Every cycle is counted once, from its least index.
+    Cost: O(2^n n^2) products, against sum_k C(n,k) (k-1)! k by enumeration.
+    """
+    d, (re, im) = _int_form(a)
+    n = a.n
+    m = re if im is None else [list(map(_GaussInt, r, i)) for r, i in zip(re, im)]
+    sums = {}
+    for s in range(n):
+        sums[1 << s] = m[s][s]
+        rest = range(s + 1, n)
+        paths = {}
+        for v in rest:
+            if m[s][v]:
+                paths[1 << v] = {v: m[s][v]}
+        # masks hold bits above s only; ascending order visits every mask after its subsets
+        for mask in range(1 << (s + 1), 1 << n, 1 << (s + 1)):
+            ends = paths.pop(mask, None)
+            if not ends:
+                continue
+            closed = 0
+            for v, total in ends.items():
+                closed = closed + total * m[v][s]
+                row = m[v]
+                for w in rest:
+                    if mask >> w & 1 or not row[w]:
+                        continue
+                    nxt = paths.setdefault(mask | 1 << w, {})
+                    nxt[w] = nxt.get(w, 0) + total * row[w]
+            sums[mask | 1 << s] = closed
+    by_order = {}
+    for k in range(1, n + 1):
+        by_order[k] = []
+        for subset in itertools.combinations(range(n), k):
+            c = sums.get(sum(1 << i for i in subset), 0)
+            by_order[k].append((tuple(i + 1 for i in subset), _scaled((c.real, c.imag), d**k)))
+    return by_order
 
 
 def char_poly(a: Matrix) -> Polynomial:

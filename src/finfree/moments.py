@@ -1,46 +1,43 @@
 """Coefficient / moment / cumulant conversions and the finite-free moment
-formulas.
+formulas, all as truncated power series.
 
-Coefficients from moments use the partition sum
+Write a monic degree-n polynomial as sum_k a_k x^(n-k) with a_0 = 1, and
+m_r for the mean of the r-th powers of its roots (for a matrix A with that
+characteristic polynomial, m_r = tr(A^r)/n). Newton's identities link the
+two both ways:
 
-    a_k = sum over integer partitions of k of
-          prod_i (-n m_{r_i})^{s_i} / (r_i^{s_i} s_i!)
+    a_k = -(n/k) sum_{i=1}^{k} a_{k-i} m_i
+    m_r = -(r/n) a_r - sum_{i=1}^{r-1} a_i m_{r-i}      (a_r = 0 past degree n).
 
-and moments from coefficients use the Newton recursion
+Finite free cumulants follow Arizmendi & Perales, "Cumulants for finite free
+convolution", J. Combin. Theory Ser. A (2018), arXiv:1611.06598. Rescale
+the coefficients to â_k = a_k (n-k)!/n!; the additive convolution then
+multiplies the series F(t) = sum_k â_k t^k, so log F adds, and
 
-    m_r = -(r/n) c_r - sum_{i=1}^{r-1} c_i m_{r-i}      (c_r = 0 past degree n).
+    kappa_j = -j n^(j-1) [t^j] log F(t).
 
-Cumulants are the unique solution of the set-partition moment formula
+Logarithm and exponential are taken term by term from G' F = F' with
+G = log F:
 
-    m_j = (-1)^(j-1) / (n^(j+1) (j-1)!) *
-          sum_pi n^|pi| mu(0,pi) kappa_pi * sum_{rho v pi = top} n^|rho| mu(0,rho)
+    k g_k = k f_k - sum_{i=1}^{k-1} i g_i f_{k-i}        (log)
+    k f_k = sum_{i=1}^{k} i g_i f_{k-i}                  (exp, f_0 = 1)
 
-inverted triangularly: kappa_j enters m_j only through the one-block
-partition, with coefficient (computed from the formula itself) equal to the
-falling factorial n(n-1)...(n-j+1) / n^j, nonzero for j <= n. These
-cumulants are additive for pairs in additive finite free position.
+so every conversion of j terms costs O(j^2) scalar operations. The
+cumulants so defined are additive for pairs in additive finite free
+position, and equal the set-partition moment formula of that paper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import perm
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, IndexRangeError, NonMonicError, ParseError
 from .matrices import Matrix, char_poly, moment_vector_of
-from .partitions import (
-    SetPartition,
-    integer_partitions,
-    mobius_from_bottom,
-    set_partitions,
-    top_join_weight_table,
-)
 from .polynomials import Polynomial, boxplus
 from .scalars import ONE, ZERO, GaussianRational, as_scalar
-
-CUMULANT_ORDER_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -111,23 +108,36 @@ class CumulantVector:
 # -- coefficients <-> moments -------------------------------------------------
 
 
+def _newton_coeffs(moments: Sequence, n: int) -> list:
+    """a_0..a_k of a degree-n polynomial from its root moments m_1..m_k."""
+    coeffs = [ONE]
+    for k in range(1, len(moments) + 1):
+        acc = ZERO
+        for i in range(1, k + 1):
+            acc = acc + coeffs[k - i] * moments[i - 1]
+        coeffs.append(acc * Fraction(-n, k))
+    return coeffs
+
+
+def _newton_moments(coeffs: Sequence, n: int, count: int) -> list:
+    """m_1..m_count of a degree-n polynomial from a_0..a_L, reading a_r = 0
+    past L; valid when L = n or L >= count."""
+    top = len(coeffs) - 1
+    moments: list[GaussianRational] = []
+    for r in range(1, count + 1):
+        acc = (coeffs[r] if r <= top else ZERO) * Fraction(-r, n)
+        for i in range(1, min(r - 1, top) + 1):
+            acc = acc - coeffs[i] * moments[r - i - 1]
+        moments.append(acc)
+    return moments
+
+
 def coeffs_from_moments(m: MomentVector) -> Polynomial:
     """Monic degree-n polynomial whose root moments are m_1..m_n."""
     n = m.n
     if len(m) < n:
         raise DimensionMismatchError(f"need {n} moments, got {len(m)}")
-    coeffs = [ONE]
-    for k in range(1, n + 1):
-        acc = ZERO
-        for partition in integer_partitions(k):
-            term = ONE
-            for part, mult in partition:
-                term = term * (m[part] * (-n)) ** mult / (
-                    Fraction(part) ** mult * factorial(mult)
-                )
-            acc = acc + term
-        coeffs.append(acc)
-    return Polynomial(coeffs)
+    return Polynomial(_newton_coeffs(m.values[:n], n))
 
 
 def moments_from_coeffs(p: Polynomial, count: Optional[int] = None) -> MomentVector:
@@ -136,15 +146,7 @@ def moments_from_coeffs(p: Polynomial, count: Optional[int] = None) -> MomentVec
     if not p.is_monic:
         raise NonMonicError("moment extraction needs a monic polynomial")
     n = p.degree
-    count = n if count is None else count
-    moments: list[GaussianRational] = []
-    for r in range(1, count + 1):
-        c_r = p.coeffs[r] if r <= n else ZERO
-        acc = c_r * Fraction(-r, n)
-        for i in range(1, min(r - 1, n) + 1):
-            acc = acc - p.coeffs[i] * moments[r - i - 1]
-        moments.append(acc)
-    return MomentVector(n, moments)
+    return MomentVector(n, _newton_moments(p.coeffs, n, n if count is None else count))
 
 
 def ffp_sum_moments(
@@ -197,71 +199,55 @@ def _moment_list(m, k: int) -> dict:
 # -- moments <-> cumulants -----------------------------------------------------
 
 
-def _guard_order(j: int):
-    if not 1 <= j <= CUMULANT_ORDER_LIMIT:
-        raise IndexRangeError(f"cumulant order {j} outside 1..{CUMULANT_ORDER_LIMIT}")
+def _series_log(f: Sequence) -> list:
+    """g_0..g_L of log F for F = f_0 + f_1 t + ... + f_L t^L with f_0 = 1."""
+    g = [ZERO]
+    for k in range(1, len(f)):
+        acc = f[k] * k
+        for i in range(1, k):
+            acc = acc - g[i] * f[k - i] * i
+        g.append(acc * Fraction(1, k))
+    return g
 
 
-def _cumulant_product(kappa: Sequence, pi: SetPartition) -> GaussianRational:
-    prod = ONE
-    for block in pi.blocks:
-        prod = prod * kappa[len(block) - 1]
-    return prod
-
-
-def _moment_from_cumulant_list(kappa: Sequence, n: int, j: int) -> GaussianRational:
-    parts = set_partitions(j)
-    weights = top_join_weight_table(j)
-    total = ZERO
-    for pi, weight in zip(parts, weights):
-        kappa_pi = _cumulant_product(kappa, pi)
-        if not kappa_pi:
-            continue
-        inner = sum(
-            Fraction(n) ** blocks * mu for blocks, mu in weight.items()
-        )
-        total = total + kappa_pi * (
-            Fraction(n) ** pi.num_blocks * mobius_from_bottom(pi) * inner
-        )
-    lead = Fraction((-1) ** (j - 1), n ** (j + 1) * factorial(j - 1))
-    return total * lead
+def _series_exp(g: Sequence) -> list:
+    """f_0..f_L of exp G for G = g_1 t + ... + g_L t^L (g_0 is ignored)."""
+    f = [ONE]
+    for k in range(1, len(g)):
+        acc = ZERO
+        for i in range(1, k + 1):
+            acc = acc + g[i] * f[k - i] * i
+        f.append(acc * Fraction(1, k))
+    return f
 
 
 def moments_from_cumulants(kappa: CumulantVector, j: int) -> GaussianRational:
-    """m_j from the set-partition formula; needs kappa_1..kappa_j."""
-    _guard_order(j)
-    if len(kappa) < j:
-        raise DimensionMismatchError(f"need {j} cumulants, got {len(kappa)}")
-    return _moment_from_cumulant_list(kappa.values, kappa.n, j)
+    """m_j from kappa_1..kappa_j.
 
-
-def _kappa_j_coefficient(n: int, j: int) -> GaussianRational:
-    # the one-block partition is the only one containing kappa_j; its
-    # coefficient is evaluated from the formula itself rather than a closed form
-    parts = set_partitions(j)
-    inner_all = sum(Fraction(n) ** p.num_blocks * mobius_from_bottom(p) for p in parts)
-    top_mu = mobius_from_bottom(SetPartition.top(j))
-    lead = Fraction((-1) ** (j - 1), n ** (j + 1) * factorial(j - 1))
-    return as_scalar(lead * Fraction(n) * top_mu * inner_all)
+    exp(sum_k -kappa_k t^k / (k n^(k-1))) gives the â_k, then
+    a_k = â_k n(n-1)...(n-k+1) and Newton's recursion gives m_j. Past the
+    dimension the falling factorial vanishes, so for j > n only
+    kappa_1..kappa_n enter.
+    """
+    if not 1 <= j <= len(kappa):
+        raise IndexRangeError(f"cumulant order {j} outside 1..{len(kappa)}")
+    n = kappa.n
+    g = [ZERO] + [kappa[k] * Fraction(-1, k * n ** (k - 1)) for k in range(1, min(j, n) + 1)]
+    coeffs = [f * perm(n, k) for k, f in enumerate(_series_exp(g))]
+    return _newton_moments(coeffs, n, j)[-1]
 
 
 def cumulants_from_moments(m: MomentVector) -> CumulantVector:
-    """Invert the moment formula triangularly: kappa_j is isolated from m_j
-    and the previously solved kappa_1..kappa_{j-1}."""
+    """kappa_j = -j n^(j-1) [t^j] log F(t) for j up to len(m), with F built
+    from the coefficients that Newton's identities give for m."""
     n = m.n
-    _guard_order(len(m))
     if len(m) > n:
         raise DimensionMismatchError(
             f"cumulants are defined up to the dimension: {len(m)} moments for n={n}"
         )
-    kappa: list[GaussianRational] = []
-    for j in range(1, len(m) + 1):
-        coefficient = _kappa_j_coefficient(n, j)
-        if not coefficient:
-            raise DimensionMismatchError(f"order {j} exceeds the dimension n={n}")
-        partial = _moment_from_cumulant_list(kappa + [ZERO], n, j)
-        kappa.append((m[j] - partial) / coefficient)
-    return CumulantVector(n, kappa)
+    coeffs = _newton_coeffs(m.values, n)
+    g = _series_log([a * Fraction(1, perm(n, k)) for k, a in enumerate(coeffs)])
+    return CumulantVector(n, [g[j] * (-j * n ** (j - 1)) for j in range(1, len(g))])
 
 
 def cumulants_of_matrix(a: Matrix) -> CumulantVector:

@@ -47,6 +47,8 @@ class Polynomial:
             coeffs = obj["coeffs"]
         except (TypeError, KeyError) as exc:
             raise ParseError(f"polynomial JSON needs 'degree' and 'coeffs': {exc}") from None
+        if not isinstance(coeffs, list):
+            raise ParseError("polynomial JSON 'coeffs' must be a list")
         p = cls(GaussianRational.from_json(c) for c in coeffs)
         if p.degree != degree:
             raise ParseError(f"declared degree {degree} but {len(coeffs)} coefficients")

@@ -60,8 +60,9 @@ class GaussianRational:
     def parse(cls, text: str) -> "GaussianRational":
         """Parse the string encoding: "p/q", "p/q+r/s*i", "r/s*i".
 
-        Denominators of 1 may be omitted; signs are explicit. This is the
-        inverse of ``str()`` and round-trips bit-exactly.
+        Denominators of 1 may be omitted; signs are explicit. Either part may
+        also be a decimal or exponent form that ``Fraction`` reads ("1e-5").
+        This is the inverse of ``str()`` and round-trips bit-exactly.
         """
         s = text.strip().replace(" ", "")
         if not s:
@@ -70,9 +71,10 @@ class GaussianRational:
             if not s.endswith("*i"):
                 return cls(Fraction(s))
             body = s[:-2]
-            # split at the last interior sign: "<re><sign><|im|>"
+            # split at the last interior sign: "<re><sign><|im|>"; a sign
+            # after e/E belongs to an exponent, as in "1e-5*i"
             for idx in range(len(body) - 1, 0, -1):
-                if body[idx] in "+-" and body[idx - 1] not in "+-/":
+                if body[idx] in "+-" and body[idx - 1] not in "+-/eE":
                     return cls(Fraction(body[:idx]), Fraction(body[idx:]))
             return cls(0, Fraction(body))
         except (ValueError, ZeroDivisionError) as exc:

@@ -4,7 +4,8 @@ The oracles deliberately avoid the code paths they check: determinants by
 cofactor expansion (not elimination), characteristic polynomials by minor
 sums (not the trace recurrence) or by the trace recurrence on the rational
 entries (not the integer kernel), products as entrywise sums, and the
-additive convolution through the derivative form of its definition.
+additive convolution through the derivative form of its definition, and
+cycle sums by enumerating every cycle (not the subset DP).
 """
 
 from __future__ import annotations
@@ -89,6 +90,29 @@ def boxplus_via_derivatives(p: Polynomial, q: Polynomial) -> Polynomial:
         padded = Polynomial([ZERO] * (n - term.degree) + list(term.coeffs))
         total = padded if total is None else total + padded
     return total.scale(Fraction(1, factorial(n)))
+
+
+def cycle_sums_by_paths(m: Matrix) -> dict:
+    """{k: [(I, c_I)]} with I 1-based in lexicographic order, summing the
+    entry products along every cycle through exactly I: each cycle is
+    walked from min I through one ordering of the rest, Sum_k C(n,k) (k-1)!
+    cycles in all."""
+    n, rows = m.n, m.rows
+    by_order: dict[int, list] = {k: [] for k in range(1, n + 1)}
+    for k in range(1, n + 1):
+        for subset in itertools.combinations(range(n), k):
+            anchor, rest = subset[0], subset[1:]
+            total = ZERO
+            for order in itertools.permutations(rest):
+                path = (anchor,) + order
+                prod = ONE
+                for src, dst in zip(path, path[1:] + (anchor,)):
+                    prod = prod * rows[src][dst]
+                    if not prod:
+                        break
+                total = total + prod
+            by_order[k].append((tuple(i + 1 for i in subset), total))
+    return by_order
 
 
 def rand_scalar(rng: random.Random, bound: int = 10) -> GaussianRational:

@@ -1,4 +1,6 @@
-"""Set partitions of [j] and integer partitions of k.
+"""Set partitions of [j], integer partitions of k, and the partition-sum
+formulas of the moment/cumulant layer, kept as oracles for the power-series
+code in ``finfree.moments``.
 
 Set partitions are enumerated through restricted growth strings, which gives
 a deterministic canonical order; the lattice join is computed by union-find.
@@ -7,16 +9,36 @@ The Moebius function from the bottom element is the product formula
     mu(0_j, pi) = prod_{V in pi} (-1)^(|V|-1) (|V|-1)!
 
 Enumeration is guarded at j <= 12 (Bell(12) is about 4.2 million).
+
+The oracles:
+
+- coefficients from moments by the integer-partition sum
+
+    a_k = sum over integer partitions of k of
+          prod_i (-n m_{r_i})^{s_i} / (r_i^{s_i} s_i!)
+
+- moments from cumulants by the set-partition formula (Arizmendi & Perales,
+  arXiv:1611.06598)
+
+    m_j = (-1)^(j-1) / (n^(j+1) (j-1)!) *
+          sum_pi n^|pi| mu(0,pi) kappa_pi * sum_{rho v pi = top} n^|rho| mu(0,rho)
+
+- cumulants from moments by inverting that formula triangularly: kappa_j
+  enters m_j only through the one-block partition, with a coefficient
+  (computed from the formula itself) equal to the falling factorial
+  n(n-1)...(n-j+1) / n^j, nonzero for j <= n.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import SizeGuardError
+from finfree import SizeGuardError
+from finfree.scalars import ONE, ZERO
 
 SET_PARTITION_LIMIT = 12
 
@@ -149,14 +171,20 @@ def top_join_weight_table(j: int) -> tuple:
     only on first use.
     """
     parts = set_partitions(j)
+    # relabelling [j] maps the sum for pi to the sum for the relabelled pi,
+    # so it depends on pi only through its block sizes
+    by_shape: dict[tuple, dict] = {}
     table = []
     for pi in parts:
-        weights: dict[int, int] = {}
-        for rho in parts:
-            if join(pi, rho).is_top():
-                k = rho.num_blocks
-                weights[k] = weights.get(k, 0) + mobius_from_bottom(rho)
-        table.append(weights)
+        shape = tuple(sorted(pi.block_sizes()))
+        if shape not in by_shape:
+            weights: dict[int, int] = {}
+            for rho in parts:
+                if join(pi, rho).is_top():
+                    k = rho.num_blocks
+                    weights[k] = weights.get(k, 0) + mobius_from_bottom(rho)
+            by_shape[shape] = weights
+        table.append(by_shape[shape])
     return tuple(table)
 
 
@@ -179,3 +207,66 @@ def integer_partitions(k: int) -> list[tuple[tuple[int, int], ...]]:
 
     rec(k, k, [])
     return out
+
+
+# -- the partition-sum formulas ----------------------------------------------
+
+
+def coeffs_by_integer_partitions(moments, n: int) -> list:
+    """a_0..a_n of the monic degree-n polynomial with root moments m_1..m_n."""
+    coeffs = [ONE]
+    for k in range(1, n + 1):
+        acc = ZERO
+        for partition in integer_partitions(k):
+            term = ONE
+            for part, mult in partition:
+                term = term * (moments[part - 1] * (-n)) ** mult / (
+                    Fraction(part) ** mult * factorial(mult)
+                )
+            acc = acc + term
+        coeffs.append(acc)
+    return coeffs
+
+
+def _cumulant_product(kappa, pi: SetPartition):
+    prod = ONE
+    for block in pi.blocks:
+        prod = prod * kappa[len(block) - 1]
+    return prod
+
+
+def moment_by_set_partitions(kappa, n: int, j: int):
+    """m_j from kappa_1..kappa_j by the set-partition formula."""
+    parts = set_partitions(j)
+    weights = top_join_weight_table(j)
+    total = ZERO
+    for pi, weight in zip(parts, weights):
+        kappa_pi = _cumulant_product(kappa, pi)
+        if not kappa_pi:
+            continue
+        inner = sum(Fraction(n) ** blocks * mu for blocks, mu in weight.items())
+        total = total + kappa_pi * (
+            Fraction(n) ** pi.num_blocks * mobius_from_bottom(pi) * inner
+        )
+    lead = Fraction((-1) ** (j - 1), n ** (j + 1) * factorial(j - 1))
+    return total * lead
+
+
+def _kappa_j_coefficient(n: int, j: int) -> Fraction:
+    # the one-block partition is the only one containing kappa_j; its
+    # coefficient is evaluated from the formula itself rather than a closed form
+    parts = set_partitions(j)
+    inner_all = sum(Fraction(n) ** p.num_blocks * mobius_from_bottom(p) for p in parts)
+    top_mu = mobius_from_bottom(SetPartition.top(j))
+    lead = Fraction((-1) ** (j - 1), n ** (j + 1) * factorial(j - 1))
+    return lead * Fraction(n) * top_mu * inner_all
+
+
+def cumulants_by_set_partitions(moments, n: int) -> list:
+    """kappa_1..kappa_len(moments), len(moments) <= n, isolating kappa_j
+    from m_j and the previously solved kappa_1..kappa_{j-1}."""
+    kappa: list = []
+    for j in range(1, len(moments) + 1):
+        partial = moment_by_set_partitions(kappa + [ZERO], n, j)
+        kappa.append((moments[j - 1] - partial) / _kappa_j_coefficient(n, j))
+    return kappa

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +246,33 @@ class TestErrorPaths:
         assert json.loads(err)["error"] == "parse-error"
 
 
+class TestPayloadShapes:
+    """Wrong JSON shapes are parse errors, not tracebacks."""
+
+    @staticmethod
+    def assert_parse_error(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "parse-error"
+
+    def test_entries_not_a_list(self, capsys, write_json):
+        self.assert_parse_error(capsys, "charpoly", write_json("m.json", {"n": 1, "entries": 5}))
+
+    def test_row_not_a_list(self, capsys, write_json):
+        path = write_json("m.json", {"n": 2, "entries": [[1, 0], 5]})
+        self.assert_parse_error(capsys, "charpoly", path)
+
+    def test_coeffs_not_a_list(self, capsys, write_json):
+        p = write_json("p.json", {"degree": 1, "coeffs": 5})
+        self.assert_parse_error(capsys, "convolve", "--kind", "additive", p, p)
+
+    def test_exponent_in_imaginary_part(self, capsys, write_json):
+        path = write_json("m.json", {"n": 1, "entries": [["2+1e-5*i"]]})
+        code, out, _ = run(capsys, "charpoly", path)
+        assert code == 0
+        assert json.loads(out)["coeffs"] == ["1", "-2-1/100000*i"]
+
+
 class TestIntegerJson:
     def test_integer_matrix_entries(self, capsys, write_json):
         path = write_json("m.json", {"n": 2, "entries": [[1, 0], [0, 1]]})
@@ -293,3 +324,15 @@ class TestRangeChecks:
     def test_sum_moments_count_below_one(self, capsys, write_json):
         m = write_json("m.json", GOLDEN_B)
         self.assert_usage_error(capsys, "sum-moments", m, m, "--count", "0")
+
+
+def test_import_leaves_numpy_out():
+    """numpy loads only with ``expect --mc``; importing the package and the
+    CLI must not pull it in."""
+    code = "import sys, finfree, finfree.cli; print('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"

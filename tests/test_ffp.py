@@ -25,6 +25,7 @@ from finfree import (
     multiplicative_condition_2x2,
 )
 from finfree.ffp import signed_permutations
+from finfree.scalars import I
 from finfree.families import random_matrix
 from helpers import poly_of_matrix, rand_invertible, rand_scalar, rand_symmetric
 
@@ -226,10 +227,27 @@ class TestSignedPermutationExpectation:
                     char_poly(a), char_poly(b)
                 )
 
-    def test_non_symmetric_warns(self):
+    def test_exact_identity_for_non_symmetric_pairs(self):
+        # signs kill every non-principal term, so no symmetry is needed
+        rng = random.Random(42)
         skew = Matrix([[0, 1], [-1, 0]])
-        with pytest.warns(UserWarning):
-            expected_charpoly_signed_perms(skew, Matrix.identity(2), "additive")
+        pairs = [(skew, Matrix([[1, 2], [0, 3]]))]
+        for n in (2, 3, 4):
+            for gaussian in (False, True):
+                a, b = random_matrix(rng, n), random_matrix(rng, n)
+                if gaussian:
+                    a = a + random_matrix(rng, n).scale(I)
+                    b = b + random_matrix(rng, n).scale(I)
+                pairs.append((a, b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in pairs:
+                assert expected_charpoly_signed_perms(a, b, "additive") == boxplus(
+                    char_poly(a), char_poly(b)
+                )
+                assert expected_charpoly_signed_perms(a, b, "multiplicative") == boxtimes(
+                    char_poly(a), char_poly(b)
+                )
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):

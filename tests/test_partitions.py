@@ -1,6 +1,6 @@
 import pytest
 
-from finfree import (
+from partition_oracles import (
     SetPartition,
     SizeGuardError,
     bell_number,
