@@ -21,7 +21,6 @@ from .errors import FinFreeError, ParseError
 from .families import (
     FamilyId,
     cycle_sums,
-    is_member,
     rank_upper_bound,
     verify_pair,
 )
@@ -174,7 +173,7 @@ def _run(args) -> int:
             distinct[str(k)] = [str(v) for v in seen]
         _emit(
             {
-                "balanced": is_member(m, FamilyId.PRINCIPALLY_BALANCED),
+                "balanced": all(len(values) == 1 for values in distinct.values()),
                 "minor_values": distinct,
                 "n": m.n,
             }

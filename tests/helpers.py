@@ -2,10 +2,11 @@
 
 The oracles deliberately avoid the code paths they check: determinants by
 cofactor expansion (not elimination), characteristic polynomials by minor
-sums (not the trace recurrence) or by the trace recurrence on the rational
-entries (not the integer kernel), products as entrywise sums, and the
-additive convolution through the derivative form of its definition, and
-cycle sums by enumerating every cycle (not the subset DP).
+sums or by the Faddeev-LeVerrier trace recurrence (not power sums and
+Newton's identities), moments by repeated entrywise products (not power
+sums), products as entrywise sums, the additive convolution through the
+derivative form of its definition, and cycle sums by enumerating every
+cycle (not the subset DP).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from math import factorial
 
 from finfree import GaussianRational, Matrix, Polynomial, as_scalar
 from finfree.families import rand_fraction, random_matrix
+from finfree.matrices import _gmul, _int_form, _trace
 
 ZERO = as_scalar(0)
 ONE = as_scalar(1)
@@ -56,6 +58,39 @@ def charpoly_faddeev_fraction(m: Matrix) -> Polynomial:
             work = matmul_entrywise(m.rows, shifted)
         coeffs.append(-sum((work[i][i] for i in range(n)), ZERO) / k)
     return Polynomial(coeffs)
+
+
+def charpoly_faddeev_int(m: Matrix) -> Polynomial:
+    """Faddeev-LeVerrier over the integer form M = d*A, the char_poly kernel
+    that power sums replaced: N_1 = M, N_k = M (N_{k-1} + C_{k-1} I),
+    C_k = -tr(N_k) / k (exact), and coefficient k of chi_A is C_k / d^k."""
+    d, form = _int_form(m)
+    coeffs = [(1, 0)]
+    work = form
+    for k in range(1, m.n + 1):
+        if k > 1:
+            (wr, wi), (cr, ci) = work, coeffs[-1]
+            work = _gmul(form, (_add_diagonal(wr, cr), None if wi is None else _add_diagonal(wi, ci)))
+        tr, ti = _trace(work)
+        coeffs.append((-tr // k, -ti // k))
+    return Polynomial(
+        GaussianRational(Fraction(cr, d**k), Fraction(ci, d**k)) for k, (cr, ci) in enumerate(coeffs)
+    )
+
+
+def _add_diagonal(x, c: int) -> list:
+    return [[v + c if i == j else v for j, v in enumerate(row)] for i, row in enumerate(x)]
+
+
+def moments_by_powers(m: Matrix, count: int) -> list:
+    """tr(A^k)/n for k = 1..count, by repeated entrywise products of the
+    GaussianRational entries."""
+    power = Matrix.identity(m.n).rows
+    out = []
+    for _ in range(count):
+        power = matmul_entrywise(power, m.rows)
+        out.append(sum((power[i][i] for i in range(m.n)), ZERO) / m.n)
+    return out
 
 
 def signed_conjugate(b: Matrix, perm, signs) -> Matrix:

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from finfree import FfpReport, MomentVector, Polynomial, as_scalar
+import finfree.cli
+import finfree.families
+from finfree import FfpReport, MomentVector, Polynomial, as_scalar, minor_table
 from finfree.cli import main
 
 GOLDEN_A = {"n": 3, "entries": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}
@@ -90,6 +92,38 @@ class TestBalancedAndCycles:
         assert payload["balanced"] is True
         assert payload["minor_values"]["1"] == ["1"]
         assert payload["minor_values"]["2"] == ["-11"]
+
+    def test_check_balanced_builds_one_minor_table(self, capsys, write_json, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return minor_table(m)
+
+        monkeypatch.setattr(finfree.cli, "minor_table", counted)
+        monkeypatch.setattr(finfree.families, "minor_table", counted)
+        code, _, _ = run(capsys, "check-balanced", write_json("m.json", EXAMPLE_PB))
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "matrix, expected",
+        [
+            (
+                EXAMPLE_PB,
+                '{"balanced": true, "minor_values": {"1": ["1"], "2": ["-11"], "3": ["-149"]}, "n": 3}\n',
+            ),
+            (
+                GOLDEN_B,
+                '{"balanced": false, "minor_values": {"1": ["1"], "2": ["0", "1"], "3": ["0"]}, "n": 3}\n',
+            ),
+        ],
+    )
+    def test_check_balanced_stdout_bytes(self, capsys, write_json, matrix, expected):
+        code, out, err = run(capsys, "check-balanced", write_json("m.json", matrix))
+        assert code == 0
+        assert out == expected
+        assert err == ""
 
     def test_cycle_sums(self, capsys, write_json):
         code, out, _ = run(capsys, "cycle-sums", write_json("m.json", EXAMPLE_PB))

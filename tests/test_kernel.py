@@ -1,21 +1,32 @@
-"""The integer kernel behind char_poly, @, det, minor tables and the
-signed-permutation average, checked against independent oracles on real and
-Gaussian matrices with zero rows, singular matrices and large denominators."""
+"""The integer kernel behind char_poly, moments, FFP verdicts, @, det, minor
+tables and the signed-permutation average, checked against independent
+oracles on real and Gaussian matrices with zero rows, singular matrices and
+large denominators."""
 
-import warnings
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finfree import GaussianRational, Matrix, char_poly, expected_charpoly_signed_perms, minor_table
+from finfree import (
+    GaussianRational,
+    Matrix,
+    char_poly,
+    expected_charpoly_signed_perms,
+    is_additive_ffp,
+    is_multiplicative_ffp,
+    minor_table,
+)
 from finfree.ffp import signed_permutations
+from finfree.matrices import moment_vector_of
 from finfree.polynomials import average
 from helpers import (
     charpoly_faddeev_fraction,
+    charpoly_faddeev_int,
     charpoly_via_minors,
     cofactor_det,
     matmul_entrywise,
+    moments_by_powers,
     signed_conjugate,
 )
 
@@ -24,17 +35,18 @@ FRACTIONS = st.builds(
     st.integers(-10**6, 10**6) | st.integers(-10, 10),
     st.integers(1, 10**6) | st.integers(1, 10),
 )
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
 
 
-def entries(gaussian: bool):
-    nonzero = st.builds(GaussianRational, FRACTIONS, FRACTIONS if gaussian else st.just(0))
+def entries(gaussian: bool, parts=FRACTIONS):
+    nonzero = st.builds(GaussianRational, parts, parts if gaussian else st.just(0))
     return st.just(GaussianRational(0)) | nonzero
 
 
 @st.composite
 def matrices(draw, n=None, max_n=5):
     n = draw(st.integers(1, max_n)) if n is None else n
-    entry = entries(draw(st.booleans()))
+    entry = entries(draw(st.booleans()), FRACTIONS if n <= 5 else SMALL_FRACTIONS)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     shape = draw(st.sampled_from(("dense", "zero-row", "singular")))
     if shape == "zero-row":
@@ -89,6 +101,34 @@ def test_signed_perm_average_matches_per_conjugate_char_polys(ab, kind):
     for perm, signs in signed_permutations(a.n):
         conj = signed_conjugate(b, perm, signs)
         polys.append(char_poly(a + conj if kind == "additive" else a @ conj))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert expected_charpoly_signed_perms(a, b, kind) == average(polys)
+    assert expected_charpoly_signed_perms(a, b, kind) == average(polys)
+
+
+# n where s = ceil(sqrt(n)) baby steps change: 1, 2 (s = n), 4, 5 (s = 2, 3), 9, 10 (s = 3, 4)
+@KERNEL
+@given(st.sampled_from((1, 2, 4, 5, 9, 10)).flatmap(lambda n: matrices(n=n)))
+def test_power_sum_char_poly_across_baby_step_counts(m):
+    p = char_poly(m)
+    assert p == charpoly_faddeev_int(m)
+    if m.n <= 5:
+        assert p == charpoly_via_minors(m)
+    else:
+        # cofactor expansion is too slow here; sum the Bareiss minor table instead
+        table = minor_table(m)
+        sums = [sum(table.values(k), GaussianRational(0)) * (-1) ** k for k in range(m.n + 1)]
+        assert list(p.coeffs) == sums
+
+
+@KERNEL
+@given(matrices(max_n=6), st.sampled_from(("zero", "one", "n", "n+3")))
+def test_moment_vector_matches_repeated_powers(m, which):
+    count = {"zero": 0, "one": 1, "n": m.n, "n+3": m.n + 3}[which]
+    assert moment_vector_of(m, count) == moments_by_powers(m, count)
+
+
+@KERNEL
+@given(pairs())
+def test_ffp_lhs_matches_char_poly_of_sum_and_product(ab):
+    a, b = ab
+    assert is_additive_ffp(a, b).lhs == char_poly(a + b)
+    assert is_multiplicative_ffp(a, b).lhs == char_poly(a @ b)
