@@ -5,6 +5,15 @@ multiplicative FFP when chi_{AB} = chi_A [x] chi_B. Both are exact
 polynomial identities, so verdicts are exact coefficient comparisons with
 no tolerance anywhere.
 
+Verdicts compare integers. A and B are cleared of denominators once each,
+and the integer kernel gives the coefficients P_k, A_k, B_k of chi_{A+B}
+(or chi_{AB}), chi_A and chi_B, all at one scale s: s = lcm(d_A, d_B) for
+the sum, s = d_A d_B for the product. The integer convolution
+(``polynomials``) turns A_k, B_k into N_k and w_k with coefficient k of
+the convolution equal to N_k / (w_k s^k), and coefficient k agrees iff
+w_k P_k == N_k. Gaussian rationals are built only for the report: its two
+polynomials and each nonzero residual (w_k P_k - N_k) / (w_k s^k).
+
 Certain coefficients can never differ and are excluded from the residual
 map: x^n and x^{n-1} in the additive case (the traces add), x^n and the
 constant term in the multiplicative case (the determinants multiply).
@@ -20,9 +29,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DimensionMismatchError, ParseError, SizeGuardError
-from .matrices import Matrix, _combined_char_poly, _signed_perm_charpoly_mean, char_poly
-from .polynomials import Polynomial, boxplus, boxtimes
-from .scalars import GaussianRational
+from .matrices import Matrix, _char_coeffs, _pair_form, _signed_perm_charpoly_mean, char_poly
+from .polynomials import Polynomial, _convolve_int, _from_int, boxplus, boxtimes
+from .scalars import GaussianRational, _scaled
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -77,28 +86,30 @@ def _residual_indices(kind: str, n: int) -> range:
     return range(1, n)
 
 
-def _compare(kind: str, lhs: Polynomial, rhs: Polynomial) -> FfpReport:
-    n = lhs.degree
+def _verdict(kind: str, a: Matrix, b: Matrix) -> FfpReport:
+    a._require_same_size(b)
+    n = a.n
+    product = kind == MULTIPLICATIVE
+    s, ma, mb, combine = _pair_form(a, b, product)
+    lhs = _char_coeffs(combine(ma, mb), n)
+    weights, rhs = _convolve_int(_char_coeffs(ma, n), _char_coeffs(mb, n), product)
     residuals = {}
     for k in _residual_indices(kind, n):
-        diff = lhs.coeffs[k] - rhs.coeffs[k]
-        if diff:
-            residuals[k] = diff
-    return FfpReport(kind, not residuals, residuals, lhs, rhs)
+        w, (pr, pi), (nr, ni) = weights[k], lhs[k], rhs[k]
+        diff = (w * pr - nr, w * pi - ni)
+        if diff != (0, 0):
+            residuals[k] = _scaled(diff, w * s**k)
+    return FfpReport(kind, not residuals, residuals, _from_int(lhs, s), _from_int(rhs, s, weights))
 
 
 def is_additive_ffp(a: Matrix, b: Matrix) -> FfpReport:
     """Compare chi_{A+B} against chi_A [+] chi_B coefficient by coefficient."""
-    a._require_same_size(b)
-    return _compare(ADDITIVE, _combined_char_poly(a, b, False), boxplus(char_poly(a), char_poly(b)))
+    return _verdict(ADDITIVE, a, b)
 
 
 def is_multiplicative_ffp(a: Matrix, b: Matrix) -> FfpReport:
     """Compare chi_{AB} against chi_A [x] chi_B coefficient by coefficient."""
-    a._require_same_size(b)
-    return _compare(
-        MULTIPLICATIVE, _combined_char_poly(a, b, True), boxtimes(char_poly(a), char_poly(b))
-    )
+    return _verdict(MULTIPLICATIVE, a, b)
 
 
 def check_ffp(a: Matrix, b: Matrix, kind: str) -> FfpReport:

@@ -61,8 +61,8 @@ from .errors import (
     SingularMatrixError,
     SizeGuardError,
 )
-from .polynomials import Polynomial
-from .scalars import ONE, ZERO, GaussianRational, as_scalar
+from .polynomials import Polynomial, _from_int
+from .scalars import ONE, ZERO, GaussianRational, _scaled, as_scalar
 
 # all 2^n principal minors, one Bareiss elimination each: a dense rational 16x16
 # takes about 8.7 s and a Gaussian one about 55 s (Python 3.11, 2-vCPU Xeon VM);
@@ -247,11 +247,6 @@ def _int_form(a: Matrix):
     return d, (re, [[x.im.numerator * (d // x.im.denominator) for x in row] for row in rows])
 
 
-def _scaled(z, d: int) -> GaussianRational:
-    """The Gaussian integer z = (re, im) divided by the positive integer d."""
-    return GaussianRational(Fraction(z[0], d), Fraction(z[1], d))
-
-
 def _to_matrix(m, d: int) -> Matrix:
     re, im = m
     if im is None:
@@ -359,9 +354,9 @@ def _coeffs_from_power_sums(sums) -> list:
     return coeffs
 
 
-def _charpoly_scaled(coeffs, d: int, count: int = 1) -> Polynomial:
-    """chi_A from the summed integer coefficients of ``count`` matrices at scale d."""
-    return Polynomial(_scaled(c, count * d**k) for k, c in enumerate(coeffs))
+def _char_coeffs(m, n: int) -> list:
+    """C_0..C_n of chi_M for the n x n Gaussian integer matrix M = (re, im)."""
+    return _coeffs_from_power_sums(_power_sums_int(m, n))
 
 
 class _GaussInt:
@@ -469,13 +464,14 @@ def _cycle_sums(a: Matrix) -> dict:
 def char_poly(a: Matrix) -> Polynomial:
     """Exact monic characteristic polynomial det(xI - A)."""
     d, m = _int_form(a)
-    return _charpoly_scaled(_coeffs_from_power_sums(_power_sums_int(m, a.n)), d)
+    return _from_int(_char_coeffs(m, a.n), d)
 
 
 def _pair_form(a: Matrix, b: Matrix, product: bool):
     """(d, M_A, M_B, combine): integer forms of A and B such that
     combine(M_A, M_B) = d*(AB) (``product``) or d*(A + B), with d = d_A d_B
-    or lcm(d_A, d_B)."""
+    or lcm(d_A, d_B). In the additive case M_A = d*A and M_B = d*B; in the
+    product case M_A = d_A*A and M_B = d_B*B. Each matrix is cleared once."""
     da, ma = _int_form(a)
     db, mb = _int_form(b)
     if product:
@@ -484,13 +480,6 @@ def _pair_form(a: Matrix, b: Matrix, product: bool):
     ma = _parts(ma, lambda x: [[v * (d // da) for v in row] for row in x])
     mb = _parts(mb, lambda x: [[v * (d // db) for v in row] for row in x])
     return d, ma, mb, _gadd
-
-
-def _combined_char_poly(a: Matrix, b: Matrix, product: bool) -> Polynomial:
-    """chi_{A + B} (``product``: chi_{AB}) straight from the integer forms,
-    without building A + B or AB as a Gaussian-rational matrix."""
-    d, ma, mb, combine = _pair_form(a, b, product)
-    return _charpoly_scaled(_coeffs_from_power_sums(_power_sums_int(combine(ma, mb), a.n)), d)
 
 
 def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool, signed_perms) -> Polynomial:
@@ -510,10 +499,10 @@ def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool, signed_perms
             [x[pi][pj] if si == sj else -x[pi][pj] for pj, sj in zip(perm, signs)]
             for pi, si in zip(perm, signs)
         ])
-        coeffs = _coeffs_from_power_sums(_power_sums_int(combine(ma, conj), n))
+        coeffs = _char_coeffs(combine(ma, conj), n)
         total = [(tr + cr, ti + ci) for (tr, ti), (cr, ci) in zip(total, coeffs)]
         count += 1
-    return _charpoly_scaled(total, d, count)
+    return _from_int(total, d, [count] * (n + 1))
 
 
 def conjugate(a: Matrix, p: Matrix) -> Matrix:

@@ -32,7 +32,8 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    # Fraction is immutable, so every real scalar can share one zero imaginary part
+    def __init__(self, re=_ZERO, im=_ZERO):
         self.re = re if isinstance(re, Fraction) else Fraction(re)
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
@@ -188,6 +189,12 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self})"
+
+
+def _scaled(z, d: int) -> GaussianRational:
+    """The Gaussian integer z = (re, im), as an int pair, divided by the
+    positive integer d."""
+    return GaussianRational(Fraction(z[0], d), Fraction(z[1], d) if z[1] else _ZERO)
 
 
 ZERO = GaussianRational(0)

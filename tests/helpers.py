@@ -5,8 +5,10 @@ cofactor expansion (not elimination), characteristic polynomials by minor
 sums or by the Faddeev-LeVerrier trace recurrence (not power sums and
 Newton's identities), moments by repeated entrywise products (not power
 sums), products as entrywise sums, the additive convolution through the
-derivative form of its definition, and cycle sums by enumerating every
-cycle (not the subset DP).
+derivative form of its definition, both convolutions by their coefficient
+formulas over Gaussian rationals (not the integer kernel), FFP reports from
+those formulas and char_poly of the built sum or product, and cycle sums by
+enumerating every cycle (not the subset DP).
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from finfree import GaussianRational, Matrix, Polynomial, as_scalar
+from finfree import FfpReport, GaussianRational, Matrix, Polynomial, as_scalar, char_poly
+from finfree.errors import DegreeMismatchError
 from finfree.families import rand_fraction, random_matrix
+from finfree.ffp import ADDITIVE
 from finfree.matrices import _gmul, _int_form, _trace
+from finfree.polynomials import _check_pair
 
 ZERO = as_scalar(0)
 ONE = as_scalar(1)
@@ -125,6 +130,54 @@ def boxplus_via_derivatives(p: Polynomial, q: Polynomial) -> Polynomial:
         padded = Polynomial([ZERO] * (n - term.degree) + list(term.coeffs))
         total = padded if total is None else total + padded
     return total.scale(Fraction(1, factorial(n)))
+
+
+def boxplus_gaussian(p: Polynomial, q: Polynomial) -> Polynomial:
+    """sum_{i+j=k} C(n-i, j)/C(n, j) a_i b_j, one Gaussian-rational product
+    per term."""
+    n = _check_pair(p, q)
+    a, b = p.coeffs, q.coeffs
+    out = []
+    for k in range(n + 1):
+        acc = ZERO
+        for i in range(k + 1):
+            j = k - i
+            acc = acc + a[i] * b[j] * Fraction(comb(n - i, j), comb(n, j))
+        out.append(acc)
+    return Polynomial(out)
+
+
+def boxtimes_gaussian(p: Polynomial, q: Polynomial) -> Polynomial:
+    """(-1)^k a_k b_k / C(n, k) over Gaussian rationals."""
+    n = _check_pair(p, q)
+    return Polynomial(
+        p.coeffs[k] * q.coeffs[k] * Fraction((-1) ** k, comb(n, k)) for k in range(n + 1)
+    )
+
+
+def ffp_report_oracle(a: Matrix, b: Matrix, kind: str) -> FfpReport:
+    """The FFP report from char_poly of the built A + B (or AB) against the
+    Gaussian-rational convolution of char_poly(A) and char_poly(B)."""
+    n = a.n
+    if kind == ADDITIVE:
+        lhs, rhs = char_poly(a + b), boxplus_gaussian(char_poly(a), char_poly(b))
+        indices = range(2, n + 1)
+    else:
+        lhs, rhs = char_poly(a @ b), boxtimes_gaussian(char_poly(a), char_poly(b))
+        indices = range(1, n)
+    diffs = ((k, lhs.coeffs[k] - rhs.coeffs[k]) for k in indices)
+    residuals = {k: diff for k, diff in diffs if diff}
+    return FfpReport(kind, not residuals, residuals, lhs, rhs)
+
+
+def average(polys) -> Polynomial:
+    """Exact arithmetic mean of same-degree polynomials."""
+    if not polys:
+        raise DegreeMismatchError("cannot average zero polynomials")
+    total = polys[0]
+    for p in polys[1:]:
+        total = total + p
+    return total.scale(Fraction(1, len(polys)))
 
 
 def cycle_sums_by_paths(m: Matrix) -> dict:

@@ -15,6 +15,10 @@ from finfree.cli import main
 GOLDEN_A = {"n": 3, "entries": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}
 GOLDEN_B = {"n": 3, "entries": [["1", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]]}
 EXAMPLE_PB = {"n": 3, "entries": [["1", "2", "3"], ["6", "1", "-12"], ["4", "-1", "1"]]}
+GAUSSIAN_A = {"n": 3, "entries": [["1/2", "1*i", "0"], ["2", "-1/3", "1+1*i"], ["0", "3/4", "1"]]}
+GAUSSIAN_B = {"n": 3, "entries": [["1", "2/3", "-1"], ["0", "1*i", "1/5"], ["4", "0", "-2"]]}
+GAUSSIAN_P = {"degree": 3, "coeffs": ["1", "-1/2+1/3*i", "2/5", "-7"]}
+GAUSSIAN_Q = {"degree": 3, "coeffs": ["1", "3", "-1/4*i", "5/6-1*i"]}
 
 
 @pytest.fixture
@@ -60,7 +64,71 @@ class TestConvolve:
         assert json.loads(out)["coeffs"] == ["1", "-1", "0", "0"]
 
 
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            (
+                "additive",
+                '{"coeffs": ["1", "5/2+1/3*i", "-3/5+5/12*i", "-1033/180-23/24*i"], "degree": 3}\n',
+            ),
+            (
+                "multiplicative",
+                '{"coeffs": ["1", "1/2-1/3*i", "0-1/30*i", "35/6-7*i"], "degree": 3}\n',
+            ),
+        ],
+    )
+    def test_gaussian_stdout_bytes(self, capsys, write_json, kind, expected):
+        p = write_json("p.json", GAUSSIAN_P)
+        q = write_json("q.json", GAUSSIAN_Q)
+        code, out, err = run(capsys, "convolve", "--kind", kind, p, q)
+        assert (code, out, err) == (0, expected, "")
+
+
 class TestCheckFfp:
+    @pytest.mark.parametrize(
+        "kind, pair, code, expected",
+        [
+            (
+                "additive",
+                (GAUSSIAN_A, GAUSSIAN_B),
+                2,
+                '{"kind": "additive", "lhs": {"coeffs": ["1", "-1/6-1*i", "1/10-9/4*i", '
+                '"63/20-1301/120*i"], "degree": 3}, "residuals": {"2": "-67/180+13/18*i", '
+                '"3": "1831/360-1969/180*i"}, "rhs": {"coeffs": ["1", "-1/6-1*i", '
+                '"17/36-107/36*i", "-697/360+7/72*i"], "degree": 3}, "verdict": false}\n',
+            ),
+            (
+                "multiplicative",
+                (GAUSSIAN_A, GAUSSIAN_B),
+                2,
+                '{"kind": "multiplicative", "lhs": {"coeffs": ["1", "1/60+1/3*i", '
+                '"71/40+161/30*i", "-803/180+47/20*i"], "degree": 3}, "residuals": '
+                '{"1": "-67/180+13/18*i", "2": "383/120+139/20*i"}, "rhs": {"coeffs": '
+                '["1", "7/18-7/18*i", "-17/12-19/12*i", "-803/180+47/20*i"], "degree": 3}, '
+                '"verdict": false}\n',
+            ),
+            (
+                "additive",
+                (GOLDEN_A, GOLDEN_B),
+                2,
+                '{"kind": "additive", "lhs": {"coeffs": ["1", "-4", "4", "-1"], "degree": 3}, '
+                '"residuals": {"3": "-1/3"}, "rhs": {"coeffs": ["1", "-4", "4", "-2/3"], '
+                '"degree": 3}, "verdict": false}\n',
+            ),
+            (
+                "multiplicative",
+                (GOLDEN_A, GOLDEN_B),
+                0,
+                '{"kind": "multiplicative", "lhs": {"coeffs": ["1", "-1", "0", "0"], "degree": 3}, '
+                '"residuals": {}, "rhs": {"coeffs": ["1", "-1", "0", "0"], "degree": 3}, '
+                '"verdict": true}\n',
+            ),
+        ],
+    )
+    def test_stdout_bytes(self, capsys, write_json, kind, pair, code, expected):
+        a, b = write_json("a.json", pair[0]), write_json("b.json", pair[1])
+        assert run(capsys, "check-ffp", "--kind", kind, a, b) == (code, expected, "")
+
     def test_multiplicative_true_exits_zero(self, capsys, write_json):
         a, b = write_json("a.json", GOLDEN_A), write_json("b.json", GOLDEN_B)
         code, out, _ = run(capsys, "check-ffp", "--kind", "multiplicative", a, b)

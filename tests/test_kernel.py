@@ -1,30 +1,43 @@
-"""The integer kernel behind char_poly, moments, FFP verdicts, @, det, minor
-tables and the signed-permutation average, checked against independent
-oracles on real and Gaussian matrices with zero rows, singular matrices and
-large denominators."""
+"""The integer kernel behind char_poly, moments, the two convolutions, FFP
+verdicts, @, det, minor tables and the signed-permutation average, checked
+against independent oracles on real and Gaussian inputs with zero rows and
+coefficients, singular matrices, large denominators and pairs in finite free
+position."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finfree import (
+    DegreeMismatchError,
+    FamilyId,
     GaussianRational,
     Matrix,
+    NonMonicError,
+    Polynomial,
+    boxplus,
+    boxtimes,
     char_poly,
+    check_ffp,
     expected_charpoly_signed_perms,
     is_additive_ffp,
     is_multiplicative_ffp,
     minor_table,
+    sample_member,
 )
 from finfree.ffp import signed_permutations
 from finfree.matrices import moment_vector_of
-from finfree.polynomials import average
 from helpers import (
+    average,
+    boxplus_gaussian,
+    boxtimes_gaussian,
     charpoly_faddeev_fraction,
     charpoly_faddeev_int,
     charpoly_via_minors,
     cofactor_det,
+    ffp_report_oracle,
     matmul_entrywise,
     moments_by_powers,
     signed_conjugate,
@@ -132,3 +145,76 @@ def test_ffp_lhs_matches_char_poly_of_sum_and_product(ab):
     a, b = ab
     assert is_additive_ffp(a, b).lhs == char_poly(a + b)
     assert is_multiplicative_ffp(a, b).lhs == char_poly(a @ b)
+
+
+@st.composite
+def monic_pairs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    p, q = (
+        Polynomial([1] + draw(st.lists(entries(draw(st.booleans())), min_size=n, max_size=n)))
+        for _ in range(2)
+    )
+    return p, q
+
+
+@KERNEL
+@given(monic_pairs())
+def test_convolutions_match_gaussian_rational_formulas(pq):
+    p, q = pq
+    assert boxplus(p, q) == boxplus_gaussian(p, q)
+    assert boxtimes(p, q) == boxtimes_gaussian(p, q)
+
+
+@pytest.mark.parametrize("convolve", [boxplus, boxtimes])
+@pytest.mark.parametrize(
+    "p, q, error, message",
+    [
+        ([1, 2], [1, 2, 3], DegreeMismatchError, "degrees differ: 1 vs 2"),
+        ([1], [1], DegreeMismatchError, "convolutions need degree >= 1"),
+        ([2, 1], [1, 1], NonMonicError, "convolution inputs must be monic"),
+        ([1, 0], ["1/2*i", 3], NonMonicError, "convolution inputs must be monic"),
+    ],
+)
+def test_convolution_errors_unchanged(convolve, p, q, error, message):
+    with pytest.raises(error) as raised:
+        convolve(Polynomial(p), Polynomial(q))
+    assert str(raised.value) == message
+
+
+KINDS = st.sampled_from(("additive", "multiplicative"))
+
+
+def assert_report_matches_oracle(a, b, kind):
+    report = check_ffp(a, b, kind)
+    expected = ffp_report_oracle(a, b, kind)
+    assert report == expected
+    assert list(report.residuals) == list(expected.residuals)
+    return report
+
+
+@KERNEL
+@given(pairs(max_n=6), KINDS)
+def test_ffp_report_matches_oracle(ab, kind):
+    assert_report_matches_oracle(*ab, kind)
+
+
+@st.composite
+def ffp_pairs(draw):
+    """Pairs in both kinds of finite free position, either way round: a
+    (Gaussian) diagonal matrix and a principally balanced one, or a
+    (Gaussian) scalar matrix and any matrix."""
+    n = draw(st.integers(1, 6))
+    entry = entries(draw(st.booleans()), SMALL_FRACTIONS)
+    if draw(st.booleans()):
+        a = Matrix.diagonal(draw(st.lists(entry, min_size=n, max_size=n)))
+        b = sample_member(FamilyId.PRINCIPALLY_BALANCED, n, draw(st.integers(0, 10**6)))
+    else:
+        a = Matrix.identity(n).scale(draw(entry))
+        b = draw(matrices(n=n))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@KERNEL
+@given(ffp_pairs(), KINDS)
+def test_ffp_report_matches_oracle_on_pairs_in_ffp(ab, kind):
+    assert assert_report_matches_oracle(*ab, kind).verdict is True
