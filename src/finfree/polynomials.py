@@ -218,16 +218,12 @@ def _convolve_int(a: list, b: list, product: bool) -> tuple[list, list]:
     br = list(map(mul, fact, (z[0] for z in b)))
     ai = list(map(mul, fact, (z[1] for z in a)))
     bi = list(map(mul, fact, (z[1] for z in b)))
-    real = not any(ai) and not any(bi)
     out = []
     for k in range(n + 1):
         # the terms i + j = k: a runs up from 0, b down from k
         xr, xi, yr, yi = ar[: k + 1], ai[: k + 1], br[k::-1], bi[k::-1]
-        re = sum(map(mul, xr, yr))
-        if real:
-            out.append((re, 0))
-        else:
-            out.append((re - sum(map(mul, xi, yi)), sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))))
+        re = sum(map(mul, xr, yr)) - sum(map(mul, xi, yi))
+        out.append((re, sum(map(mul, xr, yi)) + sum(map(mul, xi, yr))))
     return [fact[0] * f for f in fact], out
 
 
