@@ -39,6 +39,7 @@ from .moments import (
     ffp_sum_moments,
 )
 from .polynomials import Polynomial, boxplus, boxtimes
+from .scalars import _int_str
 
 
 class _UsageError(Exception):
@@ -80,6 +81,8 @@ def _load_json(path: str):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    except (RecursionError, MemoryError) as exc:  # nesting deeper than the decoder's stack
+        raise ParseError(f"{path}: JSON too deeply nested or too large ({type(exc).__name__})") from None
 
 
 def _load_matrix(path: str) -> Matrix:
@@ -229,7 +232,7 @@ def _run(args) -> int:
         )
         _emit(result.to_json())
     elif args.verb == "rank-bound":
-        _emit({"n": args.n, "rank_bound": str(rank_upper_bound(args.n))})
+        _emit({"n": args.n, "rank_bound": _int_str(rank_upper_bound(args.n))})
     elif args.verb == "witness-ekl":
         witness = ekl_witness(_load_matrix(args.matrix))
         if witness is None:

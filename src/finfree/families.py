@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,29 +57,22 @@ class FamilyId(enum.Enum):
 
 
 def is_member(a: Matrix, family: FamilyId) -> bool:
-    """Exact structural membership test."""
+    """Exact structural membership test, on the integer form of A."""
     n = a.n
-    rows = a.rows
     if family is FamilyId.ALL:
         return True
     if family is FamilyId.DIAGONAL:
-        return all(not rows[i][j] for i in range(n) for j in range(n) if i != j)
+        return _vanishes(a, ((i, j) for i in range(n) for j in range(n) if i != j))
     if family is FamilyId.SCALAR:
-        return is_member(a, FamilyId.DIAGONAL) and all(
-            rows[i][i] == rows[0][0] for i in range(n)
-        )
+        return is_member(a, FamilyId.DIAGONAL) and _constant_diagonal(a)
     if family is FamilyId.UPPER_TRIANGULAR:
-        return all(not rows[i][j] for i in range(n) for j in range(i))
+        return _vanishes(a, ((i, j) for i in range(n) for j in range(i)))
     if family is FamilyId.LOWER_TRIANGULAR:
-        return all(not rows[i][j] for i in range(n) for j in range(i + 1, n))
+        return _vanishes(a, ((i, j) for i in range(n) for j in range(i + 1, n)))
     if family is FamilyId.UPPER_TRIANGULAR_CONST_DIAG:
-        return is_member(a, FamilyId.UPPER_TRIANGULAR) and all(
-            rows[i][i] == rows[0][0] for i in range(n)
-        )
+        return is_member(a, FamilyId.UPPER_TRIANGULAR) and _constant_diagonal(a)
     if family is FamilyId.LOWER_TRIANGULAR_CONST_DIAG:
-        return is_member(a, FamilyId.LOWER_TRIANGULAR) and all(
-            rows[i][i] == rows[0][0] for i in range(n)
-        )
+        return is_member(a, FamilyId.LOWER_TRIANGULAR) and _constant_diagonal(a)
     if family is FamilyId.PRINCIPALLY_BALANCED:
         table = minor_table(a)
         for k in range(1, n + 1):
@@ -87,6 +81,16 @@ def is_member(a: Matrix, family: FamilyId) -> bool:
                 return False
         return True
     raise ParseError(f"unknown family {family}")
+
+
+def _vanishes(a: Matrix, cells) -> bool:
+    """Every entry (i, j) in ``cells`` (0-based) is zero."""
+    parts = [x for x in a._m if x is not None]
+    return all(not x[i][j] for i, j in cells for x in parts)
+
+
+def _constant_diagonal(a: Matrix) -> bool:
+    return all(x[i][i] == x[0][0] for x in a._m if x is not None for i in range(a.n))
 
 
 # -- cycle sums -------------------------------------------------------------
@@ -177,11 +181,6 @@ def random_matrix(rng: random.Random, n: int, bound: int = 10) -> Matrix:
     return Matrix([[rand_fraction(rng, bound) for _ in range(n)] for _ in range(n)])
 
 
-def permutation_matrix(perm) -> Matrix:
-    n = len(perm)
-    return Matrix([[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)])
-
-
 def sample_member(
     family: FamilyId, n: int, seed_or_rng, bound: int = 10
 ) -> Matrix:
@@ -239,19 +238,39 @@ def _construct_balanced(n: int, rng: random.Random, bound: int) -> Matrix:
 
 
 def _rank_one_balanced(n: int, rng: random.Random, bound: int) -> Matrix:
+    """diag(u) (c J) diag(u)^{-1}, J the all-ones matrix: entry (i, j) is
+    u_i c / u_j."""
     u = [rand_nonzero_fraction(rng, bound) for _ in range(n)]
     c = rand_fraction(rng, bound)
-    return Matrix([[as_scalar(u[i] * c / u[j]) for j in range(n)] for i in range(n)])
+    return _diagonal_similarity(c.denominator, [[c.numerator] * n] * n, None, u, range(n))
 
 
 def _conjugated_triangular_balanced(n: int, rng: random.Random, bound: int) -> Matrix:
+    """C T C^{-1} for T upper triangular with constant diagonal and the
+    conjugator C = P diag(u), P the permutation matrix with P[i][perm[i]] = 1:
+    entry (i, k) is u[p_i] T[p_i][p_k] / u[p_k], p = perm, with no products
+    and no inverse."""
     t = _construct_member(FamilyId.UPPER_TRIANGULAR_CONST_DIAG, n, rng, bound)
-    d = Matrix.diagonal([rand_nonzero_fraction(rng, bound) for _ in range(n)])
+    u = [rand_nonzero_fraction(rng, bound) for _ in range(n)]
     perm = list(range(n))
     rng.shuffle(perm)
-    p = permutation_matrix(perm)
-    conjugator = p @ d
-    return conjugator @ t @ conjugator.inverse()
+    return _diagonal_similarity(t._d, *t._m, u, perm)
+
+
+def _diagonal_similarity(d: int, re, im, u, perm) -> Matrix:
+    """The matrix with entry (i, k) = u[p_i] T[p_i][p_k] / u[p_k], p = perm,
+    for T = (re + i*im) / d and nonzero Fractions u. With v = L u for L the
+    lcm of u's denominators and V the lcm of the |v_j|, that entry is
+    v[p_i] T[p_i][p_k] (V / v[p_k]) / (d V) with integer numerator."""
+    lcd = math.lcm(*(x.denominator for x in u))
+    v = [x.numerator * (lcd // x.denominator) for x in u]
+    span = math.lcm(*v)
+    cols = [(pk, span // v[pk]) for pk in perm]
+
+    def similar(x):
+        return [[v[pi] * x[pi][pk] * f for pk, f in cols] for pi in perm]
+
+    return Matrix._from_form(d * span, similar(re), None if im is None else similar(im))
 
 
 # -- complementary-pair verification ----------------------------------------
@@ -487,25 +506,18 @@ def _sample_outside_second_family(g: FamilyId, rng: random.Random, n: int, bound
     )
     m = _construct_member(base_family, n, rng, bound)
     if is_member(m, g):  # constant diagonal: break it
-        rows = [list(r) for r in m.rows]
-        rows[0][0] = rows[0][0] + 1
-        m = Matrix(rows)
+        m = m + Matrix.unit(n, 1, 1)
     return m
 
 
 def _sample_outside_first_family(f: FamilyId, rng: random.Random, n: int, bound: int) -> Matrix:
+    """A random matrix with a 1 put in at (0, 1) ((1, 0) for upper triangular
+    f) when that entry is zero."""
     m = random_matrix(rng, n, bound)
-    rows = [list(r) for r in m.rows]
-    if f is FamilyId.DIAGONAL:
-        if not m.entry(1, 2):
-            rows[0][1] = as_scalar(1)
-    elif f is FamilyId.UPPER_TRIANGULAR:
-        if not m.entry(2, 1):
-            rows[1][0] = as_scalar(1)
-    elif f is FamilyId.LOWER_TRIANGULAR:
-        if not m.entry(1, 2):
-            rows[0][1] = as_scalar(1)
-    return Matrix(rows)
+    i, j = (1, 0) if f is FamilyId.UPPER_TRIANGULAR else (0, 1)
+    if _vanishes(m, [(i, j)]):
+        m = m + Matrix.unit(n, i + 1, j + 1)
+    return m
 
 
 # -- assorted formulas -------------------------------------------------------

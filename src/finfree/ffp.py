@@ -5,10 +5,12 @@ multiplicative FFP when chi_{AB} = chi_A [x] chi_B. Both are exact
 polynomial identities, so verdicts are exact coefficient comparisons with
 no tolerance anywhere.
 
-Verdicts compare integers. A and B are cleared of denominators once each,
-and the integer kernel gives the coefficients P_k, A_k, B_k of chi_{A+B}
-(or chi_{AB}), chi_A and chi_B, all at one scale s: s = lcm(d_A, d_B) for
-the sum, s = d_A d_B for the product. The integer convolution
+Verdicts compare integers. A and B are stored as their integer forms
+d_A*A and d_B*B (``matrices``), and the integer kernel gives the
+coefficients P_k, A_k, B_k of chi_{A+B} (or chi_{AB}), chi_A and chi_B, all
+at one scale s: s = lcm(d_A, d_B) for the sum, s = d_A d_B for the product.
+A_k and B_k come from each matrix's cached chi, so a matrix checked against
+many partners has its chi computed once. The integer convolution
 (``polynomials``) turns A_k, B_k into N_k and w_k with coefficient k of
 the convolution equal to N_k / (w_k s^k), and coefficient k agrees iff
 w_k P_k == N_k. Gaussian rationals are built only for the report: its two
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DimensionMismatchError, ParseError, SizeGuardError
-from .matrices import Matrix, _char_coeffs, _pair_form, _signed_perm_charpoly_mean, char_poly
+from .kernel import _char_coeffs
+from .matrices import Matrix, _chi_at, _pair_form, _signed_perm_charpoly_mean, char_poly
 from .polynomials import Polynomial, _convolve_int, _from_int, boxplus, boxtimes
 from .scalars import GaussianRational, _scaled
 
@@ -92,7 +95,9 @@ def _verdict(kind: str, a: Matrix, b: Matrix) -> FfpReport:
     product = kind == MULTIPLICATIVE
     s, ma, mb, combine = _pair_form(a, b, product)
     lhs = _char_coeffs(combine(ma, mb), n)
-    weights, rhs = _convolve_int(_char_coeffs(ma, n), _char_coeffs(mb, n), product)
+    # chi_A and chi_B at the scales of M_A and M_B, from the matrices' cached chi
+    scale_a, scale_b = (a._d, b._d) if product else (s, s)
+    weights, rhs = _convolve_int(_chi_at(a, scale_a), _chi_at(b, scale_b), product)
     residuals = {}
     for k in _residual_indices(kind, n):
         w, (pr, pi), (nr, ni) = weights[k], lhs[k], rhs[k]

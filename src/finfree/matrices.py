@@ -1,45 +1,41 @@
 """Exact dense matrices: characteristic polynomials, determinants, principal
-minors, conjugation, and power-sum moments.
+minors, inverses, conjugation, and power-sum moments.
 
-The linear algebra runs over Python ints. A matrix A of Gaussian rationals
-is cleared of denominators once: d is the lcm of the denominators of every
+Storage: a ``Matrix`` is its integer form, plus caches derived from it. For
+a matrix A of Gaussian rationals, d is the lcm of the denominators of every
 real and imaginary part, and M = d*A is kept as the int matrices (re, im),
-with im left out when every imaginary part is zero, so real input never
-pays for imaginary products. Results become Gaussian rationals only at the
-end. Products of Gaussian ints follow the complex rule on the (re, im)
-parts.
+with im None when every imaginary part is zero, so real input never pays for
+imaginary products. The form is cleared once, when the matrix is built;
+every operation then runs on ints and builds its result's form directly, and
+``rows``, ``entry``, ``to_json`` and ``repr`` make Gaussian rationals only
+when asked. d is kept minimal, so the form is canonical: two matrices are
+equal iff their forms are, which is what ``==`` and ``hash`` compare. (Any
+common scale c*d with c*M works for the arithmetic; the least one gives one
+representative per matrix and the smallest ints. A result built at a larger
+scale, such as the product at d_A d_B, is divided by the gcd of its scale
+and all its entries.)
 
-Characteristic polynomial: the power sums p_k = tr(M^k), k = 1..n (or any
-other count of them), come from a baby-step/giant-step schedule (Paterson &
-Stockmeyer, SIAM J. Comput. 2(1), 1973). With s = ceil(sqrt(n)), the baby
-steps M, M^2, ..., M^s take s - 1 products and give p_1..p_s as traces. The
-giant steps are G_1 = M^s and G_{j+1} = G_j M^s, one product each, and give
-p_{js+i} = tr(G_j M^i) = sum_ab G_j[a][b] M^i[b][a] for i = 1..s: an n^2
-inner product, not a product. That is about 2 sqrt(n) products of n x n
-integer matrices (4 at n = 12) where Faddeev-LeVerrier takes n - 1 (11);
-the n - s inner products together cost about one product more.
-Newton's identities then give chi_M(x) = x^n + C_1 x^{n-1} + ... + C_n:
+Products: A B = (M_A M_B) / (d_A d_B). Sums: A + B = (s/d_A M_A + s/d_B M_B) / s
+with s = lcm(d_A, d_B).
 
-    k C_k = -(C_{k-1} p_1 + C_{k-2} p_2 + ... + C_0 p_k),    C_0 = 1.
-
-Each division by k is exact: C_k is a coefficient of the characteristic
-polynomial of a (Gaussian) integer matrix, a signed sum of its principal
-minors, hence a (Gaussian) integer, and the identity says k divides the
-right-hand side. Since chi_M(x) = det(xI - dA) = d^n chi_A(x/d),
+The linear algebra itself runs on the integer forms in ``kernel``:
+characteristic polynomials by power sums and Newton's identities,
+determinants and principal minors by Bareiss elimination, and the
+fraction-free inverse. Since chi_M(x) = det(xI - dA) = d^n chi_A(x/d),
 coefficient k of chi_A is C_k / d^k, and the k-th moment tr(A^k)/n is
-p_k / (n d^k). The FFP verdicts take chi_{A+B} and chi_{AB} from the integer
-forms directly: A + B at scale lcm(d_A, d_B), AB at scale d_A d_B. The
-signed-permutation average of characteristic polynomials adds the integer
-C_k of all its conjugates, which share one scale, and divides once.
+p_k / (n d^k); det(A) = det(M) / d^n, the principal minor on an index set S
+is det(M_S) / d^|S|, and A^{-1} = d M^{-1} = d adj(M) / det(M), with a
+complex det(M) moved to the numerator as conj(det) / |det|^2. The FFP
+verdicts take chi_{A+B} and chi_{AB} from the integer forms directly: A + B
+at scale lcm(d_A, d_B), AB at scale d_A d_B. The signed-permutation average
+of characteristic polynomials adds the integer C_k of all its conjugates,
+which share one scale, and divides once.
 
-Products: A B = (M_A M_B) / (d_A d_B).
-
-Determinants and principal minors: Bareiss fraction-free elimination on M.
-After step k every entry of the remaining block is a (k+1)-order minor of
-the row-permuted M (Sylvester's identity), so dividing by the previous pivot
-is exact; over the Gaussian integers the quotient is formed as
-z conj(w) / |w|^2, whose parts |w|^2 divides. det(A) = det(M) / d^n, and the
-principal minor on an index set S is det(M_S) / d^|S|.
+The integer coefficients C_0..C_n of chi_M are cached on the (immutable)
+matrix the first time they are needed, at its own scale d. A verdict that
+needs chi of s*A for a multiple s of d takes C_k (s/d)^k, so checking one
+matrix against many partners (the boundary probes of ``families``) computes
+its chi once.
 
 Cycle sums: a subset DP over paths in M gives, for each index set I, the sum
 C_I of M-products along the cycles through exactly I; c_I = C_I / d^|I|.
@@ -51,7 +47,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -61,8 +56,20 @@ from .errors import (
     SingularMatrixError,
     SizeGuardError,
 )
+from .kernel import (
+    _adjugate,
+    _char_coeffs,
+    _det_int,
+    _entries,
+    _gadd,
+    _gmul,
+    _gscale,
+    _parts,
+    _power_sums_int,
+    _trace,
+)
 from .polynomials import Polynomial, _from_int
-from .scalars import ONE, ZERO, GaussianRational, _scaled, as_scalar
+from .scalars import GaussianRational, _scaled, as_scalar
 
 # all 2^n principal minors, one Bareiss elimination each: a dense rational 16x16
 # takes about 8.7 s and a Gaussian one about 55 s (Python 3.11, 2-vCPU Xeon VM);
@@ -71,40 +78,69 @@ MINOR_ENUMERATION_LIMIT = 16
 
 
 class Matrix:
-    """Immutable square matrix of Gaussian rationals."""
+    """Immutable square matrix of Gaussian rationals, stored as its integer
+    form (d, re, im): re + i*im = d*A over the ints, d minimal, im None when
+    A is real (module docstring)."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "_d", "_m", "_rows", "_chi")
 
     def __init__(self, rows: Iterable[Iterable]):
-        rs = tuple(tuple(as_scalar(x) for x in row) for row in rows)
+        rs = [[_exact(x) for x in row] for row in rows]
         n = len(rs)
         if n == 0 or any(len(row) != n for row in rs):
             raise DimensionMismatchError("matrix must be square and non-empty")
-        self.n = n
-        self.rows = rs
+        self._set(*_cleared(rs))
+
+    def _set(self, d: int, re, im) -> None:
+        self.n = len(re)
+        self._d = d
+        self._m = (re, im)
+        self._rows = None
+        self._chi = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _from_form(cls, d: int, re, im=None) -> "Matrix":
+        """The matrix (re + i*im) / d for int rows re, im (im None or all
+        zero when real) and a positive int d, brought to canonical form."""
+        if not re:
+            raise DimensionMismatchError("matrix must be square and non-empty")
+        if im is not None and not any(map(any, im)):
+            im = None
+        g = math.gcd(d, *(v for part in (re, im) if part is not None for row in part for v in row))
+        if g > 1:
+            d //= g
+            re = [[v // g for v in row] for row in re]
+            im = None if im is None else [[v // g for v in row] for row in im]
+        m = cls.__new__(cls)
+        m._set(d, _frozen(re), None if im is None else _frozen(im))
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_form(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, n: int) -> "Matrix":
-        return cls([[0] * n for _ in range(n)])
+        return cls._from_form(1, [[0] * n for _ in range(n)])
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "Matrix":
-        vals = [as_scalar(v) for v in values]
-        n = len(vals)
-        return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        d, (re,), im = _cleared([[_exact(v) for v in values]])
+        n = len(re)
+
+        def spread(row):
+            return [[row[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+        return cls._from_form(d, spread(re), None if im is None else spread(im[0]))
 
     @classmethod
     def unit(cls, n: int, k: int, l: int) -> "Matrix":
         """E_{kl}: 1 at row k, column l (1-based), 0 elsewhere."""
         if not (1 <= k <= n and 1 <= l <= n):
             raise IndexRangeError(f"unit position ({k},{l}) outside 1..{n}")
-        return cls([[1 if (i, j) == (k - 1, l - 1) else 0 for j in range(n)] for i in range(n)])
+        return cls._from_form(1, [[int((i, j) == (k - 1, l - 1)) for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_json(cls, obj) -> "Matrix":
@@ -125,25 +161,31 @@ class Matrix:
 
     # -- basic views ---------------------------------------------------
 
+    @property
+    def rows(self) -> tuple:
+        """The entries as rows of GaussianRationals, built on first use."""
+        if self._rows is None:
+            d, (re, im) = self._d, self._m
+            ims = [(0,) * self.n] * self.n if im is None else im
+            self._rows = tuple(tuple(_scaled(z, d) for z in zip(r, i)) for r, i in zip(re, ims))
+        return self._rows
+
     def entry(self, i: int, j: int) -> GaussianRational:
         """1-based entry access a_{ij}."""
-        return self.rows[i - 1][j - 1]
+        return self[i - 1, j - 1]
 
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
     def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows))
+        return Matrix._from_form(self._d, *_parts(self._m, lambda x: list(zip(*x))))
 
     def trace(self) -> GaussianRational:
-        acc = ZERO
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
+        return _scaled(_trace(self._m), self._d)
 
     def is_real(self) -> bool:
-        return all(x.is_real() for row in self.rows for x in row)
+        return self._m[1] is None
 
     # -- arithmetic ------------------------------------------------------
 
@@ -155,25 +197,20 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._require_same_size(other)
-        return Matrix(
-            tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
-        )
+        d = math.lcm(self._d, other._d)
+        return Matrix._from_form(d, *_gadd(_at_scale(self, d), _at_scale(other, d)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._require_same_size(other)
-        return Matrix(
-            tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
-        )
+        return self + other.scale(-1)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._require_same_size(other)
-        da, a = _int_form(self)
-        db, b = _int_form(other)
-        return _to_matrix(_gmul(a, b), da * db)
+        return Matrix._from_form(self._d * other._d, *_gmul(self._m, other._m))
 
     def scale(self, factor) -> "Matrix":
-        s = as_scalar(factor)
-        return Matrix(tuple(x * s for x in row) for row in self.rows)
+        e, ((fr,),), fi = _cleared([[_exact(factor)]])
+        return Matrix._from_form(self._d * e, *_gscale(self._m, (fr, fi[0][0] if fi else 0)))
 
     def power(self, k: int) -> "Matrix":
         if k < 0:
@@ -191,228 +228,61 @@ class Matrix:
 
     def det(self) -> GaussianRational:
         """Exact determinant by Bareiss elimination on the integer form."""
-        d, m = _int_form(self)
-        return _scaled(_det_int(m), d**self.n)
+        return _scaled(_det_int(self._m), self._d**self.n)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan; raises on a zero pivot column."""
-        n = self.n
-        m = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if m[r][col]), None)
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular")
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            inv = ONE / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r == col or not m[r][col]:
-                    continue
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-        return Matrix(row[n:] for row in m)
-
-    def submatrix(self, indices: Sequence[int]) -> "Matrix":
-        """Principal submatrix on 0-based row/column indices."""
-        return Matrix(tuple(self.rows[i][j] for j in indices) for i in indices)
+        """Exact inverse, fraction-free: A^{-1} = d adj(M) / det(M) for
+        M = d*A (module docstring); raises on a singular matrix."""
+        adj, (dr, di) = _adjugate(self._m)
+        if not (dr or di):
+            raise SingularMatrixError("matrix is singular")
+        # d adj / det = d adj conj(det) / |det|^2, over a positive integer
+        return Matrix._from_form(dr * dr + di * di, *_gscale(adj, (dr * self._d, -di * self._d)))
 
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self._d == other._d and self._m == other._m
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self._d, self._m))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix[{body}]"
 
 
-# -- the integer kernel ------------------------------------------------------
-#
-# A Gaussian integer matrix is a pair (re, im) of lists of int rows; im is
-# None when every imaginary part is zero. A scalar is an (re, im) int pair.
+def _exact(x):
+    """An entry as an int or Fraction when real, else as a GaussianRational."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if type(x) is not GaussianRational:
+        x = as_scalar(x)
+    return x if x.im else x.re
 
 
-def _int_form(a: Matrix):
-    """(d, (re, im)) with d the lcm of all denominators of A and re + i*im = d*A."""
-    rows = a.rows
-    d = math.lcm(*(x.re.denominator for row in rows for x in row),
-                 *(x.im.denominator for row in rows for x in row))
-    re = [[x.re.numerator * (d // x.re.denominator) for x in row] for row in rows]
-    if a.is_real():
-        return d, (re, None)
-    return d, (re, [[x.im.numerator * (d // x.im.denominator) for x in row] for row in rows])
+def _frozen(rows) -> tuple:
+    return tuple(map(tuple, rows))
 
 
-def _to_matrix(m, d: int) -> Matrix:
-    re, im = m
-    if im is None:
-        return Matrix([[GaussianRational(Fraction(x, d)) for x in row] for row in re])
-    return Matrix([[_scaled(z, d) for z in zip(r, i)] for r, i in zip(re, im)])
+def _cleared(rows) -> tuple:
+    """(d, re, im) for rows of entries as ``_exact`` gives them: d the lcm of
+    every denominator and re + i*im = d*A as tuples of int rows, im None when
+    no entry is complex. This d is the least scale that clears A."""
+    parts = [rows]
+    if any(type(x) is GaussianRational for row in rows for x in row):
+        parts = [[[x.re if type(x) is GaussianRational else x for x in row] for row in rows],
+                 [[x.im if type(x) is GaussianRational else 0 for x in row] for row in rows]]
+    ratios = [[[x.as_integer_ratio() for x in row] for row in part] for part in parts]
+    d = math.lcm(*(q for part in ratios for row in part for _, q in row))
+    re, *im = [_frozen([[p * (d // q) for p, q in row] for row in part]) for part in ratios]
+    return d, re, im[0] if im else None
 
 
-def _parts(m, f):
-    """Apply f to each int matrix of m = (re, im), keeping a missing im missing."""
-    return tuple(None if x is None else f(x) for x in m)
-
-
-def _imul(x, y):
-    cols = list(zip(*y))
-    return [[sum(map(mul, row, col)) for col in cols] for row in x]
-
-
-def _iadd(x, y):
-    return [[p + q for p, q in zip(r, s)] for r, s in zip(x, y)]
-
-
-def _isub(x, y):
-    return [[p - q for p, q in zip(r, s)] for r, s in zip(x, y)]
-
-
-def _gadd(a, b):
-    (ar, ai), (br, bi) = a, b
-    if ai is None or bi is None:
-        return _iadd(ar, br), ai if bi is None else bi
-    return _iadd(ar, br), _iadd(ai, bi)
-
-
-def _gmul(a, b):
-    (ar, ai), (br, bi) = a, b
-    re = _imul(ar, br)
-    if ai is None:
-        return re, None if bi is None else _imul(ar, bi)
-    if bi is None:
-        return re, _imul(ai, br)
-    ii = _imul(ai, bi)
-    # Gauss's trick, three products not four: (ar + ai)(br + bi) - ar br - ai bi = ar bi + ai br
-    return _isub(re, ii), _isub(_isub(_imul(_iadd(ar, ai), _iadd(br, bi)), re), ii)
-
-
-def _trace(m):
-    re, im = m
-    tr = sum(row[i] for i, row in enumerate(re))
-    return tr, 0 if im is None else sum(row[i] for i, row in enumerate(im))
-
-
-def _flat(m, by_columns: bool = False):
-    """m = (re, im) as flat int lists, row by row (or column by column),
-    plus re + im for Gauss's trick; (re, None, None) when m is real."""
-    re, im = _parts(m, lambda x: list(zip(*x))) if by_columns else m
-    flat_re = [v for row in re for v in row]
-    if im is None:
-        return flat_re, None, None
-    flat_im = [v for row in im for v in row]
-    return flat_re, flat_im, list(map(add, flat_re, flat_im))
-
-
-def _trace_of_product(g, b):
-    """tr(G B) from G flattened by rows and B by columns: one n^2 inner
-    product, sum_ab G[a][b] B[b][a]. G and B are both real or both complex."""
-    gr, gi, gs = g
-    br, bi, bs = b
-    re = sum(map(mul, gr, br))
-    if gi is None:
-        return re, 0
-    ii = sum(map(mul, gi, bi))
-    return re - ii, sum(map(mul, gs, bs)) - re - ii
-
-
-def _power_sums_int(m, count: int) -> list:
-    """p_1..p_count, p_k = tr(M^k), as (re, im) int pairs, by baby steps
-    M..M^s and giant steps M^{js}, s = ceil(sqrt(count)) (module docstring)."""
-    if count < 1:
-        return []
-    s = math.isqrt(count - 1) + 1
-    babies = [m]
-    for _ in range(s - 1):
-        babies.append(_gmul(babies[-1], m))
-    sums = [_trace(x) for x in babies]
-    columns = [_flat(x, by_columns=True) for x in babies]
-    giant = babies[-1]
-    while len(sums) < count:
-        rows = _flat(giant)
-        sums += [_trace_of_product(rows, c) for c in columns[: count - len(sums)]]
-        if len(sums) < count:
-            giant = _gmul(giant, babies[-1])
-    return sums
-
-
-def _coeffs_from_power_sums(sums) -> list:
-    """C_0..C_n of chi_M as (re, im) int pairs from its power sums p_1..p_n,
-    by Newton's identities k C_k = -sum_{i=1..k} C_{k-i} p_i; every division
-    by k is exact (module docstring)."""
-    coeffs = [(1, 0)]
-    for k in range(1, len(sums) + 1):
-        re = im = 0
-        for (cr, ci), (pr, pi) in zip(reversed(coeffs), sums):
-            re += cr * pr - ci * pi
-            im += cr * pi + ci * pr
-        coeffs.append((-re // k, -im // k))
-    return coeffs
-
-
-def _char_coeffs(m, n: int) -> list:
-    """C_0..C_n of chi_M for the n x n Gaussian integer matrix M = (re, im)."""
-    return _coeffs_from_power_sums(_power_sums_int(m, n))
-
-
-class _GaussInt:
-    """A Gaussian integer for Bareiss elimination and cycle sums on complex input.
-
-    Named ``real``/``imag`` like int's own attributes, so ints and these mix;
-    ``//`` is only ever used where the divisor divides exactly.
-    """
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: int, imag: int):
-        self.real = real
-        self.imag = imag
-
-    def __mul__(self, other):
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        return _GaussInt(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return _GaussInt(self.real + other.real, self.imag + other.imag)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _GaussInt(self.real - other.real, self.imag - other.imag)
-
-    def __floordiv__(self, other):
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        norm = c * c + d * d
-        return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
-
-    def __bool__(self):
-        return bool(self.real or self.imag)
-
-
-def _det_int(m):
-    """det of a Gaussian integer matrix as an (re, im) pair, by Bareiss
-    elimination; each division by the previous pivot is exact."""
-    re, im = m
-    rows = list(re) if im is None else [list(map(_GaussInt, r, i)) for r, i in zip(re, im)]
-    sign, prev = 1, 1
-    while rows:
-        p = next((r for r, row in enumerate(rows) if row[0]), None)
-        if p is None:
-            return 0, 0
-        if p:
-            rows[0], rows[p] = rows[p], rows[0]
-            sign = -sign
-        (pivot, *top), rest = rows[0], rows[1:]
-        rows = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rest]
-        prev = pivot
-    det = sign * prev  # the last pivot is det(M) up to the row-swap sign
-    return det.real, det.imag
+def _at_scale(a: Matrix, d: int):
+    """(re, im) of d*A, for d a multiple of A's own scale."""
+    f = d // a._d
+    return a._m if f == 1 else _gscale(a._m, (f, 0))
 
 
 def _cycle_sums(a: Matrix) -> dict:
@@ -426,9 +296,7 @@ def _cycle_sums(a: Matrix) -> dict:
     c_I = C_I / d^|I|. Every cycle is counted once, from its least index.
     Cost: O(2^n n^2) products, against sum_k C(n,k) (k-1)! k by enumeration.
     """
-    d, (re, im) = _int_form(a)
-    n = a.n
-    m = re if im is None else [list(map(_GaussInt, r, i)) for r, i in zip(re, im)]
+    d, n, m = a._d, a.n, _entries(a._m)
     sums = {}
     for s in range(n):
         sums[1 << s] = m[s][s]
@@ -461,25 +329,35 @@ def _cycle_sums(a: Matrix) -> dict:
     return by_order
 
 
+def _cached_chi(a: Matrix) -> list:
+    """C_0..C_n of chi_M for M = d*A, computed on first use and kept on the
+    immutable A."""
+    if a._chi is None:
+        a._chi = _char_coeffs(a._m, a.n)
+    return a._chi
+
+
+def _chi_at(a: Matrix, s: int) -> list:
+    """C_0..C_n of chi_{sA} for s a multiple of A's scale d: the cached
+    C_k of chi_{dA} times (s/d)^k."""
+    f = s // a._d
+    return [(re * f**k, im * f**k) for k, (re, im) in enumerate(_cached_chi(a))]
+
+
 def char_poly(a: Matrix) -> Polynomial:
     """Exact monic characteristic polynomial det(xI - A)."""
-    d, m = _int_form(a)
-    return _from_int(_char_coeffs(m, a.n), d)
+    return _from_int(_cached_chi(a), a._d)
 
 
 def _pair_form(a: Matrix, b: Matrix, product: bool):
     """(d, M_A, M_B, combine): integer forms of A and B such that
     combine(M_A, M_B) = d*(AB) (``product``) or d*(A + B), with d = d_A d_B
     or lcm(d_A, d_B). In the additive case M_A = d*A and M_B = d*B; in the
-    product case M_A = d_A*A and M_B = d_B*B. Each matrix is cleared once."""
-    da, ma = _int_form(a)
-    db, mb = _int_form(b)
+    product case M_A = d_A*A and M_B = d_B*B."""
     if product:
-        return da * db, ma, mb, _gmul
-    d = math.lcm(da, db)
-    ma = _parts(ma, lambda x: [[v * (d // da) for v in row] for row in x])
-    mb = _parts(mb, lambda x: [[v * (d // db) for v in row] for row in x])
-    return d, ma, mb, _gadd
+        return a._d * b._d, a._m, b._m, _gmul
+    d = math.lcm(a._d, b._d)
+    return d, _at_scale(a, d), _at_scale(b, d), _gadd
 
 
 def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool, signed_perms) -> Polynomial:
@@ -515,15 +393,14 @@ def matrix_moment(a: Matrix, k: int) -> GaussianRational:
     """k-th moment: the normalized trace tr(A^k)/n, k >= 1."""
     if k < 1:
         raise IndexRangeError(f"moment order must be >= 1, got {k}")
-    return a.power(k).trace() / Fraction(a.n)
+    return _scaled(_power_sums_int(a._m, k)[-1], a.n * a._d**k)
 
 
 def moment_vector_of(a: Matrix, count: int | None = None) -> list[GaussianRational]:
     """First ``count`` moments of A (default n): m_k = p_k / (n d^k) from the
     power sums p_k = tr(M^k) of the integer form M = d*A."""
-    d, m = _int_form(a)
     count = a.n if count is None else count
-    return [_scaled(p, a.n * d**k) for k, p in enumerate(_power_sums_int(m, count), 1)]
+    return [_scaled(p, a.n * a._d**k) for k, p in enumerate(_power_sums_int(a._m, count), 1)]
 
 
 def _guard_minor_enumeration(n: int):
@@ -543,7 +420,7 @@ def principal_minors(a: Matrix, k: int) -> list[tuple[tuple[int, ...], GaussianR
     if not 0 <= k <= n:
         raise IndexRangeError(f"minor order {k} out of range 0..{n}")
     _guard_minor_enumeration(n)
-    return _principal_minors(_int_form(a), k)
+    return _principal_minors((a._d, a._m), k)
 
 
 def _principal_minors(form, k: int) -> list:
@@ -578,5 +455,5 @@ class MinorTable:
 
 def minor_table(a: Matrix) -> MinorTable:
     _guard_minor_enumeration(a.n)
-    form = _int_form(a)
+    form = a._d, a._m
     return MinorTable(a.n, {k: _principal_minors(form, k) for k in range(a.n + 1)})

@@ -7,22 +7,31 @@ Newton's identities), moments by repeated entrywise products (not power
 sums), products as entrywise sums, the additive convolution through the
 derivative form of its definition, both convolutions by their coefficient
 formulas over Gaussian rationals (not the integer kernel), FFP reports from
-those formulas and char_poly of the built sum or product, and cycle sums by
-enumerating every cycle (not the subset DP).
+those formulas and char_poly of the built sum or product, cycle sums by
+enumerating every cycle (not the subset DP), and the Matrix operations
+entry by entry on GaussianRational rows, with the inverse by Gauss-Jordan
+over GaussianRationals (not on the integer form that Matrix stores).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import comb, factorial
 
 from finfree import FfpReport, GaussianRational, Matrix, Polynomial, as_scalar, char_poly
-from finfree.errors import DegreeMismatchError
-from finfree.families import rand_fraction, random_matrix
+from finfree.errors import DegreeMismatchError, SingularMatrixError
+from finfree.families import (
+    FamilyId,
+    _construct_member,
+    rand_fraction,
+    rand_nonzero_fraction,
+    random_matrix,
+)
 from finfree.ffp import ADDITIVE
-from finfree.matrices import _gmul, _int_form, _trace
+from finfree.kernel import _gmul, _trace
 from finfree.polynomials import _check_pair
 
 ZERO = as_scalar(0)
@@ -43,6 +52,80 @@ def cofactor_det(rows) -> GaussianRational:
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         total = total + rows[0][j] * ((-1) ** j) * cofactor_det(minor)
     return total
+
+
+def _int_form(a: Matrix):
+    """(d, (re, im)) from the GaussianRational rows of A: d the lcm of every
+    denominator and re + i*im = d*A, im None when A is real."""
+    rows = a.rows
+    d = math.lcm(*(x.re.denominator for row in rows for x in row),
+                 *(x.im.denominator for row in rows for x in row))
+    re = [[x.re.numerator * (d // x.re.denominator) for x in row] for row in rows]
+    if all(x.is_real() for row in rows for x in row):
+        return d, (re, None)
+    return d, (re, [[x.im.numerator * (d // x.im.denominator) for x in row] for row in rows])
+
+
+def add_entrywise(x, y) -> tuple:
+    return tuple(tuple(p + q for p, q in zip(r, s)) for r, s in zip(x, y))
+
+
+def sub_entrywise(x, y) -> tuple:
+    return tuple(tuple(p - q for p, q in zip(r, s)) for r, s in zip(x, y))
+
+
+def scale_entrywise(x, factor) -> tuple:
+    s = as_scalar(factor)
+    return tuple(tuple(v * s for v in row) for row in x)
+
+
+def transpose_entrywise(x) -> tuple:
+    return tuple(zip(*x))
+
+
+def inverse_gauss_jordan(x) -> tuple:
+    """Gauss-Jordan on [X | I] over GaussianRationals; raises
+    SingularMatrixError on a zero pivot column."""
+    n = len(x)
+    m = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(x)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot_row is None:
+            raise SingularMatrixError("matrix is singular")
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        inv = ONE / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r == col or not m[r][col]:
+                continue
+            factor = m[r][col]
+            m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def permutation_matrix(perm) -> Matrix:
+    n = len(perm)
+    return Matrix([[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)])
+
+
+def conjugated_triangular_by_products(n: int, rng: random.Random, bound: int) -> Matrix:
+    """The principally balanced sample C T C^{-1}, C = P diag(u), built as
+    the products conjugator @ t @ conjugator.inverse(), drawing from the RNG
+    in the sampler's order."""
+    t = _construct_member(FamilyId.UPPER_TRIANGULAR_CONST_DIAG, n, rng, bound)
+    d = Matrix.diagonal([rand_nonzero_fraction(rng, bound) for _ in range(n)])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    conjugator = permutation_matrix(perm) @ d
+    return conjugator @ t @ conjugator.inverse()
+
+
+def rank_one_by_fractions(n: int, rng: random.Random, bound: int) -> Matrix:
+    """The rank-one principally balanced sample u_i c / u_j from Fraction
+    entries, drawing from the RNG in the sampler's order."""
+    u = [rand_nonzero_fraction(rng, bound) for _ in range(n)]
+    c = rand_fraction(rng, bound)
+    return Matrix([[u[i] * c / u[j] for j in range(n)] for i in range(n)])
 
 
 def matmul_entrywise(x, y) -> list:

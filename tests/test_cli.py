@@ -348,6 +348,54 @@ class TestErrorPaths:
         assert json.loads(err)["error"] == "parse-error"
 
 
+class TestLargeAndDeepInput:
+    """Exact values of any size print and parse exactly; deep nesting and
+    huge exponent forms are input errors, not tracebacks."""
+
+    def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "charpoly", str(path))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "parse-error"
+        assert "Traceback" not in err
+
+    def test_charpoly_past_the_digit_limit(self, capsys, write_json):
+        code, out, _ = run(capsys, "charpoly", write_json("m.json", {"n": 1, "entries": [["1e5000"]]}))
+        assert code == 0
+        assert json.loads(out)["coeffs"] == ["1", "-1" + "0" * 5000]
+
+    def test_moments_past_the_digit_limit(self, capsys, write_json):
+        x = 10**2200 - 1  # 2200 nines; m_2 and m_3 have about 4400 and 6600 digits
+        digits = "9" * 2200
+        code, out, _ = run(
+            capsys, "moments", write_json("m.json", {"n": 2, "entries": [[digits, "1"], ["0", "2"]]}),
+            "--k", "3",
+        )
+        assert code == 0
+        values = [as_scalar(v) for v in json.loads(out)["values"]]
+        assert values == [Fraction(x**k + 2**k, 2) for k in (1, 2, 3)]
+
+    def test_long_integer_literal(self, capsys, write_json):
+        digits = "12345" * 1000
+        code, out, _ = run(capsys, "charpoly", write_json("m.json", {"n": 1, "entries": [[digits]]}))
+        assert code == 0
+        assert json.loads(out)["coeffs"] == ["1", "-" + digits]
+
+    def test_rank_bound_past_the_digit_limit(self, capsys):
+        code, out, _ = run(capsys, "rank-bound", "--n", "1600")
+        assert code == 0
+        bound = json.loads(out)["rank_bound"]
+        assert len(bound) > 4300
+        assert as_scalar(bound) == finfree.families.rank_upper_bound(1600)
+
+    @pytest.mark.parametrize("scalar", ["1e10001", "-2.5e-10001", "1e0_010_001", "1+1e10001*i"])
+    def test_exponent_past_the_limit_is_refused(self, capsys, write_json, scalar):
+        code, out, err = run(capsys, "charpoly", write_json("m.json", {"n": 1, "entries": [[scalar]]}))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "size-guard"
+
+
 class TestPayloadShapes:
     """Wrong JSON shapes are parse errors, not tracebacks."""
 

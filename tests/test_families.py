@@ -24,10 +24,9 @@ from finfree import (
 )
 from finfree.families import (
     diagonal_probe,
-    permutation_matrix,
     rand_nonzero_fraction,
 )
-from helpers import poly_of_matrix, rand_scalar
+from helpers import permutation_matrix, poly_of_matrix, rand_scalar
 
 PB = FamilyId.PRINCIPALLY_BALANCED
 EXAMPLE_PB = Matrix([[1, 2, 3], [6, 1, -12], [4, -1, 1]])

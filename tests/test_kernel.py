@@ -2,8 +2,10 @@
 verdicts, @, det, minor tables and the signed-permutation average, checked
 against independent oracles on real and Gaussian inputs with zero rows and
 coefficients, singular matrices, large denominators and pairs in finite free
-position."""
+position; and the Matrix that stores its integer form, checked against the
+GaussianRational operations on its rows."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finfree import (
+    ADDITIVE,
+    MULTIPLICATIVE,
     DegreeMismatchError,
     FamilyId,
     GaussianRational,
     Matrix,
     NonMonicError,
     Polynomial,
+    SingularMatrixError,
     boxplus,
     boxtimes,
     char_poly,
@@ -24,12 +29,23 @@ from finfree import (
     expected_charpoly_signed_perms,
     is_additive_ffp,
     is_multiplicative_ffp,
+    is_member,
     minor_table,
     sample_member,
+)
+import finfree.matrices as matrix_module
+from finfree import ffp
+from finfree.families import (
+    PROBE_MAGNITUDES,
+    _conjugated_triangular_balanced,
+    _find_diagonal_probe_failure,
+    _rank_one_balanced,
 )
 from finfree.ffp import signed_permutations
 from finfree.matrices import moment_vector_of
 from helpers import (
+    _int_form,
+    add_entrywise,
     average,
     boxplus_gaussian,
     boxtimes_gaussian,
@@ -37,10 +53,16 @@ from helpers import (
     charpoly_faddeev_int,
     charpoly_via_minors,
     cofactor_det,
+    conjugated_triangular_by_products,
     ffp_report_oracle,
+    inverse_gauss_jordan,
     matmul_entrywise,
     moments_by_powers,
+    rank_one_by_fractions,
+    scale_entrywise,
     signed_conjugate,
+    sub_entrywise,
+    transpose_entrywise,
 )
 
 FRACTIONS = st.builds(
@@ -218,3 +240,86 @@ def ffp_pairs(draw):
 @given(ffp_pairs(), KINDS)
 def test_ffp_report_matches_oracle_on_pairs_in_ffp(ab, kind):
     assert assert_report_matches_oracle(*ab, kind).verdict is True
+
+
+# -- the Matrix stored as its integer form ------------------------------------
+
+
+def frozen(rows):
+    return None if rows is None else tuple(map(tuple, rows))
+
+
+@KERNEL
+@given(pairs(), entries(True) | entries(False))
+def test_matrix_operations_match_gaussian_rational_oracles(ab, factor):
+    a, b = ab
+    assert (a + b).rows == add_entrywise(a.rows, b.rows)
+    assert (a - b).rows == sub_entrywise(a.rows, b.rows)
+    assert a.scale(factor).rows == scale_entrywise(a.rows, factor)
+    assert a.transpose().rows == transpose_entrywise(a.rows)
+    assert a.trace() == sum((a.rows[i][i] for i in range(a.n)), GaussianRational(0))
+
+
+@KERNEL
+@given(matrices())
+def test_inverse_matches_gauss_jordan(m):
+    try:
+        expected = inverse_gauss_jordan(m.rows)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        return
+    assert m.inverse().rows == expected
+
+
+@KERNEL
+@given(pairs(), st.integers(2, 10**6))
+def test_stored_form_is_canonical_and_rows_round_trip(ab, k):
+    a, b = ab
+    for m in (a, b):
+        d, (re, im) = _int_form(m)
+        assert (m._d, m._m) == (d, (frozen(re), frozen(im)))
+        # the same matrix from a form that is not reduced: every part k times
+        # larger, with an all-zero imaginary part when m is real
+        bigger = [[[k * v for v in row] for row in part] for part in (re, im or [[0] * m.n] * m.n)]
+        for copy in (Matrix(m.rows), Matrix.from_json(m.to_json()), Matrix._from_form(k * d, *bigger)):
+            assert copy == m and hash(copy) == hash(m)
+            assert copy.rows == m.rows and copy.is_real() == (im is None)
+        assert [[m.entry(i + 1, j + 1) for j in range(m.n)] for i in range(m.n)] == [
+            list(row) for row in m.rows
+        ]
+    assert (a == b) == (a.rows == b.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32), st.integers(1, 20))
+def test_balanced_samplers_match_product_constructions(n, seed, bound):
+    """Same RNG state in, same matrix and same RNG state out."""
+    for sampler, oracle in (
+        (_conjugated_triangular_balanced, conjugated_triangular_by_products),
+        (_rank_one_balanced, rank_one_by_fractions),
+    ):
+        new, old = random.Random(seed), random.Random(seed)
+        assert sampler(n, new, bound) == oracle(n, old, bound)
+        assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])
+def test_probe_loop_computes_the_outsiders_chi_once(monkeypatch, kind):
+    # principally balanced, so every diagonal probe passes and the loop runs to the end
+    outsider = Matrix([[1, 2, 3], [6, 1, -12], [4, -1, 1]])
+    calls = []
+    original = matrix_module._char_coeffs
+
+    def counting(m, n):
+        calls.append(m)
+        return original(m, n)
+
+    monkeypatch.setattr(matrix_module, "_char_coeffs", counting)
+    monkeypatch.setattr(ffp, "_char_coeffs", counting)
+    assert _find_diagonal_probe_failure(outsider, kind) is None
+    probes = (2**3 - 2) * len(PROBE_MAGNITUDES)
+    # per probe: chi of the probe and of the sum or product; the outsider's chi once
+    assert len(calls) == 2 * probes + 1
+    assert sum(m == outsider._m for m in calls) == 1
+    assert is_member(outsider, FamilyId.PRINCIPALLY_BALANCED)

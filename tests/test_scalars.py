@@ -1,11 +1,11 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finfree import GaussianRational, ParseError, as_scalar
-from finfree.scalars import I, ONE, ZERO
+from finfree import GaussianRational, ParseError, SizeGuardError, as_scalar
+from finfree.scalars import EXPONENT_LIMIT, I, ONE, ZERO, _int_str
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -102,3 +102,58 @@ def test_powers():
     x = GaussianRational(Fraction(1, 2), 1)
     assert x**0 == ONE
     assert x**3 == x * x * x
+
+
+def horner(digits: str) -> int:
+    """The int of a digit string, one digit at a time (no str/int conversion
+    of more than one digit)."""
+    value = 0
+    for c in digits:
+        value = value * 10 + "0123456789".index(c)
+    return value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.text("0123456789", min_size=1, max_size=6000), st.booleans())
+def test_digit_strings_of_any_length_convert_exactly(digits, negative):
+    value = horner(digits)
+    sign = "-" if negative else ""
+    assert GaussianRational.parse(sign + digits) == GaussianRational(-value if negative else value)
+    text = _int_str(-value if negative else value)
+    assert text == (sign if value else "") + (digits.lstrip("0") or "0")
+
+
+def test_values_past_the_digit_limit_round_trip():
+    big = GaussianRational(Fraction(-(10**5000) - 7, 3**9000), Fraction(1, 7**6000))
+    assert GaussianRational.parse(str(big)) == big
+    assert GaussianRational.parse("0." + "1" * 5000).re == Fraction(horner("1" * 5000), 10**5000)
+    assert GaussianRational.parse("-" + "9" * 5000 + "e3").re == -horner("9" * 5000 + "000")
+    assert GaussianRational.parse("1_" + "2" * 5000 + "/3").re == Fraction(horner("1" + "2" * 5000), 3)
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 5000 + "x", "1" * 5000 + "/1.5", "1" * 5000 + "/0", "1.5/" + "1" * 5000, "--" + "1" * 5000]
+)
+def test_long_malformed_strings_are_parse_errors(text):
+    with pytest.raises(ParseError):
+        GaussianRational.parse(text)
+
+
+def test_exponent_at_the_limit_parses():
+    assert GaussianRational.parse(f"1e-{EXPONENT_LIMIT}") == Fraction(1, 10**EXPONENT_LIMIT)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"1e{EXPONENT_LIMIT + 1}",
+        f"1e-{EXPONENT_LIMIT + 1}",
+        f"3/4+1e{EXPONENT_LIMIT + 1}*i",
+        f"1E+00{EXPONENT_LIMIT + 1}",
+        f"1e{10 * EXPONENT_LIMIT + 1}",  # more digits than the limit has
+    ],
+)
+def test_exponent_past_the_limit_is_refused(text):
+    # each of these would cost milliseconds, not hours, if the guard let it through
+    with pytest.raises(SizeGuardError):
+        GaussianRational.parse(text)
