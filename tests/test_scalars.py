@@ -128,7 +128,9 @@ def test_values_past_the_digit_limit_round_trip():
     assert GaussianRational.parse(str(big)) == big
     assert GaussianRational.parse("0." + "1" * 5000).re == Fraction(horner("1" * 5000), 10**5000)
     assert GaussianRational.parse("-" + "9" * 5000 + "e3").re == -horner("9" * 5000 + "000")
-    assert GaussianRational.parse("1_" + "2" * 5000 + "/3").re == Fraction(horner("1" + "2" * 5000), 3)
+    assert GaussianRational.parse("-" + "1" * 5000 + "/" + "3" * 4400).re == Fraction(
+        -horner("1" * 5000), horner("3" * 4400)
+    )
 
 
 @pytest.mark.parametrize(
