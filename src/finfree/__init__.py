@@ -59,7 +59,7 @@ from .moments import (
     moments_from_cumulants,
     mult_ffp_moment,
 )
-from .polynomials import Polynomial, boxplus, boxtimes, derivative, evaluate, shift_argument
+from .polynomials import Polynomial, boxplus, boxtimes
 from .scalars import GaussianRational, as_scalar
 
 __version__ = "0.1.0"

@@ -423,14 +423,31 @@ def principal_minors(a: Matrix, k: int) -> list[tuple[tuple[int, ...], GaussianR
     return _principal_minors((a._d, a._m), k)
 
 
+def _int_minors(m, k: int):
+    """(subset, det) for each order-k principal submatrix of the Gaussian
+    integer matrix m: subsets 0-based in lexicographic order, det an (re, im)
+    int pair."""
+    for subset in itertools.combinations(range(len(m[0])), k):
+        yield subset, _det_int(_parts(m, lambda x: [[x[i][j] for j in subset] for i in subset]))
+
+
 def _principal_minors(form, k: int) -> list:
     d, m = form
     scale = d**k
-    out = []
-    for subset in itertools.combinations(range(len(m[0])), k):
-        sub = _parts(m, lambda x: [[x[i][j] for j in subset] for i in subset])
-        out.append((tuple(i + 1 for i in subset), _scaled(_det_int(sub), scale)))
-    return out
+    return [(tuple(i + 1 for i in s), _scaled(v, scale)) for s, v in _int_minors(m, k)]
+
+
+def _minors_balanced(a: Matrix) -> bool:
+    """Whether the principal minors of each order share one value. Those of
+    order k are det(M_S) / d^k with one scale d^k, so their integer
+    numerators compare the same; the first mismatch ends the test."""
+    _guard_minor_enumeration(a.n)
+    for k in range(1, a.n + 1):
+        dets = (v for _, v in _int_minors(a._m, k))
+        first = next(dets)
+        if any(v != first for v in dets):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

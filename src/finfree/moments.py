@@ -1,30 +1,27 @@
 """Coefficient / moment / cumulant conversions and the finite-free moment
-formulas, all as truncated power series.
+formulas, all through one pair of Newton recurrences.
 
-Write a monic degree-n polynomial as sum_k a_k x^(n-k) with a_0 = 1, and
-m_r for the mean of the r-th powers of its roots (for a matrix A with that
-characteristic polynomial, m_r = tr(A^r)/n). Newton's identities link the
-two both ways:
+A power series F(t) = sum_k f_k t^k with f_0 = 1 has power sums p_r defined
+by log F(t) = -sum_r p_r t^r / r. Newton's identities convert either way in
+O(k^2) operations:
 
-    a_k = -(n/k) sum_{i=1}^{k} a_{k-i} m_i
-    m_r = -(r/n) a_r - sum_{i=1}^{r-1} a_i m_{r-i}      (a_r = 0 past degree n).
+    p_r = -r f_r - sum_{i=1}^{r-1} f_i p_{r-i}      (f_r = 0 past the end)
+    k f_k = -sum_{i=1}^{k} f_{k-i} p_i
+
+For a monic degree-n polynomial sum_k a_k x^(n-k), the series sum_k a_k t^k
+is prod_i (1 - x_i t) over its roots x_i, so p_r = sum_i x_i^r = n m_r for
+the root moments m_r (tr(A^r)/n when the polynomial is chi_A).
 
 Finite free cumulants follow Arizmendi & Perales, "Cumulants for finite free
-convolution", J. Combin. Theory Ser. A (2018), arXiv:1611.06598. Rescale
-the coefficients to â_k = a_k (n-k)!/n!; the additive convolution then
-multiplies the series F(t) = sum_k â_k t^k, so log F adds, and
+convolution", J. Combin. Theory Ser. A (2018), arXiv:1611.06598. The
+additive convolution multiplies F̂(t) = sum_k â_k t^k, â_k = a_k (n-k)!/n!,
+so log F̂ adds, and with p̂ the power sums of F̂
 
-    kappa_j = -j n^(j-1) [t^j] log F(t).
+    kappa_j = -j n^(j-1) [t^j] log F̂(t) = n^(j-1) p̂_j.
 
-Logarithm and exponential are taken term by term from G' F = F' with
-G = log F:
-
-    k g_k = k f_k - sum_{i=1}^{k-1} i g_i f_{k-i}        (log)
-    k f_k = sum_{i=1}^{k} i g_i f_{k-i}                  (exp, f_0 = 1)
-
-so every conversion of j terms costs O(j^2) scalar operations. The
-cumulants so defined are additive for pairs in additive finite free
-position, and equal the set-partition moment formula of that paper.
+Moments from cumulants run the same steps in reverse. These cumulants add
+for pairs in additive finite free position and equal that paper's
+set-partition moment formula.
 """
 
 from __future__ import annotations
@@ -34,102 +31,89 @@ from fractions import Fraction
 from math import perm
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError, IndexRangeError, NonMonicError, ParseError
+from .errors import (
+    DegreeMismatchError, DimensionMismatchError, IndexRangeError, NonMonicError, ParseError,
+)
 from .matrices import Matrix, char_poly, moment_vector_of
 from .polynomials import Polynomial, boxplus
 from .scalars import ONE, ZERO, GaussianRational, as_scalar
 
 
 @dataclass(frozen=True)
-class MomentVector:
-    """Moments m_1..m_k of an n x n matrix; canonically k = n, but callers
-    may request more (Newton's recursion extends past the degree)."""
+class _Values:
+    """n and a 1-based vector of exact values, named by the subclass's ``_what``."""
 
     n: int
     values: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(as_scalar(v) for v in self.values))
+
+    @classmethod
+    def from_json(cls, obj):
+        try:
+            n, values = obj["n"], obj["values"]
+        except (TypeError, KeyError) as exc:
+            raise ParseError(f"bad {cls._what} vector JSON: {exc}") from None
+        if not isinstance(values, list):
+            raise ParseError(f"{cls._what} vector JSON 'values' must be a list")
+        return cls(n, [GaussianRational.from_json(v) for v in values])
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "values": [str(v) for v in self.values]}
+
+    def __getitem__(self, k: int) -> GaussianRational:
+        if not 1 <= k <= len(self.values):
+            raise IndexRangeError(f"{self._what} index {k} out of range 1..{len(self.values)}")
+        return self.values[k - 1]
+
+    def __len__(self):
+        return len(self.values)
+
+
+class MomentVector(_Values):
+    """Moments m_1..m_k of an n x n matrix; canonically k = n, but callers
+    may request more (Newton's recursion extends past the degree)."""
+
+    _what = "moment"
 
     @classmethod
     def of_matrix(cls, a: Matrix, count: Optional[int] = None) -> "MomentVector":
         return cls(a.n, moment_vector_of(a, count))
 
-    @classmethod
-    def from_json(cls, obj) -> "MomentVector":
-        try:
-            return cls(obj["n"], [GaussianRational.parse(v) for v in obj["values"]])
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"bad moment vector JSON: {exc}") from None
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "values": [str(v) for v in self.values]}
-
-    def __getitem__(self, k: int) -> GaussianRational:
-        """1-based access: m[k] is the k-th moment."""
-        if not 1 <= k <= len(self.values):
-            raise IndexRangeError(f"moment index {k} out of range 1..{len(self.values)}")
-        return self.values[k - 1]
-
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class CumulantVector:
+class CumulantVector(_Values):
     """Finite free cumulants kappa_1..kappa_n; the order-n dependence is
     recorded because the conversion formulas depend on the dimension."""
 
-    n: int
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_scalar(v) for v in self.values))
-
-    @classmethod
-    def from_json(cls, obj) -> "CumulantVector":
-        try:
-            return cls(obj["n"], [GaussianRational.parse(v) for v in obj["values"]])
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"bad cumulant vector JSON: {exc}") from None
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "values": [str(v) for v in self.values]}
-
-    def __getitem__(self, k: int) -> GaussianRational:
-        if not 1 <= k <= len(self.values):
-            raise IndexRangeError(f"cumulant index {k} out of range 1..{len(self.values)}")
-        return self.values[k - 1]
-
-    def __len__(self):
-        return len(self.values)
+    _what = "cumulant"
 
 
-# -- coefficients <-> moments -------------------------------------------------
+# -- coefficients <-> moments, through the Newton pair -------------------------
 
 
-def _newton_coeffs(moments: Sequence, n: int) -> list:
-    """a_0..a_k of a degree-n polynomial from its root moments m_1..m_k."""
-    coeffs = [ONE]
-    for k in range(1, len(moments) + 1):
+def _power_sums(f: Sequence, count: int) -> list:
+    """p_1..p_count of the series f_0 + f_1 t + ... with f_0 = 1, reading
+    f_r = 0 past the end."""
+    top = len(f) - 1
+    sums: list[GaussianRational] = []
+    for r in range(1, count + 1):
+        acc = f[r] * -r if r <= top else ZERO
+        for i in range(1, min(r - 1, top) + 1):
+            acc = acc - f[i] * sums[r - i - 1]
+        sums.append(acc)
+    return sums
+
+
+def _series(sums: Sequence) -> list:
+    """f_0..f_k, f_0 = 1, of the series whose power sums are p_1..p_k."""
+    f = [ONE]
+    for k in range(1, len(sums) + 1):
         acc = ZERO
         for i in range(1, k + 1):
-            acc = acc + coeffs[k - i] * moments[i - 1]
-        coeffs.append(acc * Fraction(-n, k))
-    return coeffs
-
-
-def _newton_moments(coeffs: Sequence, n: int, count: int) -> list:
-    """m_1..m_count of a degree-n polynomial from a_0..a_L, reading a_r = 0
-    past L; valid when L = n or L >= count."""
-    top = len(coeffs) - 1
-    moments: list[GaussianRational] = []
-    for r in range(1, count + 1):
-        acc = (coeffs[r] if r <= top else ZERO) * Fraction(-r, n)
-        for i in range(1, min(r - 1, top) + 1):
-            acc = acc - coeffs[i] * moments[r - i - 1]
-        moments.append(acc)
-    return moments
+            acc = acc + f[k - i] * sums[i - 1]
+        f.append(acc * Fraction(-1, k))
+    return f
 
 
 def coeffs_from_moments(m: MomentVector) -> Polynomial:
@@ -137,16 +121,19 @@ def coeffs_from_moments(m: MomentVector) -> Polynomial:
     n = m.n
     if len(m) < n:
         raise DimensionMismatchError(f"need {n} moments, got {len(m)}")
-    return Polynomial(_newton_coeffs(m.values[:n], n))
+    return Polynomial(_series([v * n for v in m.values[:n]]))
 
 
 def moments_from_coeffs(p: Polynomial, count: Optional[int] = None) -> MomentVector:
-    """Newton's recursion from a monic polynomial; by default the first n
-    moments, optionally more."""
+    """Newton's recursion from a monic polynomial of degree n >= 1; by
+    default the first n moments, optionally more."""
     if not p.is_monic:
         raise NonMonicError("moment extraction needs a monic polynomial")
     n = p.degree
-    return MomentVector(n, _newton_moments(p.coeffs, n, n if count is None else count))
+    if n < 1:
+        raise DegreeMismatchError("moment extraction needs degree >= 1")
+    sums = _power_sums(p.coeffs, n if count is None else count)
+    return MomentVector(n, [s * Fraction(1, n) for s in sums])
 
 
 def ffp_sum_moments(
@@ -199,59 +186,36 @@ def _moment_list(m, k: int) -> dict:
 # -- moments <-> cumulants -----------------------------------------------------
 
 
-def _series_log(f: Sequence) -> list:
-    """g_0..g_L of log F for F = f_0 + f_1 t + ... + f_L t^L with f_0 = 1."""
-    g = [ZERO]
-    for k in range(1, len(f)):
-        acc = f[k] * k
-        for i in range(1, k):
-            acc = acc - g[i] * f[k - i] * i
-        g.append(acc * Fraction(1, k))
-    return g
-
-
-def _series_exp(g: Sequence) -> list:
-    """f_0..f_L of exp G for G = g_1 t + ... + g_L t^L (g_0 is ignored)."""
-    f = [ONE]
-    for k in range(1, len(g)):
-        acc = ZERO
-        for i in range(1, k + 1):
-            acc = acc + g[i] * f[k - i] * i
-        f.append(acc * Fraction(1, k))
-    return f
-
-
 def moments_from_cumulants(kappa: CumulantVector, j: int) -> GaussianRational:
-    """m_j from kappa_1..kappa_j.
-
-    exp(sum_k -kappa_k t^k / (k n^(k-1))) gives the â_k, then
-    a_k = â_k n(n-1)...(n-k+1) and Newton's recursion gives m_j. Past the
-    dimension the falling factorial vanishes, so for j > n only
-    kappa_1..kappa_n enter.
-    """
+    """m_j from kappa_1..kappa_j. Past the dimension n!/(n-k)! vanishes, so
+    for j > n only kappa_1..kappa_n enter."""
     if not 1 <= j <= len(kappa):
         raise IndexRangeError(f"cumulant order {j} outside 1..{len(kappa)}")
     n = kappa.n
-    g = [ZERO] + [kappa[k] * Fraction(-1, k * n ** (k - 1)) for k in range(1, min(j, n) + 1)]
-    coeffs = [f * perm(n, k) for k, f in enumerate(_series_exp(g))]
-    return _newton_moments(coeffs, n, j)[-1]
+    rescaled = _series([kappa[k] * Fraction(1, n ** (k - 1)) for k in range(1, min(j, n) + 1)])
+    coeffs = [f * perm(n, k) for k, f in enumerate(rescaled)]
+    return _power_sums(coeffs, j)[-1] * Fraction(1, n)
+
+
+def _cumulants(coeffs: Sequence, n: int) -> CumulantVector:
+    """kappa_1..kappa_L = n^(j-1) p̂_j from a_0..a_L of a degree-n polynomial."""
+    rescaled = [a * Fraction(1, perm(n, k)) for k, a in enumerate(coeffs)]
+    sums = _power_sums(rescaled, len(coeffs) - 1)
+    return CumulantVector(n, [s * n ** (j - 1) for j, s in enumerate(sums, 1)])
 
 
 def cumulants_from_moments(m: MomentVector) -> CumulantVector:
-    """kappa_j = -j n^(j-1) [t^j] log F(t) for j up to len(m), with F built
-    from the coefficients that Newton's identities give for m."""
+    """kappa_j for j up to len(m), from the coefficients the moments give."""
     n = m.n
     if len(m) > n:
         raise DimensionMismatchError(
             f"cumulants are defined up to the dimension: {len(m)} moments for n={n}"
         )
-    coeffs = _newton_coeffs(m.values, n)
-    g = _series_log([a * Fraction(1, perm(n, k)) for k, a in enumerate(coeffs)])
-    return CumulantVector(n, [g[j] * (-j * n ** (j - 1)) for j in range(1, len(g))])
+    return _cumulants(_series([v * n for v in m.values]), n)
 
 
 def cumulants_of_matrix(a: Matrix) -> CumulantVector:
-    return cumulants_from_moments(MomentVector.of_matrix(a))
+    return _cumulants(char_poly(a).coeffs, a.n)
 
 
 # -- characterizations and product moments -------------------------------------

@@ -242,14 +242,3 @@ def boxtimes(p: Polynomial, q: Polynomial) -> Polynomial:
     weights, out = _convolve_int(_cleared(p, dp), _cleared(q, dq), True)
     return _from_int(out, dp * dq, weights)
 
-
-def shift_argument(p: Polynomial, shift) -> Polynomial:
-    return p.shift_argument(shift)
-
-
-def derivative(p: Polynomial, k: int) -> Polynomial:
-    return p.derivative(k)
-
-
-def evaluate(p: Polynomial, x0) -> GaussianRational:
-    return p.evaluate(x0)

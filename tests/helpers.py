@@ -8,9 +8,11 @@ sums), products as entrywise sums, the additive convolution through the
 derivative form of its definition, both convolutions by their coefficient
 formulas over Gaussian rationals (not the integer kernel), FFP reports from
 those formulas and char_poly of the built sum or product, cycle sums by
-enumerating every cycle (not the subset DP), and the Matrix operations
-entry by entry on GaussianRational rows, with the inverse by Gauss-Jordan
-over GaussianRationals (not on the integer form that Matrix stores).
+enumerating every cycle (not the subset DP), principal balance by comparing
+cofactor-expanded minors (not integer Bareiss minors), and the Matrix
+operations entry by entry on GaussianRational rows, with the inverse by
+Gauss-Jordan over GaussianRationals (not on the integer form that Matrix
+stores).
 """
 
 from __future__ import annotations
@@ -261,6 +263,21 @@ def average(polys) -> Polynomial:
     for p in polys[1:]:
         total = total + p
     return total.scale(Fraction(1, len(polys)))
+
+
+def balanced_by_minor_table(m: Matrix) -> bool:
+    """Principal balance as the full minor table defines it: for each order
+    k, every principal minor (by cofactor expansion of the GaussianRational
+    rows) equals the first one of that order."""
+    rows = m.rows
+    for k in range(1, m.n + 1):
+        values = [
+            cofactor_det([[rows[i][j] for j in subset] for i in subset])
+            for subset in itertools.combinations(range(m.n), k)
+        ]
+        if any(v != values[0] for v in values):
+            return False
+    return True
 
 
 def cycle_sums_by_paths(m: Matrix) -> dict:

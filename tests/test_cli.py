@@ -169,7 +169,6 @@ class TestBalancedAndCycles:
             return minor_table(m)
 
         monkeypatch.setattr(finfree.cli, "minor_table", counted)
-        monkeypatch.setattr(finfree.families, "minor_table", counted)
         code, _, _ = run(capsys, "check-balanced", write_json("m.json", EXAMPLE_PB))
         assert code == 0
         assert len(calls) == 1
@@ -289,6 +288,32 @@ class TestMomentVerbs:
         assert code == 0
         assert json.loads(out)["values"][1] == "265/3"
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ("moments", "A", "--k", "6"),
+                '{"n": 3, "values": ["7/18", "103/108+11/6*i", "559/648+5/6*i", '
+                '"-13727/3888+437/108*i", "-44933/23328+1445/324*i", '
+                '"-2031011/139968-5147/1296*i"]}\n',
+            ),
+            (
+                ("cumulants", "A"),
+                '{"n": 3, "values": ["7/18", "65/54+11/4*i", "-193/324-47/8*i"]}\n',
+            ),
+            (
+                ("sum-moments", "A", "B", "--count", "6"),
+                '{"n": 3, "values": ["1/18+1/3*i", "-23/36+113/54*i", "-4147/3240-41/108*i", '
+                '"-109091/19440-17449/4860*i", "26083/7776-7415/1296*i", '
+                '"19929931/1166400-1154173/87480*i"]}\n',
+            ),
+        ],
+    )
+    def test_gaussian_stdout_bytes(self, capsys, write_json, argv, expected):
+        paths = {"A": write_json("a.json", GAUSSIAN_A), "B": write_json("b.json", GAUSSIAN_B)}
+        code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert (code, out, err) == (0, expected, "")
+
 
 class TestSmallVerbs:
     def test_rank_bound(self, capsys):
@@ -388,6 +413,16 @@ class TestLargeAndDeepInput:
         bound = json.loads(out)["rank_bound"]
         assert len(bound) > 4300
         assert as_scalar(bound) == finfree.families.rank_upper_bound(1600)
+
+    def test_rank_bound_size_guard(self, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the guard must refuse before any term is computed")
+
+        monkeypatch.setattr(finfree.families, "factorial", refuse)
+        monkeypatch.setattr(finfree.families, "comb", refuse)
+        code, out, err = run(capsys, "rank-bound", "--n", "1000000")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "size-guard"
 
     @pytest.mark.parametrize("scalar", ["1e10001", "-2.5e-10001", "1e0_010_001", "1+1e10001*i"])
     def test_exponent_past_the_limit_is_refused(self, capsys, write_json, scalar):

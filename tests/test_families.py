@@ -213,6 +213,12 @@ class TestRankBound:
         with pytest.raises(IndexRangeError):
             rank_upper_bound(0)
 
+    def test_size_guard(self):
+        from finfree.families import RANK_BOUND_LIMIT
+
+        with pytest.raises(SizeGuardError):
+            rank_upper_bound(RANK_BOUND_LIMIT + 1)
+
 
 class TestBalancedCharPoly:
     def test_example_profile(self):

@@ -5,11 +5,13 @@ import pytest
 
 from finfree import (
     CumulantVector,
+    DegreeMismatchError,
     DimensionMismatchError,
     FamilyId,
     IndexRangeError,
     Matrix,
     MomentVector,
+    ParseError,
     Polynomial,
     closed_form_sum_moment,
     coeffs_from_moments,
@@ -63,6 +65,11 @@ class TestLewinNewton:
         for _ in range(100):
             p = rand_monic(rng, rng.randint(1, 8))
             assert coeffs_from_moments(moments_from_coeffs(p)) == p
+
+    def test_degree_zero_is_refused(self):
+        for count in (None, 3):
+            with pytest.raises(DegreeMismatchError):
+                moments_from_coeffs(Polynomial([1]), count)
 
     def test_matches_matrix_traces(self):
         rng = random.Random(61)
@@ -264,3 +271,13 @@ class TestVectorJson:
         k = cumulants_from_moments(m)
         assert CumulantVector.from_json(k.to_json()) == k
         assert m.to_json() == {"n": 3, "values": ["2", "14/3", "12"]}
+
+    @pytest.mark.parametrize("cls", [MomentVector, CumulantVector])
+    def test_integer_values(self, cls):
+        assert cls.from_json({"n": 2, "values": [3, "1/2"]}).values == (3, Fraction(1, 2))
+
+    @pytest.mark.parametrize("cls", [MomentVector, CumulantVector])
+    @pytest.mark.parametrize("values", ["12", [True], [1.5], [None]])
+    def test_bad_values_are_parse_errors(self, cls, values):
+        with pytest.raises(ParseError):
+            cls.from_json({"n": 2, "values": values})
