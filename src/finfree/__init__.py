@@ -28,18 +28,16 @@ from .ffp import (
     MULTIPLICATIVE,
     FfpReport,
     HaarAverageResult,
-    additive_condition_2x2,
     check_ffp,
+    condition_2x2,
     ekl_witness,
     expected_charpoly_haar_mc,
     expected_charpoly_signed_perms,
     is_additive_ffp,
     is_multiplicative_ffp,
-    multiplicative_condition_2x2,
 )
 from .matrices import (
     Matrix,
-    MinorTable,
     char_poly,
     conjugate,
     matrix_moment,

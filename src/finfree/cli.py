@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import FinFreeError, ParseError
@@ -64,6 +65,17 @@ def _at_least(lowest: int):
         return value
 
     return convert
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _emit(payload) -> None:
@@ -121,7 +133,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mc", action="store_true", help="Monte-Carlo over Haar unitaries")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=_at_least(0))
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--tolerance", type=_tolerance)
     p.add_argument("a")
     p.add_argument("b")
 
@@ -167,13 +179,10 @@ def _run(args) -> int:
     elif args.verb == "check-balanced":
         m = _load_matrix(args.matrix)
         table = minor_table(m)
-        distinct = {}
-        for k in range(1, m.n + 1):
-            seen = []
-            for value in table.values(k):
-                if value not in seen:
-                    seen.append(value)
-            distinct[str(k)] = [str(v) for v in seen]
+        # each order's distinct values, in the order they first appear
+        distinct = {
+            str(k): [str(v) for v in dict.fromkeys(v for _, v in table[k])] for k in range(1, m.n + 1)
+        }
         _emit(
             {
                 "balanced": all(len(values) == 1 for values in distinct.values()),

@@ -53,10 +53,10 @@ class FamilyId(enum.Enum):
 
     @classmethod
     def parse(cls, tag: str) -> "FamilyId":
-        for member in cls:
-            if member.value == tag:
-                return member
-        raise ParseError(f"unknown family tag {tag!r}")
+        try:
+            return cls(tag)
+        except ValueError:
+            raise ParseError(f"unknown family tag {tag!r}") from None
 
 
 def is_member(a: Matrix, family: FamilyId) -> bool:
@@ -119,19 +119,6 @@ class CycleSums:
                 for k, entries in self.by_order.items()
             },
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "CycleSums":
-        try:
-            by_order = {
-                int(k): [
-                    (tuple(e["indices"]), GaussianRational.parse(e["sum"])) for e in entries
-                ]
-                for k, entries in obj["orders"].items()
-            }
-            return cls(obj["n"], by_order, obj["balanced"])
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"bad cycle-sum JSON: {exc}") from None
 
 
 def cycle_sums(a: Matrix) -> CycleSums:
@@ -299,15 +286,6 @@ class BoundaryCheck:
             "report": self.report.to_json(),
         }
 
-    @classmethod
-    def from_json(cls, obj) -> "BoundaryCheck":
-        return cls(
-            obj["label"],
-            Matrix.from_json(obj["outsider"]),
-            Matrix.from_json(obj["partner"]),
-            FfpReport.from_json(obj["report"]),
-        )
-
 
 @dataclass(frozen=True)
 class TrialFailure:
@@ -317,14 +295,6 @@ class TrialFailure:
 
     def to_json(self) -> dict:
         return {"a": self.a.to_json(), "b": self.b.to_json(), "report": self.report.to_json()}
-
-    @classmethod
-    def from_json(cls, obj) -> "TrialFailure":
-        return cls(
-            Matrix.from_json(obj["a"]),
-            Matrix.from_json(obj["b"]),
-            FfpReport.from_json(obj["report"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -351,21 +321,6 @@ class PairCheckReport:
             "failures": [f.to_json() for f in self.failures],
             "boundary_checks": [c.to_json() for c in self.boundary_checks],
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "PairCheckReport":
-        try:
-            return cls(
-                tuple(FamilyId.parse(tag) for tag in obj["families"]),
-                obj["kind"],
-                obj["trials"],
-                obj["n"],
-                obj["seed"],
-                [TrialFailure.from_json(f) for f in obj["failures"]],
-                [BoundaryCheck.from_json(c) for c in obj["boundary_checks"]],
-            )
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"bad pair-check report JSON: {exc}") from None
 
 
 def verify_pair(

@@ -69,19 +69,6 @@ class FfpReport:
             "rhs": self.rhs.to_json(),
         }
 
-    @classmethod
-    def from_json(cls, obj) -> "FfpReport":
-        try:
-            return cls(
-                kind=obj["kind"],
-                verdict=obj["verdict"],
-                residuals={int(k): GaussianRational.parse(v) for k, v in obj["residuals"].items()},
-                lhs=Polynomial.from_json(obj["lhs"]),
-                rhs=Polynomial.from_json(obj["rhs"]),
-            )
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"bad FFP report JSON: {exc}") from None
-
 
 def _residual_indices(kind: str, n: int) -> range:
     if kind == ADDITIVE:
@@ -125,22 +112,14 @@ def check_ffp(a: Matrix, b: Matrix, kind: str) -> FfpReport:
     raise ParseError(f"unknown kind {kind!r}")
 
 
-def _condition_2x2(a: Matrix, b: Matrix) -> GaussianRational:
+def condition_2x2(a: Matrix, b: Matrix) -> GaussianRational:
+    """(a11-a22)(b22-b11) - 2(a12 b21 + a21 b12) for 2x2 A and B: zero iff
+    the pair is in additive FFP, and iff it is in multiplicative FFP."""
     if a.n != 2 or b.n != 2:
         raise DimensionMismatchError("closed form only applies to 2x2 matrices")
     return (a.entry(1, 1) - a.entry(2, 2)) * (b.entry(2, 2) - b.entry(1, 1)) - (
         a.entry(1, 2) * b.entry(2, 1) + a.entry(2, 1) * b.entry(1, 2)
     ) * 2
-
-
-def additive_condition_2x2(a: Matrix, b: Matrix) -> GaussianRational:
-    """(a11-a22)(b22-b11) - 2(a12 b21 + a21 b12); zero iff additive FFP."""
-    return _condition_2x2(a, b)
-
-
-def multiplicative_condition_2x2(a: Matrix, b: Matrix) -> GaussianRational:
-    """Same expression as the additive case; zero iff multiplicative FFP."""
-    return _condition_2x2(a, b)
 
 
 # -- exact expectation over signed permutations --------------------------
@@ -213,6 +192,24 @@ class HaarAverageResult:
         }
 
 
+def _floats(values) -> list:
+    """The exact values as complex floats; a value past the float range is
+    refused."""
+    try:
+        return [complex(x) for x in values]
+    except OverflowError:
+        raise SizeGuardError("a value exceeds the float range of the Monte-Carlo lane") from None
+
+
+def _finite(x):
+    """x, an array or float, once every entry is finite."""
+    import numpy as np
+
+    if not np.isfinite(x).all():
+        raise SizeGuardError("the Monte-Carlo average overflows the float range")
+    return x
+
+
 def haar_unitaries(n: int, count: int, rng) -> np.ndarray:
     """Haar-distributed unitaries: complex Ginibre, QR, phase correction so
     the R factor has positive real diagonal."""
@@ -263,12 +260,12 @@ def expected_charpoly_haar_mc(
     if kind not in (ADDITIVE, MULTIPLICATIVE):
         raise ParseError(f"unknown kind {kind!r}")
     n = a.n
-    a_f = np.array([[complex(x) for x in row] for row in a.rows])
-    b_f = np.array([[complex(x) for x in row] for row in b.rows])
+    a_f = np.array([_floats(row) for row in a.rows])
+    b_f = np.array([_floats(row) for row in b.rows])
 
     exact = boxplus if kind == ADDITIVE else boxtimes
     target = exact(char_poly(a), char_poly(b))
-    target_f = np.array([complex(c) for c in target.coeffs])
+    target_f = np.array(_floats(target.coeffs))
 
     rng = np.random.Generator(np.random.Philox(seed))
 
@@ -285,14 +282,16 @@ def expected_charpoly_haar_mc(
             haar_unitaries(n, min(chunk, samples - start), rng)
             for start in range(0, samples, chunk)
         )
-    for u in batches:
-        conj = np.conj(np.transpose(u, (0, 2, 1))) @ b_f @ u
-        m = a_f + conj if kind == ADDITIVE else a_f @ conj
-        roots = np.linalg.eigvals(m)
-        total = total + _charpoly_coeffs_from_roots(roots).sum(axis=0)
-        done += u.shape[0]
-    avg = total / done
-    deviation = float(np.max(np.abs(avg - target_f)))
+    # an overflow shows up as inf or nan, refused below, not as a warning
+    with np.errstate(all="ignore"):
+        for u in batches:
+            conj = np.conj(np.transpose(u, (0, 2, 1))) @ b_f @ u
+            m = _finite(a_f + conj if kind == ADDITIVE else a_f @ conj)
+            roots = np.linalg.eigvals(m)
+            total = total + _charpoly_coeffs_from_roots(roots).sum(axis=0)
+            done += u.shape[0]
+        avg = _finite(total / done)
+        deviation = float(_finite(np.max(np.abs(avg - target_f))))
     return HaarAverageResult(
         kind=kind,
         samples=done,

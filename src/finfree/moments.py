@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from .errors import (
     DegreeMismatchError, DimensionMismatchError, IndexRangeError, NonMonicError, ParseError,
 )
-from .matrices import Matrix, char_poly, moment_vector_of
+from .matrices import Matrix, _guard_moment_count, char_poly, moment_vector_of
 from .polynomials import Polynomial, boxplus
 from .scalars import ONE, ZERO, GaussianRational, as_scalar
 
@@ -47,17 +47,11 @@ class _Values:
     values: tuple
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 1:
+            raise DimensionMismatchError(f"{self._what} vector needs a positive int n, got {self.n!r}")
+        if isinstance(self.values, str) or not isinstance(self.values, Sequence):
+            raise ParseError(f"{self._what} vector values must be a sequence, got {self.values!r}")
         object.__setattr__(self, "values", tuple(as_scalar(v) for v in self.values))
-
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            n, values = obj["n"], obj["values"]
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"bad {cls._what} vector JSON: {exc}") from None
-        if not isinstance(values, list):
-            raise ParseError(f"{cls._what} vector JSON 'values' must be a list")
-        return cls(n, [GaussianRational.from_json(v) for v in values])
 
     def to_json(self) -> dict:
         return {"n": self.n, "values": [str(v) for v in self.values]}
@@ -132,7 +126,7 @@ def moments_from_coeffs(p: Polynomial, count: Optional[int] = None) -> MomentVec
     n = p.degree
     if n < 1:
         raise DegreeMismatchError("moment extraction needs degree >= 1")
-    sums = _power_sums(p.coeffs, n if count is None else count)
+    sums = _power_sums(p.coeffs, n if count is None else _guard_moment_count(count))
     return MomentVector(n, [s * Fraction(1, n) for s in sums])
 
 

@@ -95,22 +95,11 @@ class GaussianRational:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_value(cls, value) -> "GaussianRational":
-        """Coerce an int, Fraction, string, or GaussianRational."""
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        if isinstance(value, str):
-            return cls.parse(value)
-        raise ParseError(f"cannot interpret {value!r} as an exact scalar")
-
-    @classmethod
     def from_json(cls, value) -> "GaussianRational":
         """Decode a JSON scalar: a string encoding (see ``parse``) or an integer."""
         if isinstance(value, bool):
             raise ParseError(f"cannot interpret {value!r} as an exact scalar")
-        return cls.from_value(value)
+        return as_scalar(value)
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
@@ -261,5 +250,12 @@ I = GaussianRational(0, 1)
 
 
 def as_scalar(value) -> GaussianRational:
-    """Module-level alias for :meth:`GaussianRational.from_value`."""
-    return GaussianRational.from_value(value)
+    """Coerce an int, Fraction, string (see ``GaussianRational.parse``), or
+    GaussianRational."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return GaussianRational(value)
+    if isinstance(value, str):
+        return GaussianRational.parse(value)
+    raise ParseError(f"cannot interpret {value!r} as an exact scalar")

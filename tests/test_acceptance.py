@@ -14,12 +14,12 @@ from finfree import (
     Matrix,
     MomentVector,
     Polynomial,
-    additive_condition_2x2,
     boxplus,
     boxtimes,
     char_poly,
     closed_form_sum_moment,
     coeffs_from_moments,
+    condition_2x2,
     cumulants_of_matrix,
     expected_charpoly_haar_mc,
     expected_charpoly_signed_perms,
@@ -30,7 +30,6 @@ from finfree import (
     matrix_moment,
     moments_from_coeffs,
     mult_ffp_moment,
-    multiplicative_condition_2x2,
     principal_minors,
     rank_upper_bound,
     sample_member,
@@ -201,8 +200,7 @@ def test_criterion_09_two_by_two_closed_form():
 
     for _ in range(500):
         a, b = random_matrix(rng, 2), random_matrix(rng, 2)
-        condition = additive_condition_2x2(a, b)
-        assert multiplicative_condition_2x2(a, b) == condition
+        condition = condition_2x2(a, b)
         assert (not condition) == is_additive_ffp(a, b).verdict
         assert (not condition) == is_multiplicative_ffp(a, b).verdict
 

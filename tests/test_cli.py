@@ -9,7 +9,9 @@ import pytest
 
 import finfree.cli
 import finfree.families
-from finfree import FfpReport, MomentVector, Polynomial, as_scalar, minor_table
+import finfree.matrices
+import finfree.moments
+from finfree import Polynomial, as_scalar, minor_table
 from finfree.cli import main
 
 GOLDEN_A = {"n": 3, "entries": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}
@@ -139,9 +141,9 @@ class TestCheckFfp:
         a, b = write_json("a.json", GOLDEN_A), write_json("b.json", GOLDEN_B)
         code, out, _ = run(capsys, "check-ffp", "--kind", "additive", a, b)
         assert code == 2
-        report = FfpReport.from_json(json.loads(out))
-        assert not report.verdict
-        assert report.residuals == {3: as_scalar(Fraction(-1, 3))}
+        report = json.loads(out)
+        assert report["verdict"] is False
+        assert report["residuals"] == {"3": "-1/3"}
 
     def test_dimension_mismatch_is_input_error(self, capsys, write_json):
         a = write_json("a.json", GOLDEN_A)
@@ -234,6 +236,38 @@ class TestExpect:
         assert code == 1
         assert json.loads(err)["error"] == "size-guard"
 
+    @pytest.mark.parametrize(
+        "kind, a, b",
+        [
+            # an entry past the float range
+            ("additive", [["1e400", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]),
+            # entries inside it whose convolution's constant term (1e800) is not
+            ("multiplicative", [["1e200", "0"], ["0", "1e200"]], [["1e200", "0"], ["0", "1e200"]]),
+            # finite floats whose Haar average overflows
+            ("additive", [["1e300", "1e300"], ["1e300", "1e300"]], [["0", "0"], ["0", "0"]]),
+            ("multiplicative", [["1e300", "1e300"], ["1e300", "1e300"]], [["1e300", "1"], ["1", "1e300"]]),
+        ],
+    )
+    def test_mc_past_the_float_range_is_a_size_guard(self, capsys, write_json, kind, a, b):
+        a = write_json("a.json", {"n": 2, "entries": a})
+        b = write_json("b.json", {"n": 2, "entries": b})
+        code, out, err = run(
+            capsys, "expect", "--kind", kind, "--mc", "--samples", "10", "--seed", "1", a, b
+        )
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "size-guard"
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "1e400"])
+    def test_mc_tolerance_must_be_finite_and_non_negative(self, capsys, write_json, tolerance):
+        a = write_json("a.json", {"n": 2, "entries": [["1", "0"], ["0", "-1"]]})
+        code, out, err = run(
+            capsys, "expect", "--kind", "additive", "--mc", "--samples", "10", "--seed", "1",
+            "--tolerance", tolerance, a, a,
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "usage"
+
 
 class TestVerifyPair:
     def test_runs_and_is_deterministic(self, capsys):
@@ -273,7 +307,6 @@ class TestMomentVerbs:
         assert code == 0
         payload = json.loads(out)
         assert payload == {"n": 3, "values": ["2", "14/3", "12", "98/3"]}
-        assert MomentVector.from_json(payload).values[0] == 2
 
     def test_cumulants(self, capsys, write_json):
         m = write_json("m.json", {"n": 2, "entries": [["2", "1"], ["0", "2"]]})
@@ -421,6 +454,27 @@ class TestLargeAndDeepInput:
         monkeypatch.setattr(finfree.families, "factorial", refuse)
         monkeypatch.setattr(finfree.families, "comb", refuse)
         code, out, err = run(capsys, "rank-bound", "--n", "1000000")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "size-guard"
+
+    @pytest.mark.parametrize(
+        "argv", [("moments", "A", "--k", "100000"), ("sum-moments", "A", "A", "--count", "100000")]
+    )
+    def test_moment_count_guard(self, capsys, write_json, monkeypatch, argv):
+        power_sums = finfree.matrices._power_sums_int
+
+        def first_two(m, count):
+            # sum-moments takes each matrix's n = 2 moments before the requested count
+            assert count <= 2, "the guard must refuse before the requested power sums"
+            return power_sums(m, count)
+
+        def refuse(*_):
+            raise AssertionError("the guard must refuse before any power sum is computed")
+
+        m = write_json("m.json", {"n": 2, "entries": [["1", "2"], ["3", "4"]]})
+        monkeypatch.setattr(finfree.matrices, "_power_sums_int", first_two)
+        monkeypatch.setattr(finfree.moments, "_power_sums", refuse)
+        code, out, err = run(capsys, *(m if x == "A" else x for x in argv))
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "size-guard"
 

@@ -1,0 +1,245 @@
+"""Fuzz the command line in process: any argv and any input file keep the
+0/1/2 exit-code contract with one JSON line and no traceback.
+
+The strategies aim at the input classes that broke the contract before:
+malformed scalars, exponent forms around ``EXPONENT_LIMIT``, values around
+the float range fed to ``expect --mc``, deep JSON nesting, a declared
+``n``/``degree`` that disagrees with the payload, rows that are not lists,
+bool/float/null entries, and counts past ``MOMENT_COUNT_LIMIT``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from finfree.cli import main
+from finfree.matrices import MOMENT_COUNT_LIMIT
+from finfree.scalars import EXPONENT_LIMIT
+
+MALFORMED = ["", " ", "1/0", "1//2", "++1", "1+*i", "*i", "1e", "e5", "0x10", "nan", "inf",
+             "1_0", "--1", "1/2/3", "i", "1+2i", "\u0661", "1e+", "1.5.2", "3*i*i"]
+LIMIT_EXPONENTS = [1, 2, 5, EXPONENT_LIMIT - 1, EXPONENT_LIMIT, EXPONENT_LIMIT + 1]
+# around the largest float, 1.8e308, and its square root
+FLOAT_EXPONENTS = [150, 154, 155, 300, 308, 309, 400]
+
+FUZZ = settings(
+    deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def mostly(good, *others, weight=6):
+    """One of the strategies, ``good`` ``weight`` times as often as each other
+    one (``one_of`` would pick each distinct branch about equally)."""
+    return st.sampled_from([good] * weight + list(others)).flatmap(lambda strategy: strategy)
+
+
+sign = st.sampled_from(["+", "-"])
+small_rational = st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 9))
+magnitude = st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 9), st.integers(1, 9))
+small_scalar = mostly(
+    st.one_of(st.integers(-9, 9), st.integers(-9, 9).map(str), small_rational),
+    st.builds(lambda re, s, im: f"{re}{s}{im}*i", small_rational, sign, magnitude),
+    weight=3,
+)
+
+
+def edge_scalar(exponents, exponent_signs):
+    """A small value, or m*10^e as a real or an imaginary part."""
+    power = st.builds(
+        lambda m, s, e: f"{m}e{s}{e}",
+        st.integers(1, 9), st.sampled_from(exponent_signs), st.sampled_from(exponents),
+    )
+    return st.one_of(
+        small_scalar,
+        st.builds(lambda s, x: s.strip("+") + x, sign, power),
+        st.builds(lambda s, x: f"1{s}{x}*i", sign, power),
+    )
+
+
+limit_scalar = edge_scalar(LIMIT_EXPONENTS, ["", "-", "+"])
+float_scalar = edge_scalar(FLOAT_EXPONENTS, [""])
+bad_scalar = st.one_of(
+    st.sampled_from(MALFORMED), st.booleans(), st.floats(allow_nan=False), st.none(), st.just([]),
+)
+json_scalar = mostly(limit_scalar, bad_scalar, weight=30)
+# each matrix or polynomial takes its entries from one of these: mostly small
+# exact values, so that most inputs reach the verbs' own work
+good_scalars = mostly(st.just(small_scalar), st.just(limit_scalar), weight=3)
+
+
+def square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def matrix_payloads(draw, n):
+    """Mostly a well-formed n x n matrix; otherwise a bad entry, a wrong
+    declared n, a ragged or flat row list, or no matrix at all."""
+    rows = draw(mostly(
+        square(n, draw(good_scalars)),
+        square(n, json_scalar),
+        st.lists(st.lists(json_scalar, max_size=4), max_size=4),
+        st.lists(json_scalar, min_size=1, max_size=4),
+        weight=10,
+    ))
+    declared = draw(mostly(st.just(n), st.integers(-1, 5), json_scalar, weight=10))
+    return draw(mostly(st.just({"n": declared, "entries": rows}), st.just({"entries": rows}),
+                       st.just([rows]), st.just(rows), weight=20))
+
+
+@st.composite
+def polynomial_payloads(draw, n):
+    coeffs = draw(mostly(
+        st.lists(draw(good_scalars), min_size=n, max_size=n).map(lambda cs: ["1", *cs]),
+        st.lists(json_scalar, max_size=5),
+        json_scalar,
+        weight=10,
+    ))
+    size = len(coeffs) - 1 if isinstance(coeffs, list) else 1
+    declared = draw(mostly(st.just(size), st.integers(-1, 5), json_scalar, weight=10))
+    return draw(mostly(st.just({"degree": declared, "coeffs": coeffs}), st.just({"coeffs": coeffs})))
+
+
+# a file is a JSON payload, or raw text: deep nesting, broken JSON, nothing
+raw_text = st.one_of(
+    st.integers(1, 50_000).map(lambda depth: "[" * depth + "]" * depth),
+    st.integers(1, 50_000).map(lambda depth: '{"n": ' * depth),
+    st.sampled_from(["", "{", "nul", '{"n": 1, "entries": [["1"]]', "\x00"]),
+).map(lambda text: ("raw", text))
+
+
+def matrix_file(n):
+    return mostly(matrix_payloads(n), matrix_payloads(n % 4 + 1), raw_text, weight=20)
+
+
+def polynomial_file(n):
+    return mostly(polynomial_payloads(n), polynomial_payloads(n % 4 + 1), raw_text, weight=20)
+
+
+count = mostly(
+    st.integers(1, 6), st.integers(MOMENT_COUNT_LIMIT + 1, 10**9), st.integers(-3, 0),
+    st.sampled_from(["x", "1.5", ""]), weight=3,
+).map(str)
+kind = mostly(st.sampled_from(["additive", "multiplicative"]), st.just("bogus"), weight=10)
+families = mostly(
+    st.sampled_from(["diag,pb", "ut,ut-const", "lt-const,lt", "all,scalar"]),
+    st.sampled_from(["diag,ut", "pb", "x,pb", "diag,pb,all", ""]),
+)
+tolerance = mostly(
+    st.floats(min_value=0, max_value=10), st.sampled_from(["nan", "inf", "-1", "1e400", "x"]),
+).map(str)
+
+
+def _option(name, values, weight=2):
+    """[] or [name, value], present about ``weight`` times as often."""
+    return mostly(values.map(lambda v: [name, v]), st.just([]), weight=weight)
+
+
+@st.composite
+def invocations(draw):
+    """(argv, files): argv names files by key; files maps key -> payload."""
+    files = {}
+    n = draw(st.integers(1, 4))
+
+    def file(strategy):
+        key = f"f{len(files)}"
+        files[key] = draw(strategy)
+        return key
+
+    verb = draw(st.sampled_from([
+        "charpoly", "convolve", "check-ffp", "check-balanced", "cycle-sums", "expect",
+        "expect-mc", "verify-pair", "moments", "cumulants", "sum-moments", "rank-bound",
+        "witness-ekl", "garbage",
+    ]))
+    if verb in ("charpoly", "check-balanced", "cycle-sums", "cumulants", "witness-ekl"):
+        argv = [verb, file(matrix_file(n))]
+    elif verb == "convolve":
+        argv = [verb, "--kind", draw(kind), file(polynomial_file(n)), file(polynomial_file(n))]
+    elif verb in ("check-ffp", "expect"):
+        argv = [verb, "--kind", draw(kind), file(matrix_file(n)), file(matrix_file(n))]
+    elif verb == "expect-mc":
+        argv = ["expect", "--kind", draw(kind), "--mc",
+                *draw(_option("--samples", st.integers(-1, 30).map(str), 8)),
+                *draw(_option("--seed", st.integers(-2, 2**40).map(str), 8)),
+                *draw(_option("--tolerance", tolerance)),
+                file(matrix_file(n)), file(matrix_file(n))]
+    elif verb == "verify-pair":
+        small = mostly(st.integers(1, 3), st.integers(-1, 0)).map(str)
+        argv = [verb, "--families", draw(families), "--kind", draw(kind), "--trials", draw(small),
+                "--n", draw(small), "--seed", str(draw(st.integers(-5, 2**40))),
+                *draw(_option("--bound", small))]
+    elif verb == "moments":
+        argv = [verb, file(matrix_file(n)), *draw(_option("--k", count))]
+    elif verb == "sum-moments":
+        argv = [verb, file(matrix_file(n)), file(matrix_file(n)), *draw(_option("--count", count))]
+    elif verb == "rank-bound":
+        n = st.one_of(st.integers(-2, 60), st.sampled_from([2001, 10**6, 10**30])).map(str)
+        argv = [verb, *draw(_option("--n", n))]
+    else:
+        argv = draw(st.lists(st.sampled_from(
+            ["charpoly", "--kind", "--n", "--mc", "x", "", "--", "missing.json"]
+        ), max_size=4))
+    return argv, files
+
+
+@st.composite
+def edge_invocations(draw):
+    """Well-formed inputs at two edges: expect --mc on entries around the
+    float range, and moment counts past ``MOMENT_COUNT_LIMIT``."""
+    n = draw(st.integers(1, 3))
+    entries = draw(st.sampled_from([small_scalar, float_scalar, float_scalar]))
+    files = {key: {"n": n, "entries": draw(square(n, entries))} for key in ("a", "b")}
+    verb = draw(st.sampled_from(["expect", "expect", "moments", "sum-moments"]))
+    if verb == "moments":
+        return ["moments", "a", "--k", draw(count)], files
+    if verb == "sum-moments":
+        return ["sum-moments", "a", "b", "--count", draw(count)], files
+    argv = ["expect", "--kind", draw(st.sampled_from(["additive", "multiplicative"])), "--mc",
+            "--samples", str(draw(st.integers(1, 20))), "--seed", str(draw(st.integers(0, 2**40))),
+            *draw(_option("--tolerance", tolerance)), "a", "b"]
+    return argv, files
+
+
+def assert_contract(argv, files):
+    """Run ``main(argv)`` on the files, named in argv by their keys."""
+    with tempfile.TemporaryDirectory() as directory:
+        for key, payload in files.items():
+            with open(os.path.join(directory, key), "w", encoding="utf-8") as handle:
+                if isinstance(payload, tuple):
+                    handle.write(payload[1])
+                else:
+                    json.dump(payload, handle)
+        argv = [os.path.join(directory, a) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert argv[0] == "check-ffp"
+    if code == 1:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert set(json.loads(err)) == {"error", "message"}
+    else:
+        assert err == ""
+        assert out.endswith("\n") and out.count("\n") == 1
+        json.loads(out)
+
+
+@settings(FUZZ, max_examples=120)
+@given(invocations())
+def test_cli_keeps_its_exit_code_contract(invocation):
+    assert_contract(*invocation)
+
+
+@settings(FUZZ, max_examples=80)
+@given(edge_invocations())
+def test_float_range_and_count_edges_keep_the_contract(invocation):
+    assert_contract(*invocation)

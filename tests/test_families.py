@@ -93,12 +93,6 @@ class TestCycleSums:
             assert all(not v for v in cs.values(k))
         assert cs.balanced
 
-    def test_json_roundtrip(self):
-        from finfree import CycleSums
-
-        cs = cycle_sums(EXAMPLE_PB)
-        assert CycleSums.from_json(cs.to_json()) == cs
-
     def test_balanced_flag_matches_membership(self):
         rng = random.Random(52)
         from finfree.families import random_matrix
@@ -178,14 +172,11 @@ class TestVerifyPair:
         assert report.boundary_checks == []
 
     def test_report_json_roundtrip(self):
-        from finfree.families import PairCheckReport
-
         report = verify_pair(FamilyId.SCALAR, FamilyId.ALL, "multiplicative", 5, 11, 2)
         obj = report.to_json()
         assert obj["families"] == ["scalar", "all"]
         assert obj["failures"] == []
         assert all("outsider" in c for c in obj["boundary_checks"])
-        assert PairCheckReport.from_json(obj) == report
 
     def test_non_diagonal_boundary_example(self):
         # a concrete escape from the diagonal family

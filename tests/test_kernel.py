@@ -115,7 +115,7 @@ def test_char_poly_matches_minor_sums_and_rational_recurrence(m):
 def test_det_and_minor_table_match_cofactor_expansion(m):
     assert m.det() == cofactor_det([list(row) for row in m.rows])
     table = minor_table(m)
-    for k, entries_k in table.orders.items():
+    for k, entries_k in table.items():
         for subset, value in entries_k:
             idx = [i - 1 for i in subset]
             assert value == cofactor_det([[m.rows[i][j] for j in idx] for i in idx])
@@ -150,7 +150,7 @@ def test_power_sum_char_poly_across_baby_step_counts(m):
     else:
         # cofactor expansion is too slow here; sum the Bareiss minor table instead
         table = minor_table(m)
-        sums = [sum(table.values(k), GaussianRational(0)) * (-1) ** k for k in range(m.n + 1)]
+        sums = [sum((v for _, v in table[k]), GaussianRational(0)) * (-1) ** k for k in range(m.n + 1)]
         assert list(p.coeffs) == sums
 
 

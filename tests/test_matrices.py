@@ -86,7 +86,7 @@ class TestPrincipalMinors:
 
         table = minor_table(EXAMPLE_PB)
         for k in range(4):
-            assert len(table.orders[k]) == comb(3, k)
+            assert len(table[k]) == comb(3, k)
 
     def test_out_of_range(self):
         with pytest.raises(IndexRangeError):
