@@ -8,7 +8,13 @@ standard output, and is bit-reproducible for a fixed seed. Exit codes:
     2  check-ffp ran fine but the verdict is false (for shell pipelines)
 
 All scalar values in emitted JSON are exact strings; only ``expect --mc``
-emits decimal floats.
+emits decimal floats. ``-h`` and ``--help``, top-level or after a verb, print
+{"help": <usage text>} and exit 0.
+
+A verb imports only the modules it runs: ``polynomials`` (the kind names and
+the convolutions) at module level, anything else on that verb's branch of
+``_run``, after parsing. ``charpoly``, ``convolve`` and ``check-balanced``
+start without ``families``, ``ffp``, ``moments`` or ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -19,27 +25,7 @@ import math
 import sys
 
 from .errors import FinFreeError, ParseError
-from .families import (
-    FamilyId,
-    cycle_sums,
-    rank_upper_bound,
-    verify_pair,
-)
-from .ffp import (
-    ADDITIVE,
-    MULTIPLICATIVE,
-    check_ffp,
-    ekl_witness,
-    expected_charpoly_haar_mc,
-    expected_charpoly_signed_perms,
-)
-from .matrices import Matrix, char_poly, minor_table
-from .moments import (
-    MomentVector,
-    cumulants_of_matrix,
-    ffp_sum_moments,
-)
-from .polynomials import Polynomial, boxplus, boxtimes
+from .polynomials import ADDITIVE, MULTIPLICATIVE, Polynomial, boxplus, boxtimes
 from .scalars import _int_str
 
 
@@ -47,9 +33,16 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep the 0/1/2 contract
         raise _UsageError(message)
+
+    def print_help(self, file=None):  # -h would print text and exit(0); emit JSON instead
+        raise _Help(self.format_help())
 
 
 def _at_least(lowest: int):
@@ -97,7 +90,9 @@ def _load_json(path: str):
         raise ParseError(f"{path}: JSON too deeply nested or too large ({type(exc).__name__})") from None
 
 
-def _load_matrix(path: str) -> Matrix:
+def _load_matrix(path: str):
+    from .matrices import Matrix
+
     return Matrix.from_json(_load_json(path))
 
 
@@ -106,7 +101,12 @@ def _load_polynomial(path: str) -> Polynomial:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="finfree", description=__doc__)
+    # the docstring as written, without its last paragraph (the import rule)
+    parser = _Parser(
+        prog="finfree",
+        description=(__doc__ or "").rstrip().rpartition("\n\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of a matrix")
@@ -168,15 +168,21 @@ def _build_parser() -> _Parser:
 
 def _run(args) -> int:
     if args.verb == "charpoly":
+        from .matrices import char_poly
+
         _emit(char_poly(_load_matrix(args.matrix)).to_json())
     elif args.verb == "convolve":
         op = boxplus if args.kind == ADDITIVE else boxtimes
         _emit(op(_load_polynomial(args.p), _load_polynomial(args.q)).to_json())
     elif args.verb == "check-ffp":
+        from .ffp import check_ffp
+
         report = check_ffp(_load_matrix(args.a), _load_matrix(args.b), args.kind)
         _emit(report.to_json())
         return 0 if report.verdict else 2
     elif args.verb == "check-balanced":
+        from .matrices import minor_table
+
         m = _load_matrix(args.matrix)
         table = minor_table(m)
         # each order's distinct values, in the order they first appear
@@ -191,17 +197,24 @@ def _run(args) -> int:
             }
         )
     elif args.verb == "cycle-sums":
+        from .families import cycle_sums
+
         _emit(cycle_sums(_load_matrix(args.matrix)).to_json())
     elif args.verb == "expect":
         a, b = _load_matrix(args.a), _load_matrix(args.b)
         if args.mc:
             if args.samples is None or args.seed is None:
                 raise _UsageError("expect --mc requires --samples and --seed")
+            from .ffp import expected_charpoly_haar_mc
+
             result = expected_charpoly_haar_mc(
                 a, b, args.kind, args.samples, args.seed, args.tolerance
             )
             _emit(result.to_json())
         else:
+            from .ffp import expected_charpoly_signed_perms
+            from .matrices import char_poly
+
             averaged = expected_charpoly_signed_perms(a, b, args.kind)
             op = boxplus if args.kind == ADDITIVE else boxtimes
             exact = op(char_poly(a), char_poly(b))
@@ -214,6 +227,8 @@ def _run(args) -> int:
                 }
             )
     elif args.verb == "verify-pair":
+        from .families import FamilyId, verify_pair
+
         tags = args.families.split(",")
         if len(tags) != 2:
             raise _UsageError("--families wants exactly two comma-separated tags")
@@ -228,11 +243,17 @@ def _run(args) -> int:
         )
         _emit(report.to_json())
     elif args.verb == "moments":
+        from .moments import MomentVector
+
         m = _load_matrix(args.matrix)
         _emit(MomentVector.of_matrix(m, args.k).to_json())
     elif args.verb == "cumulants":
+        from .moments import cumulants_of_matrix
+
         _emit(cumulants_of_matrix(_load_matrix(args.matrix)).to_json())
     elif args.verb == "sum-moments":
+        from .moments import MomentVector, ffp_sum_moments
+
         a, b = _load_matrix(args.a), _load_matrix(args.b)
         if a.n != b.n:
             raise ParseError(f"dimension mismatch: {a.n} vs {b.n}")
@@ -241,8 +262,12 @@ def _run(args) -> int:
         )
         _emit(result.to_json())
     elif args.verb == "rank-bound":
+        from .families import rank_upper_bound
+
         _emit({"n": args.n, "rank_bound": _int_str(rank_upper_bound(args.n))})
     elif args.verb == "witness-ekl":
+        from .ffp import ekl_witness
+
         witness = ekl_witness(_load_matrix(args.matrix))
         if witness is None:
             _emit({"found": False})
@@ -257,6 +282,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
+    except _Help as text:
+        _emit({"help": str(text)})
+        return 0
     except _UsageError as exc:
         return _fail("usage", str(exc))
     except FinFreeError as exc:

@@ -227,6 +227,11 @@ def _convolve_int(a: list, b: list, product: bool) -> tuple[list, list]:
     return [fact[0] * f for f in fact], out
 
 
+# the two kinds of convolution, and of finite free position (``ffp``)
+ADDITIVE = "additive"
+MULTIPLICATIVE = "multiplicative"
+
+
 def boxplus(p: Polynomial, q: Polynomial) -> Polynomial:
     """Additive finite free convolution of two monic degree-n polynomials."""
     _check_pair(p, q)

@@ -9,10 +9,12 @@ import pytest
 
 import finfree.cli
 import finfree.families
+import finfree.ffp
 import finfree.matrices
 import finfree.moments
 from finfree import Polynomial, as_scalar, minor_table
 from finfree.cli import main
+from finfree.ffp import MC_SAMPLE_LIMIT
 
 GOLDEN_A = {"n": 3, "entries": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}
 GOLDEN_B = {"n": 3, "entries": [["1", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]]}
@@ -170,7 +172,7 @@ class TestBalancedAndCycles:
             calls.append(m)
             return minor_table(m)
 
-        monkeypatch.setattr(finfree.cli, "minor_table", counted)
+        monkeypatch.setattr(finfree.matrices, "minor_table", counted)
         code, _, _ = run(capsys, "check-balanced", write_json("m.json", EXAMPLE_PB))
         assert code == 0
         assert len(calls) == 1
@@ -257,6 +259,33 @@ class TestExpect:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "size-guard"
+
+    def test_mc_sample_count_guard(self, capsys, write_json, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampled past the guard")
+
+        monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy now fails
+        monkeypatch.setattr(finfree.ffp, "haar_unitaries", refuse)
+        a = write_json("a.json", {"n": 2, "entries": [["1", "0"], ["0", "-1"]]})
+        code, out, err = run(
+            capsys, "expect", "--kind", "additive", "--mc",
+            "--samples", str(MC_SAMPLE_LIMIT + 1), "--seed", "1", a, a,
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "size-guard"
+
+    def test_mc_sample_count_at_the_limit_is_sampled(self, monkeypatch):
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args):
+            raise Sampled
+
+        monkeypatch.setattr(finfree.ffp, "haar_unitaries", sampled)
+        a = finfree.matrices.Matrix([[1, 0], [0, -1]])
+        assert MC_SAMPLE_LIMIT >= 20_000
+        with pytest.raises(Sampled):
+            finfree.ffp.expected_charpoly_haar_mc(a, a, "additive", MC_SAMPLE_LIMIT, 1)
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "1e400"])
     def test_mc_tolerance_must_be_finite_and_non_negative(self, capsys, write_json, tolerance):
@@ -404,6 +433,29 @@ class TestErrorPaths:
         code, out, err = run(capsys, "charpoly", path)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "parse-error"
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-h"],
+            ["--help"],
+            ["charpoly", "-h"],
+            ["expect", "--help"],
+            ["check-ffp", "--kind", "additive", "-h"],
+            ["rank-bound", "--n", "3", "--help"],
+        ],
+    )
+    def test_help_is_one_json_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.endswith("\n") and out.count("\n") == 1
+        payload = json.loads(out)
+        assert list(payload) == ["help"]
+        assert payload["help"].startswith("usage: finfree")
+        if argv[0] != argv[-1]:
+            assert payload["help"].startswith(f"usage: finfree {argv[0]}")
 
 
 class TestLargeAndDeepInput:
@@ -575,3 +627,36 @@ def test_import_leaves_numpy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_light_verbs_import_only_what_they_run(tmp_path):
+    """charpoly, convolve and check-balanced run without families, ffp,
+    moments or dataclasses ever being imported."""
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(EXAMPLE_PB))
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(GAUSSIAN_P))
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps(GAUSSIAN_Q))
+    runs = [
+        ["charpoly", str(m)],
+        ["convolve", "--kind", "additive", str(p), str(q)],
+        ["convolve", "--kind", "multiplicative", str(p), str(q)],
+        ["check-balanced", str(m)],
+    ]
+    code = (
+        "import json, sys\n"
+        "from finfree.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "heavy = ['finfree.families', 'finfree.ffp', 'finfree.moments', 'dataclasses']\n"
+        "print(json.dumps([codes, [name for name in heavy if name in sys.modules]]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    lines = result.stdout.splitlines()
+    assert len(lines) == len(runs) + 1
+    assert json.loads(lines[-1]) == [[0] * len(runs), []]

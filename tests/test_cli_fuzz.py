@@ -5,7 +5,8 @@ The strategies aim at the input classes that broke the contract before:
 malformed scalars, exponent forms around ``EXPONENT_LIMIT``, values around
 the float range fed to ``expect --mc``, deep JSON nesting, a declared
 ``n``/``degree`` that disagrees with the payload, rows that are not lists,
-bool/float/null entries, and counts past ``MOMENT_COUNT_LIMIT``.
+bool/float/null entries, counts past ``MOMENT_COUNT_LIMIT`` and
+``MC_SAMPLE_LIMIT``, and ``-h``/``--help`` among the free-form argv words.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from finfree.cli import main
+from finfree.ffp import MC_SAMPLE_LIMIT
 from finfree.matrices import MOMENT_COUNT_LIMIT
 from finfree.scalars import EXPONENT_LIMIT
 
@@ -126,6 +128,7 @@ count = mostly(
     st.integers(1, 6), st.integers(MOMENT_COUNT_LIMIT + 1, 10**9), st.integers(-3, 0),
     st.sampled_from(["x", "1.5", ""]), weight=3,
 ).map(str)
+samples = mostly(st.integers(-1, 30), st.sampled_from([MC_SAMPLE_LIMIT + 1, 10**12])).map(str)
 kind = mostly(st.sampled_from(["additive", "multiplicative"]), st.just("bogus"), weight=10)
 families = mostly(
     st.sampled_from(["diag,pb", "ut,ut-const", "lt-const,lt", "all,scalar"]),
@@ -165,7 +168,7 @@ def invocations(draw):
         argv = [verb, "--kind", draw(kind), file(matrix_file(n)), file(matrix_file(n))]
     elif verb == "expect-mc":
         argv = ["expect", "--kind", draw(kind), "--mc",
-                *draw(_option("--samples", st.integers(-1, 30).map(str), 8)),
+                *draw(_option("--samples", samples, 8)),
                 *draw(_option("--seed", st.integers(-2, 2**40).map(str), 8)),
                 *draw(_option("--tolerance", tolerance)),
                 file(matrix_file(n)), file(matrix_file(n))]
@@ -183,7 +186,7 @@ def invocations(draw):
         argv = [verb, *draw(_option("--n", n))]
     else:
         argv = draw(st.lists(st.sampled_from(
-            ["charpoly", "--kind", "--n", "--mc", "x", "", "--", "missing.json"]
+            ["charpoly", "--kind", "--n", "--mc", "x", "", "--", "missing.json", "-h", "--help"]
         ), max_size=4))
     return argv, files
 

@@ -23,7 +23,9 @@ from finfree import (
     verify_pair,
 )
 from finfree.families import (
+    FRACTION_TABLE_BOUND,
     diagonal_probe,
+    rand_fraction,
     rand_nonzero_fraction,
 )
 from helpers import permutation_matrix, poly_of_matrix, rand_scalar
@@ -137,6 +139,16 @@ class TestSamplers:
 
     def test_deterministic_for_seed(self):
         assert sample_member(PB, 4, 99) == sample_member(PB, 4, 99)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 7, 10, FRACTION_TABLE_BOUND, FRACTION_TABLE_BOUND + 1])
+    def test_rand_fraction_draws_what_randint_draws(self, bound):
+        for seed in range(150):
+            tabled, direct = random.Random(seed), random.Random(seed)
+            drawn = [rand_fraction(tabled, bound) for _ in range(20)]
+            assert drawn == [
+                Fraction(direct.randint(-bound, bound), direct.randint(1, bound)) for _ in range(20)
+            ]
+            assert tabled.getstate() == direct.getstate()
 
 
 class TestVerifyPair:
