@@ -2,8 +2,11 @@
 
 The families: diagonal, scalar, upper/lower triangular (optionally with
 constant diagonal), principally balanced (all principal minors of each
-order share one value), and the full matrix space. Three family pairs are
-complementary for both convolutions:
+order share one value), and the full matrix space. The six structural
+families are each one row of ``EQUATIONS``: the cells that vanish and
+whether the diagonal is constant. Membership, the samplers and the boundary
+witnesses all read that table. Three family pairs are complementary for
+both convolutions:
 
     (diagonal, principally balanced)
     (upper triangular, upper triangular with constant diagonal)   [and lower]
@@ -21,6 +24,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,36 +64,42 @@ class FamilyId(enum.Enum):
             raise ParseError(f"unknown family tag {tag!r}") from None
 
 
+# The equations that cut out each structural family: a predicate on the
+# 0-based cells (i, j) that vanish, and whether the diagonal is constant.
+EQUATIONS = {
+    FamilyId.DIAGONAL: (operator.ne, False),
+    FamilyId.SCALAR: (operator.ne, True),
+    FamilyId.UPPER_TRIANGULAR: (operator.gt, False),
+    FamilyId.LOWER_TRIANGULAR: (operator.lt, False),
+    FamilyId.UPPER_TRIANGULAR_CONST_DIAG: (operator.gt, True),
+    FamilyId.LOWER_TRIANGULAR_CONST_DIAG: (operator.lt, True),
+}
+
+
+def _equations(family: FamilyId) -> tuple:
+    try:
+        return EQUATIONS[family]
+    except (KeyError, TypeError):
+        raise ParseError(f"unknown family {family}") from None
+
+
+def _zero_cells(family: FamilyId, n: int) -> list:
+    """The 0-based cells (i, j), row-major, where every member vanishes."""
+    vanishes = _equations(family)[0]
+    return [(i, j) for i in range(n) for j in range(n) if vanishes(i, j)]
+
+
 def is_member(a: Matrix, family: FamilyId) -> bool:
     """Exact structural membership test, on the integer form of A."""
-    n = a.n
     if family is FamilyId.ALL:
         return True
-    if family is FamilyId.DIAGONAL:
-        return _vanishes(a, ((i, j) for i in range(n) for j in range(n) if i != j))
-    if family is FamilyId.SCALAR:
-        return is_member(a, FamilyId.DIAGONAL) and _constant_diagonal(a)
-    if family is FamilyId.UPPER_TRIANGULAR:
-        return _vanishes(a, ((i, j) for i in range(n) for j in range(i)))
-    if family is FamilyId.LOWER_TRIANGULAR:
-        return _vanishes(a, ((i, j) for i in range(n) for j in range(i + 1, n)))
-    if family is FamilyId.UPPER_TRIANGULAR_CONST_DIAG:
-        return is_member(a, FamilyId.UPPER_TRIANGULAR) and _constant_diagonal(a)
-    if family is FamilyId.LOWER_TRIANGULAR_CONST_DIAG:
-        return is_member(a, FamilyId.LOWER_TRIANGULAR) and _constant_diagonal(a)
     if family is FamilyId.PRINCIPALLY_BALANCED:
         return _minors_balanced(a)
-    raise ParseError(f"unknown family {family}")
-
-
-def _vanishes(a: Matrix, cells) -> bool:
-    """Every entry (i, j) in ``cells`` (0-based) is zero."""
+    constant = _equations(family)[1]
     parts = [x for x in a._m if x is not None]
-    return all(not x[i][j] for i, j in cells for x in parts)
-
-
-def _constant_diagonal(a: Matrix) -> bool:
-    return all(x[i][i] == x[0][0] for x in a._m if x is not None for i in range(a.n))
+    return all(not x[i][j] for i, j in _zero_cells(family, a.n) for x in parts) and (
+        not constant or all(x[i][i] == x[0][0] for x in parts for i in range(a.n))
+    )
 
 
 # -- cycle sums -------------------------------------------------------------
@@ -201,31 +211,27 @@ def sample_member(
 def _construct_member(family: FamilyId, n: int, rng: random.Random, bound: int) -> Matrix:
     if family is FamilyId.ALL:
         return random_matrix(rng, n, bound)
-    if family is FamilyId.SCALAR:
-        return Matrix.identity(n).scale(rand_fraction(rng, bound))
-    if family is FamilyId.DIAGONAL:
-        return Matrix.diagonal([rand_fraction(rng, bound) for _ in range(n)])
-    if family is FamilyId.UPPER_TRIANGULAR:
-        return Matrix(
-            [[rand_fraction(rng, bound) if j >= i else 0 for j in range(n)] for i in range(n)]
-        )
-    if family is FamilyId.LOWER_TRIANGULAR:
-        return _construct_member(FamilyId.UPPER_TRIANGULAR, n, rng, bound).transpose()
-    if family is FamilyId.UPPER_TRIANGULAR_CONST_DIAG:
-        c = rand_fraction(rng, bound)
-        return Matrix(
-            [
-                [c if j == i else (rand_fraction(rng, bound) if j > i else 0) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-    if family is FamilyId.LOWER_TRIANGULAR_CONST_DIAG:
-        return _construct_member(
-            FamilyId.UPPER_TRIANGULAR_CONST_DIAG, n, rng, bound
-        ).transpose()
     if family is FamilyId.PRINCIPALLY_BALANCED:
         return _construct_balanced(n, rng, bound)
-    raise ParseError(f"unknown family {family}")
+    return _construct_structured(*_equations(family), n, rng, bound)
+
+
+def _construct_structured(vanishes, constant: bool, n: int, rng: random.Random, bound: int) -> Matrix:
+    """A random matrix that solves the equations: the constant diagonal value
+    first, then the free cells row-major. Lower-triangular patterns are drawn
+    as their upper twins and transposed."""
+    if vanishes is operator.lt:
+        return _construct_structured(operator.gt, constant, n, rng, bound).transpose()
+    c = rand_fraction(rng, bound) if constant else None
+    return Matrix(
+        [
+            [
+                0 if vanishes(i, j) else c if constant and i == j else rand_fraction(rng, bound)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
 
 
 def _construct_balanced(n: int, rng: random.Random, bound: int) -> Matrix:
@@ -401,17 +407,16 @@ def _find_diagonal_probe_failure(outsider: Matrix, kind: str) -> Optional[tuple[
     return None
 
 
-def _find_unit_witness(outsider: Matrix, kind: str, region) -> Optional[tuple[Matrix, FfpReport]]:
-    """First unit matrix E_{kl} (from a nonzero entry a_{lk} with (l, k) in
-    the escape region) against which the outsider fails."""
+def _find_unit_witness(outsider: Matrix, kind: str, cells) -> Optional[tuple[Matrix, FfpReport]]:
+    """First unit matrix E_{kl} (from a nonzero entry a_{lk} with 0-based
+    (l - 1, k - 1) in ``cells``) against which the outsider fails."""
     n = outsider.n
-    for l in range(1, n + 1):
-        for k in range(1, n + 1):
-            if l != k and region(l, k) and outsider.entry(l, k):
-                witness = Matrix.unit(n, k, l)
-                report = check_ffp(outsider, witness, kind)
-                if not report.verdict:
-                    return witness, report
+    for i, j in cells:
+        if outsider.entry(i + 1, j + 1):
+            witness = Matrix.unit(n, j + 1, i + 1)
+            report = check_ffp(outsider, witness, kind)
+            if not report.verdict:
+                return witness, report
     return None
 
 
@@ -432,11 +437,7 @@ def _boundary_checks(pair, kind: str, n: int, rng: random.Random, bound: int) ->
         if is_member(outsider, FamilyId.DIAGONAL):
             record("non-scalar-vs-diagonal-probe", outsider, _find_diagonal_probe_failure(outsider, kind))
         else:
-            record(
-                "non-scalar-vs-unit-witness",
-                outsider,
-                _find_unit_witness(outsider, kind, lambda l, k: True),
-            )
+            record("non-scalar-vs-unit-witness", outsider, _find_unit_witness(outsider, kind, _zero_cells(f, n)))
         return checks
 
     # escape from g (the balanced-type family) fails against a diagonal probe
@@ -444,13 +445,8 @@ def _boundary_checks(pair, kind: str, n: int, rng: random.Random, bound: int) ->
     record(f"non-{g.value}-vs-diagonal-probe", outsider_g, _find_diagonal_probe_failure(outsider_g, kind))
 
     # escape from f (the structural family) fails against a unit witness in g
-    region = {
-        FamilyId.DIAGONAL: lambda l, k: True,
-        FamilyId.UPPER_TRIANGULAR: lambda l, k: l > k,
-        FamilyId.LOWER_TRIANGULAR: lambda l, k: l < k,
-    }[f]
     outsider_f = _sample_outside_first_family(f, rng, n, bound)
-    record(f"non-{f.value}-vs-unit-witness", outsider_f, _find_unit_witness(outsider_f, kind, region))
+    record(f"non-{f.value}-vs-unit-witness", outsider_f, _find_unit_witness(outsider_f, kind, _zero_cells(f, n)))
     return checks
 
 
@@ -473,23 +469,18 @@ def _sample_outside_second_family(g: FamilyId, rng: random.Random, n: int, bound
             if not is_member(m, FamilyId.PRINCIPALLY_BALANCED):
                 return m
         raise LookupError("could not sample a non-balanced matrix")
-    base_family = (
-        FamilyId.UPPER_TRIANGULAR
-        if g is FamilyId.UPPER_TRIANGULAR_CONST_DIAG
-        else FamilyId.LOWER_TRIANGULAR
-    )
-    m = _construct_member(base_family, n, rng, bound)
+    m = _construct_structured(_equations(g)[0], False, n, rng, bound)  # the non-constant twin
     if is_member(m, g):  # constant diagonal: break it
         m = m + Matrix.unit(n, 1, 1)
     return m
 
 
 def _sample_outside_first_family(f: FamilyId, rng: random.Random, n: int, bound: int) -> Matrix:
-    """A random matrix with a 1 put in at (0, 1) ((1, 0) for upper triangular
-    f) when that entry is zero."""
+    """A random matrix with a 1 put in at the family's first zero cell when
+    that entry is zero."""
     m = random_matrix(rng, n, bound)
-    i, j = (1, 0) if f is FamilyId.UPPER_TRIANGULAR else (0, 1)
-    if _vanishes(m, [(i, j)]):
+    i, j = _zero_cells(f, n)[0]
+    if not m.entry(i + 1, j + 1):
         m = m + Matrix.unit(n, i + 1, j + 1)
     return m
 

@@ -49,9 +49,10 @@ from .scalars import GaussianRational, _scaled
 # (Python 3.11, 2-vCPU Xeon VM); n = 7 is 14 times as many conjugates
 SIGNED_PERM_LIMIT = 6
 
-# Haar samples in one Monte-Carlo average: at n = 3 a sample costs about 12 us,
-# so 200000 samples take 2.1 s (additive) and 2.7 s (multiplicative) in process;
-# at n = 8 about 85 us, so 17 s (Python 3.11, numpy 2.4, 2-vCPU Xeon VM)
+# A Monte-Carlo average may cost samples * max(n, 3)^2 <= 9 * MC_SAMPLE_LIMIT. A Haar
+# sample costs about 13 us at n = 3, 70-80 us at n = 8 and 360-460 us at n = 20, so
+# the most samples allowed (200000, 28125 and 4500) take 2.7, 2.0-2.3 and 1.6-2.1 s
+# in process, additive and multiplicative (Python 3.11, numpy 2.4, 2-vCPU Xeon VM)
 MC_SAMPLE_LIMIT = 200_000
 
 
@@ -86,7 +87,10 @@ def _residual_indices(kind: str, n: int) -> range:
     return range(1, n)
 
 
-def _verdict(kind: str, a: Matrix, b: Matrix) -> FfpReport:
+def check_ffp(a: Matrix, b: Matrix, kind: str) -> FfpReport:
+    """The finite-free-position verdict of the given kind for (A, B)."""
+    if kind not in (ADDITIVE, MULTIPLICATIVE):
+        raise ParseError(f"unknown kind {kind!r}")
     a._require_same_size(b)
     n = a.n
     product = kind == MULTIPLICATIVE
@@ -106,20 +110,12 @@ def _verdict(kind: str, a: Matrix, b: Matrix) -> FfpReport:
 
 def is_additive_ffp(a: Matrix, b: Matrix) -> FfpReport:
     """Compare chi_{A+B} against chi_A [+] chi_B coefficient by coefficient."""
-    return _verdict(ADDITIVE, a, b)
+    return check_ffp(a, b, ADDITIVE)
 
 
 def is_multiplicative_ffp(a: Matrix, b: Matrix) -> FfpReport:
     """Compare chi_{AB} against chi_A [x] chi_B coefficient by coefficient."""
-    return _verdict(MULTIPLICATIVE, a, b)
-
-
-def check_ffp(a: Matrix, b: Matrix, kind: str) -> FfpReport:
-    if kind == ADDITIVE:
-        return is_additive_ffp(a, b)
-    if kind == MULTIPLICATIVE:
-        return is_multiplicative_ffp(a, b)
-    raise ParseError(f"unknown kind {kind!r}")
+    return check_ffp(a, b, MULTIPLICATIVE)
 
 
 def condition_2x2(a: Matrix, b: Matrix) -> GaussianRational:
@@ -251,28 +247,28 @@ def expected_charpoly_haar_mc(
     samples: int,
     seed: int,
     tolerance: Optional[float] = None,
-    unitaries: Optional[Iterable[np.ndarray]] = None,
 ) -> HaarAverageResult:
     """Monte-Carlo average of chi_{A + U* B U} (or chi_{A U* B U}) over Haar
     samples, reported against the exact convolution.
 
     This is a statistical diagnostic: the deviation is reported, never
     asserted. Deterministic for a fixed seed (counter-based Philox stream).
-    ``unitaries`` overrides the sampler with an explicit batch, which is
-    useful for forcing U = I in tests. numpy is imported here, not at
-    module level, so every other verb starts without it, and only after
-    the sample count has passed its guard.
+    numpy is imported here, not at module level, so every other verb starts
+    without it, and only after the sample count has passed its cost guard.
     """
     a._require_same_size(b)
+    n = a.n
     if samples < 1:
         raise SizeGuardError("need at least one sample")
-    if samples > MC_SAMPLE_LIMIT:
-        raise SizeGuardError(f"Monte-Carlo average refused for {samples} > {MC_SAMPLE_LIMIT} samples")
+    if samples * max(n, 3) ** 2 > 9 * MC_SAMPLE_LIMIT:
+        raise SizeGuardError(
+            f"Monte-Carlo average refused for {samples} samples at n={n}:"
+            f" samples * max(n, 3)^2 > {9 * MC_SAMPLE_LIMIT}"
+        )
     import numpy as np
 
     if kind not in (ADDITIVE, MULTIPLICATIVE):
         raise ParseError(f"unknown kind {kind!r}")
-    n = a.n
     a_f = np.array([_floats(row) for row in a.rows])
     b_f = np.array([_floats(row) for row in b.rows])
 
@@ -283,31 +279,20 @@ def expected_charpoly_haar_mc(
     rng = np.random.Generator(np.random.Philox(seed))
 
     total = np.zeros(n + 1, dtype=complex)
-    done = 0
-    if unitaries is not None:
-        forced = np.asarray(list(unitaries), dtype=complex)
-        if forced.shape[0] == 0:
-            raise SizeGuardError("need at least one forced unitary")
-        batches = [forced]
-    else:
-        chunk = 20000
-        batches = (
-            haar_unitaries(n, min(chunk, samples - start), rng)
-            for start in range(0, samples, chunk)
-        )
+    chunk = 20000
     # an overflow shows up as inf or nan, refused below, not as a warning
     with np.errstate(all="ignore"):
-        for u in batches:
+        for start in range(0, samples, chunk):
+            u = haar_unitaries(n, min(chunk, samples - start), rng)
             conj = np.conj(np.transpose(u, (0, 2, 1))) @ b_f @ u
             m = _finite(a_f + conj if kind == ADDITIVE else a_f @ conj)
             roots = np.linalg.eigvals(m)
             total = total + _charpoly_coeffs_from_roots(roots).sum(axis=0)
-            done += u.shape[0]
-        avg = _finite(total / done)
+        avg = _finite(total / samples)
         deviation = float(_finite(np.max(np.abs(avg - target_f))))
     return HaarAverageResult(
         kind=kind,
-        samples=done,
+        samples=samples,
         seed=seed,
         coeffs=tuple(float(x) for x in avg.real),
         max_deviation=deviation,

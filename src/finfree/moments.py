@@ -99,14 +99,14 @@ def _power_sums(f: Sequence, count: int) -> list:
     return sums
 
 
-def _series(sums: Sequence) -> list:
-    """f_0..f_k, f_0 = 1, of the series whose power sums are p_1..p_k."""
+def _series(sums: Sequence, n: int) -> list:
+    """f_0..f_k, f_0 = 1, of the series whose power sums are n p_1..n p_k."""
     f = [ONE]
     for k in range(1, len(sums) + 1):
         acc = ZERO
         for i in range(1, k + 1):
             acc = acc + f[k - i] * sums[i - 1]
-        f.append(acc * Fraction(-1, k))
+        f.append(acc * Fraction(-n, k))
     return f
 
 
@@ -115,7 +115,7 @@ def coeffs_from_moments(m: MomentVector) -> Polynomial:
     n = m.n
     if len(m) < n:
         raise DimensionMismatchError(f"need {n} moments, got {len(m)}")
-    return Polynomial(_series([v * n for v in m.values[:n]]))
+    return Polynomial(_series(m.values[:n], n))
 
 
 def moments_from_coeffs(p: Polynomial, count: Optional[int] = None) -> MomentVector:
@@ -186,7 +186,7 @@ def moments_from_cumulants(kappa: CumulantVector, j: int) -> GaussianRational:
     if not 1 <= j <= len(kappa):
         raise IndexRangeError(f"cumulant order {j} outside 1..{len(kappa)}")
     n = kappa.n
-    rescaled = _series([kappa[k] * Fraction(1, n ** (k - 1)) for k in range(1, min(j, n) + 1)])
+    rescaled = _series([kappa[k] * Fraction(1, n ** (k - 1)) for k in range(1, min(j, n) + 1)], 1)
     coeffs = [f * perm(n, k) for k, f in enumerate(rescaled)]
     return _power_sums(coeffs, j)[-1] * Fraction(1, n)
 
@@ -205,7 +205,7 @@ def cumulants_from_moments(m: MomentVector) -> CumulantVector:
         raise DimensionMismatchError(
             f"cumulants are defined up to the dimension: {len(m)} moments for n={n}"
         )
-    return _cumulants(_series([v * n for v in m.values]), n)
+    return _cumulants(_series(m.values, n), n)
 
 
 def cumulants_of_matrix(a: Matrix) -> CumulantVector:

@@ -9,10 +9,11 @@ derivative form of its definition, both convolutions by their coefficient
 formulas over Gaussian rationals (not the integer kernel), FFP reports from
 those formulas and char_poly of the built sum or product, cycle sums by
 enumerating every cycle (not the subset DP), principal balance by comparing
-cofactor-expanded minors (not integer Bareiss minors), and the Matrix
-operations entry by entry on GaussianRational rows, with the inverse by
-Gauss-Jordan over GaussianRationals (not on the integer form that Matrix
-stores).
+cofactor-expanded minors (not integer Bareiss minors), structural membership
+by each family's equations written out on the entries (not the table of
+vanishing cells), and the Matrix operations entry by entry on
+GaussianRational rows, with the inverse by Gauss-Jordan over
+GaussianRationals (not on the integer form that Matrix stores).
 """
 
 from __future__ import annotations
@@ -278,6 +279,26 @@ def balanced_by_minor_table(m: Matrix) -> bool:
         if any(v != values[0] for v in values):
             return False
     return True
+
+
+def is_member_by_entries(m: Matrix, family: FamilyId) -> bool:
+    """Membership of a structural family (or the full space), each family's
+    equations written out on the GaussianRational rows: which entries
+    vanish, and whether the diagonal is constant."""
+    n, rows = m.n, m.rows
+    off_diagonal_zero = all(not rows[i][j] for i in range(n) for j in range(n) if i != j)
+    below_zero = all(not rows[i][j] for i in range(1, n) for j in range(i))
+    above_zero = all(not rows[i][j] for i in range(n) for j in range(i + 1, n))
+    constant = all(rows[i][i] == rows[0][0] for i in range(n))
+    return {
+        FamilyId.DIAGONAL: off_diagonal_zero,
+        FamilyId.SCALAR: off_diagonal_zero and constant,
+        FamilyId.UPPER_TRIANGULAR: below_zero,
+        FamilyId.LOWER_TRIANGULAR: above_zero,
+        FamilyId.UPPER_TRIANGULAR_CONST_DIAG: below_zero and constant,
+        FamilyId.LOWER_TRIANGULAR_CONST_DIAG: above_zero and constant,
+        FamilyId.ALL: True,
+    }[family]
 
 
 def cycle_sums_by_paths(m: Matrix) -> dict:

@@ -12,7 +12,7 @@ import finfree.families
 import finfree.ffp
 import finfree.matrices
 import finfree.moments
-from finfree import Polynomial, as_scalar, minor_table
+from finfree import Polynomial, SizeGuardError, as_scalar, minor_table
 from finfree.cli import main
 from finfree.ffp import MC_SAMPLE_LIMIT
 
@@ -266,13 +266,17 @@ class TestExpect:
 
         monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy now fails
         monkeypatch.setattr(finfree.ffp, "haar_unitaries", refuse)
-        a = write_json("a.json", {"n": 2, "entries": [["1", "0"], ["0", "-1"]]})
-        code, out, err = run(
-            capsys, "expect", "--kind", "additive", "--mc",
-            "--samples", str(MC_SAMPLE_LIMIT + 1), "--seed", "1", a, a,
-        )
-        assert (code, out) == (1, "")
-        assert json.loads(err)["error"] == "size-guard"
+        # one sample past the limit at n = 2, and at n = 20 the 20000 samples that
+        # n = 3 allows, which would take about 10 s there
+        for n, samples in ((2, MC_SAMPLE_LIMIT + 1), (20, 20_000)):
+            diagonal = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+            a = write_json("a.json", {"n": n, "entries": diagonal})
+            code, out, err = run(
+                capsys, "expect", "--kind", "additive", "--mc",
+                "--samples", str(samples), "--seed", "1", a, a,
+            )
+            assert (code, out) == (1, "")
+            assert json.loads(err)["error"] == "size-guard"
 
     def test_mc_sample_count_at_the_limit_is_sampled(self, monkeypatch):
         class Sampled(Exception):
@@ -282,10 +286,14 @@ class TestExpect:
             raise Sampled
 
         monkeypatch.setattr(finfree.ffp, "haar_unitaries", sampled)
-        a = finfree.matrices.Matrix([[1, 0], [0, -1]])
         assert MC_SAMPLE_LIMIT >= 20_000
-        with pytest.raises(Sampled):
-            finfree.ffp.expected_charpoly_haar_mc(a, a, "additive", MC_SAMPLE_LIMIT, 1)
+        for n in (2, 20):
+            a = finfree.matrices.Matrix.identity(n)
+            most = 9 * MC_SAMPLE_LIMIT // max(n, 3) ** 2
+            with pytest.raises(Sampled):
+                finfree.ffp.expected_charpoly_haar_mc(a, a, "additive", most, 1)
+            with pytest.raises(SizeGuardError):
+                finfree.ffp.expected_charpoly_haar_mc(a, a, "additive", most + 1, 1)
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "1e400"])
     def test_mc_tolerance_must_be_finite_and_non_negative(self, capsys, write_json, tolerance):

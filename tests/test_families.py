@@ -1,10 +1,16 @@
+import hashlib
+import json
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finfree import (
     FamilyId,
+    GaussianRational,
     IndexRangeError,
     Matrix,
     ParseError,
@@ -24,14 +30,64 @@ from finfree import (
 )
 from finfree.families import (
     FRACTION_TABLE_BOUND,
+    _sample_outside_first_family,
+    _sample_outside_second_family,
     diagonal_probe,
     rand_fraction,
     rand_nonzero_fraction,
 )
-from helpers import permutation_matrix, poly_of_matrix, rand_scalar
+from helpers import is_member_by_entries, permutation_matrix, poly_of_matrix, rand_scalar
 
 PB = FamilyId.PRINCIPALLY_BALANCED
 EXAMPLE_PB = Matrix([[1, 2, 3], [6, 1, -12], [4, -1, 1]])
+STRUCTURAL = [
+    FamilyId.DIAGONAL,
+    FamilyId.SCALAR,
+    FamilyId.UPPER_TRIANGULAR,
+    FamilyId.LOWER_TRIANGULAR,
+    FamilyId.UPPER_TRIANGULAR_CONST_DIAG,
+    FamilyId.LOWER_TRIANGULAR_CONST_DIAG,
+]
+
+# sha256 over the JSON of every sampler's draws: each family at n = 1..5 and
+# seeds 0..9, then the outsiders that the boundary checks start from. It was
+# recorded from the samplers written out family by family, before they read
+# one table of equations.
+SAMPLER_DIGEST = "7b3c1df4caacee7ff8807abe3bc29d8a7045e2ba0d25cf54b0aa2f71a0cf59f5"
+
+NONZERO = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 4))
+PATTERNS = {
+    "below": operator.gt,
+    "above": operator.lt,
+    "off-diagonal": operator.ne,
+    "none": lambda i, j: False,
+}
+
+
+@st.composite
+def planted_zeros(draw):
+    """A matrix that vanishes on a drawn zero pattern, its diagonal maybe
+    constant, with at most one defect: a nonzero in one zero cell, or one
+    diagonal entry off the first."""
+    n = draw(st.integers(1, 5))
+    real = st.builds(GaussianRational, NONZERO)
+    gaussian = st.builds(GaussianRational, NONZERO | st.just(0), NONZERO)
+    entry = real | gaussian if draw(st.booleans()) else real
+    vanishes = PATTERNS[draw(st.sampled_from(sorted(PATTERNS)))]
+    rows = [[GaussianRational(0) if vanishes(i, j) else draw(entry) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        c = draw(entry | st.just(GaussianRational(0)))
+        for i in range(n):
+            rows[i][i] = c
+    defect = draw(st.sampled_from(("none", "zero-cell", "diagonal")))
+    cells = [(i, j) for i in range(n) for j in range(n) if vanishes(i, j)]
+    if defect == "zero-cell" and cells:
+        i, j = draw(st.sampled_from(cells))
+        rows[i][j] = draw(entry)
+    elif defect == "diagonal" and n > 1:
+        i = draw(st.integers(1, n - 1))
+        rows[i][i] = rows[0][0] + draw(entry)
+    return Matrix(rows)
 
 
 class TestMembership:
@@ -61,6 +117,19 @@ class TestMembership:
             d = sample_member(FamilyId.DIAGONAL, n, rng)
             assert is_member(d, FamilyId.UPPER_TRIANGULAR)
             assert is_member(d, FamilyId.LOWER_TRIANGULAR)
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted_zeros())
+    def test_matches_written_out_equations(self, m):
+        for family in STRUCTURAL + [FamilyId.ALL]:
+            assert is_member(m, family) == is_member_by_entries(m, family)
+
+    @pytest.mark.parametrize("family", ["diag", None, 3, ["ut"]])
+    def test_non_family_is_a_parse_error(self, family):
+        with pytest.raises(ParseError):
+            is_member(Matrix.identity(2), family)
+        with pytest.raises(ParseError):
+            sample_member(family, 2, 0)
 
     def test_triangular_constant_diagonal_is_balanced(self):
         # within the triangular family, balanced == constant diagonal
@@ -136,6 +205,27 @@ class TestSamplers:
             assert is_member(conjugate(b, permutation_matrix(perm)), PB)
             d = Matrix.diagonal([rand_nonzero_fraction(rng) for _ in range(n)])
             assert is_member(conjugate(b, d), PB)
+
+    def test_every_sampler_draws_what_it_drew(self):
+        digest = hashlib.sha256()
+        for family in FamilyId:
+            for n in range(1, 6):
+                for seed in range(10):
+                    digest.update(json.dumps(sample_member(family, n, seed).to_json()).encode())
+        outsiders = (
+            ((FamilyId.DIAGONAL, FamilyId.UPPER_TRIANGULAR, FamilyId.LOWER_TRIANGULAR), _sample_outside_first_family),
+            (
+                (PB, FamilyId.UPPER_TRIANGULAR_CONST_DIAG, FamilyId.LOWER_TRIANGULAR_CONST_DIAG),
+                _sample_outside_second_family,
+            ),
+        )
+        for families, outside in outsiders:
+            for family in families:
+                for n in range(2, 6):
+                    for seed in range(10):
+                        m = outside(family, random.Random(seed), n, 10)
+                        digest.update(json.dumps(m.to_json()).encode())
+        assert digest.hexdigest() == SAMPLER_DIGEST
 
     def test_deterministic_for_seed(self):
         assert sample_member(PB, 4, 99) == sample_member(PB, 4, 99)

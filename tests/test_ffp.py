@@ -254,10 +254,12 @@ class TestSignedPermutationExpectation:
 
 
 class TestHaarMonteCarlo:
-    def test_identity_hook(self):
-        result = expected_charpoly_haar_mc(
-            REMARK_A, REMARK_B, "additive", 1, 0, unitaries=[np.eye(3)]
-        )
+    def test_identity_hook(self, monkeypatch):
+        def identities(n, count, rng):
+            return np.broadcast_to(np.eye(n, dtype=complex), (count, n, n))
+
+        monkeypatch.setattr("finfree.ffp.haar_unitaries", identities)
+        result = expected_charpoly_haar_mc(REMARK_A, REMARK_B, "additive", 3, 0)
         expected = [complex(c) for c in char_poly(REMARK_A + REMARK_B).coeffs]
         assert np.allclose(result.coeffs, [c.real for c in expected])
 
