@@ -17,7 +17,6 @@ _EXPORTS = {
         "IndexRangeError",
         "NonMonicError",
         "ParseError",
-        "SingularMatrixError",
         "SizeGuardError",
         "UnsupportedPairError",
     ),
@@ -46,7 +45,6 @@ _EXPORTS = {
     "matrices": (
         "Matrix",
         "char_poly",
-        "conjugate",
         "matrix_moment",
         "minor_table",
         "principal_minors",

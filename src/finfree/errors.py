@@ -29,10 +29,6 @@ class DimensionMismatchError(FinFreeError):
     code = "dimension-mismatch"
 
 
-class SingularMatrixError(FinFreeError):
-    code = "singular-matrix"
-
-
 class SizeGuardError(FinFreeError):
     code = "size-guard"
 

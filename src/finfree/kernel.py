@@ -30,11 +30,6 @@ After step k every entry of the remaining block is a (k+1)-order minor of
 the row-permuted M (Sylvester's identity), so dividing by the previous pivot
 is exact; over the Gaussian integers the quotient is formed as
 z conj(w) / |w|^2, whose parts |w|^2 divides.
-
-Inverse, fraction-free: the same Bareiss step, run on every row of [M | I]
-(above the pivot too, as in Gauss-Jordan), leaves p I on the left and
-p M^{-1} on the right, where the last pivot p is det(M) up to the sign of
-the row swaps; with that sign, the right block is adj(M).
 """
 
 from __future__ import annotations
@@ -211,36 +206,6 @@ def _det_int(m):
         prev = pivot
     det = sign * prev  # the last pivot is det(M) up to the row-swap sign
     return det.real, det.imag
-
-
-def _adjugate(m):
-    """(adj(M), det(M)) for the Gaussian integer matrix M = (re, im): adj as
-    (re, im) int rows and det as an (re, im) pair, by fraction-free
-    Gauss-Jordan elimination on [M | I]; adj is None when det(M) = 0.
-
-    Bareiss's step row_r <- (p_k row_r - a_rk row_k) / p_{k-1} runs on every
-    row r != k, above the pivot too; every division is exact (Sylvester's
-    identity). After the last step the left block is p_n I, so the right
-    block is p_n M^{-1}, and p_n = det(M) up to the sign of the row swaps.
-    """
-    n = len(m[0])
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(_entries(m))]
-    sign, prev = 1, 1
-    for k in range(n):
-        p = next((r for r in range(k, n) if rows[r][k]), None)
-        if p is None:
-            return None, (0, 0)
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            sign = -sign
-        top = rows[k]
-        pivot = top[k]
-        rows = [row if r == k else [(x * pivot - row[k] * y) // prev for x, y in zip(row, top)]
-                for r, row in enumerate(rows)]
-        prev = pivot
-    adj = [[sign * x for x in row[n:]] for row in rows]
-    det = sign * prev
-    return ([[x.real for x in row] for row in adj], [[x.imag for x in row] for row in adj]), (det.real, det.imag)
 
 
 def _entries(m) -> list:

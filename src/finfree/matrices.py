@@ -1,5 +1,5 @@
 """Exact dense matrices: characteristic polynomials, determinants, principal
-minors, inverses, conjugation, and power-sum moments.
+minors and power-sum moments.
 
 Storage: a ``Matrix`` is its integer form, plus caches derived from it. For
 a matrix A of Gaussian rationals, d is the lcm of the denominators of every
@@ -19,17 +19,15 @@ Products: A B = (M_A M_B) / (d_A d_B). Sums: A + B = (s/d_A M_A + s/d_B M_B) / s
 with s = lcm(d_A, d_B).
 
 The linear algebra itself runs on the integer forms in ``kernel``:
-characteristic polynomials by power sums and Newton's identities,
-determinants and principal minors by Bareiss elimination, and the
-fraction-free inverse. Since chi_M(x) = det(xI - dA) = d^n chi_A(x/d),
-coefficient k of chi_A is C_k / d^k, and the k-th moment tr(A^k)/n is
-p_k / (n d^k); det(A) = det(M) / d^n, the principal minor on an index set S
-is det(M_S) / d^|S|, and A^{-1} = d M^{-1} = d adj(M) / det(M), with a
-complex det(M) moved to the numerator as conj(det) / |det|^2. The FFP
-verdicts take chi_{A+B} and chi_{AB} from the integer forms directly: A + B
-at scale lcm(d_A, d_B), AB at scale d_A d_B. The signed-permutation average
-of characteristic polynomials adds the integer C_k of all its conjugates,
-which share one scale, and divides once.
+characteristic polynomials by power sums and Newton's identities, and
+determinants and principal minors by Bareiss elimination. Since
+chi_M(x) = det(xI - dA) = d^n chi_A(x/d), coefficient k of chi_A is
+C_k / d^k, and the k-th moment tr(A^k)/n is p_k / (n d^k); det(A) =
+det(M) / d^n, and the principal minor on an index set S is
+det(M_S) / d^|S|. The FFP verdicts take chi_{A+B} and chi_{AB} from the
+integer forms directly: A + B at scale lcm(d_A, d_B), AB at scale d_A d_B.
+The signed-permutation average of characteristic polynomials adds the
+integer C_k of all its conjugates, which share one scale, and divides once.
 
 The integer coefficients C_0..C_n of chi_M are cached on the (immutable)
 matrix the first time they are needed, at its own scale d. A verdict that
@@ -48,15 +46,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    IndexRangeError,
-    ParseError,
-    SingularMatrixError,
-    SizeGuardError,
-)
+from .errors import DimensionMismatchError, IndexRangeError, ParseError, SizeGuardError
 from .kernel import (
-    _adjugate,
     _char_coeffs,
     _det_int,
     _entries,
@@ -127,10 +118,6 @@ class Matrix:
         return cls._from_form(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, n: int) -> "Matrix":
-        return cls._from_form(1, [[0] * n for _ in range(n)])
-
-    @classmethod
     def diagonal(cls, values: Sequence) -> "Matrix":
         d, (re,), im = _cleared([[_exact(v) for v in values]])
         n = len(re)
@@ -189,9 +176,6 @@ class Matrix:
     def trace(self) -> GaussianRational:
         return _scaled(_trace(self._m), self._d)
 
-    def is_real(self) -> bool:
-        return self._m[1] is None
-
     # -- arithmetic ------------------------------------------------------
 
     def _require_same_size(self, other: "Matrix"):
@@ -217,32 +201,11 @@ class Matrix:
         e, ((fr,),), fi = _cleared([[_exact(factor)]])
         return Matrix._from_form(self._d * e, *_gscale(self._m, (fr, fi[0][0] if fi else 0)))
 
-    def power(self, k: int) -> "Matrix":
-        if k < 0:
-            return self.inverse().power(-k)
-        result = Matrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
     # -- exact linear algebra ---------------------------------------------
 
     def det(self) -> GaussianRational:
         """Exact determinant by Bareiss elimination on the integer form."""
         return _scaled(_det_int(self._m), self._d**self.n)
-
-    def inverse(self) -> "Matrix":
-        """Exact inverse, fraction-free: A^{-1} = d adj(M) / det(M) for
-        M = d*A (module docstring); raises on a singular matrix."""
-        adj, (dr, di) = _adjugate(self._m)
-        if not (dr or di):
-            raise SingularMatrixError("matrix is singular")
-        # d adj / det = d adj conj(det) / |det|^2, over a positive integer
-        return Matrix._from_form(dr * dr + di * di, *_gscale(adj, (dr * self._d, -di * self._d)))
 
     # -- comparisons -----------------------------------------------------
 
@@ -386,12 +349,6 @@ def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool, signed_perms
         total = [(tr + cr, ti + ci) for (tr, ti), (cr, ci) in zip(total, coeffs)]
         count += 1
     return _from_int(total, d, [count] * (n + 1))
-
-
-def conjugate(a: Matrix, p: Matrix) -> Matrix:
-    """P A P^{-1}; requires P invertible. Preserves the characteristic polynomial."""
-    a._require_same_size(p)
-    return p @ a @ p.inverse()
 
 
 def matrix_moment(a: Matrix, k: int) -> GaussianRational:

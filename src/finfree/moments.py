@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
+from math import comb, perm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -216,10 +216,12 @@ def cumulants_of_matrix(a: Matrix) -> CumulantVector:
 
 
 def has_single_eigenvalue(a: Matrix) -> bool:
-    """True iff chi_A = (x - m_1(A))^n; equivalent to A being in both
-    additive and multiplicative finite free position with itself."""
-    mean = a.trace() / Fraction(a.n)
-    return char_poly(a) == Polynomial.x_power(a.n).shift_argument(mean)
+    """True iff chi_A = (x - m_1(A))^n, that is iff coefficient k of chi_A is
+    C(n, k) (-m_1)^k for every k; equivalent to A being in both additive and
+    multiplicative finite free position with itself."""
+    n = a.n
+    minus_mean = a.trace() / -n
+    return all(c == minus_mean**k * comb(n, k) for k, c in enumerate(char_poly(a).coeffs))
 
 
 def mult_ffp_moment(k: int, ma, mb, n: int) -> GaussianRational:

@@ -36,12 +36,12 @@ matrix kernel at the same scales instead. No floating point anywhere.
 from __future__ import annotations
 
 import math
-from math import comb, factorial, perm
+from math import comb, factorial
 from operator import mul
 from typing import Iterable
 
-from .errors import DegreeMismatchError, IndexRangeError, NonMonicError, ParseError
-from .scalars import ONE, ZERO, GaussianRational, _scaled, as_scalar
+from .errors import DegreeMismatchError, NonMonicError, ParseError
+from .scalars import ONE, GaussianRational, _scaled, as_scalar
 
 
 class Polynomial:
@@ -54,11 +54,6 @@ class Polynomial:
         if not cs:
             raise ParseError("a polynomial needs at least one coefficient")
         self.coeffs = cs
-
-    @classmethod
-    def x_power(cls, n: int) -> "Polynomial":
-        """x^n, the neutral element of the additive convolution."""
-        return cls([ONE] + [ZERO] * n)
 
     @classmethod
     def from_json(cls, obj) -> "Polynomial":
@@ -84,61 +79,6 @@ class Polynomial:
     @property
     def is_monic(self) -> bool:
         return self.coeffs[0] == ONE
-
-    def coeff(self, k: int) -> GaussianRational:
-        """Coefficient a_k of x^(n-k)."""
-        return self.coeffs[k]
-
-    # -- algebra --------------------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        pad = len(a) - len(b)
-        return Polynomial(a[:pad] + tuple(x + y for x, y in zip(a[pad:], b)))
-
-    def scale(self, factor) -> "Polynomial":
-        s = as_scalar(factor)
-        return Polynomial(c * s for c in self.coeffs)
-
-    def evaluate(self, x0) -> GaussianRational:
-        """Exact Horner evaluation at x0."""
-        x0 = as_scalar(x0)
-        acc = ZERO
-        for c in self.coeffs:
-            acc = acc * x0 + c
-        return acc
-
-    def derivative(self, k: int = 1) -> "Polynomial":
-        """Exact k-th formal derivative (not necessarily monic).
-
-        The n-th derivative of a monic degree-n polynomial is the constant n!.
-        """
-        n = self.degree
-        if not 0 <= k <= n:
-            raise IndexRangeError(f"derivative order {k} out of range for degree {n}")
-        if k == 0:
-            return self
-        # coefficient of x^(n-j) picks up the falling factorial (n-j)(n-j-1)...
-        return Polynomial(self.coeffs[j] * perm(n - j, k) for j in range(n - k + 1))
-
-    def shift_argument(self, shift) -> "Polynomial":
-        """The polynomial x -> p(x - shift), by exact binomial expansion."""
-        lam = as_scalar(shift)
-        n = self.degree
-        out = [ZERO] * (n + 1)
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            m = n - j  # expand c * (x - lam)^m
-            power = ONE
-            for t in range(m + 1):
-                out[j + t] = out[j + t] + c * comb(m, t) * power
-                power = power * (-lam)
-        return Polynomial(out)
 
     # -- comparisons ------------------------------------------------------
 

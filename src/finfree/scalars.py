@@ -128,14 +128,6 @@ class GaussianRational:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad scalar string {text!r}: {exc}") from None
 
-    # -- predicates ---------------------------------------------------
-
-    def is_real(self) -> bool:
-        return not self.im
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -203,13 +195,10 @@ class GaussianRational:
             k >>= 1
         return result
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def inverse(self) -> "GaussianRational":
-        return ONE / self
-
     # -- comparisons / hashing ----------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
         other = _coerce(other)

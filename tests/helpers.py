@@ -5,15 +5,20 @@ cofactor expansion (not elimination), characteristic polynomials by minor
 sums or by the Faddeev-LeVerrier trace recurrence (not power sums and
 Newton's identities), moments by repeated entrywise products (not power
 sums), products as entrywise sums, the additive convolution through the
-derivative form of its definition, both convolutions by their coefficient
+derivative form of its definition (with derivatives, evaluation and shifts
+of the argument on coefficient lists), both convolutions by their coefficient
 formulas over Gaussian rationals (not the integer kernel), FFP reports from
 those formulas and char_poly of the built sum or product, cycle sums by
 enumerating every cycle (not the subset DP), principal balance by comparing
 cofactor-expanded minors (not integer Bareiss minors), structural membership
 by each family's equations written out on the entries (not the table of
-vanishing cells), and the Matrix operations entry by entry on
-GaussianRational rows, with the inverse by Gauss-Jordan over
-GaussianRationals (not on the integer form that Matrix stores).
+vanishing cells), the single-eigenvalue test by shifting x^n by the mean
+(not coefficient by coefficient), and the Matrix operations entry by entry
+on GaussianRational rows (not on the integer form that Matrix stores).
+
+The library has no inverse, conjugation or polynomial calculus, as the
+paper's results need none; the counterexample suites and the similarity
+tests take the inverse from Gauss-Jordan over GaussianRationals here.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from finfree import FfpReport, GaussianRational, Matrix, Polynomial, as_scalar, char_poly
-from finfree.errors import DegreeMismatchError, SingularMatrixError
+from finfree.errors import DegreeMismatchError
 from finfree.families import (
     FamilyId,
     _construct_member,
@@ -64,7 +69,7 @@ def _int_form(a: Matrix):
     d = math.lcm(*(x.re.denominator for row in rows for x in row),
                  *(x.im.denominator for row in rows for x in row))
     re = [[x.re.numerator * (d // x.re.denominator) for x in row] for row in rows]
-    if all(x.is_real() for row in rows for x in row):
+    if not any(x.im for row in rows for x in row):
         return d, (re, None)
     return d, (re, [[x.im.numerator * (d // x.im.denominator) for x in row] for row in rows])
 
@@ -88,13 +93,13 @@ def transpose_entrywise(x) -> tuple:
 
 def inverse_gauss_jordan(x) -> tuple:
     """Gauss-Jordan on [X | I] over GaussianRationals; raises
-    SingularMatrixError on a zero pivot column."""
+    ZeroDivisionError on a zero pivot column."""
     n = len(x)
     m = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(x)]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if m[r][col]), None)
         if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
+            raise ZeroDivisionError("matrix is singular")
         m[col], m[pivot_row] = m[pivot_row], m[col]
         inv = ONE / m[col][col]
         m[col] = [v * inv for v in m[col]]
@@ -106,6 +111,17 @@ def inverse_gauss_jordan(x) -> tuple:
     return tuple(tuple(row[n:]) for row in m)
 
 
+def inverse(a: Matrix) -> Matrix:
+    """A^{-1} by ``inverse_gauss_jordan`` on the rows of A."""
+    return Matrix(inverse_gauss_jordan(a.rows))
+
+
+def conjugate(a: Matrix, p: Matrix) -> Matrix:
+    """P A P^{-1}, which has the characteristic polynomial of A; raises
+    ZeroDivisionError when P is singular."""
+    return p @ a @ inverse(p)
+
+
 def permutation_matrix(perm) -> Matrix:
     n = len(perm)
     return Matrix([[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)])
@@ -113,14 +129,14 @@ def permutation_matrix(perm) -> Matrix:
 
 def conjugated_triangular_by_products(n: int, rng: random.Random, bound: int) -> Matrix:
     """The principally balanced sample C T C^{-1}, C = P diag(u), built as
-    the products conjugator @ t @ conjugator.inverse(), drawing from the RNG
+    the products conjugator @ t @ inverse(conjugator), drawing from the RNG
     in the sampler's order."""
     t = _construct_member(FamilyId.UPPER_TRIANGULAR_CONST_DIAG, n, rng, bound)
     d = Matrix.diagonal([rand_nonzero_fraction(rng, bound) for _ in range(n)])
     perm = list(range(n))
     rng.shuffle(perm)
     conjugator = permutation_matrix(perm) @ d
-    return conjugator @ t @ conjugator.inverse()
+    return conjugator @ t @ inverse(conjugator)
 
 
 def rank_one_by_fractions(n: int, rng: random.Random, bound: int) -> Matrix:
@@ -205,17 +221,55 @@ def charpoly_via_minors(m: Matrix) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def shift(coeffs, lam) -> list:
+    """Descending coefficients of p(x - lam), for p given by its descending
+    coefficients, by the binomial expansion of each c x^m as c (x - lam)^m."""
+    lam = as_scalar(lam)
+    n = len(coeffs) - 1
+    out = [ZERO] * (n + 1)
+    for j, c in enumerate(coeffs):
+        m = n - j
+        for t in range(m + 1):
+            out[j + t] = out[j + t] + as_scalar(c) * comb(m, t) * (-lam) ** t
+    return out
+
+
+def derivative(coeffs, k: int) -> list:
+    """Descending coefficients of the k-th derivative: x^m becomes
+    m!/(m-k)! x^(m-k), and the k lowest terms vanish."""
+    n = len(coeffs) - 1
+    return [as_scalar(coeffs[j]) * perm(n - j, k) for j in range(n - k + 1)]
+
+
+def evaluate(coeffs, x0) -> GaussianRational:
+    """The polynomial with these descending coefficients at x0, by Horner's rule."""
+    x0, acc = as_scalar(x0), ZERO
+    for c in coeffs:
+        acc = acc * x0 + c
+    return acc
+
+
+def root_power(c, n: int) -> Polynomial:
+    """(x - c)^n, as x^n shifted by c."""
+    return Polynomial(shift([ONE] + [ZERO] * n, c))
+
+
+def single_eigenvalue_by_shift(a: Matrix) -> bool:
+    """Whether chi_A equals x^n shifted by the mean eigenvalue tr(A)/n."""
+    return char_poly(a) == root_power(a.trace() / a.n, a.n)
+
+
 def boxplus_via_derivatives(p: Polynomial, q: Polynomial) -> Polynomial:
     """(1/n!) sum_k p^(k)(x) q^(n-k)(0): the derivative form of the additive
     convolution, used as a cross-formula oracle."""
     n = p.degree
-    total = None
+    total = [ZERO] * (n + 1)
     for k in range(n + 1):
-        value = q.derivative(n - k).evaluate(0)
-        term = p.derivative(k).scale(value)
-        padded = Polynomial([ZERO] * (n - term.degree) + list(term.coeffs))
-        total = padded if total is None else total + padded
-    return total.scale(Fraction(1, factorial(n)))
+        value = evaluate(derivative(q.coeffs, n - k), 0)
+        # p^(k) has degree n - k, so its coefficients fill places k..n
+        for j, c in enumerate(derivative(p.coeffs, k)):
+            total[k + j] = total[k + j] + c * value
+    return Polynomial(c / factorial(n) for c in total)
 
 
 def boxplus_gaussian(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -260,10 +314,7 @@ def average(polys) -> Polynomial:
     """Exact arithmetic mean of same-degree polynomials."""
     if not polys:
         raise DegreeMismatchError("cannot average zero polynomials")
-    total = polys[0]
-    for p in polys[1:]:
-        total = total + p
-    return total.scale(Fraction(1, len(polys)))
+    return Polynomial(sum(cs, ZERO) / len(polys) for cs in zip(*(p.coeffs for p in polys)))
 
 
 def balanced_by_minor_table(m: Matrix) -> bool:
@@ -346,7 +397,8 @@ def rand_invertible(rng: random.Random, n: int, bound: int = 10) -> Matrix:
 
 def poly_of_matrix(coeffs, m: Matrix) -> Matrix:
     """p(M) for p given by descending coefficients, via Horner."""
-    acc = Matrix.zero(m.n)
-    for c in coeffs:
-        acc = acc @ m + Matrix.identity(m.n).scale(c)
+    identity = Matrix.identity(m.n)
+    acc = identity.scale(coeffs[0])
+    for c in coeffs[1:]:
+        acc = acc @ m + identity.scale(c)
     return acc

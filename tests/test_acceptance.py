@@ -35,7 +35,7 @@ from finfree import (
     sample_member,
     verify_pair,
 )
-from helpers import poly_of_matrix, rand_monic, rand_scalar, rand_symmetric
+from helpers import conjugate, inverse, poly_of_matrix, rand_monic, rand_scalar, rand_symmetric
 
 GOLDEN_A = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
 GOLDEN_B = Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
@@ -69,8 +69,8 @@ def test_criterion_02_additive_counterexample_suite():
     assert is_additive_ffp(REMARK_A, REMARK_B).verdict
     for lam in (2, -1, Fraction(1, 2)):
         assert not is_additive_ffp(REMARK_A.scale(lam), REMARK_B).verdict
-    assert not is_additive_ffp(REMARK_A.power(2), REMARK_B).verdict
-    assert not is_additive_ffp(REMARK_A.inverse(), REMARK_B).verdict
+    assert not is_additive_ffp(REMARK_A @ REMARK_A, REMARK_B).verdict
+    assert not is_additive_ffp(inverse(REMARK_A), REMARK_B).verdict
     _report(2, "additive pair holds; scaling, squaring, inverting all break it")
 
 
@@ -79,8 +79,8 @@ def test_criterion_03_multiplicative_counterexample_suite():
     # adding a scalar breaks the (singular-A) golden pair; squaring and
     # inverting break the diagonal pair
     assert not is_multiplicative_ffp(Matrix.identity(3) + GOLDEN_A, GOLDEN_B).verdict
-    assert not is_multiplicative_ffp(REMARK_A.power(2), EXAMPLE_75_B).verdict
-    assert not is_multiplicative_ffp(REMARK_A.inverse(), EXAMPLE_75_B).verdict
+    assert not is_multiplicative_ffp(REMARK_A @ REMARK_A, EXAMPLE_75_B).verdict
+    assert not is_multiplicative_ffp(inverse(REMARK_A), EXAMPLE_75_B).verdict
     _report(3, "multiplicative pair holds; I+A, squaring, inverting all break it")
 
 
@@ -190,8 +190,7 @@ def test_criterion_08_self_ffp_characterization():
 def _conjugated(rng, m):
     from helpers import rand_invertible
 
-    p = rand_invertible(rng, m.n)
-    return p @ m @ p.inverse()
+    return conjugate(m, rand_invertible(rng, m.n))
 
 
 def test_criterion_09_two_by_two_closed_form():

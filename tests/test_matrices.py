@@ -8,16 +8,21 @@ from finfree import (
     IndexRangeError,
     Matrix,
     Polynomial,
-    SingularMatrixError,
     SizeGuardError,
     char_poly,
-    conjugate,
     matrix_moment,
     minor_table,
     principal_minors,
 )
 from finfree.families import random_matrix
-from helpers import charpoly_via_minors, rand_invertible, rand_scalar
+from helpers import (
+    charpoly_via_minors,
+    conjugate,
+    inverse,
+    rand_invertible,
+    rand_scalar,
+    shift,
+)
 
 EXAMPLE_PB = Matrix([[1, 2, 3], [6, 1, -12], [4, -1, 1]])
 REMARK_B = Matrix([[1, -1, 0], [-1, 13, -3], [0, -3, 1]])
@@ -36,8 +41,8 @@ class TestCharPoly:
             n = rng.randint(1, 5)
             m = random_matrix(rng, n)
             p = char_poly(m)
-            assert p.coeff(1) == -m.trace()
-            assert p.coeff(n) == m.det() * ((-1) ** n)
+            assert p.coeffs[1] == -m.trace()
+            assert p.coeffs[n] == m.det() * ((-1) ** n)
 
     def test_against_minor_enumeration(self):
         # Faddeev-LeVerrier vs. cofactor-expansion minor sums, every order
@@ -55,7 +60,7 @@ class TestCharPoly:
             p = char_poly(m)
             for k in range(n + 1):
                 total = sum((v for _, v in principal_minors(m, k)), start=rand_scalar(rng) * 0)
-                assert p.coeff(k) == total * ((-1) ** k)
+                assert p.coeffs[k] == total * ((-1) ** k)
 
     def test_shift_identity(self):
         rng = random.Random(23)
@@ -64,7 +69,7 @@ class TestCharPoly:
             m = random_matrix(rng, n)
             lam = rand_scalar(rng)
             shifted = m + Matrix.identity(n).scale(lam)
-            assert char_poly(shifted) == char_poly(m).shift_argument(lam)
+            assert char_poly(shifted) == Polynomial(shift(char_poly(m).coeffs, lam))
 
 
 class TestPrincipalMinors:
@@ -99,6 +104,9 @@ class TestPrincipalMinors:
 
 
 class TestConjugate:
+    """Similarity invariance, with P A P^{-1} built from the Gauss-Jordan
+    inverse of the test oracles."""
+
     def test_identity(self):
         assert conjugate(EXAMPLE_PB, Matrix.identity(3)) == EXAMPLE_PB
 
@@ -115,8 +123,8 @@ class TestConjugate:
             assert char_poly(conjugate(a, p)) == char_poly(a)
 
     def test_singular_conjugator(self):
-        with pytest.raises(SingularMatrixError):
-            conjugate(EXAMPLE_PB, Matrix.zero(3))
+        with pytest.raises(ZeroDivisionError):
+            conjugate(EXAMPLE_PB, Matrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
 
 
 class TestMoments:
@@ -152,22 +160,17 @@ class TestArithmetic:
     def test_identities(self):
         rng = random.Random(26)
         a = random_matrix(rng, 3)
-        assert a + Matrix.zero(3) == a
+        assert a + Matrix([[0] * 3] * 3) == a
         assert Matrix.identity(3) @ a == a
         assert Matrix.diagonal([1, 2, 3]).scale(2) == Matrix.diagonal([2, 4, 6])
 
     def test_inverse(self):
+        # the oracle inverse behind the inversion counterexamples, both ways round
         rng = random.Random(27)
         for _ in range(15):
             n = rng.randint(1, 5)
             m = rand_invertible(rng, n)
-            assert m @ m.inverse() == Matrix.identity(n)
-
-    def test_power(self):
-        m = Matrix([[1, 1], [0, 1]])
-        assert m.power(0) == Matrix.identity(2)
-        assert m.power(3) == m @ m @ m
-        assert m.power(-1) == m.inverse()
+            assert m @ inverse(m) == Matrix.identity(n) == inverse(m) @ m
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finfree import (
     CumulantVector,
     DegreeMismatchError,
     DimensionMismatchError,
     FamilyId,
+    GaussianRational,
     IndexRangeError,
     Matrix,
     MomentVector,
@@ -31,7 +34,14 @@ from finfree import (
 )
 from finfree.families import random_matrix
 from finfree.matrices import MOMENT_COUNT_LIMIT
-from helpers import rand_invertible, rand_monic, rand_scalar
+from helpers import (
+    conjugate,
+    rand_invertible,
+    rand_monic,
+    rand_scalar,
+    root_power,
+    single_eigenvalue_by_shift,
+)
 
 REMARK_A = Matrix.diagonal([1, 2, 3])
 REMARK_B = Matrix([[1, -1, 0], [-1, 13, -3], [0, -3, 1]])
@@ -57,10 +67,10 @@ class TestLewinNewton:
         c = Fraction(7, 3)
         for n in (2, 3, 5):
             m = MomentVector(n, [c**k for k in range(1, n + 1)])
-            assert coeffs_from_moments(m) == Polynomial.x_power(n).shift_argument(c)
+            assert coeffs_from_moments(m) == root_power(c, n)
 
     def test_nilpotent_profile(self):
-        assert moments_from_coeffs(Polynomial.x_power(4)).values == (0, 0, 0, 0)
+        assert moments_from_coeffs(Polynomial([1, 0, 0, 0, 0])).values == (0, 0, 0, 0)
 
     def test_roundtrip(self):
         rng = random.Random(60)
@@ -152,7 +162,7 @@ class TestCumulants:
     def test_single_eigenvalue_collapses(self):
         c = Fraction(-3, 4)
         for n in (2, 4):
-            m = moments_from_coeffs(Polynomial.x_power(n).shift_argument(c))
+            m = moments_from_coeffs(root_power(c, n))
             kappa = cumulants_from_moments(m)
             assert kappa.values == tuple([c] + [0] * (n - 1))
 
@@ -216,6 +226,65 @@ class TestSingleEigenvalue:
             single = has_single_eigenvalue(a)
             assert single == is_additive_ffp(a, a).verdict
             assert single == is_multiplicative_ffp(a, a).verdict
+
+
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def scalars(gaussian: bool):
+    return st.builds(GaussianRational, SMALL_FRACTIONS, SMALL_FRACTIONS if gaussian else st.just(0))
+
+
+@st.composite
+def single_eigenvalue_candidates(draw):
+    """(A, expected): c I plus a strictly upper triangular N (a Jordan block
+    when N is the unit superdiagonal), the same with a nonzero corner entry
+    that moves only det, a diagonal with one entry moved (same mean, other
+    spectrum), or a dense matrix; c is real or Gaussian, so the mean may be
+    non-real, and A may be conjugated by a unit triangular product L U.
+    expected is None where the draw does not fix the answer."""
+    n = draw(st.integers(1, 5))
+    entry = scalars(draw(st.booleans()))
+    c = draw(entry)
+    shape = draw(st.sampled_from(["jordan", "nilpotent", "corner", "moved", "dense"]))
+    rows = [[c if i == j else GaussianRational(0) for j in range(n)] for i in range(n)]
+    expected = True
+    if shape == "jordan":
+        for i in range(n - 1):
+            rows[i][i + 1] = GaussianRational(1)
+    elif shape == "nilpotent":
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = draw(entry)
+    elif shape == "corner" and n >= 2:
+        # chi = (x - c)^n - eps for the Jordan block with eps at (n, 1)
+        for i in range(n - 1):
+            rows[i][i + 1] = GaussianRational(1)
+        rows[n - 1][0] = draw(entry.filter(bool))
+        expected = False
+    elif shape == "moved" and n >= 2:
+        eps = draw(entry.filter(bool))
+        rows[0][0], rows[1][1] = c + eps, c - eps
+        expected = False
+    elif shape == "dense":
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        expected = None
+    a = Matrix(rows)
+    if draw(st.booleans()):
+        lower = Matrix([[1 if i == j else (draw(entry) if i > j else 0) for j in range(n)] for i in range(n)])
+        upper = Matrix([[1 if i == j else (draw(entry) if i < j else 0) for j in range(n)] for i in range(n)])
+        a = conjugate(a, lower @ upper)
+    return a, expected
+
+
+class TestSingleEigenvalueOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(single_eigenvalue_candidates())
+    def test_matches_the_shifted_power(self, case):
+        a, expected = case
+        single = has_single_eigenvalue(a)
+        assert single == single_eigenvalue_by_shift(a)
+        assert expected is None or single == expected
 
 
 class TestProductMoments:

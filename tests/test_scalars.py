@@ -74,7 +74,7 @@ def test_field_inverses(x):
     assert x + (-x) == ZERO
     if x:
         assert x * (ONE / x) == ONE
-        assert x.inverse() * x == ONE
+        assert (ONE / x) * x == ONE
 
 
 def test_complex_multiplication_and_division():
@@ -82,7 +82,7 @@ def test_complex_multiplication_and_division():
     x = GaussianRational(Fraction(1, 2), Fraction(3, 4))
     y = GaussianRational(Fraction(-5, 7), Fraction(2, 3))
     assert (x / y) * y == x
-    assert x * x.conjugate() == GaussianRational(x.re**2 + x.im**2)
+    assert x * GaussianRational(x.re, -x.im) == GaussianRational(x.re**2 + x.im**2)
 
 
 def test_division_by_zero():
