@@ -32,7 +32,7 @@ from math import comb, factorial
 from typing import Optional
 
 from .errors import IndexRangeError, ParseError, SizeGuardError, UnsupportedPairError
-from .ffp import FfpReport, check_ffp
+from .ffp import FfpReport, _ffp_ints, _report
 from .matrices import Matrix, _cycle_sums, _minors_balanced
 from .polynomials import ADDITIVE, Polynomial
 from .scalars import ONE, GaussianRational, as_scalar
@@ -316,12 +316,24 @@ class BoundaryCheck:
 
 @dataclass(frozen=True)
 class TrialFailure:
+    """A sampled pair that fails finite free position: trial ``trial`` of a
+    run, drawn from ``random.Random(seed)``, so ``verify_pair`` with this
+    seed and one trial draws the same pair again."""
+
     a: Matrix
     b: Matrix
     report: FfpReport
+    trial: int
+    seed: int
 
     def to_json(self) -> dict:
-        return {"a": self.a.to_json(), "b": self.b.to_json(), "report": self.report.to_json()}
+        return {
+            "trial": self.trial,
+            "seed": self.seed,
+            "a": self.a.to_json(),
+            "b": self.b.to_json(),
+            "report": self.report.to_json(),
+        }
 
 
 @dataclass(frozen=True)
@@ -362,7 +374,8 @@ def verify_pair(
     """Sample ``trials`` pairs from (f, g) and check finite free position
     exactly for each; failures are collected and expected to be empty for
     the supported complementary pairs. Per-trial seeds are seed + index, so
-    trials are independent and order-insensitive.
+    trials are independent and order-insensitive, and a failure records its
+    index and seed. Only a failing trial gets a report.
     """
     pair = _normalize_pair(f, g)
     failures = []
@@ -370,9 +383,9 @@ def verify_pair(
         rng = random.Random(seed + t)
         a = sample_member(pair[0], n, rng, bound)
         b = sample_member(pair[1], n, rng, bound)
-        report = check_ffp(a, b, kind)
-        if not report.verdict:
-            failures.append(TrialFailure(a, b, report))
+        ints = _ffp_ints(a, b, kind)
+        if ints.failing:
+            failures.append(TrialFailure(a, b, _report(ints), t, seed + t))
     boundary = [] if n == 1 else _boundary_checks(pair, kind, n, random.Random(seed + trials), bound)
     return PairCheckReport(pair, kind, trials, n, seed, failures, boundary)
 
@@ -401,9 +414,9 @@ def _find_diagonal_probe_failure(outsider: Matrix, kind: str) -> Optional[tuple[
         for subset in itertools.combinations(range(n), size):
             for magnitude in PROBE_MAGNITUDES:
                 probe = diagonal_probe(n, subset, magnitude, kind)
-                report = check_ffp(probe, outsider, kind)
-                if not report.verdict:
-                    return probe, report
+                ints = _ffp_ints(probe, outsider, kind)
+                if ints.failing:
+                    return probe, _report(ints)
     return None
 
 
@@ -414,9 +427,9 @@ def _find_unit_witness(outsider: Matrix, kind: str, cells) -> Optional[tuple[Mat
     for i, j in cells:
         if outsider.entry(i + 1, j + 1):
             witness = Matrix.unit(n, j + 1, i + 1)
-            report = check_ffp(outsider, witness, kind)
-            if not report.verdict:
-                return witness, report
+            ints = _ffp_ints(outsider, witness, kind)
+            if ints.failing:
+                return witness, _report(ints)
     return None
 
 

@@ -13,8 +13,16 @@ A_k and B_k come from each matrix's cached chi, so a matrix checked against
 many partners has its chi computed once. The integer convolution
 (``polynomials``) turns A_k, B_k into N_k and w_k with coefficient k of
 the convolution equal to N_k / (w_k s^k), and coefficient k agrees iff
-w_k P_k == N_k. Gaussian rationals are built only for the report: its two
-polynomials and each nonzero residual (w_k P_k - N_k) / (w_k s^k).
+w_k P_k == N_k.
+
+A check is two steps. The integer step (``_ffp_ints``) gives P_k, w_k, N_k
+and the indices k where w_k P_k != N_k; the verdict is that this list is
+empty. The report (``_report``) is then built from those same ints: its two
+polynomials and each nonzero residual (w_k P_k - N_k) / (w_k s^k), the only
+Gaussian rationals a check makes. ``check_ffp`` is both steps. Searches that
+drop every passing report (``families.verify_pair``'s trials and boundary
+witnesses) run the integer step alone and build a report only for the pair
+they keep, so no chi is computed twice.
 
 Certain coefficients can never differ and are excluded from the residual
 map: x^n and x^{n-1} in the additive case (the traces add), x^n and the
@@ -28,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DimensionMismatchError, ParseError, SizeGuardError
 from .kernel import _char_coeffs
@@ -87,25 +95,51 @@ def _residual_indices(kind: str, n: int) -> range:
     return range(1, n)
 
 
-def check_ffp(a: Matrix, b: Matrix, kind: str) -> FfpReport:
-    """The finite-free-position verdict of the given kind for (A, B)."""
+class _FfpInts(NamedTuple):
+    """The integer step of a verdict: P_k (``lhs``), w_k and N_k (``rhs``) at
+    scale s, and the indices k with w_k P_k != N_k. The pair is in finite free
+    position iff ``failing`` is empty."""
+
+    kind: str
+    scale: int
+    lhs: list
+    weights: list
+    rhs: list
+    failing: list
+
+
+def _ffp_ints(a: Matrix, b: Matrix, kind: str) -> _FfpInts:
+    """The integer step of ``check_ffp``, without the report."""
     if kind not in (ADDITIVE, MULTIPLICATIVE):
         raise ParseError(f"unknown kind {kind!r}")
     a._require_same_size(b)
-    n = a.n
     product = kind == MULTIPLICATIVE
     s, ma, mb, combine = _pair_form(a, b, product)
-    lhs = _char_coeffs(combine(ma, mb), n)
+    lhs = _char_coeffs(combine(ma, mb), a.n)
     # chi_A and chi_B at the scales of M_A and M_B, from the matrices' cached chi
     scale_a, scale_b = (a._d, b._d) if product else (s, s)
     weights, rhs = _convolve_int(_chi_at(a, scale_a), _chi_at(b, scale_b), product)
+    failing = [
+        k for k in _residual_indices(kind, a.n)
+        if (weights[k] * lhs[k][0], weights[k] * lhs[k][1]) != rhs[k]
+    ]
+    return _FfpInts(kind, s, lhs, weights, rhs, failing)
+
+
+def _report(ints: _FfpInts) -> FfpReport:
+    """The report from the integer step: its two polynomials and each nonzero
+    residual (w_k P_k - N_k) / (w_k s^k)."""
+    kind, s, lhs, weights, rhs, failing = ints
     residuals = {}
-    for k in _residual_indices(kind, n):
+    for k in failing:
         w, (pr, pi), (nr, ni) = weights[k], lhs[k], rhs[k]
-        diff = (w * pr - nr, w * pi - ni)
-        if diff != (0, 0):
-            residuals[k] = _scaled(diff, w * s**k)
-    return FfpReport(kind, not residuals, residuals, _from_int(lhs, s), _from_int(rhs, s, weights))
+        residuals[k] = _scaled((w * pr - nr, w * pi - ni), w * s**k)
+    return FfpReport(kind, not failing, residuals, _from_int(lhs, s), _from_int(rhs, s, weights))
+
+
+def check_ffp(a: Matrix, b: Matrix, kind: str) -> FfpReport:
+    """The finite-free-position verdict of the given kind for (A, B)."""
+    return _report(_ffp_ints(a, b, kind))
 
 
 def is_additive_ffp(a: Matrix, b: Matrix) -> FfpReport:

@@ -25,6 +25,16 @@ polynomial of a (Gaussian) integer matrix, a signed sum of its principal
 minors, hence a (Gaussian) integer, and the identity says k divides the
 right-hand side.
 
+Triangular input skips all of that. When M is upper or lower triangular, so
+is xI - M, and its determinant is the product of its diagonal: chi_M is
+exactly prod (x - m_ii). Multiplying out those n linear factors over the
+Gaussian ints takes O(n^2) int products, with no power sum and no division.
+Telling a triangular M from a dense one is a scan of the off-diagonal cells,
+but the scan starts only when one of M[1][0], M[0][1] is zero: if both are
+nonzero, M is neither upper nor lower triangular, and the general path starts
+after two lookups. The signed-permutation mean, which takes chi of hundreds
+of dense conjugates, pays no more than that.
+
 Determinants and principal minors: Bareiss fraction-free elimination on M.
 After step k every entry of the remaining block is a (k+1)-order minor of
 the row-permuted M (Sylvester's identity), so dividing by the previous pivot
@@ -148,8 +158,39 @@ def _coeffs_from_power_sums(sums) -> list:
     return coeffs
 
 
+def _triangular_diagonal(m, n: int):
+    """The diagonal of M = (re, im) as (re, im) pairs when M is upper or lower
+    triangular, else None. A dense M is turned away by two cells, before any
+    scan (module docstring)."""
+    re, im = m
+    if n > 1 and (re[1][0] or im and im[1][0]) and (re[0][1] or im and im[0][1]):
+        return None
+    parts = (re,) if im is None else (re, im)
+    if any(any(row[:i]) for x in parts for i, row in enumerate(x)) and any(
+        any(row[i + 1:]) for x in parts for i, row in enumerate(x)
+    ):
+        return None
+    return [(row[i], 0 if im is None else im[i][i]) for i, row in enumerate(re)]
+
+
+def _coeffs_from_roots(roots) -> list:
+    """C_0..C_n of prod (x - z) over the Gaussian ints z = (zr, zi), one
+    factor at a time: C_k <- C_k - z C_{k-1}."""
+    coeffs = [(1, 0)]
+    for zr, zi in roots:
+        coeffs = [
+            (cr - zr * pr + zi * pi, ci - zr * pi - zi * pr)
+            for (cr, ci), (pr, pi) in zip(coeffs + [(0, 0)], [(0, 0)] + coeffs)
+        ]
+    return coeffs
+
+
 def _char_coeffs(m, n: int) -> list:
-    """C_0..C_n of chi_M for the n x n Gaussian integer matrix M = (re, im)."""
+    """C_0..C_n of chi_M for the n x n Gaussian integer matrix M = (re, im):
+    from the diagonal when M is triangular, else from its power sums."""
+    diagonal = _triangular_diagonal(m, n)
+    if diagonal is not None:
+        return _coeffs_from_roots(diagonal)
     return _coeffs_from_power_sums(_power_sums_int(m, n))
 
 

@@ -19,8 +19,9 @@ Products: A B = (M_A M_B) / (d_A d_B). Sums: A + B = (s/d_A M_A + s/d_B M_B) / s
 with s = lcm(d_A, d_B).
 
 The linear algebra itself runs on the integer forms in ``kernel``:
-characteristic polynomials by power sums and Newton's identities, and
-determinants and principal minors by Bareiss elimination. Since
+characteristic polynomials from the diagonal when the matrix is triangular
+and by power sums and Newton's identities otherwise, and determinants and
+principal minors by Bareiss elimination. Since
 chi_M(x) = det(xI - dA) = d^n chi_A(x/d), coefficient k of chi_A is
 C_k / d^k, and the k-th moment tr(A^k)/n is p_k / (n d^k); det(A) =
 det(M) / d^n, and the principal minor on an index set S is

@@ -18,6 +18,7 @@ from finfree import (
     SizeGuardError,
     UnsupportedPairError,
     char_poly,
+    check_ffp,
     cycle_sums,
     is_additive_ffp,
     is_member,
@@ -27,16 +28,20 @@ from finfree import (
     sample_member,
     verify_pair,
 )
+from finfree import families
 from finfree.families import (
     FRACTION_TABLE_BOUND,
+    SUPPORTED_PAIRS,
     _sample_outside_first_family,
     _sample_outside_second_family,
     diagonal_probe,
     rand_fraction,
     rand_nonzero_fraction,
+    random_matrix,
 )
 from helpers import (
     conjugate,
+    ffp_report_oracle,
     is_member_by_entries,
     permutation_matrix,
     poly_of_matrix,
@@ -362,3 +367,44 @@ class TestCommutingCorollary:
             pa = poly_of_matrix([rand_scalar(rng) for _ in range(3)], a)
             qb = poly_of_matrix([rand_scalar(rng) for _ in range(3)], b)
             assert is_additive_ffp(pa, qb).verdict
+
+
+# -- verdicts without reports: only kept pairs get one --------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SUPPORTED_PAIRS), st.sampled_from(("additive", "multiplicative")),
+       st.integers(2, 4), st.integers(0, 2**31))
+def test_boundary_reports_match_a_fresh_check(pair, kind, n, seed):
+    report = verify_pair(*pair, kind, trials=2, seed=seed, n=n)
+    assert report.boundary_checks
+    for check in report.boundary_checks:
+        # both kinds are symmetric in A and B (chi_AB = chi_BA), so the order
+        # in which the search checked the pair does not matter
+        a, b = check.outsider, check.partner
+        assert check.report.to_json() == check_ffp(a, b, kind).to_json()
+        assert check.report == ffp_report_oracle(a, b, kind)
+        assert not check.report.verdict
+        assert list(check.to_json()) == ["label", "outsider", "partner", "report"]
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_trial_failure_carries_its_report_and_replays(monkeypatch, kind):
+    # every trial draws two dense matrices, which are not in finite free position
+    monkeypatch.setattr(families, "sample_member", lambda family, n, rng, bound: random_matrix(rng, n, bound))
+    seed, trials = 40, 3
+    report = verify_pair(FamilyId.DIAGONAL, PB, kind, trials=trials, seed=seed, n=3)
+    assert [f.trial for f in report.failures] == list(range(trials))
+    for failure in report.failures:
+        assert failure.seed == seed + failure.trial
+        assert failure.report == check_ffp(failure.a, failure.b, kind)
+        assert failure.report == ffp_report_oracle(failure.a, failure.b, kind)
+        assert not failure.report.verdict and failure.report.residuals
+        obj = failure.to_json()
+        assert (obj["trial"], obj["seed"]) == (failure.trial, failure.seed)
+        assert obj["report"] == failure.report.to_json()
+        # the recorded seed with one trial draws the same failing pair
+        (replay,) = verify_pair(FamilyId.DIAGONAL, PB, kind, trials=1, seed=failure.seed, n=3).failures
+        assert (replay.a, replay.b, replay.report) == (failure.a, failure.b, failure.report)
+        assert (replay.trial, replay.seed) == (0, failure.seed)
+    assert report.to_json()["failures"] == [f.to_json() for f in report.failures]

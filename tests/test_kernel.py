@@ -5,6 +5,7 @@ coefficients, singular matrices, large denominators and pairs in finite free
 position; and the Matrix that stores its integer form, checked against the
 GaussianRational operations on its rows."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from finfree import (
     sample_member,
 )
 import finfree.matrices as matrix_module
-from finfree import ffp
+from finfree import ffp, kernel
 from finfree.families import (
     PROBE_MAGNITUDES,
     _conjugated_triangular_balanced,
@@ -41,6 +42,12 @@ from finfree.families import (
     _rank_one_balanced,
 )
 from finfree.ffp import signed_permutations
+from finfree.kernel import (
+    _char_coeffs,
+    _coeffs_from_power_sums,
+    _power_sums_int,
+    _triangular_diagonal,
+)
 from finfree.matrices import moment_vector_of
 from helpers import (
     _int_form,
@@ -218,6 +225,22 @@ def test_ffp_report_matches_oracle(ab, kind):
     assert_report_matches_oracle(*ab, kind)
 
 
+@KERNEL
+@given(pairs(max_n=5), KINDS)
+def test_residuals_turn_with_a_rotated_pair(ab, kind):
+    """Coefficient k of chi_{iM} is i^k C_k, and both convolutions carry that
+    factor: turning both matrices of an additive pair, or A alone of a
+    multiplicative one, by i turns residual k by i^k. A real residual at odd
+    k becomes purely imaginary, which the verdict must still see."""
+    a, b = ab
+    i = GaussianRational(0, 1)
+    turns = (GaussianRational(1), i, GaussianRational(-1), -i)
+    report = check_ffp(a, b, kind)
+    turned = check_ffp(a.scale(i), b.scale(i) if kind == ADDITIVE else b, kind)
+    assert turned.verdict == report.verdict
+    assert turned.residuals == {k: v * turns[k % 4] for k, v in report.residuals.items()}
+
+
 @st.composite
 def ffp_pairs(draw):
     """Pairs in both kinds of finite free position, either way round: a
@@ -309,3 +332,99 @@ def test_probe_loop_computes_the_outsiders_chi_once(monkeypatch, kind):
     assert len(calls) == 2 * probes + 1
     assert sum(m == outsider._m for m in calls) == 1
     assert is_member(outsider, FamilyId.PRINCIPALLY_BALANCED)
+
+
+# -- chi of a triangular matrix from its diagonal -----------------------------
+
+
+# the cells (i, j) that vanish in each triangular shape
+TRIANGULAR_ZEROS = {
+    "upper": operator.gt,
+    "lower": operator.lt,
+    "diagonal": operator.ne,
+    "strict-upper": operator.gt,
+    "strict-lower": operator.lt,
+}
+
+
+@st.composite
+def triangular_cases(draw):
+    """(matrix, shape): an upper, lower, diagonal or strictly upper or lower
+    triangular matrix, n = 1..8, real or Gaussian, its diagonal drawn from a
+    pool of at most three values (so zero and repeated entries are common);
+    or, for n >= 2, a "near" matrix: upper triangular with a nonzero cell
+    above the diagonal and one nonzero cell below it, so neither triangular."""
+    n = draw(st.integers(1, 8))
+    entry = entries(draw(st.booleans()), FRACTIONS if n <= 5 else SMALL_FRACTIONS)
+    shape = draw(st.sampled_from(tuple(TRIANGULAR_ZEROS) + (("near",) if n > 1 else ())))
+    vanishes = TRIANGULAR_ZEROS.get(shape, operator.gt)
+    pool = draw(st.lists(entry, min_size=1, max_size=3))
+    rows = [[GaussianRational(0) if vanishes(i, j) else draw(entry) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = GaussianRational(0) if shape.startswith("strict") else draw(st.sampled_from(pool))
+    if shape == "near":
+        cells = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted)
+        (i, j), (k, l) = draw(cells), draw(cells)
+        rows[i][j], rows[l][k] = draw(entry.filter(bool)), draw(entry.filter(bool))
+    return Matrix(rows), shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangular_cases())
+def test_triangular_chi_matches_power_sums_and_faddeev(case):
+    m, shape = case
+    n, (re, im) = m.n, m._m
+    diagonal = _triangular_diagonal(m._m, n)
+    triangular = is_member(m, FamilyId.UPPER_TRIANGULAR) or is_member(m, FamilyId.LOWER_TRIANGULAR)
+    assert (diagonal is not None) == triangular == (shape != "near")
+    if diagonal is not None:
+        assert diagonal == [(re[i][i], 0 if im is None else im[i][i]) for i in range(n)]
+    coeffs = _char_coeffs(m._m, n)
+    assert coeffs == _coeffs_from_power_sums(_power_sums_int(m._m, n))
+    assert char_poly(m) == charpoly_faddeev_int(m)
+    if shape.startswith("strict"):
+        assert coeffs == [(1, 0)] + [(0, 0)] * n  # nilpotent: chi = x^n
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 5, "1/3"], [0, 2, 7], [0, 0, -1]],
+        [[GaussianRational(0, 1), 0, 0], ["1/2", 0, 0], [3, GaussianRational(2, -1), GaussianRational(0, 1)]],
+        [[0, 0], [0, 0]],
+        [["7/5"]],
+    ],
+)
+def test_triangular_chi_computes_no_power_sum(monkeypatch, rows):
+    m = Matrix(rows)
+
+    def refused(*args):
+        raise AssertionError("power sums on a triangular matrix")
+
+    monkeypatch.setattr(kernel, "_power_sums_int", refused)
+    assert char_poly(m) == charpoly_faddeev_int(m)
+
+
+class _WatchedRow(tuple):
+    """A row that records every slice taken of it."""
+
+    slices = []
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.slices.append(index)
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_dense_input_is_turned_away_before_any_scan(gaussian):
+    n = 6
+    dense = tuple(_WatchedRow(i * n + j + 1 for j in range(n)) for i in range(n))
+    _WatchedRow.slices.clear()
+    assert _triangular_diagonal((dense, dense if gaussian else None), n) is None
+    assert _WatchedRow.slices == []
+    # one zero at (0, 1) is enough to start the scan, which finds row 1 nonzero below
+    # the diagonal and row 0 nonzero above it
+    scanned = (tuple(_WatchedRow(0 if (i, j) == (0, 1) else 1 for j in range(n)) for i in range(n)), None)
+    assert _triangular_diagonal(scanned, n) is None
+    assert _WatchedRow.slices
