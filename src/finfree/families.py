@@ -32,7 +32,7 @@ from math import comb, factorial
 from typing import Optional
 
 from .errors import IndexRangeError, ParseError, SizeGuardError, UnsupportedPairError
-from .ffp import FfpReport, _ffp_ints, _report
+from .ffp import FfpReport, _failure_report
 from .matrices import Matrix, _cycle_sums, _minors_balanced
 from .polynomials import ADDITIVE, Polynomial
 from .scalars import ONE, GaussianRational, as_scalar
@@ -383,9 +383,9 @@ def verify_pair(
         rng = random.Random(seed + t)
         a = sample_member(pair[0], n, rng, bound)
         b = sample_member(pair[1], n, rng, bound)
-        ints = _ffp_ints(a, b, kind)
-        if ints.failing:
-            failures.append(TrialFailure(a, b, _report(ints), t, seed + t))
+        report = _failure_report(a, b, kind)
+        if report is not None:
+            failures.append(TrialFailure(a, b, report, t, seed + t))
     boundary = [] if n == 1 else _boundary_checks(pair, kind, n, random.Random(seed + trials), bound)
     return PairCheckReport(pair, kind, trials, n, seed, failures, boundary)
 
@@ -414,9 +414,9 @@ def _find_diagonal_probe_failure(outsider: Matrix, kind: str) -> Optional[tuple[
         for subset in itertools.combinations(range(n), size):
             for magnitude in PROBE_MAGNITUDES:
                 probe = diagonal_probe(n, subset, magnitude, kind)
-                ints = _ffp_ints(probe, outsider, kind)
-                if ints.failing:
-                    return probe, _report(ints)
+                report = _failure_report(probe, outsider, kind)
+                if report is not None:
+                    return probe, report
     return None
 
 
@@ -427,9 +427,9 @@ def _find_unit_witness(outsider: Matrix, kind: str, cells) -> Optional[tuple[Mat
     for i, j in cells:
         if outsider.entry(i + 1, j + 1):
             witness = Matrix.unit(n, j + 1, i + 1)
-            ints = _ffp_ints(outsider, witness, kind)
-            if ints.failing:
-                return witness, _report(ints)
+            report = _failure_report(outsider, witness, kind)
+            if report is not None:
+                return witness, report
     return None
 
 

@@ -21,8 +21,8 @@ empty. The report (``_report``) is then built from those same ints: its two
 polynomials and each nonzero residual (w_k P_k - N_k) / (w_k s^k), the only
 Gaussian rationals a check makes. ``check_ffp`` is both steps. Searches that
 drop every passing report (``families.verify_pair``'s trials and boundary
-witnesses) run the integer step alone and build a report only for the pair
-they keep, so no chi is computed twice.
+witnesses) call ``_failure_report``, which builds the report only for a
+failing pair, from the same ints, so no chi is computed twice.
 
 Certain coefficients can never differ and are excluded from the residual
 map: x^n and x^{n-1} in the additive case (the traces add), x^n and the
@@ -140,6 +140,13 @@ def _report(ints: _FfpInts) -> FfpReport:
 def check_ffp(a: Matrix, b: Matrix, kind: str) -> FfpReport:
     """The finite-free-position verdict of the given kind for (A, B)."""
     return _report(_ffp_ints(a, b, kind))
+
+
+def _failure_report(a: Matrix, b: Matrix, kind: str) -> Optional[FfpReport]:
+    """``check_ffp`` for a pair that fails finite free position, and None,
+    with no report built, for a pair in it."""
+    ints = _ffp_ints(a, b, kind)
+    return _report(ints) if ints.failing else None
 
 
 def is_additive_ffp(a: Matrix, b: Matrix) -> FfpReport:

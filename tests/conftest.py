@@ -1,10 +1,10 @@
-"""Hypothesis settings profiles, and its failure-report module loaded once,
-before any test runs.
+"""Hypothesis' default profile with ``print_blob``, and its failure-report
+module loaded once, before any test runs.
 
-``HYPOTHESIS_PROFILE=ci`` loads the ``ci`` profile, which prints a
-``@reproduce_failure`` line with every falsifying example, so a failure seen
-only in a CI log can be replayed locally. Unset, hypothesis' default profile
-is used.
+The default profile prints a ``@reproduce_failure`` line with every
+falsifying example, so a failure seen only in a CI log can be replayed
+locally. Under CI, hypothesis loads its own ``ci`` profile, which prints it
+too.
 
 When a ``@given`` test fails, hypothesis' pytest plugin imports
 ``hypothesis.extra._patching`` to write the falsifying example as a patch.
@@ -17,13 +17,11 @@ error inside the tests. Without libcst the import fails, and the plugin then
 skips the patch and still prints the example.
 """
 
-import os
 import warnings
 
 from hypothesis import settings
 
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.register_profile("default", print_blob=True)
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
