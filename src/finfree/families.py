@@ -33,7 +33,7 @@ from typing import Optional
 
 from .errors import IndexRangeError, ParseError, SizeGuardError, UnsupportedPairError
 from .ffp import FfpReport, _failure_report
-from .matrices import Matrix, _cycle_sums, _minors_balanced
+from .matrices import Matrix, _cycle_sums, _minors_balanced, _nonzero_entry
 from .polynomials import ADDITIVE, Polynomial
 from .scalars import ONE, GaussianRational, as_scalar
 
@@ -83,10 +83,12 @@ def _equations(family: FamilyId) -> tuple:
         raise ParseError(f"unknown family {family}") from None
 
 
-def _zero_cells(family: FamilyId, n: int) -> list:
-    """The 0-based cells (i, j), row-major, where every member vanishes."""
+@functools.lru_cache(maxsize=64)
+def _zero_cells(family: FamilyId, n: int) -> tuple:
+    """The 0-based cells (i, j), row-major, where every member vanishes;
+    built once per (family, n)."""
     vanishes = _equations(family)[0]
-    return [(i, j) for i in range(n) for j in range(n) if vanishes(i, j)]
+    return tuple((i, j) for i in range(n) for j in range(n) if vanishes(i, j))
 
 
 def is_member(a: Matrix, family: FamilyId) -> bool:
@@ -161,40 +163,39 @@ def _as_rng(seed_or_rng) -> random.Random:
     return random.Random(seed_or_rng)
 
 
-# the largest bound whose (2 bound + 1) * bound fractions are tabulated:
-# 8256 of them, 0.57 MB (tracemalloc), at 64; 210 of them, 14 kB, at 10
-FRACTION_TABLE_BOUND = 64
+def _draw(rng: random.Random, bound: int) -> tuple:
+    """(p, q), p uniform in [-bound, bound] and q uniform in [1, bound], from
+    the same ``_randbelow(2 bound + 1)`` and ``_randbelow(bound)`` calls that
+    ``randint(-bound, bound)`` and ``randint(1, bound)`` make, so every
+    sampler draws the same values as with ``randint``. p/q is not reduced:
+    the samplers clear denominators by the lcm of the q, and ``_from_form``
+    brings the result to canonical form."""
+    if bound < 1:
+        raise ValueError(f"sampling bound must be >= 1, got {bound}")
+    return rng._randbelow(2 * bound + 1) - bound, rng._randbelow(bound) + 1
 
 
-@functools.lru_cache(maxsize=8)
-def _fraction_table(bound: int) -> tuple:
-    """Row p + bound, column q - 1 holds Fraction(p, q)."""
-    return tuple(
-        tuple(Fraction(p, q) for q in range(1, bound + 1)) for p in range(-bound, bound + 1)
-    )
+def _draw_nonzero(rng: random.Random, bound: int) -> tuple:
+    while True:
+        p, q = _draw(rng, bound)
+        if p:
+            return p, q
 
 
 def rand_fraction(rng: random.Random, bound: int = 10) -> Fraction:
-    """p/q with p uniform in [-bound, bound] and q uniform in [1, bound].
-
-    The two ``choice`` calls consume the same ``_randbelow(2 bound + 1)`` and
-    ``_randbelow(bound)`` as ``randint(-bound, bound)`` and ``randint(1, bound)``,
-    so every sampler draws the same values as with ``randint``, without
-    building a ``Fraction`` per draw."""
-    if bound > FRACTION_TABLE_BOUND:
-        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-    return rng.choice(rng.choice(_fraction_table(bound)))
+    """p/q with p uniform in [-bound, bound] and q uniform in [1, bound]."""
+    return Fraction(*_draw(rng, bound))
 
 
-def rand_nonzero_fraction(rng: random.Random, bound: int = 10) -> Fraction:
-    while True:
-        value = rand_fraction(rng, bound)
-        if value:
-            return value
+def _from_draws(cells) -> Matrix:
+    """The matrix with entry p/q for each drawn (p, q): its integer form at
+    the scale lcm(q), then brought to canonical form."""
+    d = math.lcm(*(q for row in cells for _, q in row))
+    return Matrix._from_form(d, [[p * (d // q) for p, q in row] for row in cells])
 
 
 def random_matrix(rng: random.Random, n: int, bound: int = 10) -> Matrix:
-    return Matrix([[rand_fraction(rng, bound) for _ in range(n)] for _ in range(n)])
+    return _from_draws([[_draw(rng, bound) for _ in range(n)] for _ in range(n)])
 
 
 def sample_member(
@@ -222,11 +223,11 @@ def _construct_structured(vanishes, constant: bool, n: int, rng: random.Random, 
     as their upper twins and transposed."""
     if vanishes is operator.lt:
         return _construct_structured(operator.gt, constant, n, rng, bound).transpose()
-    c = rand_fraction(rng, bound) if constant else None
-    return Matrix(
+    c = _draw(rng, bound) if constant else None
+    return _from_draws(
         [
             [
-                0 if vanishes(i, j) else c if constant and i == j else rand_fraction(rng, bound)
+                (0, 1) if vanishes(i, j) else c if constant and i == j else _draw(rng, bound)
                 for j in range(n)
             ]
             for i in range(n)
@@ -252,9 +253,9 @@ def _construct_balanced(n: int, rng: random.Random, bound: int) -> Matrix:
 def _rank_one_balanced(n: int, rng: random.Random, bound: int) -> Matrix:
     """diag(u) (c J) diag(u)^{-1}, J the all-ones matrix: entry (i, j) is
     u_i c / u_j."""
-    u = [rand_nonzero_fraction(rng, bound) for _ in range(n)]
-    c = rand_fraction(rng, bound)
-    return _diagonal_similarity(c.denominator, [[c.numerator] * n] * n, None, u, range(n))
+    u = [_draw_nonzero(rng, bound) for _ in range(n)]
+    p, q = _draw(rng, bound)
+    return _diagonal_similarity(q, [[p] * n] * n, None, u, range(n))
 
 
 def _conjugated_triangular_balanced(n: int, rng: random.Random, bound: int) -> Matrix:
@@ -263,7 +264,7 @@ def _conjugated_triangular_balanced(n: int, rng: random.Random, bound: int) -> M
     entry (i, k) is u[p_i] T[p_i][p_k] / u[p_k], p = perm, with no products
     and no inverse."""
     t = _construct_member(FamilyId.UPPER_TRIANGULAR_CONST_DIAG, n, rng, bound)
-    u = [rand_nonzero_fraction(rng, bound) for _ in range(n)]
+    u = [_draw_nonzero(rng, bound) for _ in range(n)]
     perm = list(range(n))
     rng.shuffle(perm)
     return _diagonal_similarity(t._d, *t._m, u, perm)
@@ -271,11 +272,12 @@ def _conjugated_triangular_balanced(n: int, rng: random.Random, bound: int) -> M
 
 def _diagonal_similarity(d: int, re, im, u, perm) -> Matrix:
     """The matrix with entry (i, k) = u[p_i] T[p_i][p_k] / u[p_k], p = perm,
-    for T = (re + i*im) / d and nonzero Fractions u. With v = L u for L the
-    lcm of u's denominators and V the lcm of the |v_j|, that entry is
-    v[p_i] T[p_i][p_k] (V / v[p_k]) / (d V) with integer numerator."""
-    lcd = math.lcm(*(x.denominator for x in u))
-    v = [x.numerator * (lcd // x.denominator) for x in u]
+    for T = (re + i*im) / d and nonzero u_j = a_j / b_j, given as int pairs
+    (a_j, b_j). With v = L u for L the lcm of the b_j and V the lcm of the
+    |v_j|, that entry is v[p_i] T[p_i][p_k] (V / v[p_k]) / (d V) with integer
+    numerator."""
+    lcd = math.lcm(*(b for _, b in u))
+    v = [a * (lcd // b) for a, b in u]
     span = math.lcm(*v)
     cols = [(pk, span // v[pk]) for pk in perm]
 
@@ -425,7 +427,7 @@ def _find_unit_witness(outsider: Matrix, kind: str, cells) -> Optional[tuple[Mat
     (l - 1, k - 1) in ``cells``) against which the outsider fails."""
     n = outsider.n
     for i, j in cells:
-        if outsider.entry(i + 1, j + 1):
+        if _nonzero_entry(outsider, i, j):
             witness = Matrix.unit(n, j + 1, i + 1)
             report = _failure_report(outsider, witness, kind)
             if report is not None:
@@ -493,7 +495,7 @@ def _sample_outside_first_family(f: FamilyId, rng: random.Random, n: int, bound:
     that entry is zero."""
     m = random_matrix(rng, n, bound)
     i, j = _zero_cells(f, n)[0]
-    if not m.entry(i + 1, j + 1):
+    if not _nonzero_entry(m, i, j):
         m = m + Matrix.unit(n, i + 1, j + 1)
     return m
 

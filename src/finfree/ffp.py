@@ -40,7 +40,14 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import DimensionMismatchError, ParseError, SizeGuardError
 from .kernel import _char_coeffs
-from .matrices import Matrix, _chi_at, _pair_form, _signed_perm_charpoly_mean, char_poly
+from .matrices import (
+    Matrix,
+    _chi_at,
+    _nonzero_entry,
+    _pair_form,
+    _signed_perm_charpoly_mean,
+    char_poly,
+)
 from .polynomials import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -356,7 +363,7 @@ def ekl_witness(a: Matrix) -> Optional[tuple[int, int, FfpReport]]:
     n = a.n
     for k in range(1, n + 1):
         for l in range(1, n + 1):
-            if k != l and a.entry(l, k):
+            if k != l and _nonzero_entry(a, l - 1, k - 1):
                 report = is_additive_ffp(a, Matrix.unit(n, k, l))
                 return k, l, report
     return None

@@ -35,11 +35,33 @@ nonzero, M is neither upper nor lower triangular, and the general path starts
 after two lookups. The signed-permutation mean, which takes chi of hundreds
 of dense conjugates, pays no more than that.
 
-Determinants and principal minors: Bareiss fraction-free elimination on M.
-After step k every entry of the remaining block is a (k+1)-order minor of
-the row-permuted M (Sylvester's identity), so dividing by the previous pivot
-is exact; over the Gaussian integers the quotient is formed as
-z conj(w) / |w|^2, whose parts |w|^2 divides.
+Determinants: Bareiss fraction-free elimination on M. After step k every
+entry of the remaining block is a (k+1)-order minor of the row-permuted M
+(Sylvester's identity), so dividing by the previous pivot is exact; over the
+Gaussian integers the quotient is formed as z conj(w) / |w|^2, whose parts
+|w|^2 divides.
+
+Principal minors: one tree of those same steps over the index sets, the
+Schur-complement recursion of Griffin & Tsatsomeros ("Principal minors,
+Part I", Linear Algebra Appl. 419, 2006) run over the integers. The node S
+holds det(M_S) and the block B_S[a][b] = det(M_{S+a, S+b}) of its bordered
+minors, for a, b past max S; the root is M, with det 1. Its child S + {j}
+has det(M_{S+j}) = B_S[j][j], and its block is one Bareiss step on B_S with
+pivot B_S[j][j] and exact divisor det(M_S). The children of each node come
+in increasing j, level by level, so each order comes out in lexicographic
+order. With no zero minor, order k costs C(n, k) steps of at most
+(n - k)^2 products, where one elimination per subset costs k^3 / 3 each.
+
+A node with det(M_S) = 0 has no divisor for its children's blocks. Its
+subtree starts again from its anchor U, the nearest ancestor with a nonzero
+minor: U's block A holds every minor of a superset, det(M_{U+W}) =
+det(A_W) / det(M_U)^(|W| - 1) (Sylvester), and Bareiss on A from the
+divisor det(M_U) keeps every step exact, with W the indices of S past U.
+Each child's minor costs one elimination of A on W + {j}, at most |S| + 1
+rows, unless a row or column of A_W that is zero already forces it to 0.
+A nonzero child then gets its block from one pass over A on W + {j} and the
+indices past j, pivoting within W + {j}, and the tree goes on from there.
+So a subtree of zero minors costs no more than one elimination per subset.
 """
 
 from __future__ import annotations
@@ -226,27 +248,112 @@ class _GaussInt:
         norm = c * c + d * d
         return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
 
+    def __neg__(self):
+        return _GaussInt(-self.real, -self.imag)
+
+    def __eq__(self, other):
+        return self.real == other.real and self.imag == other.imag
+
     def __bool__(self):
         return bool(self.real or self.imag)
+
+
+def _bareiss(rows, k: int, prev=1):
+    """k fraction-free Bareiss steps on int (or _GaussInt) rows whose first k
+    rows and columns are the block to eliminate, pivoting among those k rows.
+    Each step divides exactly by the previous pivot, the first by ``prev``.
+
+    Returns (det, rest): rest is the rows past k without their first k
+    columns. With prev = 1, det is the determinant of the leading k x k block
+    and rest[a][b] the bordered minor on that block plus row a and column b.
+    When the rows are a node's block and prev its minor, both are minors of
+    the node's superset instead (module docstring). Returns (0, None) when the
+    leading block is singular."""
+    sign = 1
+    for lead in range(k, 0, -1):
+        p = next((r for r in range(lead) if rows[r][0]), None)
+        if p is None:
+            return 0, None
+        if p:
+            rows[0], rows[p] = rows[p], rows[0]
+            sign = -sign
+        (pivot, *top), rows = rows[0], rows[1:]
+        rows = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rows]
+        prev = pivot
+    if sign < 0:
+        return -prev, [[-v for v in row] for row in rows]
+    return prev, rows
 
 
 def _det_int(m):
     """det of a Gaussian integer matrix as an (re, im) pair, by Bareiss
     elimination; each division by the previous pivot is exact."""
     rows = _entries(m)
-    sign, prev = 1, 1
-    while rows:
-        p = next((r for r, row in enumerate(rows) if row[0]), None)
-        if p is None:
-            return 0, 0
-        if p:
-            rows[0], rows[p] = rows[p], rows[0]
-            sign = -sign
-        (pivot, *top), rest = rows[0], rows[1:]
-        rows = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rest]
-        prev = pivot
-    det = sign * prev  # the last pivot is det(M) up to the row-swap sign
+    det, _ = _bareiss(rows, len(rows))
     return det.real, det.imag
+
+
+def _minor_levels(m):
+    """The principal minors of the Gaussian integer matrix m = (re, im), one
+    order at a time: for k = 0, 1, ..., n, the ints (or _GaussInts) det(M_S)
+    over the k-subsets S in lexicographic order, by the Sylvester tree
+    (module docstring). Each level is built only when the next one is asked
+    for, so a caller that stops early pays for no deeper order."""
+    n = len(m[0])
+    # a node: (index past max S, det(M_S), its block when det(M_S) != 0, its
+    # anchor when det(M_S) = 0)
+    level = [(0, 1, _entries(m), None)]
+    yield [1]
+    for _ in range(n):
+        level = [child for node in level for child in _children(node, n)]
+        yield [det for _, det, _, _ in level]
+
+
+def _children(node, n: int):
+    """The children S + {j}, j past max S in increasing order, of one node."""
+    off, det, block, anchor = node
+    if det:
+        # one Sylvester step per nonzero child, dividing exactly by det(M_S)
+        for p, top in enumerate(block):
+            pivot, tail = top[p], top[p + 1:]
+            if pivot:
+                child = [[(pivot * x - row[p] * y) // det for x, y in zip(row[p + 1:], tail)]
+                         for row in block[p + 1:]]
+                yield off + p + 1, pivot, child, None
+            else:
+                yield off + p + 1, 0, None, (block, det, off, (p,))
+        return
+    if off == n:
+        return
+    # det(M_S) = 0: work from the anchor U, the nearest ancestor with a nonzero
+    # minor: its block rows, first index base, prev = det(M_U), and pos, the
+    # positions in rows of the indices of S past U
+    rows, prev, base, pos = anchor
+
+    def block_on(idx):
+        return [[rows[a][b] for b in idx] for a in idx]
+
+    held = block_on(pos)
+    # a column that is zero on the held block leaves the child only its cell
+    # in row j: two such columns, or one whose cell is zero, make its det 0;
+    # the same holds for rows
+    dead_cols = [b for b, col in zip(pos, zip(*held)) if not any(col)]
+    dead_rows = [a for a, row in zip(pos, held) if not any(row)]
+    for j in range(off, n):
+        q = j - base
+        if len(dead_cols) > 1 or len(dead_rows) > 1 or any(not rows[q][b] for b in dead_cols) or any(
+            not rows[a][q] for a in dead_rows
+        ):
+            minor = 0
+        else:
+            minor, _ = _bareiss(block_on(pos + (q,)), len(pos) + 1, prev)
+        if not minor:
+            yield j + 1, 0, None, (rows, prev, base, pos + (q,))
+        elif j < n - 1:
+            minor, child = _bareiss(block_on(pos + tuple(range(q, n - base))), len(pos) + 1, prev)
+            yield j + 1, minor, child, None
+        else:
+            yield j + 1, minor, [], None
 
 
 def _entries(m) -> list:

@@ -20,8 +20,11 @@ with s = lcm(d_A, d_B).
 
 The linear algebra itself runs on the integer forms in ``kernel``:
 characteristic polynomials from the diagonal when the matrix is triangular
-and by power sums and Newton's identities otherwise, and determinants and
-principal minors by Bareiss elimination. Since
+and by power sums and Newton's identities otherwise, determinants by Bareiss
+elimination, and all 2^n principal minors from one tree of fraction-free
+Sylvester steps, one order at a time in lexicographic order. ``minor_table``
+reads every order of it, ``principal_minors`` the orders up to k, and the
+principally balanced test stops at the first order whose minors differ. Since
 chi_M(x) = det(xI - dA) = d^n chi_A(x/d), coefficient k of chi_A is
 C_k / d^k, and the k-th moment tr(A^k)/n is p_k / (n d^k); det(A) =
 det(M) / d^n, and the principal minor on an index set S is
@@ -55,6 +58,7 @@ from .kernel import (
     _gadd,
     _gmul,
     _gscale,
+    _minor_levels,
     _parts,
     _power_sums_int,
     _trace,
@@ -62,9 +66,13 @@ from .kernel import (
 from .polynomials import Polynomial, _from_int
 from .scalars import GaussianRational, _scaled, as_scalar
 
-# all 2^n principal minors, one Bareiss elimination each: a dense rational 16x16
-# takes about 8.7 s and a Gaussian one about 55 s (Python 3.11, 2-vCPU Xeon VM);
-# each step of n more than doubles it
+# all 2^n principal minors from the Sylvester tree: at n = 16 `minor_table` takes
+# about 0.3 s on a dense rational matrix, 0.8 s on a Gaussian one, 0.4-0.6 s on
+# sparse and sign 0/+-1 ones, 0.3 s on a rank-one one and 1.2 s on a Gaussian
+# skew-symmetric one, whose odd orders all vanish; `check-balanced` spends up to
+# 0.5 s more printing them (Python 3.11, 2-vCPU Xeon VM). Each step of n costs
+# about 2.1x: at 17 `check-balanced` takes 2.8-3.1 s on those two Gaussian
+# matrices, peaks at 100-130 MB and prints up to 14 MB, so the limit stays 16
 MINOR_ENUMERATION_LIMIT = 16
 # moments m_1..m_count (of a matrix or, past the degree, of a polynomial): a dense
 # rational 3x3 takes about 0.24 s for `moments --k 1000` and 0.32 s for
@@ -248,6 +256,13 @@ def _cleared(rows) -> tuple:
     return d, re, im[0] if im else None
 
 
+def _nonzero_entry(a: Matrix, i: int, j: int) -> bool:
+    """Whether the 0-based entry (i, j) of A is nonzero, read on its integer
+    form, without building the Gaussian-rational rows."""
+    re, im = a._m
+    return bool(re[i][j] or im and im[i][j])
+
+
 def _at_scale(a: Matrix, d: int):
     """(re, im) of d*A, for d a multiple of A's own scale."""
     f = d // a._d
@@ -389,31 +404,25 @@ def principal_minors(a: Matrix, k: int) -> list[tuple[tuple[int, ...], GaussianR
     if not 0 <= k <= n:
         raise IndexRangeError(f"minor order {k} out of range 0..{n}")
     _guard_minor_enumeration(n)
-    return _principal_minors(a, k)
+    return _labelled(next(itertools.islice(_minor_levels(a._m), k, None)), a, k)
 
 
-def _int_minors(m, k: int):
-    """(subset, det) for each order-k principal submatrix of the Gaussian
-    integer matrix m: subsets 0-based in lexicographic order, det an (re, im)
-    int pair."""
-    for subset in itertools.combinations(range(len(m[0])), k):
-        yield subset, _det_int(_parts(m, lambda x: [[x[i][j] for j in subset] for i in subset]))
-
-
-def _principal_minors(a: Matrix, k: int) -> list:
+def _labelled(level, a: Matrix, k: int) -> list:
+    """(1-based subset, minor) pairs for one level of the minor tree."""
     scale = a._d**k
-    return [(tuple(i + 1 for i in s), _scaled(v, scale)) for s, v in _int_minors(a._m, k)]
+    subsets = itertools.combinations(range(1, a.n + 1), k)
+    return [(s, _scaled((v.real, v.imag), scale)) for s, v in zip(subsets, level)]
 
 
 def _minors_balanced(a: Matrix) -> bool:
     """Whether the principal minors of each order share one value. Those of
     order k are det(M_S) / d^k with one scale d^k, so their integer
-    numerators compare the same; the first mismatch ends the test."""
+    numerators compare the same; the first order that mismatches ends the
+    test, before the tree builds the next one."""
     _guard_minor_enumeration(a.n)
-    for k in range(1, a.n + 1):
-        dets = (v for _, v in _int_minors(a._m, k))
-        first = next(dets)
-        if any(v != first for v in dets):
+    for level in _minor_levels(a._m):
+        first = level[0]
+        if any(v != first for v in level):
             return False
     return True
 
@@ -421,4 +430,4 @@ def _minors_balanced(a: Matrix) -> bool:
 def minor_table(a: Matrix) -> dict:
     """{k: principal_minors(a, k)} for every order k = 0..n."""
     _guard_minor_enumeration(a.n)
-    return {k: _principal_minors(a, k) for k in range(a.n + 1)}
+    return {k: _labelled(level, a, k) for k, level in enumerate(_minor_levels(a._m))}

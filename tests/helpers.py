@@ -12,7 +12,9 @@ those formulas and char_poly of the built sum or product, cycle sums by
 enumerating every cycle (not the subset DP), principal balance by comparing
 cofactor-expanded minors (not integer Bareiss minors), structural membership
 by each family's equations written out on the entries (not the table of
-vanishing cells), the single-eigenvalue test by shifting x^n by the mean
+vanishing cells), principal minors by one Bareiss elimination per index
+set (not the Sylvester tree), the samplers' draws as Fractions (not integer
+pairs), the single-eigenvalue test by shifting x^n by the mean
 (not coefficient by coefficient), and the Matrix operations entry by entry
 on GaussianRational rows (not on the integer form that Matrix stores).
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from math import comb, factorial, perm
@@ -35,11 +38,10 @@ from finfree.families import (
     FamilyId,
     _construct_member,
     rand_fraction,
-    rand_nonzero_fraction,
     random_matrix,
 )
 from finfree.ffp import ADDITIVE
-from finfree.kernel import _gmul, _trace
+from finfree.kernel import _det_int, _gmul, _parts, _trace
 from finfree.polynomials import _check_pair
 
 ZERO = as_scalar(0)
@@ -143,7 +145,7 @@ def rank_one_by_fractions(n: int, rng: random.Random, bound: int) -> Matrix:
     """The rank-one principally balanced sample u_i c / u_j from Fraction
     entries, drawing from the RNG in the sampler's order."""
     u = [rand_nonzero_fraction(rng, bound) for _ in range(n)]
-    c = rand_fraction(rng, bound)
+    c = fraction_draw(rng, bound)
     return Matrix([[u[i] * c / u[j] for j in range(n)] for i in range(n)])
 
 
@@ -373,6 +375,49 @@ def cycle_sums_by_paths(m: Matrix) -> dict:
                 total = total + prod
             by_order[k].append((tuple(i + 1 for i in subset), total))
     return by_order
+
+
+def minors_by_elimination(m, k: int) -> list:
+    """The order-k principal minors of the Gaussian integer matrix m =
+    (re, im), one Bareiss elimination per k-subset in lexicographic order,
+    each an (re, im) int pair: the per-subset path that the minor tree
+    replaced."""
+    return [
+        _det_int(_parts(m, lambda x: [[x[i][j] for j in subset] for i in subset]))
+        for subset in itertools.combinations(range(len(m[0])), k)
+    ]
+
+
+def fraction_draw(rng: random.Random, bound: int) -> Fraction:
+    """p/q drawn by ``randint``, as the samplers drew it before they drew
+    integer pairs."""
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def rand_nonzero_fraction(rng: random.Random, bound: int = 10) -> Fraction:
+    while True:
+        value = fraction_draw(rng, bound)
+        if value:
+            return value
+
+
+def random_matrix_by_fractions(rng: random.Random, n: int, bound: int) -> Matrix:
+    """``random_matrix``'s draws, row-major, as a Matrix of Fractions."""
+    return Matrix([[fraction_draw(rng, bound) for _ in range(n)] for _ in range(n)])
+
+
+def structured_by_fractions(vanishes, constant: bool, n: int, rng: random.Random, bound: int) -> Matrix:
+    """``_construct_structured``'s draws as a Matrix of Fractions: the
+    constant diagonal value first, then the free cells row-major; a
+    lower-triangular pattern is drawn as its upper twin and transposed."""
+    flip = vanishes is operator.lt
+    upper = operator.gt if flip else vanishes
+    c = fraction_draw(rng, bound) if constant else None
+    rows = [
+        [0 if upper(i, j) else c if constant and i == j else fraction_draw(rng, bound) for j in range(n)]
+        for i in range(n)
+    ]
+    return Matrix(transpose_entrywise(rows) if flip else rows)
 
 
 def rand_scalar(rng: random.Random, bound: int = 10) -> GaussianRational:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -21,6 +22,31 @@ GOLDEN_B = {"n": 3, "entries": [["1", "1", "0"], ["1", "1", "0"], ["0", "0", "1"
 EXAMPLE_PB = {"n": 3, "entries": [["1", "2", "3"], ["6", "1", "-12"], ["4", "-1", "1"]]}
 GAUSSIAN_A = {"n": 3, "entries": [["1/2", "1*i", "0"], ["2", "-1/3", "1+1*i"], ["0", "3/4", "1"]]}
 GAUSSIAN_B = {"n": 3, "entries": [["1", "2/3", "-1"], ["0", "1*i", "1/5"], ["4", "0", "-2"]]}
+DENSE_7 = {"n": 7, "entries": [
+    ["0", "2", "-8/9", "-7/6", "8", "3/2", "-9/2"],
+    ["3/7", "-2", "-8/9", "3", "4", "-3/10", "-9/10"],
+    ["8/7", "-9/4", "-1", "-6/5", "1", "7/2", "8/5"],
+    ["7/3", "-7/10", "2", "1/2", "7/2", "8", "9/4"],
+    ["5/9", "1/2", "2/5", "2/3", "-1/4", "-5/4", "-4/5"],
+    ["-1/9", "5/6", "4/5", "9/2", "-7/9", "1", "0"],
+    ["5/7", "-9/2", "7/10", "0", "1/10", "1/2", "2"],
+]}
+# u_i c / u_j for u = (1, -2, 3, 1/2, 5) and c = 3/7
+RANK_ONE_5 = {"n": 5, "entries": [
+    ["3/7", "-3/14", "1/7", "6/7", "3/35"],
+    ["-6/7", "3/7", "-2/7", "-12/7", "-6/35"],
+    ["9/7", "-9/14", "3/7", "18/7", "9/35"],
+    ["3/14", "-3/28", "1/14", "3/7", "3/70"],
+    ["15/7", "-15/14", "5/7", "30/7", "3/7"],
+]}
+SPARSE_6 = {"n": 6, "entries": [
+    ["1", "0", "-1", "0", "0", "1"],
+    ["0", "0", "1", "0", "-1", "0"],
+    ["1", "0", "-1", "0", "0", "1"],
+    ["0", "1", "0", "0", "0", "-1"],
+    ["-1", "0", "0", "1", "0", "0"],
+    ["0", "-1", "0", "0", "1", "0"],
+]}
 GAUSSIAN_P = {"degree": 3, "coeffs": ["1", "-1/2+1/3*i", "2/5", "-7"]}
 GAUSSIAN_Q = {"degree": 3, "coeffs": ["1", "3", "-1/4*i", "5/6-1*i"]}
 
@@ -195,6 +221,36 @@ class TestBalancedAndCycles:
         assert code == 0
         assert out == expected
         assert err == ""
+
+    # recorded before principal minors came from the Sylvester tree: a dense 7x7 (the
+    # benchmark's check-balanced shape), a rank-one balanced 5x5, whose minors past
+    # order 1 all vanish, and a sparse singular 6x6 of 0 and +-1, where most pivots are zero
+    @pytest.mark.parametrize(
+        "matrix, size, sha256",
+        [
+            (
+                DENSE_7,
+                1882,
+                "96a10bc0035e380cdb79bd4afac481303db9bb1b618c2e08e73a7ee6ba88178e",
+            ),
+            (
+                RANK_ONE_5,
+                107,
+                "916038c115159d9e0a173803e85431064e63bc05ee95246f04a285df7c535819",
+            ),
+            (
+                SPARSE_6,
+                151,
+                "deb4b02415c42870b2ae95cc562da41374eeb382b383dc72776799f3b72ae49f",
+            ),
+        ],
+    )
+    def test_check_balanced_golden_bytes(self, capsys, write_json, matrix, size, sha256):
+        code, out, err = run(capsys, "check-balanced", write_json("m.json", matrix))
+        assert code == 0
+        assert err == ""
+        assert len(out.encode()) == size
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_cycle_sums(self, capsys, write_json):
         code, out, _ = run(capsys, "cycle-sums", write_json("m.json", EXAMPLE_PB))

@@ -30,13 +30,13 @@ from finfree import (
 )
 from finfree import families
 from finfree.families import (
-    FRACTION_TABLE_BOUND,
+    EQUATIONS,
     SUPPORTED_PAIRS,
+    _construct_structured,
     _sample_outside_first_family,
     _sample_outside_second_family,
     diagonal_probe,
     rand_fraction,
-    rand_nonzero_fraction,
     random_matrix,
 )
 from helpers import (
@@ -45,8 +45,11 @@ from helpers import (
     is_member_by_entries,
     permutation_matrix,
     poly_of_matrix,
+    rand_nonzero_fraction,
     rand_scalar,
+    random_matrix_by_fractions,
     root_power,
+    structured_by_fractions,
 )
 
 PB = FamilyId.PRINCIPALLY_BALANCED
@@ -241,15 +244,38 @@ class TestSamplers:
     def test_deterministic_for_seed(self):
         assert sample_member(PB, 4, 99) == sample_member(PB, 4, 99)
 
-    @pytest.mark.parametrize("bound", [1, 2, 3, 7, 10, FRACTION_TABLE_BOUND, FRACTION_TABLE_BOUND + 1])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 7, 10, 64, 65])
     def test_rand_fraction_draws_what_randint_draws(self, bound):
         for seed in range(150):
-            tabled, direct = random.Random(seed), random.Random(seed)
-            drawn = [rand_fraction(tabled, bound) for _ in range(20)]
+            ints, direct = random.Random(seed), random.Random(seed)
+            drawn = [rand_fraction(ints, bound) for _ in range(20)]
             assert drawn == [
                 Fraction(direct.randint(-bound, bound), direct.randint(1, bound)) for _ in range(20)
             ]
-            assert tabled.getstate() == direct.getstate()
+            assert ints.getstate() == direct.getstate()
+
+    # _randbelow(0) would draw forever: a bound below 1 is refused before any draw
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_bound_below_one_is_refused(self, bound):
+        rng = random.Random(0)
+        state = rng.getstate()
+        for draw in (lambda: rand_fraction(rng, bound), lambda: random_matrix(rng, 2, bound)):
+            with pytest.raises(ValueError, match="bound must be >= 1"):
+                draw()
+        assert rng.getstate() == state
+
+    # SAMPLER_DIGEST pins bound 10 alone
+    @pytest.mark.parametrize("bound", [1, 10, 64, 65])
+    def test_integer_draws_build_the_fraction_route_matrix(self, bound):
+        for seed in range(50):
+            for n in range(1, 7):
+                ints, fractions = random.Random(seed), random.Random(seed)
+                assert random_matrix(ints, n, bound) == random_matrix_by_fractions(fractions, n, bound)
+                for vanishes, constant in EQUATIONS.values():
+                    assert _construct_structured(vanishes, constant, n, ints, bound) == structured_by_fractions(
+                        vanishes, constant, n, fractions, bound
+                    )
+                assert ints.getstate() == fractions.getstate()
 
 
 class TestVerifyPair:

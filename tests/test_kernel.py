@@ -31,6 +31,7 @@ from finfree import (
     is_multiplicative_ffp,
     is_member,
     minor_table,
+    principal_minors,
     sample_member,
 )
 import finfree.matrices as matrix_module
@@ -53,6 +54,7 @@ from helpers import (
     _int_form,
     add_entrywise,
     average,
+    balanced_by_minor_table,
     boxplus_gaussian,
     boxtimes_gaussian,
     charpoly_faddeev_fraction,
@@ -62,6 +64,7 @@ from helpers import (
     conjugated_triangular_by_products,
     ffp_report_oracle,
     matmul_entrywise,
+    minors_by_elimination,
     moments_by_powers,
     rank_one_by_fractions,
     scale_entrywise,
@@ -428,3 +431,87 @@ def test_dense_input_is_turned_away_before_any_scan(gaussian):
     scanned = (tuple(_WatchedRow(0 if (i, j) == (0, 1) else 1 for j in range(n)) for i in range(n)), None)
     assert _triangular_diagonal(scanned, n) is None
     assert _WatchedRow.slices
+
+
+UNITS = (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1), GaussianRational(0, -1))
+MINOR_SHAPES = ("dense", "singular", "sparse", "upper", "lower", "sign", "scalar-plus-sign", "rank-one")
+
+
+@st.composite
+def minor_cases(draw):
+    """(matrix, shape), n = 1..8, real or Gaussian: dense, singular (one row a
+    multiple of another), sparse with entries 0 and +-1 (+-i too when
+    Gaussian), upper or lower triangular with a diagonal that is often zero,
+    a sign matrix, c I plus a sign matrix with zero diagonal, or a rank-one
+    principally balanced u_i c / u_j, whose minors past order 1 all vanish."""
+    n = draw(st.integers(1, 8))
+    gaussian = draw(st.booleans())
+    entry = entries(gaussian, FRACTIONS if n <= 5 else SMALL_FRACTIONS)
+    zero = GaussianRational(0)
+    units = UNITS if gaussian else UNITS[:2]
+    shape = draw(st.sampled_from(MINOR_SHAPES))
+
+    def grid(cell):
+        return [[cell(i, j) for j in range(n)] for i in range(n)]
+
+    if shape in ("dense", "singular"):
+        rows = grid(lambda i, j: draw(entry))
+        if shape == "singular" and n > 1:
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            factor = draw(entry)
+            rows[j] = [factor * x for x in rows[i]]
+    elif shape == "sparse":
+        rows = grid(lambda i, j: draw(st.sampled_from((zero, zero) + units)))
+    elif shape in ("upper", "lower"):
+        pool = draw(st.lists(entry, min_size=1, max_size=2)) + [zero]
+        vanishes = operator.gt if shape == "upper" else operator.lt
+        rows = grid(lambda i, j: zero if vanishes(i, j) else draw(st.sampled_from(pool)) if i == j else draw(entry))
+    elif shape == "sign":
+        rows = grid(lambda i, j: draw(st.sampled_from(units)))
+    elif shape == "scalar-plus-sign":
+        c = draw(st.sampled_from((GaussianRational(1), GaussianRational(-1))) | entry)
+        rows = grid(lambda i, j: c if i == j else draw(st.sampled_from(units)))
+    else:
+        u = draw(st.lists(entry.filter(bool), min_size=n, max_size=n))
+        c = draw(entry.filter(bool))
+        rows = grid(lambda i, j: u[i] * c / u[j])
+    return Matrix(rows), shape
+
+
+@settings(max_examples=200, deadline=None)
+@given(minor_cases())
+def test_minor_tree_matches_per_subset_elimination_and_cofactors(case):
+    m, shape = case
+    levels = [[(v.real, v.imag) for v in level] for level in kernel._minor_levels(m._m)]
+    assert levels == [minors_by_elimination(m._m, k) for k in range(m.n + 1)]
+    table = minor_table(m)
+    assert table[0] == [((), 1)]
+    assert principal_minors(m, 0) == [((), 1)]
+    if shape == "rank-one":
+        assert all(not v for k in range(2, m.n + 1) for _, v in table[k])
+    if m.n <= 5:
+        for k, entries_k in table.items():
+            for subset, value in entries_k:
+                idx = [i - 1 for i in subset]
+                assert value == cofactor_det([[m.rows[i][j] for j in idx] for i in idx])
+    assert is_member(m, FamilyId.PRINCIPALLY_BALANCED) == balanced_by_minor_table(m)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_minor_table_of_a_matrix_with_no_zero_minor_makes_no_elimination(monkeypatch, gaussian):
+    """Every principal minor of a strictly diagonally dominant matrix is
+    nonzero, so each node of the tree has a nonzero pivot and no subtree
+    falls back to elimination from an anchor."""
+    n = 6
+    rows = [[GaussianRational(4 * n if i == j else (i - j) % 3 - 1, (i + j) % 2 if gaussian else 0)
+             for j in range(n)] for i in range(n)]
+    m = Matrix(rows)
+    expected = [minors_by_elimination(m._m, k) for k in range(n + 1)]
+
+    def refused(*args):
+        raise AssertionError("per-subset elimination on a matrix with no zero minor")
+
+    monkeypatch.setattr(kernel, "_bareiss", refused)
+    table = minor_table(m)
+    assert all(v for level in table.values() for _, v in level)
+    assert [[(v.re.numerator, v.im.numerator) for _, v in table[k]] for k in range(n + 1)] == expected
