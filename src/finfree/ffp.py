@@ -60,8 +60,9 @@ from .polynomials import (
 from .scalars import GaussianRational, _scaled
 
 # 2^(n-1) n! conjugates, one char_poly each: at n = 6 a dense rational pair takes
-# about 3.7 s (additive) and 5.2 s (multiplicative), a Gaussian pair 11.6 and 17.0 s
-# (Python 3.11, 2-vCPU Xeon VM); n = 7 is 14 times as many conjugates
+# about 2.4-3.1 s (additive) and 3.5-3.8 s (multiplicative), a Gaussian pair 8.3-9.1
+# and 12.3-12.8 s (Python 3.11, 2-vCPU Xeon VM, two runs each); n = 7 is 14 times as
+# many conjugates, 35 s and more
 SIGNED_PERM_LIMIT = 6
 
 # A Monte-Carlo average may cost samples * max(n, 3)^2 <= 9 * MC_SAMPLE_LIMIT. A Haar

@@ -20,18 +20,19 @@ with s = lcm(d_A, d_B).
 
 The linear algebra itself runs on the integer forms in ``kernel``:
 characteristic polynomials from the diagonal when the matrix is triangular
-and by power sums and Newton's identities otherwise, determinants by Bareiss
-elimination, and all 2^n principal minors from one tree of fraction-free
-Sylvester steps, one order at a time in lexicographic order. ``minor_table``
-reads every order of it, ``principal_minors`` the orders up to k, and the
-principally balanced test stops at the first order whose minors differ. Since
-chi_M(x) = det(xI - dA) = d^n chi_A(x/d), coefficient k of chi_A is
-C_k / d^k, and the k-th moment tr(A^k)/n is p_k / (n d^k); det(A) =
-det(M) / d^n, and the principal minor on an index set S is
-det(M_S) / d^|S|. The FFP verdicts take chi_{A+B} and chi_{AB} from the
-integer forms directly: A + B at scale lcm(d_A, d_B), AB at scale d_A d_B.
-The signed-permutation average of characteristic polynomials adds the
-integer C_k of all its conjugates, which share one scale, and divides once.
+and by Berkowitz's division-free recurrence otherwise, moments by power
+sums, determinants by Bareiss elimination, and all 2^n principal minors from
+one tree of fraction-free Sylvester steps, one order at a time in
+lexicographic order. ``minor_table`` reads every order of it,
+``principal_minors`` the orders up to k, and the principally balanced test
+stops at the first order whose minors differ. Since chi_M(x) = det(xI - dA)
+= d^n chi_A(x/d), coefficient k of chi_A is C_k / d^k, and the k-th moment
+tr(A^k)/n is p_k / (n d^k); det(A) = det(M) / d^n, and the principal minor
+on an index set S is det(M_S) / d^|S|. The FFP verdicts take chi_{A+B} and
+chi_{AB} from the integer forms directly: A + B at scale lcm(d_A, d_B), AB
+at scale d_A d_B. The signed-permutation average of characteristic
+polynomials adds the integer C_k of all its conjugates, which share one
+scale, and divides once.
 
 The integer coefficients C_0..C_n of chi_M are cached on the (immutable)
 matrix the first time they are needed, at its own scale d. A verdict that

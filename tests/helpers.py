@@ -2,9 +2,9 @@
 
 The oracles deliberately avoid the code paths they check: determinants by
 cofactor expansion (not elimination), characteristic polynomials by minor
-sums or by the Faddeev-LeVerrier trace recurrence (not power sums and
-Newton's identities), moments by repeated entrywise products (not power
-sums), products as entrywise sums, the additive convolution through the
+sums, by the Faddeev-LeVerrier trace recurrence or by power sums and
+Newton's identities (not Berkowitz's recurrence), moments by repeated
+entrywise products (not power sums), products as entrywise sums, the additive convolution through the
 derivative form of its definition (with derivatives, evaluation and shifts
 of the argument on coefficient lists), both convolutions by their coefficient
 formulas over Gaussian rationals (not the integer kernel), FFP reports from
@@ -41,7 +41,7 @@ from finfree.families import (
     random_matrix,
 )
 from finfree.ffp import ADDITIVE
-from finfree.kernel import _det_int, _gmul, _parts, _trace
+from finfree.kernel import _det_int, _gmul, _parts, _power_sums_int, _trace
 from finfree.polynomials import _check_pair
 
 ZERO = as_scalar(0)
@@ -171,7 +171,7 @@ def charpoly_faddeev_fraction(m: Matrix) -> Polynomial:
 
 def charpoly_faddeev_int(m: Matrix) -> Polynomial:
     """Faddeev-LeVerrier over the integer form M = d*A, the char_poly kernel
-    that power sums replaced: N_1 = M, N_k = M (N_{k-1} + C_{k-1} I),
+    before power sums and then Berkowitz's recurrence: N_1 = M, N_k = M (N_{k-1} + C_{k-1} I),
     C_k = -tr(N_k) / k (exact), and coefficient k of chi_A is C_k / d^k."""
     d, form = _int_form(m)
     coeffs = [(1, 0)]
@@ -185,6 +185,23 @@ def charpoly_faddeev_int(m: Matrix) -> Polynomial:
     return Polynomial(
         GaussianRational(Fraction(cr, d**k), Fraction(ci, d**k)) for k, (cr, ci) in enumerate(coeffs)
     )
+
+
+def char_coeffs_by_newton(m) -> list:
+    """C_0..C_n of chi_M as (re, im) int pairs for the Gaussian integer
+    matrix m = (re, im), from its power sums p_1..p_n by Newton's identities
+    k C_k = -sum_{i=1..k} C_{k-i} p_i: the route to chi that Berkowitz's
+    recurrence replaced. Each division by k is exact, since C_k is a
+    (Gaussian) integer."""
+    coeffs = [(1, 0)]
+    sums = _power_sums_int(m, len(m[0]))
+    for k in range(1, len(sums) + 1):
+        re = im = 0
+        for (cr, ci), (pr, pi) in zip(reversed(coeffs), sums):
+            re += cr * pr - ci * pi
+            im += cr * pi + ci * pr
+        coeffs.append((-re // k, -im // k))
+    return coeffs
 
 
 def _add_diagonal(x, c: int) -> list:

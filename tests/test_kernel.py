@@ -44,9 +44,9 @@ from finfree.families import (
 )
 from finfree.ffp import signed_permutations
 from finfree.kernel import (
+    _berkowitz_gaussian,
+    _berkowitz_int,
     _char_coeffs,
-    _coeffs_from_power_sums,
-    _power_sums_int,
     _triangular_diagonal,
 )
 from finfree.matrices import moment_vector_of
@@ -57,6 +57,7 @@ from helpers import (
     balanced_by_minor_table,
     boxplus_gaussian,
     boxtimes_gaussian,
+    char_coeffs_by_newton,
     charpoly_faddeev_fraction,
     charpoly_faddeev_int,
     charpoly_via_minors,
@@ -147,12 +148,14 @@ def test_signed_perm_average_matches_per_conjugate_char_polys(ab, kind):
     assert expected_charpoly_signed_perms(a, b, kind) == average(polys)
 
 
-# n where s = ceil(sqrt(n)) baby steps change: 1, 2 (s = n), 4, 5 (s = 2, 3), 9, 10 (s = 3, 4)
+# n where s = ceil(sqrt(n)) baby steps change: 1, 2 (s = n), 4, 5 (s = 2, 3), 9, 10 (s = 3, 4);
+# the power sums feed the Newton oracle here, and the moments in the library
 @KERNEL
 @given(st.sampled_from((1, 2, 4, 5, 9, 10)).flatmap(lambda n: matrices(n=n)))
 def test_power_sum_char_poly_across_baby_step_counts(m):
     p = char_poly(m)
     assert p == charpoly_faddeev_int(m)
+    assert _char_coeffs(m._m, m.n) == char_coeffs_by_newton(m._m)
     if m.n <= 5:
         assert p == charpoly_via_minors(m)
     else:
@@ -383,7 +386,7 @@ def test_triangular_chi_matches_power_sums_and_faddeev(case):
     if diagonal is not None:
         assert diagonal == [(re[i][i], 0 if im is None else im[i][i]) for i in range(n)]
     coeffs = _char_coeffs(m._m, n)
-    assert coeffs == _coeffs_from_power_sums(_power_sums_int(m._m, n))
+    assert coeffs == char_coeffs_by_newton(m._m)
     assert char_poly(m) == charpoly_faddeev_int(m)
     if shape.startswith("strict"):
         assert coeffs == [(1, 0)] + [(0, 0)] * n  # nilpotent: chi = x^n
@@ -399,13 +402,88 @@ def test_triangular_chi_matches_power_sums_and_faddeev(case):
     ],
 )
 def test_triangular_chi_computes_no_power_sum(monkeypatch, rows):
+    """Neither general route runs on a triangular matrix: no Berkowitz step
+    (real or Gaussian) and no power sum."""
     m = Matrix(rows)
 
     def refused(*args):
-        raise AssertionError("power sums on a triangular matrix")
+        raise AssertionError("the general chi path on a triangular matrix")
 
-    monkeypatch.setattr(kernel, "_power_sums_int", refused)
+    for name in ("_berkowitz_int", "_berkowitz_gaussian", "_power_sums_int"):
+        monkeypatch.setattr(kernel, name, refused)
     assert char_poly(m) == charpoly_faddeev_int(m)
+
+
+# -- chi of a general matrix by Berkowitz's recurrence ------------------------
+
+
+BIG = st.integers(-10**6, 10**6) | st.integers(-3, 3)
+CHI_SHAPES = ("dense", "zero-row", "singular", "nilpotent")
+
+
+@st.composite
+def chi_cases(draw):
+    """(m, shape): the integer form m = (re, im) of an n x n matrix, n =
+    1..12, real or Gaussian, entries up to 10^6: dense, with a zero row,
+    singular (one row a multiple of another), or nilpotent, a strictly upper
+    triangular matrix conjugated by a permutation, P N P^T, which the
+    triangular test does not catch unless the permutation keeps it upper or
+    lower triangular."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(CHI_SHAPES))
+    parts = [[draw(st.lists(BIG, min_size=n, max_size=n)) for _ in range(n)]
+             for _ in range(1 + draw(st.booleans()))]
+    if shape == "zero-row":
+        i = draw(st.integers(0, n - 1))
+        for x in parts:
+            x[i] = [0] * n
+    elif shape == "singular" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        factor = draw(BIG)
+        for x in parts:
+            x[j] = [factor * v for v in x[i]]
+    elif shape == "nilpotent":
+        p = draw(st.permutations(range(n)))
+        parts = [[[x[p[a]][p[b]] if p[a] < p[b] else 0 for b in range(n)] for a in range(n)] for x in parts]
+    if len(parts) == 1:
+        parts.append(None)
+    return tuple(parts), shape
+
+
+def assert_chi_matches_oracles(m):
+    n = len(m[0])
+    expected = char_coeffs_by_newton(m)
+    assert _char_coeffs(m, n) == expected
+    # the general path itself, also where the triangular test would take over
+    re, im = m
+    if im is None:
+        assert _berkowitz_int(re, n) == [c for c, _ in expected]
+    else:
+        assert _berkowitz_gaussian(re, im, n) == expected
+    faddeev = charpoly_faddeev_int(Matrix._from_form(1, re, im))
+    assert [(c.re.numerator, c.im.numerator) for c in faddeev.coeffs] == expected
+    return expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(chi_cases())
+def test_berkowitz_chi_matches_newton_and_faddeev(case):
+    m, shape = case
+    expected = assert_chi_matches_oracles(m)
+    if shape == "nilpotent":
+        assert expected == [(1, 0)] + [(0, 0)] * len(m[0])
+    elif shape == "zero-row" or (shape == "singular" and len(m[0]) > 1):
+        assert expected[-1] == (0, 0)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_berkowitz_chi_on_large_dense_matrices(n, gaussian):
+    rng = random.Random(n)
+    parts = [[[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)] for _ in range(1 + gaussian)]
+    m = (parts[0], parts[1] if gaussian else None)
+    assert _triangular_diagonal(m, n) is None
+    assert_chi_matches_oracles(m)
 
 
 class _WatchedRow(tuple):
