@@ -141,7 +141,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--families", required=True, help="comma-separated pair, e.g. diag,pb")
     p.add_argument("--kind", choices=[ADDITIVE, MULTIPLICATIVE], required=True)
     p.add_argument("--trials", type=_at_least(1), default=100)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--bound", type=_at_least(1), default=10)
 

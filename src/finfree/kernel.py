@@ -32,14 +32,6 @@ lower triangular, and Berkowitz starts after two lookups. The
 signed-permutation mean, which takes chi of hundreds of dense conjugates,
 pays no more than that.
 
-Moments, and no chi, use the power sums p_k = tr(M^k), k = 1..count, from a
-baby-step/giant-step schedule (Paterson & Stockmeyer, SIAM J. Comput. 2(1),
-1973). With s = ceil(sqrt(count)), the baby steps M, M^2, ..., M^s take
-s - 1 products and give p_1..p_s as traces. The giant steps are G_1 = M^s
-and G_{j+1} = G_j M^s, one product each, and give p_{js+i} = tr(G_j M^i) =
-sum_ab G_j[a][b] M^i[b][a] for i = 1..s: an n^2 inner product, not a
-product. That is about 2 sqrt(count) products of n x n integer matrices.
-
 Determinants: Bareiss fraction-free elimination on M. After step k every
 entry of the remaining block is a (k+1)-order minor of the row-permuted M
 (Sylvester's identity), so dividing by the previous pivot is exact; over the
@@ -71,7 +63,6 @@ So a subtree of zero minors costs no more than one elimination per subset.
 
 from __future__ import annotations
 
-import math
 from operator import add, mul
 
 
@@ -126,49 +117,6 @@ def _trace(m):
     re, im = m
     tr = sum(row[i] for i, row in enumerate(re))
     return tr, 0 if im is None else sum(row[i] for i, row in enumerate(im))
-
-
-def _flat(m, by_columns: bool = False):
-    """m = (re, im) as flat int lists, row by row (or column by column),
-    plus re + im for Gauss's trick; (re, None, None) when m is real."""
-    re, im = _parts(m, lambda x: list(zip(*x))) if by_columns else m
-    flat_re = [v for row in re for v in row]
-    if im is None:
-        return flat_re, None, None
-    flat_im = [v for row in im for v in row]
-    return flat_re, flat_im, list(map(add, flat_re, flat_im))
-
-
-def _trace_of_product(g, b):
-    """tr(G B) from G flattened by rows and B by columns: one n^2 inner
-    product, sum_ab G[a][b] B[b][a]. G and B are both real or both complex."""
-    gr, gi, gs = g
-    br, bi, bs = b
-    re = sum(map(mul, gr, br))
-    if gi is None:
-        return re, 0
-    ii = sum(map(mul, gi, bi))
-    return re - ii, sum(map(mul, gs, bs)) - re - ii
-
-
-def _power_sums_int(m, count: int) -> list:
-    """p_1..p_count, p_k = tr(M^k), as (re, im) int pairs, by baby steps
-    M..M^s and giant steps M^{js}, s = ceil(sqrt(count)) (module docstring)."""
-    if count < 1:
-        return []
-    s = math.isqrt(count - 1) + 1
-    babies = [m]
-    for _ in range(s - 1):
-        babies.append(_gmul(babies[-1], m))
-    sums = [_trace(x) for x in babies]
-    columns = [_flat(x, by_columns=True) for x in babies]
-    giant = babies[-1]
-    while len(sums) < count:
-        rows = _flat(giant)
-        sums += [_trace_of_product(rows, c) for c in columns[: count - len(sums)]]
-        if len(sums) < count:
-            giant = _gmul(giant, babies[-1])
-    return sums
 
 
 def _triangular_diagonal(m, n: int):
@@ -265,7 +213,8 @@ def _berkowitz_gaussian(re, im, n: int) -> list:
 
 
 class _GaussInt:
-    """A Gaussian integer for Bareiss elimination and cycle sums on complex input.
+    """A Gaussian integer for Bareiss elimination, cycle sums and moments on
+    complex input.
 
     Named ``real``/``imag`` like int's own attributes, so ints and these mix;
     ``//`` is only ever used where the divisor divides exactly.

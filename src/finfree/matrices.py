@@ -1,5 +1,5 @@
 """Exact dense matrices: characteristic polynomials, determinants, principal
-minors and power-sum moments.
+minors and moments.
 
 Storage: a ``Matrix`` is its integer form, plus caches derived from it. For
 a matrix A of Gaussian rationals, d is the lcm of the denominators of every
@@ -20,13 +20,13 @@ with s = lcm(d_A, d_B).
 
 The linear algebra itself runs on the integer forms in ``kernel``:
 characteristic polynomials from the diagonal when the matrix is triangular
-and by Berkowitz's division-free recurrence otherwise, moments by power
-sums, determinants by Bareiss elimination, and all 2^n principal minors from
-one tree of fraction-free Sylvester steps, one order at a time in
-lexicographic order. ``minor_table`` reads every order of it,
-``principal_minors`` the orders up to k, and the principally balanced test
-stops at the first order whose minors differ. Since chi_M(x) = det(xI - dA)
-= d^n chi_A(x/d), coefficient k of chi_A is C_k / d^k, and the k-th moment
+and by Berkowitz's division-free recurrence otherwise, determinants by
+Bareiss elimination, and all 2^n principal minors from one tree of
+fraction-free Sylvester steps, one order at a time in lexicographic order.
+``minor_table`` reads every order of it, ``principal_minors`` the orders up
+to k, and the principally balanced test stops at the first order whose
+minors differ. Since chi_M(x) = det(xI - dA) = d^n chi_A(x/d), coefficient k
+of chi_A is C_k / d^k, and the k-th moment
 tr(A^k)/n is p_k / (n d^k); det(A) = det(M) / d^n, and the principal minor
 on an index set S is det(M_S) / d^|S|. The FFP verdicts take chi_{A+B} and
 chi_{AB} from the integer forms directly: A + B at scale lcm(d_A, d_B), AB
@@ -39,6 +39,12 @@ matrix the first time they are needed, at its own scale d. A verdict that
 needs chi of s*A for a multiple s of d takes C_k (s/d)^k, so checking one
 matrix against many partners (the boundary probes of ``families``) computes
 its chi once.
+
+Moments come from that cache too: the power sums p_k = tr(M^k) follow from
+C_0..C_n by Newton's identities (``polynomials._power_sums``), on ints for
+real input and on ``kernel._GaussInt`` for complex input, so they take no
+matrix product and divide by nothing. Moments, cumulants and chi of one
+matrix compute chi once between them.
 
 Cycle sums: a subset DP over paths in M gives, for each index set I, the sum
 C_I of M-products along the cycles through exactly I; c_I = C_I / d^|I|.
@@ -57,14 +63,14 @@ from .kernel import (
     _det_int,
     _entries,
     _gadd,
+    _GaussInt,
     _gmul,
     _gscale,
     _minor_levels,
     _parts,
-    _power_sums_int,
     _trace,
 )
-from .polynomials import Polynomial, _from_int
+from .polynomials import Polynomial, _from_int, _power_sums
 from .scalars import GaussianRational, _scaled, as_scalar
 
 # all 2^n principal minors from the Sylvester tree: at n = 16 `minor_table` takes
@@ -75,11 +81,14 @@ from .scalars import GaussianRational, _scaled, as_scalar
 # about 2.1x: at 17 `check-balanced` takes 2.8-3.1 s on those two Gaussian
 # matrices, peaks at 100-130 MB and prints up to 14 MB, so the limit stays 16
 MINOR_ENUMERATION_LIMIT = 16
-# moments m_1..m_count (of a matrix or, past the degree, of a polynomial): a dense
-# rational 3x3 takes about 0.24 s for `moments --k 1000` and 0.32 s for
-# `sum-moments --count 1000`, printing about 2 MB, and 1.4 and 1.7 s at 2000; an
-# 8x8 takes 0.6 s (power sums) and 1.1 s (Newton's recursion from chi) at 1000
-# (Python 3.11, 2-vCPU Xeon VM); each doubling of the count costs about 5x
+# moments m_1..m_count (of a matrix or, past the degree, of a polynomial). At 1000, a
+# cold `moments --k` takes about 0.45 s on a dense rational 3x3 and 0.6 s on a
+# Gaussian one, 0.55-0.6 s on a dense rational 8x8 and 1.2-1.6 s on a Gaussian one,
+# printing 2.4-7.7 MB; `sum-moments --count` takes 0.55-0.65 s on the rational 3x3,
+# 1.5 s on the rational 8x8 and 8.3 s on the Gaussian 8x8, whose Newton steps run on
+# GaussianRationals (Python 3.11, 2-vCPU Xeon VM). Each doubling of the count costs
+# 5-9x in process (1000 -> 2000: moments of the rational 8x8 0.16 -> 1.4 s, the sum
+# path 0.8 -> 5.7 s)
 MOMENT_COUNT_LIMIT = 1000
 
 
@@ -376,10 +385,13 @@ def matrix_moment(a: Matrix, k: int) -> GaussianRational:
 
 
 def moment_vector_of(a: Matrix, count: int | None = None) -> list[GaussianRational]:
-    """First ``count`` moments of A (default n): m_k = p_k / (n d^k) from the
-    power sums p_k = tr(M^k) of the integer form M = d*A."""
+    """First ``count`` moments of A (default n): m_k = p_k / (n d^k), with the
+    power sums p_k = tr(M^k) of the integer form M = d*A read off the cached
+    C_0..C_n of chi_M by Newton's identities (``polynomials._power_sums``)."""
     count = a.n if count is None else _guard_moment_count(count)
-    return [_scaled(p, a.n * a._d**k) for k, p in enumerate(_power_sums_int(a._m, count), 1)]
+    chi = _cached_chi(a)
+    f = [c for c, _ in chi] if a._m[1] is None else [_GaussInt(*c) for c in chi]
+    return [_scaled((p.real, p.imag), a.n * a._d**k) for k, p in enumerate(_power_sums(f, count), 1)]
 
 
 def _guard_moment_count(count: int) -> int:

@@ -12,6 +12,11 @@ For a monic degree-n polynomial sum_k a_k x^(n-k), the series sum_k a_k t^k
 is prod_i (1 - x_i t) over its roots x_i, so p_r = sum_i x_i^r = n m_r for
 the root moments m_r (tr(A^r)/n when the polynomial is chi_A).
 
+The first identity is ``polynomials._power_sums``, the one power-sum
+routine of the package: it divides by nothing, so ``matrices`` runs it on
+the integer coefficients of a matrix's cached chi for its moments, and here
+it runs on GaussianRationals. The second is ``_series``.
+
 Finite free cumulants follow Arizmendi & Perales, "Cumulants for finite free
 convolution", J. Combin. Theory Ser. A (2018), arXiv:1611.06598. The
 additive convolution multiplies F̂(t) = sum_k â_k t^k, â_k = a_k (n-k)!/n!,
@@ -35,7 +40,7 @@ from .errors import (
     DegreeMismatchError, DimensionMismatchError, IndexRangeError, NonMonicError, ParseError,
 )
 from .matrices import Matrix, _guard_moment_count, char_poly, moment_vector_of
-from .polynomials import Polynomial, boxplus
+from .polynomials import Polynomial, _power_sums, boxplus
 from .scalars import ONE, ZERO, GaussianRational, as_scalar
 
 
@@ -84,19 +89,6 @@ class CumulantVector(_Values):
 
 
 # -- coefficients <-> moments, through the Newton pair -------------------------
-
-
-def _power_sums(f: Sequence, count: int) -> list:
-    """p_1..p_count of the series f_0 + f_1 t + ... with f_0 = 1, reading
-    f_r = 0 past the end."""
-    top = len(f) - 1
-    sums: list[GaussianRational] = []
-    for r in range(1, count + 1):
-        acc = f[r] * -r if r <= top else ZERO
-        for i in range(1, min(r - 1, top) + 1):
-            acc = acc - f[i] * sums[r - i - 1]
-        sums.append(acc)
-    return sums
 
 
 def _series(sums: Sequence, n: int) -> list:

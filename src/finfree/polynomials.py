@@ -126,6 +126,27 @@ def _from_int(numerators, s: int, weights=None) -> Polynomial:
     return Polynomial(_scaled(z, w * s**k) for k, (z, w) in enumerate(zip(numerators, weights)))
 
 
+def _power_sums(f, count: int) -> list:
+    """p_1..p_count of the series f_0 + f_1 t + ... with f_0 = 1, reading
+    f_r = 0 past the end, by Newton's identities
+
+        p_r = -r f_r - sum_{i=1}^{r-1} f_i p_{r-i}.
+
+    The f_r may be ints, ``kernel._GaussInt``s or GaussianRationals: the
+    recurrence only multiplies, subtracts and scales by ints, and divides by
+    nothing. The sum starts from f_0 * 0, a zero of the same kind, since an
+    int minus a ``_GaussInt`` is undefined."""
+    top = len(f) - 1
+    zero = f[0] * 0
+    sums = []
+    for r in range(1, count + 1):
+        acc = f[r] * -r if r <= top else zero
+        for i in range(1, min(r - 1, top) + 1):
+            acc = acc - f[i] * sums[r - i - 1]
+        sums.append(acc)
+    return sums
+
+
 def _cleared(p: Polynomial, s: int) -> list:
     """A_k = a_k s^k as (re, im) int pairs; s is a multiple of every
     denominator in p, which is monic."""

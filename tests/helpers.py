@@ -4,7 +4,9 @@ The oracles deliberately avoid the code paths they check: determinants by
 cofactor expansion (not elimination), characteristic polynomials by minor
 sums, by the Faddeev-LeVerrier trace recurrence or by power sums and
 Newton's identities (not Berkowitz's recurrence), moments by repeated
-entrywise products (not power sums), products as entrywise sums, the additive convolution through the
+entrywise products or by traces of integer matrix powers on a
+baby-step/giant-step schedule (not Newton's identities from chi), products
+as entrywise sums, the additive convolution through the
 derivative form of its definition (with derivatives, evaluation and shifts
 of the argument on coefficient lists), both convolutions by their coefficient
 formulas over Gaussian rationals (not the integer kernel), FFP reports from
@@ -41,7 +43,7 @@ from finfree.families import (
     random_matrix,
 )
 from finfree.ffp import ADDITIVE
-from finfree.kernel import _det_int, _gmul, _parts, _power_sums_int, _trace
+from finfree.kernel import _det_int, _gmul, _parts, _trace
 from finfree.polynomials import _check_pair
 
 ZERO = as_scalar(0)
@@ -194,7 +196,7 @@ def char_coeffs_by_newton(m) -> list:
     recurrence replaced. Each division by k is exact, since C_k is a
     (Gaussian) integer."""
     coeffs = [(1, 0)]
-    sums = _power_sums_int(m, len(m[0]))
+    sums = power_sums_by_products(m, len(m[0]))
     for k in range(1, len(sums) + 1):
         re = im = 0
         for (cr, ci), (pr, pi) in zip(reversed(coeffs), sums):
@@ -202,6 +204,61 @@ def char_coeffs_by_newton(m) -> list:
             im += cr * pi + ci * pr
         coeffs.append((-re // k, -im // k))
     return coeffs
+
+
+def _flat(m, by_columns: bool = False):
+    """m = (re, im) as flat int lists, row by row (or column by column),
+    plus re + im for Gauss's trick; (re, None, None) when m is real."""
+    re, im = _parts(m, lambda x: list(zip(*x))) if by_columns else m
+    flat_re = [v for row in re for v in row]
+    if im is None:
+        return flat_re, None, None
+    flat_im = [v for row in im for v in row]
+    return flat_re, flat_im, list(map(operator.add, flat_re, flat_im))
+
+
+def _trace_of_product(g, b):
+    """tr(G B) from G flattened by rows and B by columns: one n^2 inner
+    product, sum_ab G[a][b] B[b][a]. G and B are both real or both complex."""
+    gr, gi, gs = g
+    br, bi, bs = b
+    re = sum(map(operator.mul, gr, br))
+    if gi is None:
+        return re, 0
+    ii = sum(map(operator.mul, gi, bi))
+    return re - ii, sum(map(operator.mul, gs, bs)) - re - ii
+
+
+def power_sums_by_products(m, count: int) -> list:
+    """p_1..p_count, p_k = tr(M^k), as (re, im) int pairs for the Gaussian
+    integer matrix m = (re, im), from integer matrix products on a
+    baby-step/giant-step schedule (Paterson & Stockmeyer, SIAM J. Comput.
+    2(1), 1973). With s = ceil(sqrt(count)), the baby steps M..M^s give
+    p_1..p_s as traces; the giant steps G_1 = M^s, G_{j+1} = G_j M^s give
+    p_{js+i} = tr(G_j M^i), an n^2 inner product each."""
+    if count < 1:
+        return []
+    s = math.isqrt(count - 1) + 1
+    babies = [m]
+    for _ in range(s - 1):
+        babies.append(_gmul(babies[-1], m))
+    sums = [_trace(x) for x in babies]
+    columns = [_flat(x, by_columns=True) for x in babies]
+    giant = babies[-1]
+    while len(sums) < count:
+        rows = _flat(giant)
+        sums += [_trace_of_product(rows, c) for c in columns[: count - len(sums)]]
+        if len(sums) < count:
+            giant = _gmul(giant, babies[-1])
+    return sums
+
+
+def moments_by_power_sums(m: Matrix, count: int) -> list:
+    """tr(A^k)/n for k = 1..count: the power sums of the integer form d*A
+    (``power_sums_by_products``) divided by n d^k."""
+    d, form = _int_form(m)
+    return [GaussianRational(Fraction(re, m.n * d**k), Fraction(im, m.n * d**k))
+            for k, (re, im) in enumerate(power_sums_by_products(form, count), 1)]
 
 
 def _add_diagonal(x, c: int) -> list:

@@ -577,18 +577,18 @@ class TestLargeAndDeepInput:
         "argv", [("moments", "A", "--k", "100000"), ("sum-moments", "A", "A", "--count", "100000")]
     )
     def test_moment_count_guard(self, capsys, write_json, monkeypatch, argv):
-        power_sums = finfree.matrices._power_sums_int
+        power_sums = finfree.matrices._power_sums
 
-        def first_two(m, count):
+        def first_two(f, count):
             # sum-moments takes each matrix's n = 2 moments before the requested count
             assert count <= 2, "the guard must refuse before the requested power sums"
-            return power_sums(m, count)
+            return power_sums(f, count)
 
         def refuse(*_):
             raise AssertionError("the guard must refuse before any power sum is computed")
 
         m = write_json("m.json", {"n": 2, "entries": [["1", "2"], ["3", "4"]]})
-        monkeypatch.setattr(finfree.matrices, "_power_sums_int", first_two)
+        monkeypatch.setattr(finfree.matrices, "_power_sums", first_two)
         monkeypatch.setattr(finfree.moments, "_power_sums", refuse)
         code, out, err = run(capsys, *(m if x == "A" else x for x in argv))
         assert (code, out) == (1, "")
@@ -664,6 +664,13 @@ class TestRangeChecks:
         self.assert_usage_error(
             capsys, "verify-pair", "--families", "diag,pb", "--kind", "additive",
             "--trials", "-5", "--n", "3", "--seed", "1",
+        )
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_verify_pair_n_below_one(self, capsys, n):
+        self.assert_usage_error(
+            capsys, "verify-pair", "--families", "diag,pb", "--kind", "additive",
+            "--trials", "2", "--n", n, "--seed", "1",
         )
 
     def test_expect_mc_negative_seed(self, capsys, write_json):

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from finfree import (
@@ -20,12 +20,14 @@ from finfree import (
     FamilyId,
     GaussianRational,
     Matrix,
+    MomentVector,
     NonMonicError,
     Polynomial,
     boxplus,
     boxtimes,
     char_poly,
     check_ffp,
+    cumulants_of_matrix,
     expected_charpoly_signed_perms,
     is_additive_ffp,
     is_multiplicative_ffp,
@@ -66,6 +68,7 @@ from helpers import (
     ffp_report_oracle,
     matmul_entrywise,
     minors_by_elimination,
+    moments_by_power_sums,
     moments_by_powers,
     rank_one_by_fractions,
     scale_entrywise,
@@ -148,10 +151,13 @@ def test_signed_perm_average_matches_per_conjugate_char_polys(ab, kind):
     assert expected_charpoly_signed_perms(a, b, kind) == average(polys)
 
 
-# n where s = ceil(sqrt(n)) baby steps change: 1, 2 (s = n), 4, 5 (s = 2, 3), 9, 10 (s = 3, 4);
-# the power sums feed the Newton oracle here, and the moments in the library
+# counts k where s = ceil(sqrt(k)) baby steps change: 1, 2 (s = k), 4, 5 (s = 2, 3), 9, 10
+# (s = 3, 4); as n, for the power sums that feed the Newton oracle, and as moment counts
+BABY_STEP_BOUNDARIES = (1, 2, 4, 5, 9, 10)
+
+
 @KERNEL
-@given(st.sampled_from((1, 2, 4, 5, 9, 10)).flatmap(lambda n: matrices(n=n)))
+@given(st.sampled_from(BABY_STEP_BOUNDARIES).flatmap(lambda n: matrices(n=n)))
 def test_power_sum_char_poly_across_baby_step_counts(m):
     p = char_poly(m)
     assert p == charpoly_faddeev_int(m)
@@ -166,10 +172,19 @@ def test_power_sum_char_poly_across_baby_step_counts(m):
 
 
 @KERNEL
-@given(matrices(max_n=6), st.sampled_from(("zero", "one", "n", "n+3")))
+@given(
+    matrices(max_n=8),
+    st.sampled_from(("zero", "one", "n", "n+3", "3n+1")) | st.sampled_from(BABY_STEP_BOUNDARIES),
+)
 def test_moment_vector_matches_repeated_powers(m, which):
-    count = {"zero": 0, "one": 1, "n": m.n, "n+3": m.n + 3}[which]
-    assert moment_vector_of(m, count) == moments_by_powers(m, count)
+    """Newton's identities on the cached chi against entrywise matrix powers
+    and against traces of integer powers on the baby-step/giant-step
+    schedule, at counts past the degree and at each change of baby-step
+    count."""
+    count = {"zero": 0, "one": 1, "n": m.n, "n+3": m.n + 3, "3n+1": 3 * m.n + 1}.get(which, which)
+    moments = moment_vector_of(m, count)
+    assert moments == moments_by_powers(m, count)
+    assert moments == moments_by_power_sums(m, count)
 
 
 @KERNEL
@@ -340,6 +355,23 @@ def test_probe_loop_computes_the_outsiders_chi_once(monkeypatch, kind):
     assert is_member(outsider, FamilyId.PRINCIPALLY_BALANCED)
 
 
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_moments_cumulants_and_chi_of_one_matrix_compute_chi_once(monkeypatch, gaussian):
+    m = Matrix([[GaussianRational(3 * i - j, i * j % 2 if gaussian else 0) for j in range(4)] for i in range(4)])
+    calls = []
+    original = matrix_module._char_coeffs
+
+    def counting(form, n):
+        calls.append(form)
+        return original(form, n)
+
+    monkeypatch.setattr(matrix_module, "_char_coeffs", counting)
+    MomentVector.of_matrix(m, 10)
+    cumulants_of_matrix(m)
+    char_poly(m)
+    assert calls == [m._m]
+
+
 # -- chi of a triangular matrix from its diagonal -----------------------------
 
 
@@ -402,14 +434,14 @@ def test_triangular_chi_matches_power_sums_and_faddeev(case):
     ],
 )
 def test_triangular_chi_computes_no_power_sum(monkeypatch, rows):
-    """Neither general route runs on a triangular matrix: no Berkowitz step
-    (real or Gaussian) and no power sum."""
+    """The general route does not run on a triangular matrix: no Berkowitz
+    step, real or Gaussian."""
     m = Matrix(rows)
 
     def refused(*args):
         raise AssertionError("the general chi path on a triangular matrix")
 
-    for name in ("_berkowitz_int", "_berkowitz_gaussian", "_power_sums_int"):
+    for name in ("_berkowitz_int", "_berkowitz_gaussian"):
         monkeypatch.setattr(kernel, name, refused)
     assert char_poly(m) == charpoly_faddeev_int(m)
 
@@ -465,7 +497,10 @@ def assert_chi_matches_oracles(m):
     return expected
 
 
-@settings(max_examples=150, deadline=None)
+# no shrink phase: every example is still generated and checked, but a failure
+# on up to 2 * 12^2 drawn integers of up to 10^6 is reported as drawn, in
+# seconds, where shrinking each integer could take minutes
+@settings(max_examples=150, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(chi_cases())
 def test_berkowitz_chi_matches_newton_and_faddeev(case):
     m, shape = case

@@ -368,7 +368,7 @@ class TestMomentCountGuard:
         def refuse(*_):
             raise AssertionError("the guard must refuse before any power sum is computed")
 
-        monkeypatch.setattr(finfree.matrices, "_power_sums_int", refuse)
+        monkeypatch.setattr(finfree.matrices, "_power_sums", refuse)
         monkeypatch.setattr(finfree.moments, "_power_sums", refuse)
         over = MOMENT_COUNT_LIMIT + 1
         with pytest.raises(SizeGuardError):
