@@ -129,7 +129,7 @@ def _ffp_ints(a: Matrix, b: Matrix, kind: str) -> _FfpInts:
     weights, rhs = _convolve_int(_chi_at(a, scale_a), _chi_at(b, scale_b), product)
     failing = [
         k for k in _residual_indices(kind, a.n)
-        if (weights[k] * lhs[k][0], weights[k] * lhs[k][1]) != rhs[k]
+        if weights[k] * lhs[k] != rhs[k]
     ]
     return _FfpInts(kind, s, lhs, weights, rhs, failing)
 
@@ -140,8 +140,8 @@ def _report(ints: _FfpInts) -> FfpReport:
     kind, s, lhs, weights, rhs, failing = ints
     residuals = {}
     for k in failing:
-        w, (pr, pi), (nr, ni) = weights[k], lhs[k], rhs[k]
-        residuals[k] = _scaled((w * pr - nr, w * pi - ni), w * s**k)
+        w = weights[k]
+        residuals[k] = _scaled(w * lhs[k] - rhs[k], w * s**k)
     return FfpReport(kind, not failing, residuals, _from_int(lhs, s), _from_int(rhs, s, weights))
 
 

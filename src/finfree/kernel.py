@@ -2,10 +2,12 @@
 
 A Gaussian integer matrix M is a pair (re, im) of int matrices, rows of
 ints; im is None when every imaginary part is zero, so real input never
-pays for imaginary products. A scalar is an (re, im) int pair. Products of
-Gaussian ints follow the complex rule on the (re, im) parts. Nothing here
-builds a rational: ``matrices`` keeps each matrix as d*A in this form and
-divides by powers of d only at the end.
+pays for imaginary products. Products of such matrices follow the complex
+rule on the (re, im) parts. A scalar (a coefficient, a determinant, a minor,
+a trace) is an int on real input and a ``scalars._GaussInt`` on complex
+input; the two mix in either operand order. Nothing here builds a rational:
+``matrices`` keeps each matrix as d*A in this form and divides by powers of
+d only at the end.
 
 Characteristic polynomial: Berkowitz's division-free recurrence (S. J.
 Berkowitz, Inf. Process. Lett. 18, 1984). Let A_r be the leading r x r block
@@ -65,6 +67,18 @@ from __future__ import annotations
 
 from operator import add, mul
 
+from .errors import SizeGuardError
+from .scalars import _GaussInt
+
+# n for chi by Berkowitz. On dense p/q entries with |p|, q <= 10 at n = 64, a cold
+# `charpoly` takes 1.1 s (real) and 2.5 s (Gaussian), `cumulants` 1.3 and 3.3 s,
+# `check-ffp` 2.5-3.1 and 7.5-9.0 s and `expect --mc --samples 1` 2.4 and 6.9 s
+# (Python 3.11, 2-vCPU Xeon VM). The cost grows about as n^3.7: at n = 96 `charpoly`
+# takes 5.0 and 15.6 s and a multiplicative `check-ffp` 16.8 s, so a 500 x 500 file
+# would take about an hour. Triangular input skips Berkowitz and this limit: its chi
+# costs O(n^2) int products, and `char_poly` takes 85 ms in process at n = 500
+CHI_DIMENSION_LIMIT = 64
+
 
 def _parts(m, f):
     """Apply f to each int matrix of m = (re, im), keeping a missing im missing."""
@@ -92,13 +106,11 @@ def _gadd(a, b):
 
 
 def _gscale(m, z):
-    """z*M for the Gaussian integer z = (zr, zi)."""
-    (re, im), (zr, zi) = m, z
-    if not zi:
-        return _parts(m, lambda x: [[v * zr for v in row] for row in x])
-    pairs = [list(zip(r, i)) for r, i in zip(re, im or [[0] * len(re)] * len(re))]
-    return ([[a * zr - b * zi for a, b in row] for row in pairs],
-            [[a * zi + b * zr for a, b in row] for row in pairs])
+    """z*M for the kernel scalar z."""
+    if not z.imag:
+        return _parts(m, lambda x: [[v * z.real for v in row] for row in x])
+    rows = [[z * v for v in row] for row in _entries(m)]
+    return [[v.real for v in row] for row in rows], [[v.imag for v in row] for row in rows]
 
 
 def _gmul(a, b):
@@ -116,11 +128,11 @@ def _gmul(a, b):
 def _trace(m):
     re, im = m
     tr = sum(row[i] for i, row in enumerate(re))
-    return tr, 0 if im is None else sum(row[i] for i, row in enumerate(im))
+    return tr if im is None else _GaussInt(tr, sum(row[i] for i, row in enumerate(im)))
 
 
 def _triangular_diagonal(m, n: int):
-    """The diagonal of M = (re, im) as (re, im) pairs when M is upper or lower
+    """The diagonal of M = (re, im) as kernel scalars when M is upper or lower
     triangular, else None. A dense M is turned away by two cells, before any
     scan (module docstring)."""
     re, im = m
@@ -131,31 +143,31 @@ def _triangular_diagonal(m, n: int):
         any(row[i + 1:]) for x in parts for i, row in enumerate(x)
     ):
         return None
-    return [(row[i], 0 if im is None else im[i][i]) for i, row in enumerate(re)]
+    return [row[i] if im is None else _GaussInt(row[i], im[i][i]) for i, row in enumerate(re)]
 
 
 def _coeffs_from_roots(roots) -> list:
-    """C_0..C_n of prod (x - z) over the Gaussian ints z = (zr, zi), one
-    factor at a time: C_k <- C_k - z C_{k-1}."""
-    coeffs = [(1, 0)]
-    for zr, zi in roots:
-        coeffs = [
-            (cr - zr * pr + zi * pi, ci - zr * pi - zi * pr)
-            for (cr, ci), (pr, pi) in zip(coeffs + [(0, 0)], [(0, 0)] + coeffs)
-        ]
+    """C_0..C_n of prod (x - z) over the kernel scalars z, one factor at a
+    time: C_k <- C_k - z C_{k-1}."""
+    coeffs = [1]
+    for z in roots:
+        coeffs = [c - z * p for c, p in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
 
 
 def _char_coeffs(m, n: int) -> list:
     """C_0..C_n of chi_M = x^n + C_1 x^{n-1} + ... + C_n for the n x n
-    Gaussian integer matrix M = (re, im), as (re, im) int pairs: from the
-    diagonal when M is triangular, else by Berkowitz (module docstring)."""
+    Gaussian integer matrix M = (re, im), as kernel scalars: from the
+    diagonal when M is triangular, else by Berkowitz (module docstring),
+    which refuses n > ``CHI_DIMENSION_LIMIT``."""
     diagonal = _triangular_diagonal(m, n)
     if diagonal is not None:
         return _coeffs_from_roots(diagonal)
+    if n > CHI_DIMENSION_LIMIT:
+        raise SizeGuardError(f"characteristic polynomial refused for n={n} > {CHI_DIMENSION_LIMIT}")
     re, im = m
     if im is None:
-        return [(c, 0) for c in _berkowitz_int(re, n)]
+        return _berkowitz_int(re, n)
     return _berkowitz_gaussian(re, im, n)
 
 
@@ -209,50 +221,7 @@ def _berkowitz_gaussian(re, im, n: int) -> list:
         # t_0 = 1 has the parts (1, 0, 1)
         t = [[one, -x[r][r]] + [-p for p in y] for one, x, y in zip((1, 0, 1), parts, tail)]
         c = _gmatvec([_toeplitz(x) for x in t], c)
-    return list(zip(c[0], c[1]))
-
-
-class _GaussInt:
-    """A Gaussian integer for Bareiss elimination, cycle sums and moments on
-    complex input.
-
-    Named ``real``/``imag`` like int's own attributes, so ints and these mix;
-    ``//`` is only ever used where the divisor divides exactly.
-    """
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: int, imag: int):
-        self.real = real
-        self.imag = imag
-
-    def __mul__(self, other):
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        return _GaussInt(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return _GaussInt(self.real + other.real, self.imag + other.imag)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _GaussInt(self.real - other.real, self.imag - other.imag)
-
-    def __floordiv__(self, other):
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        norm = c * c + d * d
-        return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
-
-    def __neg__(self):
-        return _GaussInt(-self.real, -self.imag)
-
-    def __eq__(self, other):
-        return self.real == other.real and self.imag == other.imag
-
-    def __bool__(self):
-        return bool(self.real or self.imag)
+    return list(map(_GaussInt, c[0], c[1]))
 
 
 def _bareiss(rows, k: int, prev=1):
@@ -283,16 +252,15 @@ def _bareiss(rows, k: int, prev=1):
 
 
 def _det_int(m):
-    """det of a Gaussian integer matrix as an (re, im) pair, by Bareiss
+    """det of a Gaussian integer matrix as a kernel scalar, by Bareiss
     elimination; each division by the previous pivot is exact."""
     rows = _entries(m)
-    det, _ = _bareiss(rows, len(rows))
-    return det.real, det.imag
+    return _bareiss(rows, len(rows))[0]
 
 
 def _minor_levels(m):
     """The principal minors of the Gaussian integer matrix m = (re, im), one
-    order at a time: for k = 0, 1, ..., n, the ints (or _GaussInts) det(M_S)
+    order at a time: for k = 0, 1, ..., n, the kernel scalars det(M_S)
     over the k-subsets S in lexicographic order, by the Sylvester tree
     (module docstring). Each level is built only when the next one is asked
     for, so a caller that stops early pays for no deeper order."""

@@ -41,10 +41,10 @@ matrix against many partners (the boundary probes of ``families``) computes
 its chi once.
 
 Moments come from that cache too: the power sums p_k = tr(M^k) follow from
-C_0..C_n by Newton's identities (``polynomials._power_sums``), on ints for
-real input and on ``kernel._GaussInt`` for complex input, so they take no
-matrix product and divide by nothing. Moments, cumulants and chi of one
-matrix compute chi once between them.
+C_0..C_n by Newton's identities (``polynomials._power_sums``), on the
+kernel's scalars (ints for real input, ``scalars._GaussInt`` for complex
+input), so they take no matrix product and divide by nothing. Moments,
+cumulants and chi of one matrix compute chi once between them.
 
 Cycle sums: a subset DP over paths in M gives, for each index set I, the sum
 C_I of M-products along the cycles through exactly I; c_I = C_I / d^|I|.
@@ -55,6 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, IndexRangeError, ParseError, SizeGuardError
@@ -63,7 +64,6 @@ from .kernel import (
     _det_int,
     _entries,
     _gadd,
-    _GaussInt,
     _gmul,
     _gscale,
     _minor_levels,
@@ -176,9 +176,7 @@ class Matrix:
     def rows(self) -> tuple:
         """The entries as rows of GaussianRationals, built on first use."""
         if self._rows is None:
-            d, (re, im) = self._d, self._m
-            ims = [(0,) * self.n] * self.n if im is None else im
-            self._rows = tuple(tuple(_scaled(z, d) for z in zip(r, i)) for r, i in zip(re, ims))
+            self._rows = tuple(tuple(_scaled(z, self._d) for z in row) for row in _entries(self._m))
         return self._rows
 
     def entry(self, i: int, j: int) -> GaussianRational:
@@ -217,8 +215,8 @@ class Matrix:
         return Matrix._from_form(self._d * other._d, *_gmul(self._m, other._m))
 
     def scale(self, factor) -> "Matrix":
-        e, ((fr,),), fi = _cleared([[_exact(factor)]])
-        return Matrix._from_form(self._d * e, *_gscale(self._m, (fr, fi[0][0] if fi else 0)))
+        e, *form = _cleared([[_exact(factor)]])
+        return Matrix._from_form(self._d * e, *_gscale(self._m, _entries(form)[0][0]))
 
     # -- exact linear algebra ---------------------------------------------
 
@@ -276,7 +274,7 @@ def _nonzero_entry(a: Matrix, i: int, j: int) -> bool:
 def _at_scale(a: Matrix, d: int):
     """(re, im) of d*A, for d a multiple of A's own scale."""
     f = d // a._d
-    return a._m if f == 1 else _gscale(a._m, (f, 0))
+    return a._m if f == 1 else _gscale(a._m, f)
 
 
 def _cycle_sums(a: Matrix) -> dict:
@@ -319,7 +317,7 @@ def _cycle_sums(a: Matrix) -> dict:
         by_order[k] = []
         for subset in itertools.combinations(range(n), k):
             c = sums.get(sum(1 << i for i in subset), 0)
-            by_order[k].append((tuple(i + 1 for i in subset), _scaled((c.real, c.imag), d**k)))
+            by_order[k].append((tuple(i + 1 for i in subset), _scaled(c, d**k)))
     return by_order
 
 
@@ -335,7 +333,7 @@ def _chi_at(a: Matrix, s: int) -> list:
     """C_0..C_n of chi_{sA} for s a multiple of A's scale d: the cached
     C_k of chi_{dA} times (s/d)^k."""
     f = s // a._d
-    return [(re * f**k, im * f**k) for k, (re, im) in enumerate(_cached_chi(a))]
+    return [c * f**k for k, c in enumerate(_cached_chi(a))]
 
 
 def char_poly(a: Matrix) -> Polynomial:
@@ -364,7 +362,7 @@ def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool, signed_perms
     """
     d, ma, mb, combine = _pair_form(a, b, product)
     n = a.n
-    total = [(0, 0)] * (n + 1)
+    total = [0] * (n + 1)
     count = 0
     for perm, signs in signed_perms:
         conj = _parts(mb, lambda x: [
@@ -372,7 +370,7 @@ def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool, signed_perms
             for pi, si in zip(perm, signs)
         ])
         coeffs = _char_coeffs(combine(ma, conj), n)
-        total = [(tr + cr, ti + ci) for (tr, ti), (cr, ci) in zip(total, coeffs)]
+        total = list(map(add, total, coeffs))
         count += 1
     return _from_int(total, d, [count] * (n + 1))
 
@@ -389,9 +387,7 @@ def moment_vector_of(a: Matrix, count: int | None = None) -> list[GaussianRation
     power sums p_k = tr(M^k) of the integer form M = d*A read off the cached
     C_0..C_n of chi_M by Newton's identities (``polynomials._power_sums``)."""
     count = a.n if count is None else _guard_moment_count(count)
-    chi = _cached_chi(a)
-    f = [c for c, _ in chi] if a._m[1] is None else [_GaussInt(*c) for c in chi]
-    return [_scaled((p.real, p.imag), a.n * a._d**k) for k, p in enumerate(_power_sums(f, count), 1)]
+    return [_scaled(p, a.n * a._d**k) for k, p in enumerate(_power_sums(_cached_chi(a), count), 1)]
 
 
 def _guard_moment_count(count: int) -> int:
@@ -424,7 +420,7 @@ def _labelled(level, a: Matrix, k: int) -> list:
     """(1-based subset, minor) pairs for one level of the minor tree."""
     scale = a._d**k
     subsets = itertools.combinations(range(1, a.n + 1), k)
-    return [(s, _scaled((v.real, v.imag), scale)) for s, v in zip(subsets, level)]
+    return [(s, _scaled(v, scale)) for s, v in zip(subsets, level)]
 
 
 def _minors_balanced(a: Matrix) -> bool:

@@ -227,10 +227,63 @@ class GaussianRational:
         return f"GaussianRational({self})"
 
 
+class _GaussInt:
+    """A Gaussian integer: the exact kernel's scalar on complex input, where
+    real input keeps plain ints.
+
+    Named ``real``/``imag`` like int's own attributes, so ints and these mix
+    in either operand order; ``//`` is only ever used where the divisor
+    divides exactly.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real = real
+        self.imag = imag
+
+    def __mul__(self, other):
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return _GaussInt(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _GaussInt(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _GaussInt(self.real - other.real, self.imag - other.imag)
+
+    def __rsub__(self, other):
+        return _GaussInt(other.real - self.real, other.imag - self.imag)
+
+    def __floordiv__(self, other):
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        norm = c * c + d * d
+        return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
+
+    def __rfloordiv__(self, other):
+        return _GaussInt(other.real, other.imag) // self
+
+    def __neg__(self):
+        return _GaussInt(-self.real, -self.imag)
+
+    def __eq__(self, other):
+        return self.real == other.real and self.imag == other.imag
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def __repr__(self) -> str:
+        return f"_GaussInt({self.real}, {self.imag})"
+
+
 def _scaled(z, d: int) -> GaussianRational:
-    """The Gaussian integer z = (re, im), as an int pair, divided by the
+    """The kernel scalar z, an int or a ``_GaussInt``, divided by the
     positive integer d."""
-    return GaussianRational(Fraction(z[0], d), Fraction(z[1], d) if z[1] else _ZERO)
+    return GaussianRational(Fraction(z.real, d), Fraction(z.imag, d) if z.imag else _ZERO)
 
 
 ZERO = GaussianRational(0)

@@ -50,6 +50,12 @@ ZERO = as_scalar(0)
 ONE = as_scalar(1)
 
 
+def pair(z) -> tuple:
+    """The kernel scalar z, an int or a Gaussian int, as its (re, im) int
+    pair, the form the oracles here compute in."""
+    return z.real, z.imag
+
+
 def cofactor_det(rows) -> GaussianRational:
     """Determinant by recursive cofactor expansion along the first row."""
     k = len(rows)
@@ -182,7 +188,7 @@ def charpoly_faddeev_int(m: Matrix) -> Polynomial:
         if k > 1:
             (wr, wi), (cr, ci) = work, coeffs[-1]
             work = _gmul(form, (_add_diagonal(wr, cr), None if wi is None else _add_diagonal(wi, ci)))
-        tr, ti = _trace(work)
+        tr, ti = pair(_trace(work))
         coeffs.append((-tr // k, -ti // k))
     return Polynomial(
         GaussianRational(Fraction(cr, d**k), Fraction(ci, d**k)) for k, (cr, ci) in enumerate(coeffs)
@@ -242,7 +248,7 @@ def power_sums_by_products(m, count: int) -> list:
     babies = [m]
     for _ in range(s - 1):
         babies.append(_gmul(babies[-1], m))
-    sums = [_trace(x) for x in babies]
+    sums = [pair(_trace(x)) for x in babies]
     columns = [_flat(x, by_columns=True) for x in babies]
     giant = babies[-1]
     while len(sums) < count:
@@ -457,7 +463,7 @@ def minors_by_elimination(m, k: int) -> list:
     each an (re, im) int pair: the per-subset path that the minor tree
     replaced."""
     return [
-        _det_int(_parts(m, lambda x: [[x[i][j] for j in subset] for i in subset]))
+        pair(_det_int(_parts(m, lambda x: [[x[i][j] for j in subset] for i in subset])))
         for subset in itertools.combinations(range(len(m[0])), k)
     ]
 

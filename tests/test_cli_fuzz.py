@@ -6,21 +6,27 @@ malformed scalars, exponent forms around ``EXPONENT_LIMIT``, values around
 the float range fed to ``expect --mc``, deep JSON nesting, a declared
 ``n``/``degree`` that disagrees with the payload, rows that are not lists,
 bool/float/null entries, counts past ``MOMENT_COUNT_LIMIT`` and
-``MC_SAMPLE_LIMIT``, and ``-h``/``--help`` among the free-form argv words.
+``MC_SAMPLE_LIMIT``, and ``-h``/``--help`` among the free-form argv words;
+and ``charpoly`` and ``convolve`` on both sides of ``CHI_DIMENSION_LIMIT`` and
+``CONVOLUTION_DEGREE_LIMIT``.
 """
 
 import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from finfree.cli import main
 from finfree.ffp import MC_SAMPLE_LIMIT
+from finfree.kernel import CHI_DIMENSION_LIMIT
 from finfree.matrices import MOMENT_COUNT_LIMIT
+from finfree.polynomials import CONVOLUTION_DEGREE_LIMIT
 from finfree.scalars import EXPONENT_LIMIT
 
 MALFORMED = ["", " ", "1/0", "1//2", "++1", "1+*i", "*i", "1e", "e5", "0x10", "nan", "inf",
@@ -209,8 +215,29 @@ def edge_invocations(draw):
     return argv, files
 
 
+@st.composite
+def guard_invocations(draw, verb, past):
+    """(argv, files): ``charpoly`` on a dense n x n matrix or ``convolve`` on
+    two degree-n polynomials, with n at the verb's cost limit or one past it;
+    the p/q entries, real or Gaussian, come from a drawn seed."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gaussian = draw(st.booleans())
+
+    def entry():
+        re = f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+        return f"{re}{rng.choice('+-')}{rng.randint(1, 9)}/{rng.randint(1, 9)}*i" if gaussian else re
+
+    if verb == "charpoly":
+        n = CHI_DIMENSION_LIMIT + past
+        return [verb, "a"], {"a": {"n": n, "entries": [[entry() for _ in range(n)] for _ in range(n)]}}
+    n = CONVOLUTION_DEGREE_LIMIT + past
+    files = {key: {"degree": n, "coeffs": ["1", *(entry() for _ in range(n))]} for key in ("a", "b")}
+    return [verb, "--kind", draw(st.sampled_from(["additive", "multiplicative"])), "a", "b"], files
+
+
 def assert_contract(argv, files):
-    """Run ``main(argv)`` on the files, named in argv by their keys."""
+    """Run ``main(argv)`` on the files, named in argv by their keys, and
+    return its exit code and stderr."""
     with tempfile.TemporaryDirectory() as directory:
         for key, payload in files.items():
             with open(os.path.join(directory, key), "w", encoding="utf-8") as handle:
@@ -234,6 +261,7 @@ def assert_contract(argv, files):
         assert err == ""
         assert out.endswith("\n") and out.count("\n") == 1
         json.loads(out)
+    return code, err
 
 
 @settings(FUZZ, max_examples=120)
@@ -246,3 +274,14 @@ def test_cli_keeps_its_exit_code_contract(invocation):
 @given(edge_invocations())
 def test_float_range_and_count_edges_keep_the_contract(invocation):
     assert_contract(*invocation)
+
+
+@pytest.mark.parametrize("past", [False, True])
+@pytest.mark.parametrize("verb", ["charpoly", "convolve"])
+@settings(FUZZ, max_examples=3)
+@given(data=st.data())
+def test_cost_guards_admit_their_limits_and_refuse_one_past(verb, past, data):
+    code, err = assert_contract(*data.draw(guard_invocations(verb, past)))
+    assert code == (1 if past else 0)
+    if past:
+        assert json.loads(err)["error"] == "size-guard"

@@ -27,6 +27,7 @@ from finfree import (
     boxtimes,
     char_poly,
     check_ffp,
+    cycle_sums,
     cumulants_of_matrix,
     expected_charpoly_signed_perms,
     is_additive_ffp,
@@ -70,6 +71,7 @@ from helpers import (
     minors_by_elimination,
     moments_by_power_sums,
     moments_by_powers,
+    pair,
     rank_one_by_fractions,
     scale_entrywise,
     signed_conjugate,
@@ -161,7 +163,7 @@ BABY_STEP_BOUNDARIES = (1, 2, 4, 5, 9, 10)
 def test_power_sum_char_poly_across_baby_step_counts(m):
     p = char_poly(m)
     assert p == charpoly_faddeev_int(m)
-    assert _char_coeffs(m._m, m.n) == char_coeffs_by_newton(m._m)
+    assert list(map(pair, _char_coeffs(m._m, m.n))) == char_coeffs_by_newton(m._m)
     if m.n <= 5:
         assert p == charpoly_via_minors(m)
     else:
@@ -416,8 +418,8 @@ def test_triangular_chi_matches_power_sums_and_faddeev(case):
     triangular = is_member(m, FamilyId.UPPER_TRIANGULAR) or is_member(m, FamilyId.LOWER_TRIANGULAR)
     assert (diagonal is not None) == triangular == (shape != "near")
     if diagonal is not None:
-        assert diagonal == [(re[i][i], 0 if im is None else im[i][i]) for i in range(n)]
-    coeffs = _char_coeffs(m._m, n)
+        assert list(map(pair, diagonal)) == [(re[i][i], 0 if im is None else im[i][i]) for i in range(n)]
+    coeffs = list(map(pair, _char_coeffs(m._m, n)))
     assert coeffs == char_coeffs_by_newton(m._m)
     assert char_poly(m) == charpoly_faddeev_int(m)
     if shape.startswith("strict"):
@@ -485,13 +487,13 @@ def chi_cases(draw):
 def assert_chi_matches_oracles(m):
     n = len(m[0])
     expected = char_coeffs_by_newton(m)
-    assert _char_coeffs(m, n) == expected
+    assert list(map(pair, _char_coeffs(m, n))) == expected
     # the general path itself, also where the triangular test would take over
     re, im = m
     if im is None:
         assert _berkowitz_int(re, n) == [c for c, _ in expected]
     else:
-        assert _berkowitz_gaussian(re, im, n) == expected
+        assert list(map(pair, _berkowitz_gaussian(re, im, n))) == expected
     faddeev = charpoly_faddeev_int(Matrix._from_form(1, re, im))
     assert [(c.re.numerator, c.im.numerator) for c in faddeev.coeffs] == expected
     return expected
@@ -628,3 +630,44 @@ def test_minor_table_of_a_matrix_with_no_zero_minor_makes_no_elimination(monkeyp
     table = minor_table(m)
     assert all(v for level in table.values() for _, v in level)
     assert [[(v.re.numerator, v.im.numerator) for _, v in table[k]] for k in range(n + 1)] == expected
+
+
+# -- the kernel's scalars stay inside it ----------------------------------------
+
+
+def upper_part(m: Matrix) -> Matrix:
+    return Matrix([[x if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(m.rows)])
+
+
+@KERNEL
+@given(pairs(max_n=4))
+def test_no_kernel_scalar_reaches_a_public_value(ab):
+    """Every value the public API returns is a GaussianRational, never an int
+    or a _GaussInt of the kernel: on real and Gaussian input, on the dense
+    (Berkowitz) and the triangular chi paths, and in the residuals of pairs
+    that fail finite free position."""
+    a, b = ab
+    for x, y in ((a, b), (upper_part(a), b), (a, upper_part(b))):
+        p, q = char_poly(x), char_poly(y)
+        values = [*x.rows[0], x.det(), x.trace(), *p.coeffs, *moment_vector_of(x, x.n + 2)]
+        values += [v for level in minor_table(x).values() for _, v in level]
+        values += [v for level in cycle_sums(x).by_order.values() for _, v in level]
+        values += [*boxplus(p, q).coeffs, *boxtimes(p, q).coeffs]
+        for kind in (ADDITIVE, MULTIPLICATIVE):
+            report = check_ffp(x, y, kind)
+            values += [*report.residuals.values(), *report.lhs.coeffs, *report.rhs.coeffs]
+            if x.n <= 3:
+                values += expected_charpoly_signed_perms(x, y, kind).coeffs
+        assert all(type(v) is GaussianRational for v in values)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_ffp_residuals_are_gaussian_rationals(gaussian):
+    """A fixed pair that fails both kinds of finite free position, so both
+    residual maps hold values."""
+    i = GaussianRational(0, 1) if gaussian else 1
+    a = Matrix([[1, 2 * i, 0], [3, 0, i], [5, 1, 2]])
+    b = Matrix([[0, 1, i], [2, 1, 0], [1, 3 * i, 4]])
+    for kind in (ADDITIVE, MULTIPLICATIVE):
+        residuals = check_ffp(a, b, kind).residuals
+        assert residuals and all(type(v) is GaussianRational for v in residuals.values())

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finfree import GaussianRational, ParseError, SizeGuardError, as_scalar
-from finfree.scalars import EXPONENT_LIMIT, I, ONE, ZERO, _int_str
+from finfree.scalars import EXPONENT_LIMIT, I, ONE, ZERO, _GaussInt, _int_str, _scaled
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -159,3 +159,44 @@ def test_exponent_past_the_limit_is_refused(text):
     # each of these would cost milliseconds, not hours, if the guard let it through
     with pytest.raises(SizeGuardError):
         GaussianRational.parse(text)
+
+
+# -- the integer kernel's scalars: int or _GaussInt ----------------------------
+
+gauss_ints = st.builds(_GaussInt, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+kernel_scalars = st.integers(-10**6, 10**6) | st.integers(-3, 3) | gauss_ints
+
+
+def exact(z) -> GaussianRational:
+    return _scaled(z, 1)
+
+
+@given(kernel_scalars, kernel_scalars)
+def test_kernel_scalars_match_gaussian_rationals_in_both_operand_orders(x, y):
+    """+, -, *, exact //, == and != on int/int, int/_GaussInt, _GaussInt/int
+    and _GaussInt/_GaussInt agree with the same operation on GaussianRationals."""
+    for p, q in ((x, y), (y, x)):
+        gp, gq = exact(p), exact(q)
+        assert exact(p + q) == gp + gq
+        assert exact(p - q) == gp - gq
+        assert exact(p * q) == gp * gq
+        assert (p == q) == (gp == gq)
+        assert (p != q) == (gp != gq)
+        if q:
+            # p*q is divisible by q, so // is exact
+            assert exact(p * q // q) == gp
+    assert exact(-x) == -exact(x)
+    assert bool(x) == bool(exact(x))
+    same = _GaussInt(x.real, x.imag)
+    assert x == same and same == x and not (x != same) and not (same != x)
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**12))
+def test_scaled_reads_an_int_as_a_real_gaussian_int(z, d):
+    assert _scaled(z, d) == _scaled(_GaussInt(z, 0), d) == GaussianRational(Fraction(z, d))
+    assert str(_scaled(z, d)) == str(_scaled(_GaussInt(z, 0), d))
+
+
+def test_gauss_int_repr_shows_its_value():
+    assert repr(_GaussInt(3, -4)) == "_GaussInt(3, -4)"
+    assert repr([_GaussInt(0, 1), 2]) == "[_GaussInt(0, 1), 2]"
