@@ -4,8 +4,8 @@ A Gaussian integer matrix M is a pair (re, im) of int matrices, rows of
 ints; im is None when every imaginary part is zero, so real input never
 pays for imaginary products. Products of such matrices follow the complex
 rule on the (re, im) parts. A scalar (a coefficient, a determinant, a minor,
-a trace) is an int on real input and a ``scalars._GaussInt`` on complex
-input; the two mix in either operand order. Nothing here builds a rational:
+a trace) is an int or a ``scalars._GaussInt``: real input gives ints only,
+and the two mix in either operand order. Nothing here builds a rational:
 ``matrices`` keeps each matrix as d*A in this form and divides by powers of
 d only at the end.
 

@@ -42,9 +42,9 @@ its chi once.
 
 Moments come from that cache too: the power sums p_k = tr(M^k) follow from
 C_0..C_n by Newton's identities (``polynomials._power_sums``), on the
-kernel's scalars (ints for real input, ``scalars._GaussInt`` for complex
-input), so they take no matrix product and divide by nothing. Moments,
-cumulants and chi of one matrix compute chi once between them.
+kernel's scalars (ints, and ``scalars._GaussInt``s on complex input), so
+they take no matrix product and divide by nothing. Moments, cumulants and
+chi of one matrix compute chi once between them.
 
 Cycle sums: a subset DP over paths in M gives, for each index set I, the sum
 C_I of M-products along the cycles through exactly I; c_I = C_I / d^|I|.

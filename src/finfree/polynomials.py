@@ -11,13 +11,13 @@ and the multiplicative convolution is
 
     sum_k (-1)^k / C(n, k) * a_k * b_k x^(n-k).
 
-Both run over the kernel's scalars: a Gaussian integer is an int when it is
-real and a ``scalars._GaussInt`` otherwise. Write a_k = A_k / s^k and
-b_k = B_k / s^k with Gaussian integers A_k, B_k and one positive integer
-scale s (for the multiplicative convolution a_k = A_k / d_p^k,
-b_k = B_k / d_q^k and s = d_p d_q). For i + j = k, C(n-i, j)/C(n, j) =
-(n-i)!(n-j)! / (n!(n-k)!), so coefficient k of either convolution is
-N_k / (w_k s^k) with
+Both run over the kernel's scalars: a Gaussian integer is an int or a
+``scalars._GaussInt``, and real input gives ints only. Write
+a_k = A_k / s^k and b_k = B_k / s^k with Gaussian integers A_k, B_k and one
+positive integer scale s (for the multiplicative convolution
+a_k = A_k / d_p^k, b_k = B_k / d_q^k and s = d_p d_q). For i + j = k,
+C(n-i, j)/C(n, j) = (n-i)!(n-j)! / (n!(n-k)!), so coefficient k of either
+convolution is N_k / (w_k s^k) with
 
     additive:        w_k = n!(n-k)!,  N_k = sum_{i+j=k} (n-i)!(n-j)! A_i B_j
     multiplicative:  w_k = C(n, k),   N_k = (-1)^k A_k B_k.

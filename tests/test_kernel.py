@@ -27,8 +27,8 @@ from finfree import (
     boxtimes,
     char_poly,
     check_ffp,
-    cycle_sums,
     cumulants_of_matrix,
+    cycle_sums,
     expected_charpoly_signed_perms,
     is_additive_ffp,
     is_multiplicative_ffp,
@@ -649,7 +649,7 @@ def test_no_kernel_scalar_reaches_a_public_value(ab):
     a, b = ab
     for x, y in ((a, b), (upper_part(a), b), (a, upper_part(b))):
         p, q = char_poly(x), char_poly(y)
-        values = [*x.rows[0], x.det(), x.trace(), *p.coeffs, *moment_vector_of(x, x.n + 2)]
+        values = [*sum(x.rows, ()), x.det(), x.trace(), *p.coeffs, *moment_vector_of(x, x.n + 2)]
         values += [v for level in minor_table(x).values() for _, v in level]
         values += [v for level in cycle_sums(x).by_order.values() for _, v in level]
         values += [*boxplus(p, q).coeffs, *boxtimes(p, q).coeffs]
