@@ -11,6 +11,10 @@ this module never raises that limit: longer digit strings go through
 exactly.
 Exponent forms ("1e-5") are bounded by ``EXPONENT_LIMIT`` before any power
 of ten is computed.
+
+The exact integer kernel computes on Gaussian integers instead: an int, or a
+``_GaussInt`` when the value is complex, and ``_scaled`` divides either by a
+positive integer to give a GaussianRational.
 """
 
 from __future__ import annotations
