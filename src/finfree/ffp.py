@@ -211,8 +211,7 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
     if kind not in (ADDITIVE, MULTIPLICATIVE):
         raise ParseError(f"unknown kind {kind!r}")
     # Q and -Q give the same conjugate Q^T B Q: average over the half with signs[0] = +1
-    half = (q for q in signed_permutations(n) if q[1][0] == 1)
-    return _signed_perm_charpoly_mean(a, b, kind == MULTIPLICATIVE, half)
+    return _signed_perm_charpoly_mean(a, b, kind == MULTIPLICATIVE)
 
 
 # -- Monte-Carlo expectation over Haar unitaries --------------------------

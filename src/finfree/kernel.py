@@ -178,18 +178,32 @@ def _toeplitz(t) -> list:
     return [t[i::-1] for i in range(len(t))]
 
 
+def _berkowitz_step(block, left, col, diag, c) -> list:
+    """One step of Berkowitz's recurrence (module docstring) on kernel
+    scalars: the coefficients of chi of the r x r ``block`` (by rows)
+    bordered by the row ``left``, the column ``col`` and the corner ``diag``,
+    from the coefficients c of chi of ``block``."""
+    t = [1, -diag]
+    if block:
+        t.append(-sum(map(mul, left, col)))
+        for _ in range(len(block) - 1):
+            col = [sum(map(mul, row, col)) for row in block]
+            t.append(-sum(map(mul, left, col)))
+    return [sum(map(mul, row, c)) for row in _toeplitz(t)]
+
+
 def _berkowitz_int(x, n: int) -> list:
     """C_0..C_n of chi of the int matrix x, by Berkowitz's recurrence."""
-    c = [1, -x[0][0]]
-    for r in range(1, n):
-        block = [row[:r] for row in x[:r]]
-        left, v = x[r][:r], [row[r] for row in x[:r]]
-        t = [1, -x[r][r], -sum(map(mul, left, v))]
-        for _ in range(r - 1):
-            v = [sum(map(mul, row, v)) for row in block]
-            t.append(-sum(map(mul, left, v)))
-        c = [sum(map(mul, row, c)) for row in _toeplitz(t)]
+    c = [1]
+    for r in range(n):
+        c = _berkowitz_step([row[:r] for row in x[:r]], x[r][:r], [row[r] for row in x[:r]], x[r][r], c)
     return c
+
+
+def _gparts(v) -> tuple:
+    """A vector of kernel scalars as its parts (re, im, re + im), int lists."""
+    re, im = [z.real for z in v], [z.imag for z in v]
+    return re, im, list(map(add, re, im))
 
 
 def _gmatvec(a, v):
@@ -206,22 +220,79 @@ def _gmatvec(a, v):
     return re, im, list(map(add, re, im))
 
 
+def _gstep(block, left, col, diag, c):
+    """``_berkowitz_step`` with every vector and matrix given as its parts
+    (re, im, re + im) and every product in _gmatvec; ``diag`` is the parts
+    of one scalar."""
+    r = len(left[0])
+    vs = [col] if r else []
+    for _ in range(r - 1):
+        vs.append(_gmatvec(block, vs[-1]))
+    # R A^k S for k = 0..r-1, as the products of the rows A^k S with R (none at r = 0)
+    tail = _gmatvec(tuple(zip(*vs)), left) if r else left
+    # t_0 = 1 has the parts (1, 0, 1)
+    t = [[one, -d] + [-p for p in y] for one, d, y in zip((1, 0, 1), diag, tail)]
+    return _gmatvec([_toeplitz(x) for x in t], c)
+
+
 def _berkowitz_gaussian(re, im, n: int) -> list:
     """C_0..C_n of chi of the Gaussian int matrix (re, im), by Berkowitz's
-    recurrence with every product in _gmatvec."""
+    recurrence, each step in _gstep."""
     parts = re, im, [list(map(add, a, b)) for a, b in zip(re, im)]
-    c = [1, -re[0][0]], [0, -im[0][0]], [1, -parts[2][0][0]]
-    for r in range(1, n):
+    c = [1], [0], [1]
+    for r in range(n):
         block = [[row[:r] for row in x[:r]] for x in parts]
-        vs = [[[row[r] for row in x[:r]] for x in parts]]
-        for _ in range(r - 1):
-            vs.append(_gmatvec(block, vs[-1]))
-        # R A^k S for k = 0..r-1, as the products of the rows A^k S with R
-        tail = _gmatvec(tuple(zip(*vs)), [x[r][:r] for x in parts])
-        # t_0 = 1 has the parts (1, 0, 1)
-        t = [[one, -x[r][r]] + [-p for p in y] for one, x, y in zip((1, 0, 1), parts, tail)]
-        c = _gmatvec([_toeplitz(x) for x in t], c)
+        left, col = [x[r][:r] for x in parts], [[row[r] for row in x[:r]] for x in parts]
+        c = _gstep(block, left, col, [x[r][r] for x in parts], c)
     return list(map(_GaussInt, c[0], c[1]))
+
+
+def _berkowitz_step_gaussian(block, left, col, diag, c) -> list:
+    """``_berkowitz_step`` on Gaussian kernel scalars, run on their parts by
+    _gstep: three int sums per inner product, where a sum of _GaussInt
+    products makes an object per term."""
+    block = tuple(zip(*map(_gparts, block)))
+    diag = diag.real, diag.imag, diag.real + diag.imag
+    c = _gstep(block, _gparts(left), _gparts(col), diag, _gparts(c))
+    return list(map(_GaussInt, c[0], c[1]))
+
+
+def _signed_perm_chi_sum(ma, mb, n: int) -> list:
+    """The sum of C_0..C_n of chi_{M_A + Q^T M_B Q} over the 2^(n-1) n!
+    signed permutations Q with signs[0] = +1, where (Q^T M_B Q)_ij =
+    signs[i] signs[j] M_B[perm[i]][perm[j]], as kernel scalars.
+
+    One depth-first walk over the prefixes of Q: the leading (r + 1) x
+    (r + 1) block of M_A + Q^T M_B Q depends only on Q's first r + 1
+    choices, so a node extends its parent's block by one row, one column and
+    one corner cell and runs one Berkowitz step on its parent's
+    coefficients, and conjugates that share a prefix share its steps."""
+    a, b = _entries(ma), _entries(mb)
+    step = _berkowitz_step if ma[1] is None and mb[1] is None else _berkowitz_step_gaussian
+    total = [0] * (n + 1)
+
+    def walk(block, perm, signs, c):
+        nonlocal total
+        r = len(perm)
+        a_left, a_col = a[r][:r], [row[r] for row in a[:r]]
+        for p in range(n):
+            if p in perm:
+                continue
+            b_left, b_col = [b[p][q] for q in perm], [b[q][p] for q in perm]
+            diag = a[r][r] + b[p][p]
+            # (Q^T M_B Q)_ij takes the sign signs[i] signs[j]: + where the two agree
+            for s in (1, -1) if r else (1,):
+                left = [x + y if si == s else x - y for x, y, si in zip(a_left, b_left, signs)]
+                col = [x + y if si == s else x - y for x, y, si in zip(a_col, b_col, signs)]
+                coeffs = step(block, left, col, diag, c)
+                if r + 1 == n:
+                    total = list(map(add, total, coeffs))
+                else:
+                    child = [row + [v] for row, v in zip(block, col)] + [left + [diag]]
+                    walk(child, perm + [p], signs + [s], coeffs)
+
+    walk([], [], [], [1])
+    return total
 
 
 def _bareiss(rows, k: int, prev=1):

@@ -68,6 +68,7 @@ from .kernel import (
     _gscale,
     _minor_levels,
     _parts,
+    _signed_perm_chi_sum,
     _trace,
 )
 from .polynomials import Polynomial, _from_int, _power_sums
@@ -352,27 +353,33 @@ def _pair_form(a: Matrix, b: Matrix, product: bool):
     return d, _at_scale(a, d), _at_scale(b, d), _gadd
 
 
-def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool, signed_perms) -> Polynomial:
+def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool) -> Polynomial:
     """Exact mean of chi_{A + Q^T B Q} (``product``: chi_{A Q^T B Q}) over the
-    signed permutations Q given as (perm, signs) pairs, where
+    2^(n-1) n! signed permutations Q with signs[0] = +1, where
     (Q^T B Q)_{ij} = signs[i] signs[j] B_{perm[i], perm[j]}.
 
     Every conjugate keeps B's denominators, so all the integer matrices share
-    one scale: their integer coefficients are summed and divided once.
+    one scale: their integer coefficients are summed and divided once. The
+    additive sum comes from the kernel's prefix walk, since the leading block
+    of A + Q^T B Q depends only on Q's leading choices. The product keeps one
+    chi per conjugate: every entry of A Q^T B Q sums over all of Q, so no
+    prefix of Q fixes a leading block.
     """
     d, ma, mb, combine = _pair_form(a, b, product)
     n = a.n
-    total = [0] * (n + 1)
-    count = 0
-    for perm, signs in signed_perms:
-        conj = _parts(mb, lambda x: [
-            [x[pi][pj] if si == sj else -x[pi][pj] for pj, sj in zip(perm, signs)]
-            for pi, si in zip(perm, signs)
-        ])
-        coeffs = _char_coeffs(combine(ma, conj), n)
-        total = list(map(add, total, coeffs))
-        count += 1
-    return _from_int(total, d, [count] * (n + 1))
+    if not product:
+        total = _signed_perm_chi_sum(ma, mb, n)
+    else:
+        total = [0] * (n + 1)
+        for perm in itertools.permutations(range(n)):
+            for tail in itertools.product((1, -1), repeat=n - 1):
+                signs = (1, *tail)
+                conj = _parts(mb, lambda x: [
+                    [x[pi][pj] if si == sj else -x[pi][pj] for pj, sj in zip(perm, signs)]
+                    for pi, si in zip(perm, signs)
+                ])
+                total = list(map(add, total, _char_coeffs(combine(ma, conj), n)))
+    return _from_int(total, d, [math.factorial(n) << (n - 1)] * (n + 1))
 
 
 def matrix_moment(a: Matrix, k: int) -> GaussianRational:

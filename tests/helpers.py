@@ -42,9 +42,10 @@ from finfree.families import (
     rand_fraction,
     random_matrix,
 )
-from finfree.ffp import ADDITIVE
-from finfree.kernel import _det_int, _gmul, _parts, _trace
-from finfree.polynomials import _check_pair
+from finfree.ffp import ADDITIVE, signed_permutations
+from finfree.kernel import _char_coeffs, _det_int, _gmul, _parts, _trace
+from finfree.matrices import _pair_form
+from finfree.polynomials import _check_pair, _from_int
 
 ZERO = as_scalar(0)
 ONE = as_scalar(1)
@@ -288,6 +289,28 @@ def signed_conjugate(b: Matrix, perm, signs) -> Matrix:
     n = b.n
     p = Matrix([[signs[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)])
     return Matrix(matmul_entrywise(matmul_entrywise(p.transpose().rows, b.rows), p.rows))
+
+
+def signed_perm_mean_per_conjugate(a: Matrix, b: Matrix, kind: str) -> Polynomial:
+    """The mean of chi_{A + Q^T B Q} (or chi_{A Q^T B Q}) over the signed
+    permutations Q with signs[0] = +1, one kernel chi per conjugate: each
+    conjugate's integer form is built in full and combined with A's, and
+    the integer C_k of all of them are summed and divided once. The library
+    gets the additive mean from one walk over the prefixes of Q instead."""
+    d, ma, mb, combine = _pair_form(a, b, kind != ADDITIVE)
+    n = a.n
+    total = [0] * (n + 1)
+    count = 0
+    for perm, signs in signed_permutations(n):
+        if signs[0] != 1:
+            continue
+        conj = _parts(mb, lambda x: [
+            [x[pi][pj] if si == sj else -x[pi][pj] for pj, sj in zip(perm, signs)]
+            for pi, si in zip(perm, signs)
+        ])
+        total = list(map(operator.add, total, _char_coeffs(combine(ma, conj), n)))
+        count += 1
+    return _from_int(total, d, [count] * (n + 1))
 
 
 def charpoly_via_minors(m: Matrix) -> Polynomial:

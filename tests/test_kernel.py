@@ -53,6 +53,7 @@ from finfree.kernel import (
     _triangular_diagonal,
 )
 from finfree.matrices import moment_vector_of
+from finfree.scalars import _GaussInt
 from helpers import (
     _int_form,
     add_entrywise,
@@ -75,6 +76,7 @@ from helpers import (
     rank_one_by_fractions,
     scale_entrywise,
     signed_conjugate,
+    signed_perm_mean_per_conjugate,
     sub_entrywise,
     transpose_entrywise,
 )
@@ -143,14 +145,64 @@ def test_product_matches_entrywise_sums(ab):
 
 
 @settings(max_examples=30, deadline=None)
-@given(pairs(max_n=3), st.sampled_from(("additive", "multiplicative")))
+@given(pairs(max_n=4), st.sampled_from(("additive", "multiplicative")))
 def test_signed_perm_average_matches_per_conjugate_char_polys(ab, kind):
     a, b = ab
     polys = []
     for perm, signs in signed_permutations(a.n):
         conj = signed_conjugate(b, perm, signs)
         polys.append(char_poly(a + conj if kind == "additive" else a @ conj))
-    assert expected_charpoly_signed_perms(a, b, kind) == average(polys)
+    mean = expected_charpoly_signed_perms(a, b, kind)
+    assert mean == average(polys)
+    assert mean == signed_perm_mean_per_conjugate(a, b, kind)
+
+
+def dense_pair(n: int, kind_of_entries: str):
+    """A fixed dense pair of p/q entries, |p|, q <= 10: both real, both
+    Gaussian, or a real A with a Gaussian B."""
+    rng = random.Random(f"{n}-{kind_of_entries}")
+
+    def entry(gaussian):
+        re = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
+        return GaussianRational(re, Fraction(rng.randint(-10, 10), rng.randint(1, 10)) if gaussian else 0)
+
+    gaussian_a, gaussian_b = {"real": (False, False), "gaussian": (True, True), "mixed": (False, True)}[kind_of_entries]
+    return tuple(Matrix([[entry(g) for _ in range(n)] for _ in range(n)]) for g in (gaussian_a, gaussian_b))
+
+
+@pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])
+@pytest.mark.parametrize("entries_of", ["real", "gaussian", "mixed"])
+@pytest.mark.parametrize("n", [1, 5])
+def test_signed_perm_mean_matches_per_conjugate_oracle_at_n_1_and_5(n, entries_of, kind):
+    a, b = dense_pair(n, entries_of)
+    mean = expected_charpoly_signed_perms(a, b, kind)
+    assert mean == signed_perm_mean_per_conjugate(a, b, kind)
+    assert mean == (boxplus if kind == ADDITIVE else boxtimes)(char_poly(a), char_poly(b))
+
+
+@pytest.mark.parametrize("entries_of", ["real", "gaussian"])
+def test_additive_signed_perm_mean_shares_prefix_steps(monkeypatch, entries_of):
+    """At n = 4 the prefix walk runs 4 + 24 + 96 + 192 Berkowitz steps, one
+    per prefix, where one chi per conjugate would run 4 x 192; and it builds
+    no conjugate, adds no matrices and scans none for triangularity."""
+    a, b = dense_pair(4, entries_of)
+    expected = signed_perm_mean_per_conjugate(a, b, ADDITIVE)
+
+    def refused(*args):
+        raise AssertionError("a full conjugate on the additive path")
+
+    for module, name in ((matrix_module, "_char_coeffs"), (matrix_module, "_gadd"), (kernel, "_triangular_diagonal")):
+        monkeypatch.setattr(module, name, refused)
+    name = "_berkowitz_step" if entries_of == "real" else "_berkowitz_step_gaussian"
+    step, calls = getattr(kernel, name), []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return step(*args)
+
+    monkeypatch.setattr(kernel, name, counted)
+    assert expected_charpoly_signed_perms(a, b, ADDITIVE) == expected
+    assert [calls.count(r) for r in range(4)] == [4, 24, 96, 192]
 
 
 # counts k where s = ceil(sqrt(k)) baby steps change: 1, 2 (s = k), 4, 5 (s = 2, 3), 9, 10
@@ -521,6 +573,27 @@ def test_berkowitz_chi_on_large_dense_matrices(n, gaussian):
     m = (parts[0], parts[1] if gaussian else None)
     assert _triangular_diagonal(m, n) is None
     assert_chi_matches_oracles(m)
+
+
+@st.composite
+def gaussian_steps(draw):
+    """The arguments of one Berkowitz step on _GaussInts, r = 0..6."""
+    r = draw(st.integers(0, 6))
+    scalar = st.builds(_GaussInt, BIG, BIG)
+
+    def vector():
+        return draw(st.lists(scalar, min_size=r, max_size=r))
+
+    return [vector() for _ in range(r)], vector(), vector(), draw(scalar), [1, *vector()]
+
+
+@KERNEL
+@given(gaussian_steps())
+def test_gaussian_step_matches_the_step_on_gauss_ints(args):
+    """One Berkowitz step run on the parts of _GaussInts, three int sums per
+    inner product, gives what the step on the kernel scalars gives."""
+    expected = kernel._berkowitz_step(*args)
+    assert list(map(pair, kernel._berkowitz_step_gaussian(*args))) == list(map(pair, expected))
 
 
 class _WatchedRow(tuple):
