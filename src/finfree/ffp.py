@@ -203,6 +203,14 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
     Cauchy-Binet expansion of e_k(A P^T B P) for the multiplicative case.
     What is left is a sum of principal minors of A and of B, averaged over
     the permutations, which is the convolution's coefficient formula.
+
+    P and -P give the same conjugate, so the mean runs over the 2^(n-1) n!
+    matrices P with signs[0] = +1. The additive mean takes one Berkowitz
+    step per prefix of P, not one chi per conjugate: the leading block of
+    A + P^T B P depends only on P's leading (index, sign) choices, so
+    conjugates that share a prefix share its steps. The multiplicative mean
+    takes chi of each conjugate, since every entry of A P^T B P sums over
+    all of P.
     """
     a._require_same_size(b)
     n = a.n
@@ -210,7 +218,6 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
         raise SizeGuardError(f"signed-permutation enumeration refused for n={n} > {SIGNED_PERM_LIMIT}")
     if kind not in (ADDITIVE, MULTIPLICATIVE):
         raise ParseError(f"unknown kind {kind!r}")
-    # Q and -Q give the same conjugate Q^T B Q: average over the half with signs[0] = +1
     return _signed_perm_charpoly_mean(a, b, kind == MULTIPLICATIVE)
 
 

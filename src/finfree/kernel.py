@@ -23,6 +23,21 @@ Toeplitz product; over r = 1..n-1 that is 938 int products at n = 8 and
 Newton's identities took. Nothing is divided. Real input runs on int lists.
 On Gaussian input each vector is kept as its (re, im, re + im) int lists, so
 each inner product is three sums, not four (Gauss's trick, as in products).
+One function runs the step on each form, ``_berkowitz_step`` on ints and
+``_gstep`` on the Gaussian parts, and chi and the signed-permutation walk
+share it.
+
+The additive signed-permutation mean sums chi of M_A + Q^T M_B Q over the
+signed permutations Q with signs[0] = +1, where (Q^T M_B Q)_ij = signs[i]
+signs[j] M_B[perm[i]][perm[j]]. Step r reads only the leading (r + 1) x
+(r + 1) block, and that block depends only on Q's first r + 1 (index, sign)
+choices. So one depth-first walk over those prefixes runs each step once per
+prefix: a node extends its parent's block by one row, one column and one
+corner cell, each cell A's plus B's signed one, and runs one step on its
+parent's coefficients; the leaves' coefficients are summed. At n = 4 that
+is 24 + 96 + 192 steps, where one chi per conjugate takes 3 x 192, and
+no leaf builds a full conjugate, adds two matrices or scans for
+triangularity.
 
 Triangular input skips Berkowitz. When M is upper or lower triangular, so
 is xI - M, and its determinant is the product of its diagonal: chi_M is
@@ -31,8 +46,8 @@ Gaussian ints takes O(n^2) int products. Telling a triangular M from a
 dense one is a scan of the off-diagonal cells, but the scan starts only when
 one of M[1][0], M[0][1] is zero: if both are nonzero, M is neither upper nor
 lower triangular, and Berkowitz starts after two lookups. The
-signed-permutation mean, which takes chi of hundreds of dense conjugates,
-pays no more than that.
+multiplicative signed-permutation mean, which takes chi of hundreds of dense
+conjugates A Q^T B Q, pays no more than that.
 
 Determinants: Bareiss fraction-free elimination on M. After step k every
 entry of the remaining block is a (k+1)-order minor of the row-permuted M
@@ -65,7 +80,7 @@ So a subtree of zero minors costs no more than one elimination per subset.
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import SizeGuardError
 from .scalars import _GaussInt
@@ -180,22 +195,20 @@ def _toeplitz(t) -> list:
 
 def _berkowitz_step(block, left, col, diag, c) -> list:
     """One step of Berkowitz's recurrence (module docstring) on kernel
-    scalars: the coefficients of chi of the r x r ``block`` (by rows)
+    scalars: the coefficients of chi of the r x r ``block`` (by rows, r >= 1)
     bordered by the row ``left``, the column ``col`` and the corner ``diag``,
     from the coefficients c of chi of ``block``."""
-    t = [1, -diag]
-    if block:
+    t = [1, -diag, -sum(map(mul, left, col))]
+    for _ in range(len(block) - 1):
+        col = [sum(map(mul, row, col)) for row in block]
         t.append(-sum(map(mul, left, col)))
-        for _ in range(len(block) - 1):
-            col = [sum(map(mul, row, col)) for row in block]
-            t.append(-sum(map(mul, left, col)))
     return [sum(map(mul, row, c)) for row in _toeplitz(t)]
 
 
 def _berkowitz_int(x, n: int) -> list:
     """C_0..C_n of chi of the int matrix x, by Berkowitz's recurrence."""
-    c = [1]
-    for r in range(n):
+    c = [1, -x[0][0]]
+    for r in range(1, n):
         c = _berkowitz_step([row[:r] for row in x[:r]], x[r][:r], [row[r] for row in x[:r]], x[r][r], c)
     return c
 
@@ -224,12 +237,11 @@ def _gstep(block, left, col, diag, c):
     """``_berkowitz_step`` with every vector and matrix given as its parts
     (re, im, re + im) and every product in _gmatvec; ``diag`` is the parts
     of one scalar."""
-    r = len(left[0])
-    vs = [col] if r else []
-    for _ in range(r - 1):
+    vs = [col]
+    for _ in range(len(left[0]) - 1):
         vs.append(_gmatvec(block, vs[-1]))
-    # R A^k S for k = 0..r-1, as the products of the rows A^k S with R (none at r = 0)
-    tail = _gmatvec(tuple(zip(*vs)), left) if r else left
+    # R A^k S for k = 0..r-1, as the products of the rows A^k S with R
+    tail = _gmatvec(tuple(zip(*vs)), left)
     # t_0 = 1 has the parts (1, 0, 1)
     t = [[one, -d] + [-p for p in y] for one, d, y in zip((1, 0, 1), diag, tail)]
     return _gmatvec([_toeplitz(x) for x in t], c)
@@ -239,8 +251,8 @@ def _berkowitz_gaussian(re, im, n: int) -> list:
     """C_0..C_n of chi of the Gaussian int matrix (re, im), by Berkowitz's
     recurrence, each step in _gstep."""
     parts = re, im, [list(map(add, a, b)) for a, b in zip(re, im)]
-    c = [1], [0], [1]
-    for r in range(n):
+    c = [1, -re[0][0]], [0, -im[0][0]], [1, -parts[2][0][0]]
+    for r in range(1, n):
         block = [[row[:r] for row in x[:r]] for x in parts]
         left, col = [x[r][:r] for x in parts], [[row[r] for row in x[:r]] for x in parts]
         c = _gstep(block, left, col, [x[r][r] for x in parts], c)
@@ -278,13 +290,16 @@ def _signed_perm_chi_sum(ma, mb, n: int) -> list:
         for p in range(n):
             if p in perm:
                 continue
-            b_left, b_col = [b[p][q] for q in perm], [b[q][p] for q in perm]
+            # (Q^T M_B Q)_ij = signs[i] signs[j] M_B[perm[i]][perm[j]]: B's cells in
+            # the new row and column, each times the sign of its other index,
+            # are added for the new sign s = 1 and subtracted for s = -1
+            b_left = [b[p][q] if si == 1 else -b[p][q] for q, si in zip(perm, signs)]
+            b_col = [b[q][p] if si == 1 else -b[q][p] for q, si in zip(perm, signs)]
             diag = a[r][r] + b[p][p]
-            # (Q^T M_B Q)_ij takes the sign signs[i] signs[j]: + where the two agree
-            for s in (1, -1) if r else (1,):
-                left = [x + y if si == s else x - y for x, y, si in zip(a_left, b_left, signs)]
-                col = [x + y if si == s else x - y for x, y, si in zip(a_col, b_col, signs)]
-                coeffs = step(block, left, col, diag, c)
+            for s, op in ((1, add), (-1, sub)) if r else ((1, add),):
+                left, col = list(map(op, a_left, b_left)), list(map(op, a_col, b_col))
+                # a 1 x 1 block's coefficients need no step
+                coeffs = step(block, left, col, diag, c) if r else [1, -diag]
                 if r + 1 == n:
                     total = list(map(add, total, coeffs))
                 else:

@@ -31,8 +31,10 @@ tr(A^k)/n is p_k / (n d^k); det(A) = det(M) / d^n, and the principal minor
 on an index set S is det(M_S) / d^|S|. The FFP verdicts take chi_{A+B} and
 chi_{AB} from the integer forms directly: A + B at scale lcm(d_A, d_B), AB
 at scale d_A d_B. The signed-permutation average of characteristic
-polynomials adds the integer C_k of all its conjugates, which share one
-scale, and divides once.
+polynomials adds integer C_k at one scale, which all the conjugates share,
+and divides once: the additive sum comes from the kernel's walk over the
+prefixes of Q, one Berkowitz step per prefix; the multiplicative one adds
+chi of each conjugate A Q^T B Q.
 
 The integer coefficients C_0..C_n of chi_M are cached on the (immutable)
 matrix the first time they are needed, at its own scale d. A verdict that

@@ -144,7 +144,9 @@ def test_product_matches_entrywise_sums(ab):
     assert (a @ b).rows == tuple(tuple(row) for row in matmul_entrywise(a.rows, b.rows))
 
 
-@settings(max_examples=30, deadline=None)
+# no shrink phase: each shrink step reruns a mean of up to 384 conjugates and its
+# oracles, so a failure is reported as drawn, not after minutes of shrinking
+@settings(max_examples=30, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(pairs(max_n=4), st.sampled_from(("additive", "multiplicative")))
 def test_signed_perm_average_matches_per_conjugate_char_polys(ab, kind):
     a, b = ab
@@ -182,9 +184,10 @@ def test_signed_perm_mean_matches_per_conjugate_oracle_at_n_1_and_5(n, entries_o
 
 @pytest.mark.parametrize("entries_of", ["real", "gaussian"])
 def test_additive_signed_perm_mean_shares_prefix_steps(monkeypatch, entries_of):
-    """At n = 4 the prefix walk runs 4 + 24 + 96 + 192 Berkowitz steps, one
-    per prefix, where one chi per conjugate would run 4 x 192; and it builds
-    no conjugate, adds no matrices and scans none for triangularity."""
+    """At n = 4 the prefix walk runs 24 + 96 + 192 Berkowitz steps, one per
+    prefix past the first index, where one chi per conjugate would run
+    3 x 192; and it builds no conjugate, adds no matrices and scans none for
+    triangularity."""
     a, b = dense_pair(4, entries_of)
     expected = signed_perm_mean_per_conjugate(a, b, ADDITIVE)
 
@@ -202,7 +205,8 @@ def test_additive_signed_perm_mean_shares_prefix_steps(monkeypatch, entries_of):
 
     monkeypatch.setattr(kernel, name, counted)
     assert expected_charpoly_signed_perms(a, b, ADDITIVE) == expected
-    assert [calls.count(r) for r in range(4)] == [4, 24, 96, 192]
+    assert len(calls) == 24 + 96 + 192
+    assert [calls.count(r) for r in (1, 2, 3)] == [24, 96, 192]
 
 
 # counts k where s = ceil(sqrt(k)) baby steps change: 1, 2 (s = k), 4, 5 (s = 2, 3), 9, 10
@@ -577,8 +581,8 @@ def test_berkowitz_chi_on_large_dense_matrices(n, gaussian):
 
 @st.composite
 def gaussian_steps(draw):
-    """The arguments of one Berkowitz step on _GaussInts, r = 0..6."""
-    r = draw(st.integers(0, 6))
+    """The arguments of one Berkowitz step on _GaussInts, r = 1..6."""
+    r = draw(st.integers(1, 6))
     scalar = st.builds(_GaussInt, BIG, BIG)
 
     def vector():
