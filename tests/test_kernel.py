@@ -159,17 +159,17 @@ def test_signed_perm_average_matches_per_conjugate_char_polys(ab, kind):
     assert mean == signed_perm_mean_per_conjugate(a, b, kind)
 
 
-def dense_pair(n: int, kind_of_entries: str):
+def dense_pair(n: int, entries_of: str):
     """A fixed dense pair of p/q entries, |p|, q <= 10: both real, both
     Gaussian, or a real A with a Gaussian B."""
-    rng = random.Random(f"{n}-{kind_of_entries}")
+    rng = random.Random(f"{n}-{entries_of}")
 
     def entry(gaussian):
         re = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
         return GaussianRational(re, Fraction(rng.randint(-10, 10), rng.randint(1, 10)) if gaussian else 0)
 
-    gaussian_a, gaussian_b = {"real": (False, False), "gaussian": (True, True), "mixed": (False, True)}[kind_of_entries]
-    return tuple(Matrix([[entry(g) for _ in range(n)] for _ in range(n)]) for g in (gaussian_a, gaussian_b))
+    gaussian = {"real": (False, False), "gaussian": (True, True), "mixed": (False, True)}[entries_of]
+    return tuple(Matrix([[entry(g) for _ in range(n)] for _ in range(n)]) for g in gaussian)
 
 
 @pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])
