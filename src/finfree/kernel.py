@@ -23,9 +23,6 @@ Toeplitz product; over r = 1..n-1 that is 938 int products at n = 8 and
 Newton's identities took. Nothing is divided. Real input runs on int lists.
 On Gaussian input each vector is kept as its (re, im, re + im) int lists, so
 each inner product is three sums, not four (Gauss's trick, as in products).
-One function runs the step on each form, ``_berkowitz_step`` on ints and
-``_gstep`` on the Gaussian parts, and chi and the signed-permutation walk
-share it.
 
 The additive signed-permutation mean sums chi of M_A + Q^T M_B Q over the
 signed permutations Q with signs[0] = +1, where (Q^T M_B Q)_ij = signs[i]
@@ -34,10 +31,11 @@ signs[j] M_B[perm[i]][perm[j]]. Step r reads only the leading (r + 1) x
 choices. So one depth-first walk over those prefixes runs each step once per
 prefix: a node extends its parent's block by one row, one column and one
 corner cell, each cell A's plus B's signed one, and runs one step on its
-parent's coefficients; the leaves' coefficients are summed. At n = 4 that
-is 24 + 96 + 192 steps, where one chi per conjugate takes 3 x 192, and
-no leaf builds a full conjugate, adds two matrices or scans for
-triangularity.
+parent's coefficients; the leaves' coefficients are summed. The step is
+``_berkowitz_step``, which chi of an int matrix runs too, on kernel
+scalars: ints, or _GaussInts on Gaussian input. At n = 4 that is
+24 + 96 + 192 steps, where one chi per conjugate takes 3 x 192, and no leaf
+builds a full conjugate, adds two matrices or scans for triangularity.
 
 Triangular input skips Berkowitz. When M is upper or lower triangular, so
 is xI - M, and its determinant is the product of its diagonal: chi_M is
@@ -213,12 +211,6 @@ def _berkowitz_int(x, n: int) -> list:
     return c
 
 
-def _gparts(v) -> tuple:
-    """A vector of kernel scalars as its parts (re, im, re + im), int lists."""
-    re, im = [z.real for z in v], [z.imag for z in v]
-    return re, im, list(map(add, re, im))
-
-
 def _gmatvec(a, v):
     """A v for a Gaussian int matrix A (by rows) and vector v, each given as
     its parts (re, im, re + im), and A v in that form: three sums per entry,
@@ -233,39 +225,21 @@ def _gmatvec(a, v):
     return re, im, list(map(add, re, im))
 
 
-def _gstep(block, left, col, diag, c):
-    """``_berkowitz_step`` with every vector and matrix given as its parts
-    (re, im, re + im) and every product in _gmatvec; ``diag`` is the parts
-    of one scalar."""
-    vs = [col]
-    for _ in range(len(left[0]) - 1):
-        vs.append(_gmatvec(block, vs[-1]))
-    # R A^k S for k = 0..r-1, as the products of the rows A^k S with R
-    tail = _gmatvec(tuple(zip(*vs)), left)
-    # t_0 = 1 has the parts (1, 0, 1)
-    t = [[one, -d] + [-p for p in y] for one, d, y in zip((1, 0, 1), diag, tail)]
-    return _gmatvec([_toeplitz(x) for x in t], c)
-
-
 def _berkowitz_gaussian(re, im, n: int) -> list:
     """C_0..C_n of chi of the Gaussian int matrix (re, im), by Berkowitz's
-    recurrence, each step in _gstep."""
+    recurrence with every product in _gmatvec."""
     parts = re, im, [list(map(add, a, b)) for a, b in zip(re, im)]
     c = [1, -re[0][0]], [0, -im[0][0]], [1, -parts[2][0][0]]
     for r in range(1, n):
         block = [[row[:r] for row in x[:r]] for x in parts]
-        left, col = [x[r][:r] for x in parts], [[row[r] for row in x[:r]] for x in parts]
-        c = _gstep(block, left, col, [x[r][r] for x in parts], c)
-    return list(map(_GaussInt, c[0], c[1]))
-
-
-def _berkowitz_step_gaussian(block, left, col, diag, c) -> list:
-    """``_berkowitz_step`` on Gaussian kernel scalars, run on their parts by
-    _gstep: three int sums per inner product, where a sum of _GaussInt
-    products makes an object per term."""
-    block = tuple(zip(*map(_gparts, block)))
-    diag = diag.real, diag.imag, diag.real + diag.imag
-    c = _gstep(block, _gparts(left), _gparts(col), diag, _gparts(c))
+        vs = [[[row[r] for row in x[:r]] for x in parts]]
+        for _ in range(r - 1):
+            vs.append(_gmatvec(block, vs[-1]))
+        # R A^k S for k = 0..r-1, as the products of the rows A^k S with R
+        tail = _gmatvec(tuple(zip(*vs)), [x[r][:r] for x in parts])
+        # t_0 = 1 has the parts (1, 0, 1)
+        t = [[one, -x[r][r]] + [-p for p in y] for one, x, y in zip((1, 0, 1), parts, tail)]
+        c = _gmatvec([_toeplitz(x) for x in t], c)
     return list(map(_GaussInt, c[0], c[1]))
 
 
@@ -280,7 +254,6 @@ def _signed_perm_chi_sum(ma, mb, n: int) -> list:
     one corner cell and runs one Berkowitz step on its parent's
     coefficients, and conjugates that share a prefix share its steps."""
     a, b = _entries(ma), _entries(mb)
-    step = _berkowitz_step if ma[1] is None and mb[1] is None else _berkowitz_step_gaussian
     total = [0] * (n + 1)
 
     def walk(block, perm, signs, c):
@@ -299,7 +272,7 @@ def _signed_perm_chi_sum(ma, mb, n: int) -> list:
             for s, op in ((1, add), (-1, sub)) if r else ((1, add),):
                 left, col = list(map(op, a_left, b_left)), list(map(op, a_col, b_col))
                 # a 1 x 1 block's coefficients need no step
-                coeffs = step(block, left, col, diag, c) if r else [1, -diag]
+                coeffs = _berkowitz_step(block, left, col, diag, c) if r else [1, -diag]
                 if r + 1 == n:
                     total = list(map(add, total, coeffs))
                 else:

@@ -53,7 +53,6 @@ from finfree.kernel import (
     _triangular_diagonal,
 )
 from finfree.matrices import moment_vector_of
-from finfree.scalars import _GaussInt
 from helpers import (
     _int_form,
     add_entrywise,
@@ -196,14 +195,13 @@ def test_additive_signed_perm_mean_shares_prefix_steps(monkeypatch, entries_of):
 
     for module, name in ((matrix_module, "_char_coeffs"), (matrix_module, "_gadd"), (kernel, "_triangular_diagonal")):
         monkeypatch.setattr(module, name, refused)
-    name = "_berkowitz_step" if entries_of == "real" else "_berkowitz_step_gaussian"
-    step, calls = getattr(kernel, name), []
+    step, calls = kernel._berkowitz_step, []
 
     def counted(*args):
         calls.append(len(args[0]))
         return step(*args)
 
-    monkeypatch.setattr(kernel, name, counted)
+    monkeypatch.setattr(kernel, "_berkowitz_step", counted)
     assert expected_charpoly_signed_perms(a, b, ADDITIVE) == expected
     assert len(calls) == 24 + 96 + 192
     assert [calls.count(r) for r in (1, 2, 3)] == [24, 96, 192]
@@ -577,27 +575,6 @@ def test_berkowitz_chi_on_large_dense_matrices(n, gaussian):
     m = (parts[0], parts[1] if gaussian else None)
     assert _triangular_diagonal(m, n) is None
     assert_chi_matches_oracles(m)
-
-
-@st.composite
-def gaussian_steps(draw):
-    """The arguments of one Berkowitz step on _GaussInts, r = 1..6."""
-    r = draw(st.integers(1, 6))
-    scalar = st.builds(_GaussInt, BIG, BIG)
-
-    def vector():
-        return draw(st.lists(scalar, min_size=r, max_size=r))
-
-    return [vector() for _ in range(r)], vector(), vector(), draw(scalar), [1, *vector()]
-
-
-@KERNEL
-@given(gaussian_steps())
-def test_gaussian_step_matches_the_step_on_gauss_ints(args):
-    """One Berkowitz step run on the parts of _GaussInts, three int sums per
-    inner product, gives what the step on the kernel scalars gives."""
-    expected = kernel._berkowitz_step(*args)
-    assert list(map(pair, kernel._berkowitz_step_gaussian(*args))) == list(map(pair, expected))
 
 
 class _WatchedRow(tuple):
