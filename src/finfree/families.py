@@ -33,7 +33,7 @@ from typing import Optional
 
 from .errors import IndexRangeError, ParseError, SizeGuardError, UnsupportedPairError
 from .ffp import FfpReport, _failure_report
-from .matrices import Matrix, _cycle_sums, _minors_balanced, _nonzero_entry
+from .matrices import Matrix, _cycle_sums, _minors_balanced
 from .polynomials import ADDITIVE, Polynomial
 from .scalars import ONE, GaussianRational, as_scalar
 
@@ -98,9 +98,9 @@ def is_member(a: Matrix, family: FamilyId) -> bool:
     if family is FamilyId.PRINCIPALLY_BALANCED:
         return _minors_balanced(a)
     constant = _equations(family)[1]
-    parts = [x for x in a._m if x is not None]
-    return all(not x[i][j] for i, j in _zero_cells(family, a.n) for x in parts) and (
-        not constant or all(x[i][i] == x[0][0] for x in parts for i in range(a.n))
+    m = a._m
+    return all(not m[i][j] for i, j in _zero_cells(family, a.n)) and (
+        not constant or all(m[i][i] == m[0][0] for i in range(a.n))
     )
 
 
@@ -168,8 +168,9 @@ def _draw(rng: random.Random, bound: int) -> tuple:
     the same ``_randbelow(2 bound + 1)`` and ``_randbelow(bound)`` calls that
     ``randint(-bound, bound)`` and ``randint(1, bound)`` make, so every
     sampler draws the same values as with ``randint``. p/q is not reduced:
-    the samplers clear denominators by the lcm of the q, and ``_from_form``
-    brings the result to canonical form."""
+    the samplers clear denominators by the lcm of the q into int rows, the
+    integer form of a real matrix, and ``_from_form`` brings the result to
+    canonical form."""
     if bound < 1:
         raise ValueError(f"sampling bound must be >= 1, got {bound}")
     return rng._randbelow(2 * bound + 1) - bound, rng._randbelow(bound) + 1
@@ -255,7 +256,7 @@ def _rank_one_balanced(n: int, rng: random.Random, bound: int) -> Matrix:
     u_i c / u_j."""
     u = [_draw_nonzero(rng, bound) for _ in range(n)]
     p, q = _draw(rng, bound)
-    return _diagonal_similarity(q, [[p] * n] * n, None, u, range(n))
+    return _diagonal_similarity(q, [[p] * n] * n, u, range(n))
 
 
 def _conjugated_triangular_balanced(n: int, rng: random.Random, bound: int) -> Matrix:
@@ -267,24 +268,20 @@ def _conjugated_triangular_balanced(n: int, rng: random.Random, bound: int) -> M
     u = [_draw_nonzero(rng, bound) for _ in range(n)]
     perm = list(range(n))
     rng.shuffle(perm)
-    return _diagonal_similarity(t._d, *t._m, u, perm)
+    return _diagonal_similarity(t._d, t._m, u, perm)
 
 
-def _diagonal_similarity(d: int, re, im, u, perm) -> Matrix:
+def _diagonal_similarity(d: int, m, u, perm) -> Matrix:
     """The matrix with entry (i, k) = u[p_i] T[p_i][p_k] / u[p_k], p = perm,
-    for T = (re + i*im) / d and nonzero u_j = a_j / b_j, given as int pairs
-    (a_j, b_j). With v = L u for L the lcm of the b_j and V the lcm of the
-    |v_j|, that entry is v[p_i] T[p_i][p_k] (V / v[p_k]) / (d V) with integer
-    numerator."""
+    for T = M / d, M given by its rows m of kernel scalars, and nonzero
+    u_j = a_j / b_j, given as int pairs (a_j, b_j). With v = L u for L the
+    lcm of the b_j and V the lcm of the |v_j|, that entry is
+    v[p_i] T[p_i][p_k] (V / v[p_k]) / (d V) with integer numerator."""
     lcd = math.lcm(*(b for _, b in u))
     v = [a * (lcd // b) for a, b in u]
     span = math.lcm(*v)
     cols = [(pk, span // v[pk]) for pk in perm]
-
-    def similar(x):
-        return [[v[pi] * x[pi][pk] * f for pk, f in cols] for pi in perm]
-
-    return Matrix._from_form(d * span, similar(re), None if im is None else similar(im))
+    return Matrix._from_form(d * span, [[m[pi][pk] * (v[pi] * f) for pk, f in cols] for pi in perm])
 
 
 # -- complementary-pair verification ----------------------------------------
@@ -427,7 +424,7 @@ def _find_unit_witness(outsider: Matrix, kind: str, cells) -> Optional[tuple[Mat
     (l - 1, k - 1) in ``cells``) against which the outsider fails."""
     n = outsider.n
     for i, j in cells:
-        if _nonzero_entry(outsider, i, j):
+        if outsider._m[i][j]:
             witness = Matrix.unit(n, j + 1, i + 1)
             report = _failure_report(outsider, witness, kind)
             if report is not None:
@@ -495,7 +492,7 @@ def _sample_outside_first_family(f: FamilyId, rng: random.Random, n: int, bound:
     that entry is zero."""
     m = random_matrix(rng, n, bound)
     i, j = _zero_cells(f, n)[0]
-    if not _nonzero_entry(m, i, j):
+    if not m._m[i][j]:
         m = m + Matrix.unit(n, i + 1, j + 1)
     return m
 

@@ -33,17 +33,15 @@ kinds of finite free position by convention.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import DimensionMismatchError, ParseError, SizeGuardError
 from .kernel import _char_coeffs
 from .matrices import (
     Matrix,
     _chi_at,
-    _nonzero_entry,
     _pair_form,
     _signed_perm_charpoly_mean,
     char_poly,
@@ -180,18 +178,6 @@ def condition_2x2(a: Matrix, b: Matrix) -> GaussianRational:
 
 
 # -- exact expectation over signed permutations --------------------------
-
-
-def signed_permutations(n: int) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All 2^n n! signed permutations as (permutation, sign vector) pairs.
-
-    The pair (perm, signs) is the matrix P with P e_j = signs[j] e_{perm[j]}.
-    Permutations come in lexicographic order, sign vectors count in binary
-    with +1 first; exactness makes any reduction order equivalent.
-    """
-    for perm in itertools.permutations(range(n)):
-        for bits in itertools.product((1, -1), repeat=n):
-            yield perm, bits
 
 
 def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomial:
@@ -372,7 +358,7 @@ def ekl_witness(a: Matrix) -> Optional[tuple[int, int, FfpReport]]:
     n = a.n
     for k in range(1, n + 1):
         for l in range(1, n + 1):
-            if k != l and _nonzero_entry(a, l - 1, k - 1):
+            if k != l and a._m[l - 1][k - 1]:
                 report = is_additive_ffp(a, Matrix.unit(n, k, l))
                 return k, l, report
     return None

@@ -1,11 +1,16 @@
-"""The exact integer kernel: Gaussian-integer matrices as (re, im) int rows.
+"""The exact integer kernel: Gaussian-integer matrices as rows of kernel scalars.
 
-A Gaussian integer matrix M is a pair (re, im) of int matrices, rows of
-ints; im is None when every imaginary part is zero, so real input never
-pays for imaginary products. Products of such matrices follow the complex
-rule on the (re, im) parts. A scalar (a coefficient, a determinant, a minor,
-a trace) is an int or a ``scalars._GaussInt``: real input gives ints only,
-and the two mix in either operand order. Nothing here builds a rational:
+A kernel scalar (an entry, a coefficient, a determinant, a minor, a trace)
+is an int, or a ``scalars._GaussInt`` when it is complex, and the two mix in
+either operand order. A Gaussian integer matrix M is its rows of kernel
+scalars: ints when M is real, so real input never pays for imaginary
+products, and _GaussInts in every cell when it is complex. So the type of
+M[0][0] tells the two apart, and ``_split`` gives M's int parts (re, im),
+im None when M is real, without a scan. The two loops that run on those
+parts, the product ``_gmul`` and Gaussian chi ``_berkowitz_gaussian``, each
+take three int products where the complex rule takes four (Gauss's trick);
+``_join`` turns parts back into rows, ints when every imaginary part is
+zero, which makes a form canonical. Nothing here builds a rational:
 ``matrices`` keeps each matrix as d*A in this form and divides by powers of
 d only at the end.
 
@@ -93,9 +98,20 @@ from .scalars import _GaussInt
 CHI_DIMENSION_LIMIT = 64
 
 
-def _parts(m, f):
-    """Apply f to each int matrix of m = (re, im), keeping a missing im missing."""
-    return tuple(None if x is None else f(x) for x in m)
+def _split(m):
+    """(re, im): the int parts of the rows m of kernel scalars, im None when
+    m is real. A real m is its own re, so this costs nothing on real input."""
+    if type(m[0][0]) is int:
+        return m, None
+    return [[v.real for v in row] for row in m], [[v.imag for v in row] for row in m]
+
+
+def _join(re, im):
+    """The rows of kernel scalars with int parts re and im: re itself when im
+    is None or all zero, else _GaussInts in every cell."""
+    if im is None or not any(map(any, im)):
+        return re
+    return [list(map(_GaussInt, r, i)) for r, i in zip(re, im)]
 
 
 def _imul(x, y):
@@ -111,52 +127,36 @@ def _isub(x, y):
     return [[p - q for p, q in zip(r, s)] for r, s in zip(x, y)]
 
 
-def _gadd(a, b):
-    (ar, ai), (br, bi) = a, b
-    if ai is None or bi is None:
-        return _iadd(ar, br), ai if bi is None else bi
-    return _iadd(ar, br), _iadd(ai, bi)
-
-
 def _gscale(m, z):
     """z*M for the kernel scalar z."""
-    if not z.imag:
-        return _parts(m, lambda x: [[v * z.real for v in row] for row in x])
-    rows = [[z * v for v in row] for row in _entries(m)]
-    return [[v.real for v in row] for row in rows], [[v.imag for v in row] for row in rows]
+    return [[v * z for v in row] for row in m]
 
 
 def _gmul(a, b):
-    (ar, ai), (br, bi) = a, b
+    (ar, ai), (br, bi) = _split(a), _split(b)
     re = _imul(ar, br)
     if ai is None:
-        return re, None if bi is None else _imul(ar, bi)
+        return _join(re, None if bi is None else _imul(ar, bi))
     if bi is None:
-        return re, _imul(ai, br)
+        return _join(re, _imul(ai, br))
     ii = _imul(ai, bi)
     # Gauss's trick, three products not four: (ar + ai)(br + bi) - ar br - ai bi = ar bi + ai br
-    return _isub(re, ii), _isub(_isub(_imul(_iadd(ar, ai), _iadd(br, bi)), re), ii)
+    return _join(_isub(re, ii), _isub(_isub(_imul(_iadd(ar, ai), _iadd(br, bi)), re), ii))
 
 
 def _trace(m):
-    re, im = m
-    tr = sum(row[i] for i, row in enumerate(re))
-    return tr if im is None else _GaussInt(tr, sum(row[i] for i, row in enumerate(im)))
+    return sum(row[i] for i, row in enumerate(m))
 
 
 def _triangular_diagonal(m, n: int):
-    """The diagonal of M = (re, im) as kernel scalars when M is upper or lower
+    """The diagonal of M as kernel scalars when M is upper or lower
     triangular, else None. A dense M is turned away by two cells, before any
     scan (module docstring)."""
-    re, im = m
-    if n > 1 and (re[1][0] or im and im[1][0]) and (re[0][1] or im and im[0][1]):
+    if n > 1 and m[1][0] and m[0][1]:
         return None
-    parts = (re,) if im is None else (re, im)
-    if any(any(row[:i]) for x in parts for i, row in enumerate(x)) and any(
-        any(row[i + 1:]) for x in parts for i, row in enumerate(x)
-    ):
+    if any(any(row[:i]) for i, row in enumerate(m)) and any(any(row[i + 1:]) for i, row in enumerate(m)):
         return None
-    return [row[i] if im is None else _GaussInt(row[i], im[i][i]) for i, row in enumerate(re)]
+    return [row[i] for i, row in enumerate(m)]
 
 
 def _coeffs_from_roots(roots) -> list:
@@ -170,15 +170,15 @@ def _coeffs_from_roots(roots) -> list:
 
 def _char_coeffs(m, n: int) -> list:
     """C_0..C_n of chi_M = x^n + C_1 x^{n-1} + ... + C_n for the n x n
-    Gaussian integer matrix M = (re, im), as kernel scalars: from the
-    diagonal when M is triangular, else by Berkowitz (module docstring),
-    which refuses n > ``CHI_DIMENSION_LIMIT``."""
+    Gaussian integer matrix M, as kernel scalars: from the diagonal when M
+    is triangular, else by Berkowitz (module docstring), which refuses
+    n > ``CHI_DIMENSION_LIMIT``."""
     diagonal = _triangular_diagonal(m, n)
     if diagonal is not None:
         return _coeffs_from_roots(diagonal)
     if n > CHI_DIMENSION_LIMIT:
         raise SizeGuardError(f"characteristic polynomial refused for n={n} > {CHI_DIMENSION_LIMIT}")
-    re, im = m
+    re, im = _split(m)
     if im is None:
         return _berkowitz_int(re, n)
     return _berkowitz_gaussian(re, im, n)
@@ -243,17 +243,17 @@ def _berkowitz_gaussian(re, im, n: int) -> list:
     return list(map(_GaussInt, c[0], c[1]))
 
 
-def _signed_perm_chi_sum(ma, mb, n: int) -> list:
+def _signed_perm_chi_sum(a, b, n: int) -> list:
     """The sum of C_0..C_n of chi_{M_A + Q^T M_B Q} over the 2^(n-1) n!
     signed permutations Q with signs[0] = +1, where (Q^T M_B Q)_ij =
-    signs[i] signs[j] M_B[perm[i]][perm[j]], as kernel scalars.
+    signs[i] signs[j] M_B[perm[i]][perm[j]], as kernel scalars, for the
+    rows a of M_A and b of M_B.
 
     One depth-first walk over the prefixes of Q: the leading (r + 1) x
     (r + 1) block of M_A + Q^T M_B Q depends only on Q's first r + 1
     choices, so a node extends its parent's block by one row, one column and
     one corner cell and runs one Berkowitz step on its parent's
     coefficients, and conjugates that share a prefix share its steps."""
-    a, b = _entries(ma), _entries(mb)
     total = [0] * (n + 1)
 
     def walk(block, perm, signs, c):
@@ -313,20 +313,19 @@ def _bareiss(rows, k: int, prev=1):
 def _det_int(m):
     """det of a Gaussian integer matrix as a kernel scalar, by Bareiss
     elimination; each division by the previous pivot is exact."""
-    rows = _entries(m)
-    return _bareiss(rows, len(rows))[0]
+    return _bareiss(list(m), len(m))[0]
 
 
 def _minor_levels(m):
-    """The principal minors of the Gaussian integer matrix m = (re, im), one
+    """The principal minors of the Gaussian integer matrix m, one
     order at a time: for k = 0, 1, ..., n, the kernel scalars det(M_S)
     over the k-subsets S in lexicographic order, by the Sylvester tree
     (module docstring). Each level is built only when the next one is asked
     for, so a caller that stops early pays for no deeper order."""
-    n = len(m[0])
+    n = len(m)
     # a node: (index past max S, det(M_S), its block when det(M_S) != 0, its
     # anchor when det(M_S) = 0)
-    level = [(0, 1, _entries(m), None)]
+    level = [(0, 1, m, None)]
     yield [1]
     for _ in range(n):
         level = [child for node in level for child in _children(node, n)]
@@ -379,8 +378,3 @@ def _children(node, n: int):
         else:
             yield j + 1, minor, [], None
 
-
-def _entries(m) -> list:
-    """The rows of M = (re, im) as ints, or as _GaussInts when M is complex."""
-    re, im = m
-    return list(re) if im is None else [list(map(_GaussInt, r, i)) for r, i in zip(re, im)]

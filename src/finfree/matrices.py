@@ -3,17 +3,19 @@ minors and moments.
 
 Storage: a ``Matrix`` is its integer form, plus caches derived from it. For
 a matrix A of Gaussian rationals, d is the lcm of the denominators of every
-real and imaginary part, and M = d*A is kept as the int matrices (re, im),
-with im None when every imaginary part is zero, so real input never pays for
-imaginary products. The form is cleared once, when the matrix is built;
-every operation then runs on ints and builds its result's form directly, and
-``rows``, ``entry``, ``to_json`` and ``repr`` make Gaussian rationals only
-when asked. d is kept minimal, so the form is canonical: two matrices are
-equal iff their forms are, which is what ``==`` and ``hash`` compare. (Any
-common scale c*d with c*M works for the arithmetic; the least one gives one
-representative per matrix and the smallest ints. A result built at a larger
-scale, such as the product at d_A d_B, is divided by the gcd of its scale
-and all its entries.)
+real and imaginary part, and M = d*A is kept as its rows of the kernel's
+scalars: ints when A is real, so real input never pays for imaginary
+products, and ``scalars._GaussInt``s in every cell when A is complex. The
+form is cleared once, when the matrix is built; every operation then runs
+on the kernel's scalars and builds its result's form directly, and ``rows``,
+``entry``, ``to_json`` and ``repr`` make Gaussian rationals only when asked.
+d is kept minimal and a form whose imaginary parts are all zero is kept as
+ints, so the form is canonical: two matrices are equal iff their forms are,
+which is what ``==`` and ``hash`` compare. (Any common scale c*d with c*M
+works for the arithmetic; the least one gives one representative per matrix
+and the smallest ints. A result built at a larger scale, such as the
+product at d_A d_B, is divided by the gcd of its scale and all the parts of
+its entries.)
 
 Products: A B = (M_A M_B) / (d_A d_B). Sums: A + B = (s/d_A M_A + s/d_B M_B) / s
 with s = lcm(d_A, d_B).
@@ -64,13 +66,13 @@ from .errors import DimensionMismatchError, IndexRangeError, ParseError, SizeGua
 from .kernel import (
     _char_coeffs,
     _det_int,
-    _entries,
-    _gadd,
     _gmul,
     _gscale,
+    _iadd,
+    _join,
     _minor_levels,
-    _parts,
     _signed_perm_chi_sum,
+    _split,
     _trace,
 )
 from .polynomials import Polynomial, _from_int, _power_sums
@@ -97,8 +99,8 @@ MOMENT_COUNT_LIMIT = 1000
 
 class Matrix:
     """Immutable square matrix of Gaussian rationals, stored as its integer
-    form (d, re, im): re + i*im = d*A over the ints, d minimal, im None when
-    A is real (module docstring)."""
+    form (d, M): M = d*A as rows of kernel scalars, ints when A is real and
+    _GaussInts when it is complex, d minimal (module docstring)."""
 
     __slots__ = ("n", "_d", "_m", "_rows", "_chi")
 
@@ -109,31 +111,32 @@ class Matrix:
             raise DimensionMismatchError("matrix must be square and non-empty")
         self._set(*_cleared(rs))
 
-    def _set(self, d: int, re, im) -> None:
-        self.n = len(re)
+    def _set(self, d: int, m) -> None:
+        self.n = len(m)
         self._d = d
-        self._m = (re, im)
+        self._m = m
         self._rows = None
         self._chi = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _from_form(cls, d: int, re, im=None) -> "Matrix":
-        """The matrix (re + i*im) / d for int rows re, im (im None or all
-        zero when real) and a positive int d, brought to canonical form."""
-        if not re:
+    def _from_form(cls, d: int, m) -> "Matrix":
+        """The matrix M / d for the rows m of kernel scalars of M (all ints,
+        or all _GaussInts, whose imaginary parts may all be zero) and a
+        positive int d, brought to canonical form: ``kernel._join``'s rows,
+        divided by the gcd of d and every part."""
+        if not m:
             raise DimensionMismatchError("matrix must be square and non-empty")
-        if im is not None and not any(map(any, im)):
-            im = None
-        g = math.gcd(d, *(v for part in (re, im) if part is not None for row in part for v in row))
+        re, im = _split(m)
+        g = math.gcd(d, *itertools.chain(*re, *im or ()))
+        m = _join(re, im)
         if g > 1:
             d //= g
-            re = [[v // g for v in row] for row in re]
-            im = None if im is None else [[v // g for v in row] for row in im]
-        m = cls.__new__(cls)
-        m._set(d, _frozen(re), None if im is None else _frozen(im))
-        return m
+            m = [[v // g for v in row] for row in m]
+        a = cls.__new__(cls)
+        a._set(d, _frozen(m))
+        return a
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -141,13 +144,14 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "Matrix":
-        d, (re,), im = _cleared([[_exact(v) for v in values]])
-        n = len(re)
-
-        def spread(row):
-            return [[row[i] if i == j else 0 for j in range(n)] for i in range(n)]
-
-        return cls._from_form(d, spread(re), None if im is None else spread(im[0]))
+        # the least scale that clears the values clears the matrix too
+        d, (row,) = _cleared([[_exact(v) for v in values]])
+        if not row:
+            raise DimensionMismatchError("matrix must be square and non-empty")
+        n, zero = len(row), row[0] * 0
+        m = cls.__new__(cls)
+        m._set(d, tuple(tuple(row[i] if i == j else zero for j in range(n)) for i in range(n)))
+        return m
 
     @classmethod
     def unit(cls, n: int, k: int, l: int) -> "Matrix":
@@ -179,7 +183,7 @@ class Matrix:
     def rows(self) -> tuple:
         """The entries as rows of GaussianRationals, built on first use."""
         if self._rows is None:
-            self._rows = tuple(tuple(_scaled(z, self._d) for z in row) for row in _entries(self._m))
+            self._rows = tuple(tuple(_scaled(z, self._d) for z in row) for row in self._m)
         return self._rows
 
     def entry(self, i: int, j: int) -> GaussianRational:
@@ -191,7 +195,7 @@ class Matrix:
         return self.rows[i][j]
 
     def transpose(self) -> "Matrix":
-        return Matrix._from_form(self._d, *_parts(self._m, lambda x: list(zip(*x))))
+        return Matrix._from_form(self._d, list(zip(*self._m)))
 
     def trace(self) -> GaussianRational:
         return _scaled(_trace(self._m), self._d)
@@ -207,7 +211,7 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._require_same_size(other)
         d = math.lcm(self._d, other._d)
-        return Matrix._from_form(d, *_gadd(_at_scale(self, d), _at_scale(other, d)))
+        return Matrix._from_form(d, _iadd(_at_scale(self, d), _at_scale(other, d)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._require_same_size(other)
@@ -215,11 +219,11 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._require_same_size(other)
-        return Matrix._from_form(self._d * other._d, *_gmul(self._m, other._m))
+        return Matrix._from_form(self._d * other._d, _gmul(self._m, other._m))
 
     def scale(self, factor) -> "Matrix":
-        e, *form = _cleared([[_exact(factor)]])
-        return Matrix._from_form(self._d * e, *_gscale(self._m, _entries(form)[0][0]))
+        e, ((z,),) = _cleared([[_exact(factor)]])
+        return Matrix._from_form(self._d * e, _gscale(self._m, z))
 
     # -- exact linear algebra ---------------------------------------------
 
@@ -254,28 +258,21 @@ def _frozen(rows) -> tuple:
 
 
 def _cleared(rows) -> tuple:
-    """(d, re, im) for rows of entries as ``_exact`` gives them: d the lcm of
-    every denominator and re + i*im = d*A as tuples of int rows, im None when
-    no entry is complex. This d is the least scale that clears A."""
+    """(d, M) for rows of entries as ``_exact`` gives them: d the lcm of
+    every denominator and M = d*A as tuples of rows of kernel scalars, ints
+    when no entry is complex. This d is the least scale that clears A."""
     parts = [rows]
     if any(type(x) is GaussianRational for row in rows for x in row):
         parts = [[[x.re if type(x) is GaussianRational else x for x in row] for row in rows],
                  [[x.im if type(x) is GaussianRational else 0 for x in row] for row in rows]]
     ratios = [[[x.as_integer_ratio() for x in row] for row in part] for part in parts]
     d = math.lcm(*(q for part in ratios for row in part for _, q in row))
-    re, *im = [_frozen([[p * (d // q) for p, q in row] for row in part]) for part in ratios]
-    return d, re, im[0] if im else None
-
-
-def _nonzero_entry(a: Matrix, i: int, j: int) -> bool:
-    """Whether the 0-based entry (i, j) of A is nonzero, read on its integer
-    form, without building the Gaussian-rational rows."""
-    re, im = a._m
-    return bool(re[i][j] or im and im[i][j])
+    re, *im = [[[p * (d // q) for p, q in row] for row in part] for part in ratios]
+    return d, _frozen(_join(re, im[0] if im else None))
 
 
 def _at_scale(a: Matrix, d: int):
-    """(re, im) of d*A, for d a multiple of A's own scale."""
+    """The rows of d*A, for d a multiple of A's own scale."""
     f = d // a._d
     return a._m if f == 1 else _gscale(a._m, f)
 
@@ -291,7 +288,7 @@ def _cycle_sums(a: Matrix) -> dict:
     c_I = C_I / d^|I|. Every cycle is counted once, from its least index.
     Cost: O(2^n n^2) products, against sum_k C(n,k) (k-1)! k by enumeration.
     """
-    d, n, m = a._d, a.n, _entries(a._m)
+    d, n, m = a._d, a.n, a._m
     sums = {}
     for s in range(n):
         sums[1 << s] = m[s][s]
@@ -352,7 +349,7 @@ def _pair_form(a: Matrix, b: Matrix, product: bool):
     if product:
         return a._d * b._d, a._m, b._m, _gmul
     d = math.lcm(a._d, b._d)
-    return d, _at_scale(a, d), _at_scale(b, d), _gadd
+    return d, _at_scale(a, d), _at_scale(b, d), _iadd
 
 
 def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool) -> Polynomial:
@@ -376,10 +373,8 @@ def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool) -> Polynomia
         for perm in itertools.permutations(range(n)):
             for tail in itertools.product((1, -1), repeat=n - 1):
                 signs = (1, *tail)
-                conj = _parts(mb, lambda x: [
-                    [x[pi][pj] if si == sj else -x[pi][pj] for pj, sj in zip(perm, signs)]
-                    for pi, si in zip(perm, signs)
-                ])
+                conj = [[mb[pi][pj] if si == sj else -mb[pi][pj] for pj, sj in zip(perm, signs)]
+                        for pi, si in zip(perm, signs)]
                 total = list(map(add, total, _char_coeffs(combine(ma, conj), n)))
     return _from_int(total, d, [math.factorial(n) << (n - 1)] * (n + 1))
 

@@ -277,6 +277,10 @@ class _GaussInt:
     def __eq__(self, other):
         return self.real == other.real and self.imag == other.imag
 
+    def __hash__(self):
+        # equal to an int's hash when real, as equality with ints requires
+        return hash((self.real, self.imag)) if self.imag else hash(self.real)
+
     def __bool__(self):
         return bool(self.real or self.imag)
 

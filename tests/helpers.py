@@ -20,6 +20,13 @@ pairs), the single-eigenvalue test by shifting x^n by the mean
 (not coefficient by coefficient), and the Matrix operations entry by entry
 on GaussianRational rows (not on the integer form that Matrix stores).
 
+The integer oracles work on their own form of a matrix: the pair (re, im)
+of int matrices from ``_int_form``, im None when the matrix is real, with
+products by the four-product complex rule and traces written here, not the
+kernel's rows of scalars, Gauss-trick products or traces. The signed
+permutations are enumerated here in full, all 2^n n! of them, where the
+library walks the prefixes of the half with signs[0] = +1.
+
 The library has no inverse, conjugation or polynomial calculus, as the
 paper's results need none; the counterexample suites and the similarity
 tests take the inverse from Gauss-Jordan over GaussianRationals here.
@@ -42,10 +49,10 @@ from finfree.families import (
     rand_fraction,
     random_matrix,
 )
-from finfree.ffp import ADDITIVE, signed_permutations
-from finfree.kernel import _char_coeffs, _det_int, _gmul, _parts, _trace
-from finfree.matrices import _pair_form
+from finfree.ffp import ADDITIVE
+from finfree.kernel import _char_coeffs, _det_int
 from finfree.polynomials import _check_pair, _from_int
+from finfree.scalars import _GaussInt
 
 ZERO = as_scalar(0)
 ONE = as_scalar(1)
@@ -83,6 +90,50 @@ def _int_form(a: Matrix):
     if not any(x.im for row in rows for x in row):
         return d, (re, None)
     return d, (re, [[x.im.numerator * (d // x.im.denominator) for x in row] for row in rows])
+
+
+def _kernel_rows(form) -> list:
+    """The (re, im) form as the rows of scalars that the kernel reads: ints,
+    or Gaussian ints in every cell when im is not None."""
+    re, im = form
+    if im is None:
+        return [list(row) for row in re]
+    return [list(map(_GaussInt, r, i)) for r, i in zip(re, im)]
+
+
+def _imatmul(x, y) -> list:
+    return [[sum(map(operator.mul, row, col)) for col in zip(*y)] for row in x]
+
+
+def form_mul(a, b):
+    """A B for two (re, im) forms by the complex rule, four int matrix
+    products; im None when both are real."""
+    (ar, ai), (br, bi) = a, b
+    if ai is None and bi is None:
+        return _imatmul(ar, br), None
+    zero = [[0] * len(ar) for _ in ar]
+    ai, bi = ai or zero, bi or zero
+    return sub_entrywise(_imatmul(ar, br), _imatmul(ai, bi)), add_entrywise(_imatmul(ar, bi), _imatmul(ai, br))
+
+
+def form_add(a, b):
+    """A + B for two (re, im) forms; im None when both are real."""
+    (ar, ai), (br, bi) = a, b
+    if ai is None and bi is None:
+        return add_entrywise(ar, br), None
+    zero = [[0] * len(ar) for _ in ar]
+    return add_entrywise(ar, br), add_entrywise(ai or zero, bi or zero)
+
+
+def on_parts(m, f) -> tuple:
+    """f applied to each int matrix of the (re, im) form m, keeping a
+    missing im missing."""
+    return tuple(None if x is None else f(x) for x in m)
+
+
+def form_trace(m) -> tuple:
+    """tr(M) of an (re, im) form as an (re, im) int pair."""
+    return tuple(0 if x is None else sum(row[i] for i, row in enumerate(x)) for x in m)
 
 
 def add_entrywise(x, y) -> tuple:
@@ -188,8 +239,8 @@ def charpoly_faddeev_int(m: Matrix) -> Polynomial:
     for k in range(1, m.n + 1):
         if k > 1:
             (wr, wi), (cr, ci) = work, coeffs[-1]
-            work = _gmul(form, (_add_diagonal(wr, cr), None if wi is None else _add_diagonal(wi, ci)))
-        tr, ti = pair(_trace(work))
+            work = form_mul(form, (_add_diagonal(wr, cr), None if wi is None else _add_diagonal(wi, ci)))
+        tr, ti = form_trace(work)
         coeffs.append((-tr // k, -ti // k))
     return Polynomial(
         GaussianRational(Fraction(cr, d**k), Fraction(ci, d**k)) for k, (cr, ci) in enumerate(coeffs)
@@ -216,7 +267,7 @@ def char_coeffs_by_newton(m) -> list:
 def _flat(m, by_columns: bool = False):
     """m = (re, im) as flat int lists, row by row (or column by column),
     plus re + im for Gauss's trick; (re, None, None) when m is real."""
-    re, im = _parts(m, lambda x: list(zip(*x))) if by_columns else m
+    re, im = on_parts(m, lambda x: list(zip(*x))) if by_columns else m
     flat_re = [v for row in re for v in row]
     if im is None:
         return flat_re, None, None
@@ -248,15 +299,15 @@ def power_sums_by_products(m, count: int) -> list:
     s = math.isqrt(count - 1) + 1
     babies = [m]
     for _ in range(s - 1):
-        babies.append(_gmul(babies[-1], m))
-    sums = [pair(_trace(x)) for x in babies]
+        babies.append(form_mul(babies[-1], m))
+    sums = [form_trace(x) for x in babies]
     columns = [_flat(x, by_columns=True) for x in babies]
     giant = babies[-1]
     while len(sums) < count:
         rows = _flat(giant)
         sums += [_trace_of_product(rows, c) for c in columns[: count - len(sums)]]
         if len(sums) < count:
-            giant = _gmul(giant, babies[-1])
+            giant = form_mul(giant, babies[-1])
     return sums
 
 
@@ -283,6 +334,17 @@ def moments_by_powers(m: Matrix, count: int) -> list:
     return out
 
 
+def signed_permutations(n: int):
+    """All 2^n n! signed permutations as (permutation, sign vector) pairs.
+
+    The pair (perm, signs) is the matrix P with P e_j = signs[j] e_{perm[j]}.
+    Permutations come in lexicographic order, sign vectors count in binary
+    with +1 first."""
+    for perm in itertools.permutations(range(n)):
+        for bits in itertools.product((1, -1), repeat=n):
+            yield perm, bits
+
+
 def signed_conjugate(b: Matrix, perm, signs) -> Matrix:
     """P^T B P for the signed permutation P with P e_j = signs[j] e_{perm[j]},
     as the explicit product of B with the matrix P."""
@@ -294,21 +356,31 @@ def signed_conjugate(b: Matrix, perm, signs) -> Matrix:
 def signed_perm_mean_per_conjugate(a: Matrix, b: Matrix, kind: str) -> Polynomial:
     """The mean of chi_{A + Q^T B Q} (or chi_{A Q^T B Q}) over the signed
     permutations Q with signs[0] = +1, one kernel chi per conjugate: each
-    conjugate's integer form is built in full and combined with A's, and
+    conjugate's (re, im) form is built in full and combined with A's, at
+    the scale lcm(d_A, d_B) for the sum and d_A d_B for the product, and
     the integer C_k of all of them are summed and divided once. The library
     gets the additive mean from one walk over the prefixes of Q instead."""
-    d, ma, mb, combine = _pair_form(a, b, kind != ADDITIVE)
+    (da, ma), (db, mb) = _int_form(a), _int_form(b)
+    if kind == ADDITIVE:
+        d = math.lcm(da, db)
+
+        def at_scale(form, e):
+            return on_parts(form, lambda x: [[d // e * v for v in row] for row in x])
+
+        ma, mb, combine = at_scale(ma, da), at_scale(mb, db), form_add
+    else:
+        d, combine = da * db, form_mul
     n = a.n
     total = [0] * (n + 1)
     count = 0
     for perm, signs in signed_permutations(n):
         if signs[0] != 1:
             continue
-        conj = _parts(mb, lambda x: [
+        conj = on_parts(mb, lambda x: [
             [x[pi][pj] if si == sj else -x[pi][pj] for pj, sj in zip(perm, signs)]
             for pi, si in zip(perm, signs)
         ])
-        total = list(map(operator.add, total, _char_coeffs(combine(ma, conj), n)))
+        total = list(map(operator.add, total, _char_coeffs(_kernel_rows(combine(ma, conj)), n)))
         count += 1
     return _from_int(total, d, [count] * (n + 1))
 
@@ -486,7 +558,7 @@ def minors_by_elimination(m, k: int) -> list:
     each an (re, im) int pair: the per-subset path that the minor tree
     replaced."""
     return [
-        pair(_det_int(_parts(m, lambda x: [[x[i][j] for j in subset] for i in subset])))
+        pair(_det_int(_kernel_rows(on_parts(m, lambda x: [[x[i][j] for j in subset] for i in subset]))))
         for subset in itertools.combinations(range(len(m[0])), k)
     ]
 

@@ -21,7 +21,6 @@ from finfree import (
     is_additive_ffp,
     is_multiplicative_ffp,
 )
-from finfree.ffp import signed_permutations
 from finfree.scalars import I
 from finfree.families import random_matrix
 from helpers import (
@@ -31,6 +30,7 @@ from helpers import (
     rand_invertible,
     rand_scalar,
     rand_symmetric,
+    signed_permutations,
 )
 
 GOLDEN_A = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])

@@ -45,14 +45,15 @@ from finfree.families import (
     _find_diagonal_probe_failure,
     _rank_one_balanced,
 )
-from finfree.ffp import signed_permutations
 from finfree.kernel import (
     _berkowitz_gaussian,
     _berkowitz_int,
     _char_coeffs,
+    _join,
     _triangular_diagonal,
 )
 from finfree.matrices import moment_vector_of
+from finfree.scalars import _GaussInt
 from helpers import (
     _int_form,
     add_entrywise,
@@ -76,6 +77,7 @@ from helpers import (
     scale_entrywise,
     signed_conjugate,
     signed_perm_mean_per_conjugate,
+    signed_permutations,
     sub_entrywise,
     transpose_entrywise,
 )
@@ -193,7 +195,7 @@ def test_additive_signed_perm_mean_shares_prefix_steps(monkeypatch, entries_of):
     def refused(*args):
         raise AssertionError("a full conjugate on the additive path")
 
-    for module, name in ((matrix_module, "_char_coeffs"), (matrix_module, "_gadd"), (kernel, "_triangular_diagonal")):
+    for module, name in ((matrix_module, "_char_coeffs"), (matrix_module, "_iadd"), (kernel, "_triangular_diagonal")):
         monkeypatch.setattr(module, name, refused)
     step, calls = kernel._berkowitz_step, []
 
@@ -217,7 +219,7 @@ BABY_STEP_BOUNDARIES = (1, 2, 4, 5, 9, 10)
 def test_power_sum_char_poly_across_baby_step_counts(m):
     p = char_poly(m)
     assert p == charpoly_faddeev_int(m)
-    assert list(map(pair, _char_coeffs(m._m, m.n))) == char_coeffs_by_newton(m._m)
+    assert list(map(pair, _char_coeffs(m._m, m.n))) == char_coeffs_by_newton(_int_form(m)[1])
     if m.n <= 5:
         assert p == charpoly_via_minors(m)
     else:
@@ -343,8 +345,19 @@ def test_ffp_report_matches_oracle_on_pairs_in_ffp(ab, kind):
 # -- the Matrix stored as its integer form ------------------------------------
 
 
-def frozen(rows):
-    return None if rows is None else tuple(map(tuple, rows))
+def stored(m: Matrix) -> tuple:
+    """(d, rows) of the stored form, each cell as (type, re, im): equality of
+    ints and Gaussian ints alone cannot tell a real cell from a complex one."""
+    return m._d, [[(type(v), v.real, v.imag) for v in row] for row in m._m]
+
+
+def expected_form(d: int, form) -> tuple:
+    """``stored``'s view of the canonical form with the (re, im) parts
+    ``form``: ints when im is None, Gaussian ints in every cell otherwise."""
+    re, im = form
+    if im is None:
+        return d, [[(int, v, 0) for v in row] for row in re]
+    return d, [[(_GaussInt, v, w) for v, w in zip(x, y)] for x, y in zip(re, im)]
 
 
 @KERNEL
@@ -363,18 +376,67 @@ def test_matrix_operations_match_gaussian_rational_oracles(ab, factor):
 def test_stored_form_is_canonical_and_rows_round_trip(ab, k):
     a, b = ab
     for m in (a, b):
-        d, (re, im) = _int_form(m)
-        assert (m._d, m._m) == (d, (frozen(re), frozen(im)))
+        d, form = _int_form(m)
+        assert stored(m) == expected_form(d, form)
         # the same matrix from a form that is not reduced: every part k times
-        # larger, with an all-zero imaginary part when m is real
-        bigger = [[[k * v for v in row] for row in part] for part in (re, im or [[0] * m.n] * m.n)]
-        for copy in (Matrix(m.rows), Matrix.from_json(m.to_json()), Matrix._from_form(k * d, *bigger)):
+        # larger, and Gaussian ints with all-zero imaginary parts when m is real
+        bigger = [[_GaussInt(k * v.real, k * v.imag) for v in row] for row in m._m]
+        for copy in (Matrix(m.rows), Matrix.from_json(m.to_json()), Matrix._from_form(k * d, bigger)):
+            assert stored(copy) == stored(m)
             assert copy == m and hash(copy) == hash(m)
             assert copy.rows == m.rows
         assert [[m.entry(i + 1, j + 1) for j in range(m.n)] for i in range(m.n)] == [
             list(row) for row in m.rows
         ]
     assert (a == b) == (a.rows == b.rows)
+
+
+I = GaussianRational(0, 1)
+REAL = Matrix([[1, Fraction(1, 2)], [-3, 4]])
+GAUSSIAN = Matrix([[1 + I, 2], [Fraction(3, 2) * I, -4]])
+
+# every constructor and operation, with the cases where a complex input gives
+# a real result or a real first cell leads a complex row
+BUILT = {
+    "rows-real": lambda: REAL,
+    "rows-gaussian": lambda: GAUSSIAN,
+    "from-json-real": lambda: Matrix.from_json({"n": 2, "entries": [["1/3", "0"], ["2", "-1"]]}),
+    "from-json-gaussian": lambda: Matrix.from_json({"n": 2, "entries": [["1", "1/2*i"], ["0", "3-2*i"]]}),
+    "diagonal-real": lambda: Matrix.diagonal([1, Fraction(2, 3), 0]),
+    "diagonal-real-first-value": lambda: Matrix.diagonal([1, 1 + I]),
+    "unit": lambda: Matrix.unit(3, 1, 2),
+    "sum-real": lambda: REAL + REAL.transpose(),
+    "sum-real-gaussian": lambda: REAL + GAUSSIAN,
+    "sum-imaginary-parts-cancel": lambda: GAUSSIAN + Matrix([[-I, 0], [Fraction(-3, 2) * I, 1]]),
+    "difference-imaginary-parts-cancel": lambda: GAUSSIAN - GAUSSIAN,
+    "difference-gaussian": lambda: GAUSSIAN - REAL,
+    "product-real": lambda: REAL @ REAL,
+    "product-real-gaussian": lambda: REAL @ GAUSSIAN,
+    "product-gaussian-real-result": lambda: Matrix.identity(2).scale(I) @ REAL.scale(I),
+    "scale-real": lambda: REAL.scale(Fraction(4, 3)),
+    "scale-real-by-i": lambda: REAL.scale(I),
+    "scale-gaussian-by-zero": lambda: GAUSSIAN.scale(0),
+    "scale-gaussian-by-i": lambda: GAUSSIAN.scale(I),
+    "transpose-real": lambda: REAL.transpose(),
+    "transpose-gaussian": lambda: GAUSSIAN.transpose(),
+}
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_every_built_form_holds_one_kind_of_scalar(name):
+    """A real result holds only ints and a complex one only Gaussian ints, and
+    it equals, and hashes like, the same matrix built from its rows. A
+    complex result hashes unlike its complex conjugate, whose cells differ
+    only in their imaginary parts."""
+    m = BUILT[name]()
+    complex_ = any(x.im for row in m.rows for x in row)
+    assert {type(v) for row in m._m for v in row} == {_GaussInt if complex_ else int}
+    copy = Matrix(m.rows)
+    assert stored(copy) == stored(m)
+    assert copy == m and hash(copy) == hash(m)
+    if complex_:
+        conjugate = Matrix([[GaussianRational(x.re, -x.im) for x in row] for row in m.rows])
+        assert conjugate != m and hash(conjugate) != hash(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,14 +529,14 @@ def triangular_cases(draw):
 @given(triangular_cases())
 def test_triangular_chi_matches_power_sums_and_faddeev(case):
     m, shape = case
-    n, (re, im) = m.n, m._m
+    n, (re, im) = m.n, _int_form(m)[1]
     diagonal = _triangular_diagonal(m._m, n)
     triangular = is_member(m, FamilyId.UPPER_TRIANGULAR) or is_member(m, FamilyId.LOWER_TRIANGULAR)
     assert (diagonal is not None) == triangular == (shape != "near")
     if diagonal is not None:
         assert list(map(pair, diagonal)) == [(re[i][i], 0 if im is None else im[i][i]) for i in range(n)]
     coeffs = list(map(pair, _char_coeffs(m._m, n)))
-    assert coeffs == char_coeffs_by_newton(m._m)
+    assert coeffs == char_coeffs_by_newton((re, im))
     assert char_poly(m) == charpoly_faddeev_int(m)
     if shape.startswith("strict"):
         assert coeffs == [(1, 0)] + [(0, 0)] * n  # nilpotent: chi = x^n
@@ -539,16 +601,17 @@ def chi_cases(draw):
 
 
 def assert_chi_matches_oracles(m):
+    """m is the (re, im) form of the oracles; the kernel reads its rows."""
     n = len(m[0])
     expected = char_coeffs_by_newton(m)
-    assert list(map(pair, _char_coeffs(m, n))) == expected
+    assert list(map(pair, _char_coeffs(_join(*m), n))) == expected
     # the general path itself, also where the triangular test would take over
     re, im = m
     if im is None:
         assert _berkowitz_int(re, n) == [c for c, _ in expected]
     else:
         assert list(map(pair, _berkowitz_gaussian(re, im, n))) == expected
-    faddeev = charpoly_faddeev_int(Matrix._from_form(1, re, im))
+    faddeev = charpoly_faddeev_int(Matrix._from_form(1, _join(re, im)))
     assert [(c.re.numerator, c.im.numerator) for c in faddeev.coeffs] == expected
     return expected
 
@@ -573,7 +636,7 @@ def test_berkowitz_chi_on_large_dense_matrices(n, gaussian):
     rng = random.Random(n)
     parts = [[[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)] for _ in range(1 + gaussian)]
     m = (parts[0], parts[1] if gaussian else None)
-    assert _triangular_diagonal(m, n) is None
+    assert _triangular_diagonal(_join(*m), n) is None
     assert_chi_matches_oracles(m)
 
 
@@ -591,14 +654,17 @@ class _WatchedRow(tuple):
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_dense_input_is_turned_away_before_any_scan(gaussian):
     n = 6
-    dense = tuple(_WatchedRow(i * n + j + 1 for j in range(n)) for i in range(n))
+
+    def watched(cell):
+        scalar = (lambda v: _GaussInt(v, v)) if gaussian else int
+        return tuple(_WatchedRow(scalar(cell(i, j)) for j in range(n)) for i in range(n))
+
     _WatchedRow.slices.clear()
-    assert _triangular_diagonal((dense, dense if gaussian else None), n) is None
+    assert _triangular_diagonal(watched(lambda i, j: i * n + j + 1), n) is None
     assert _WatchedRow.slices == []
     # one zero at (0, 1) is enough to start the scan, which finds row 1 nonzero below
     # the diagonal and row 0 nonzero above it
-    scanned = (tuple(_WatchedRow(0 if (i, j) == (0, 1) else 1 for j in range(n)) for i in range(n)), None)
-    assert _triangular_diagonal(scanned, n) is None
+    assert _triangular_diagonal(watched(lambda i, j: 0 if (i, j) == (0, 1) else 1), n) is None
     assert _WatchedRow.slices
 
 
@@ -652,7 +718,7 @@ def minor_cases(draw):
 def test_minor_tree_matches_per_subset_elimination_and_cofactors(case):
     m, shape = case
     levels = [[(v.real, v.imag) for v in level] for level in kernel._minor_levels(m._m)]
-    assert levels == [minors_by_elimination(m._m, k) for k in range(m.n + 1)]
+    assert levels == [minors_by_elimination(_int_form(m)[1], k) for k in range(m.n + 1)]
     table = minor_table(m)
     assert table[0] == [((), 1)]
     assert principal_minors(m, 0) == [((), 1)]
@@ -675,7 +741,7 @@ def test_minor_table_of_a_matrix_with_no_zero_minor_makes_no_elimination(monkeyp
     rows = [[GaussianRational(4 * n if i == j else (i - j) % 3 - 1, (i + j) % 2 if gaussian else 0)
              for j in range(n)] for i in range(n)]
     m = Matrix(rows)
-    expected = [minors_by_elimination(m._m, k) for k in range(n + 1)]
+    expected = [minors_by_elimination(_int_form(m)[1], k) for k in range(n + 1)]
 
     def refused(*args):
         raise AssertionError("per-subset elimination on a matrix with no zero minor")
