@@ -60,9 +60,9 @@ from .scalars import GaussianRational, _scaled
 # 2^(n-1) n! conjugates: the additive mean takes one Berkowitz step per prefix of
 # them, the multiplicative one chi per conjugate. At n = 6 a dense p/q pair, |p|,
 # q <= 10, takes 1.1-1.5 s (additive) and 2.9-4.6 s (multiplicative) in process when
-# rational, 5.4-7.2 and 13.1-14.5 s when Gaussian (Python 3.11, 2-vCPU Xeon VM, two
-# pairs; six runs of the Gaussian additive mean); n = 7 is 14 times as many
-# conjugates, 15 s and more
+# rational, 5.0-8.5 and 9.0-12.0 s when Gaussian (Python 3.11, 2-vCPU Xeon VM, two
+# pairs; eight runs of each Gaussian mean); n = 7 is 14 times as many conjugates,
+# 15 s and more
 SIGNED_PERM_LIMIT = 6
 
 # A Monte-Carlo average may cost samples * max(n, 3)^2 <= 9 * MC_SAMPLE_LIMIT. A Haar
