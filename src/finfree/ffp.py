@@ -39,13 +39,7 @@ from typing import NamedTuple, Optional
 
 from .errors import DimensionMismatchError, ParseError, SizeGuardError
 from .kernel import _char_coeffs
-from .matrices import (
-    Matrix,
-    _chi_at,
-    _pair_form,
-    _signed_perm_charpoly_mean,
-    char_poly,
-)
+from .matrices import Matrix, _chi_at, _pair_form, char_poly
 from .polynomials import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -58,11 +52,12 @@ from .polynomials import (
 from .scalars import GaussianRational, _scaled
 
 # 2^(n-1) n! conjugates: the additive mean takes one Berkowitz step per prefix of
-# them, the multiplicative one chi per conjugate. At n = 6 a dense p/q pair, |p|,
-# q <= 10, takes 1.1-1.5 s (additive) and 2.9-4.6 s (multiplicative) in process when
-# rational, 5.0-8.5 and 9.0-12.0 s when Gaussian (Python 3.11, 2-vCPU Xeon VM, two
-# pairs; eight runs of each Gaussian mean); n = 7 is 14 times as many conjugates,
-# 15 s and more
+# them, the multiplicative one a signed sum of folded minor products per coefficient
+# of each. At n = 6 a dense p/q pair, |p|, q <= 10, takes 1.1-1.5 s (additive) and
+# 0.64-0.95 s (multiplicative) in process when rational, 5.0-8.5 and 3.5-5.1 s when
+# Gaussian (Python 3.11, 2-vCPU Xeon VM, two pairs; eight runs of each Gaussian
+# mean and of the rational multiplicative one); n = 7 is 14 times as many
+# conjugates, and the additive mean takes 15 s and more
 SIGNED_PERM_LIMIT = 6
 
 # A Monte-Carlo average may cost samples * max(n, 3)^2 <= 9 * MC_SAMPLE_LIMIT. A Haar
@@ -193,12 +188,17 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
     the permutations, which is the convolution's coefficient formula.
 
     P and -P give the same conjugate, so the mean runs over the 2^(n-1) n!
-    matrices P with signs[0] = +1. The additive mean takes one Berkowitz
+    matrices P with signs[0] = +1, in ``signed_perms``, which is imported
+    here, so no other verb loads it. The additive mean takes one Berkowitz
     step per prefix of P, not one chi per conjugate: the leading block of
     A + P^T B P depends only on P's leading (index, sign) choices, so
     conjugates that share a prefix share its steps. The multiplicative mean
-    takes chi of each conjugate, since every entry of A P^T B P sums over
-    all of P.
+    takes every minor of A and of B once; each conjugate's coefficients are
+    then Cauchy-Binet sums of their products, one signed sum of folded
+    pairs per coefficient, with no matrix product and no chi. Each
+    conjugate's coefficients are formed on their own before they are added,
+    so the cancellation over the signs, which is what the identity asserts,
+    is computed, not assumed.
     """
     a._require_same_size(b)
     n = a.n
@@ -206,6 +206,8 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
         raise SizeGuardError(f"signed-permutation enumeration refused for n={n} > {SIGNED_PERM_LIMIT}")
     if kind not in (ADDITIVE, MULTIPLICATIVE):
         raise ParseError(f"unknown kind {kind!r}")
+    from .signed_perms import _signed_perm_charpoly_mean
+
     return _signed_perm_charpoly_mean(a, b, kind == MULTIPLICATIVE)
 
 

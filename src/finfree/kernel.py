@@ -29,28 +29,13 @@ Newton's identities took. Nothing is divided. Real input runs on int lists.
 On Gaussian input each vector is kept as its (re, im, re + im) int lists, so
 each inner product is three sums, not four (Gauss's trick, as in products).
 
-The additive signed-permutation mean sums chi of M_A + Q^T M_B Q over the
-signed permutations Q with signs[0] = +1, where (Q^T M_B Q)_ij = signs[i]
-signs[j] M_B[perm[i]][perm[j]]. Step r reads only the leading (r + 1) x
-(r + 1) block, and that block depends only on Q's first r + 1 (index, sign)
-choices. So one depth-first walk over those prefixes runs each step once per
-prefix: a node extends its parent's block by one row, one column and one
-corner cell, each cell A's plus B's signed one, and runs one step on its
-parent's coefficients; the leaves' coefficients are summed. The step is
-``_berkowitz_step``, which chi of an int matrix runs too, on kernel
-scalars: ints, or _GaussInts on Gaussian input. At n = 4 that is
-24 + 96 + 192 steps, where one chi per conjugate takes 3 x 192, and no leaf
-builds a full conjugate, adds two matrices or scans for triangularity.
-
 Triangular input skips Berkowitz. When M is upper or lower triangular, so
 is xI - M, and its determinant is the product of its diagonal: chi_M is
 exactly prod (x - m_ii). Multiplying out those n linear factors over the
 Gaussian ints takes O(n^2) int products. Telling a triangular M from a
 dense one is a scan of the off-diagonal cells, but the scan starts only when
 one of M[1][0], M[0][1] is zero: if both are nonzero, M is neither upper nor
-lower triangular, and Berkowitz starts after two lookups. The
-multiplicative signed-permutation mean, which takes chi of hundreds of dense
-conjugates A Q^T B Q, pays no more than that.
+lower triangular, and Berkowitz starts after two lookups.
 
 Determinants: Bareiss fraction-free elimination on M. After step k every
 entry of the remaining block is a (k+1)-order minor of the row-permuted M
@@ -83,7 +68,7 @@ So a subtree of zero minors costs no more than one elimination per subset.
 
 from __future__ import annotations
 
-from operator import add, mul, sub
+from operator import add, mul
 
 from .errors import SizeGuardError
 from .scalars import _GaussInt
@@ -195,7 +180,8 @@ def _berkowitz_step(block, left, col, diag, c) -> list:
     """One step of Berkowitz's recurrence (module docstring) on kernel
     scalars: the coefficients of chi of the r x r ``block`` (by rows, r >= 1)
     bordered by the row ``left``, the column ``col`` and the corner ``diag``,
-    from the coefficients c of chi of ``block``."""
+    from the coefficients c of chi of ``block``. The additive
+    signed-permutation walk (``signed_perms``) runs it once per prefix."""
     t = [1, -diag, -sum(map(mul, left, col))]
     for _ in range(len(block) - 1):
         col = [sum(map(mul, row, col)) for row in block]
@@ -241,46 +227,6 @@ def _berkowitz_gaussian(re, im, n: int) -> list:
         t = [[one, -x[r][r]] + [-p for p in y] for one, x, y in zip((1, 0, 1), parts, tail)]
         c = _gmatvec([_toeplitz(x) for x in t], c)
     return list(map(_GaussInt, c[0], c[1]))
-
-
-def _signed_perm_chi_sum(a, b, n: int) -> list:
-    """The sum of C_0..C_n of chi_{M_A + Q^T M_B Q} over the 2^(n-1) n!
-    signed permutations Q with signs[0] = +1, where (Q^T M_B Q)_ij =
-    signs[i] signs[j] M_B[perm[i]][perm[j]], as kernel scalars, for the
-    rows a of M_A and b of M_B.
-
-    One depth-first walk over the prefixes of Q: the leading (r + 1) x
-    (r + 1) block of M_A + Q^T M_B Q depends only on Q's first r + 1
-    choices, so a node extends its parent's block by one row, one column and
-    one corner cell and runs one Berkowitz step on its parent's
-    coefficients, and conjugates that share a prefix share its steps."""
-    total = [0] * (n + 1)
-
-    def walk(block, perm, signs, c):
-        nonlocal total
-        r = len(perm)
-        a_left, a_col = a[r][:r], [row[r] for row in a[:r]]
-        for p in range(n):
-            if p in perm:
-                continue
-            # (Q^T M_B Q)_ij = signs[i] signs[j] M_B[perm[i]][perm[j]]: B's cells in
-            # the new row and column, each times the sign of its other index,
-            # are added for the new sign s = 1 and subtracted for s = -1
-            b_left = [b[p][q] if si == 1 else -b[p][q] for q, si in zip(perm, signs)]
-            b_col = [b[q][p] if si == 1 else -b[q][p] for q, si in zip(perm, signs)]
-            diag = a[r][r] + b[p][p]
-            for s, op in ((1, add), (-1, sub)) if r else ((1, add),):
-                left, col = list(map(op, a_left, b_left)), list(map(op, a_col, b_col))
-                # a 1 x 1 block's coefficients need no step
-                coeffs = _berkowitz_step(block, left, col, diag, c) if r else [1, -diag]
-                if r + 1 == n:
-                    total = list(map(add, total, coeffs))
-                else:
-                    child = [row + [v] for row, v in zip(block, col)] + [left + [diag]]
-                    walk(child, perm + [p], signs + [s], coeffs)
-
-    walk([], [], [], [1])
-    return total
 
 
 def _bareiss(rows, k: int, prev=1):

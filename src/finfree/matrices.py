@@ -32,11 +32,9 @@ of chi_A is C_k / d^k, and the k-th moment
 tr(A^k)/n is p_k / (n d^k); det(A) = det(M) / d^n, and the principal minor
 on an index set S is det(M_S) / d^|S|. The FFP verdicts take chi_{A+B} and
 chi_{AB} from the integer forms directly: A + B at scale lcm(d_A, d_B), AB
-at scale d_A d_B. The signed-permutation average of characteristic
-polynomials adds integer C_k at one scale, which all the conjugates share,
-and divides once: the additive sum comes from the kernel's walk over the
-prefixes of Q, one Berkowitz step per prefix; the multiplicative one adds
-chi of each conjugate A Q^T B Q.
+at scale d_A d_B (``_pair_form``). The signed-permutation means
+(``signed_perms``) take their integer forms from ``_pair_form`` too; no
+code here enumerates conjugates.
 
 The integer coefficients C_0..C_n of chi_M are cached on the (immutable)
 matrix the first time they are needed, at its own scale d. A verdict that
@@ -59,7 +57,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, IndexRangeError, ParseError, SizeGuardError
@@ -71,7 +68,6 @@ from .kernel import (
     _iadd,
     _join,
     _minor_levels,
-    _signed_perm_chi_sum,
     _split,
     _trace,
 )
@@ -350,33 +346,6 @@ def _pair_form(a: Matrix, b: Matrix, product: bool):
         return a._d * b._d, a._m, b._m, _gmul
     d = math.lcm(a._d, b._d)
     return d, _at_scale(a, d), _at_scale(b, d), _iadd
-
-
-def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool) -> Polynomial:
-    """Exact mean of chi_{A + Q^T B Q} (``product``: chi_{A Q^T B Q}) over the
-    2^(n-1) n! signed permutations Q with signs[0] = +1, where
-    (Q^T B Q)_{ij} = signs[i] signs[j] B_{perm[i], perm[j]}.
-
-    Every conjugate keeps B's denominators, so all the integer matrices share
-    one scale: their integer coefficients are summed and divided once. The
-    additive sum comes from the kernel's prefix walk, since the leading block
-    of A + Q^T B Q depends only on Q's leading choices. The product keeps one
-    chi per conjugate: every entry of A Q^T B Q sums over all of Q, so no
-    prefix of Q fixes a leading block.
-    """
-    d, ma, mb, combine = _pair_form(a, b, product)
-    n = a.n
-    if not product:
-        total = _signed_perm_chi_sum(ma, mb, n)
-    else:
-        total = [0] * (n + 1)
-        for perm in itertools.permutations(range(n)):
-            for tail in itertools.product((1, -1), repeat=n - 1):
-                signs = (1, *tail)
-                conj = [[mb[pi][pj] if si == sj else -mb[pi][pj] for pj, sj in zip(perm, signs)]
-                        for pi, si in zip(perm, signs)]
-                total = list(map(add, total, _char_coeffs(combine(ma, conj), n)))
-    return _from_int(total, d, [math.factorial(n) << (n - 1)] * (n + 1))
 
 
 def matrix_moment(a: Matrix, k: int) -> GaussianRational:

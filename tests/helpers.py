@@ -24,8 +24,10 @@ The integer oracles work on their own form of a matrix: the pair (re, im)
 of int matrices from ``_int_form``, im None when the matrix is real, with
 products by the four-product complex rule and traces written here, not the
 kernel's rows of scalars, Gauss-trick products or traces. The signed
-permutations are enumerated here in full, all 2^n n! of them, where the
-library walks the prefixes of the half with signs[0] = +1.
+permutations are enumerated here in full, all 2^n n! of them, and each
+conjugate of the half with signs[0] = +1 is built and combined with A in
+full, where the library walks the prefixes of Q (additive) or sums
+products of minors of A and B taken once (multiplicative).
 
 The library has no inverse, conjugation or polynomial calculus, as the
 paper's results need none; the counterexample suites and the similarity
@@ -353,13 +355,12 @@ def signed_conjugate(b: Matrix, perm, signs) -> Matrix:
     return Matrix(matmul_entrywise(matmul_entrywise(p.transpose().rows, b.rows), p.rows))
 
 
-def signed_perm_mean_per_conjugate(a: Matrix, b: Matrix, kind: str) -> Polynomial:
-    """The mean of chi_{A + Q^T B Q} (or chi_{A Q^T B Q}) over the signed
-    permutations Q with signs[0] = +1, one kernel chi per conjugate: each
-    conjugate's (re, im) form is built in full and combined with A's, at
-    the scale lcm(d_A, d_B) for the sum and d_A d_B for the product, and
-    the integer C_k of all of them are summed and divided once. The library
-    gets the additive mean from one walk over the prefixes of Q instead."""
+def conjugate_forms(a: Matrix, b: Matrix, kind: str):
+    """(d, forms): forms yields, for each signed permutation Q with
+    signs[0] = +1 in ``signed_permutations`` order, the (re, im) form of
+    d(A + Q^T B Q) (or d(A Q^T B Q)), built in full: Q^T B Q from B's form
+    entry by entry, then added to A's form (``form_add``) at the scale
+    d = lcm(d_A, d_B), or multiplied by it (``form_mul``) at d = d_A d_B."""
     (da, ma), (db, mb) = _int_form(a), _int_form(b)
     if kind == ADDITIVE:
         d = math.lcm(da, db)
@@ -370,17 +371,33 @@ def signed_perm_mean_per_conjugate(a: Matrix, b: Matrix, kind: str) -> Polynomia
         ma, mb, combine = at_scale(ma, da), at_scale(mb, db), form_add
     else:
         d, combine = da * db, form_mul
+
+    def forms():
+        for perm, signs in signed_permutations(a.n):
+            if signs[0] != 1:
+                continue
+            conj = on_parts(mb, lambda x: [
+                [x[pi][pj] if si == sj else -x[pi][pj] for pj, sj in zip(perm, signs)]
+                for pi, si in zip(perm, signs)
+            ])
+            yield combine(ma, conj)
+
+    return d, forms()
+
+
+def signed_perm_mean_per_conjugate(a: Matrix, b: Matrix, kind: str) -> Polynomial:
+    """The mean of chi_{A + Q^T B Q} (or chi_{A Q^T B Q}) over the signed
+    permutations Q with signs[0] = +1, one kernel chi per conjugate of
+    ``conjugate_forms``: the integer C_k of all of them are summed and
+    divided once. The library gets the additive mean from one walk over the
+    prefixes of Q instead, and the multiplicative one by Cauchy-Binet from
+    the minors of A and B, with no product and no chi per conjugate."""
+    d, forms = conjugate_forms(a, b, kind)
     n = a.n
     total = [0] * (n + 1)
     count = 0
-    for perm, signs in signed_permutations(n):
-        if signs[0] != 1:
-            continue
-        conj = on_parts(mb, lambda x: [
-            [x[pi][pj] if si == sj else -x[pi][pj] for pj, sj in zip(perm, signs)]
-            for pi, si in zip(perm, signs)
-        ])
-        total = list(map(operator.add, total, _char_coeffs(_kernel_rows(combine(ma, conj)), n)))
+    for form in forms:
+        total = list(map(operator.add, total, _char_coeffs(_kernel_rows(form), n)))
         count += 1
     return _from_int(total, d, [count] * (n + 1))
 

@@ -731,3 +731,48 @@ def test_light_verbs_import_only_what_they_run(tmp_path):
     lines = result.stdout.splitlines()
     assert len(lines) == len(runs) + 1
     assert json.loads(lines[-1]) == [[0] * len(runs), []]
+
+
+def test_only_exact_expect_imports_the_signed_permutation_module(tmp_path):
+    """Every verb but the exact ``expect`` runs without ``finfree.signed_perms``
+    being imported, and the exact ``expect`` imports it."""
+    scalar = {"n": 3, "entries": [["2", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]]}
+    files = {"a": GAUSSIAN_A, "b": GAUSSIAN_B, "s": scalar, "m": EXAMPLE_PB, "p": GAUSSIAN_P, "q": GAUSSIAN_Q}
+    path = {}
+    for name, payload in files.items():
+        path[name] = str(tmp_path / f"{name}.json")
+        Path(path[name]).write_text(json.dumps(payload))
+    a, b, s, m, p, q = (path[name] for name in "absmpq")
+    runs = [
+        ["charpoly", m],
+        ["convolve", "--kind", "multiplicative", p, q],
+        ["check-ffp", "--kind", "additive", m, s],
+        ["check-balanced", m],
+        ["cycle-sums", m],
+        ["expect", "--mc", "--kind", "additive", "--samples", "10", "--seed", "0", a, b],
+        ["verify-pair", "--families", "diag,pb", "--kind", "additive", "--trials", "2", "--n", "3", "--seed", "0"],
+        ["moments", m],
+        ["cumulants", m],
+        ["sum-moments", a, b],
+        ["rank-bound", "--n", "3"],
+        ["witness-ekl", m],
+    ]
+    exact = [["expect", "--kind", "multiplicative", a, b]]
+    code = (
+        "import json, sys\n"
+        "from finfree.cli import main\n"
+        "runs, exact = json.loads(sys.argv[1])\n"
+        "codes = [main(argv) for argv in runs]\n"
+        "before = 'finfree.signed_perms' in sys.modules\n"
+        "codes += [main(argv) for argv in exact]\n"
+        "print(json.dumps([codes, before, 'finfree.signed_perms' in sys.modules]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([runs, exact])],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    lines = result.stdout.splitlines()
+    assert len(lines) == len(runs) + len(exact) + 1
+    assert json.loads(lines[-1]) == [[0] * (len(runs) + len(exact)), False, True]

@@ -5,6 +5,8 @@ coefficients, singular matrices, large denominators and pairs in finite free
 position; and the Matrix that stores its integer form, checked against the
 GaussianRational operations on its rows."""
 
+import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -38,7 +40,7 @@ from finfree import (
     sample_member,
 )
 import finfree.matrices as matrix_module
-from finfree import ffp, kernel
+from finfree import ffp, kernel, signed_perms
 from finfree.families import (
     PROBE_MAGNITUDES,
     _conjugated_triangular_balanced,
@@ -49,6 +51,7 @@ from finfree.kernel import (
     _berkowitz_gaussian,
     _berkowitz_int,
     _char_coeffs,
+    _det_int,
     _join,
     _triangular_diagonal,
 )
@@ -66,12 +69,14 @@ from helpers import (
     charpoly_faddeev_int,
     charpoly_via_minors,
     cofactor_det,
+    conjugate_forms,
     conjugated_triangular_by_products,
     ffp_report_oracle,
     matmul_entrywise,
     minors_by_elimination,
     moments_by_power_sums,
     moments_by_powers,
+    _kernel_rows,
     pair,
     rank_one_by_fractions,
     scale_entrywise,
@@ -197,16 +202,106 @@ def test_additive_signed_perm_mean_shares_prefix_steps(monkeypatch, entries_of):
 
     for module, name in ((matrix_module, "_char_coeffs"), (matrix_module, "_iadd"), (kernel, "_triangular_diagonal")):
         monkeypatch.setattr(module, name, refused)
-    step, calls = kernel._berkowitz_step, []
+    step, calls = signed_perms._berkowitz_step, []
 
     def counted(*args):
         calls.append(len(args[0]))
         return step(*args)
 
-    monkeypatch.setattr(kernel, "_berkowitz_step", counted)
+    monkeypatch.setattr(signed_perms, "_berkowitz_step", counted)
     assert expected_charpoly_signed_perms(a, b, ADDITIVE) == expected
     assert len(calls) == 24 + 96 + 192
     assert [calls.count(r) for r in (1, 2, 3)] == [24, 96, 192]
+
+
+@pytest.mark.parametrize("entries_of", ["real", "gaussian"])
+def test_multiplicative_signed_perm_mean_forms_one_vector_per_conjugate(monkeypatch, entries_of):
+    """At n = 4 the multiplicative mean forms 192 coefficient vectors, one per
+    conjugate, from the minors of A and B alone: it runs no chi, no matrix
+    product and no Berkowitz step."""
+    a, b = dense_pair(4, entries_of)
+    expected = signed_perm_mean_per_conjugate(a, b, MULTIPLICATIVE)
+
+    def refused(*args):
+        raise AssertionError("a product or a chi on the multiplicative path")
+
+    for module in (kernel, matrix_module, signed_perms):
+        for name in ("_char_coeffs", "_gmul", "_berkowitz_step"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    chis, vectors = signed_perms._product_chis, []
+
+    def counted(*args):
+        for coeffs in chis(*args):
+            vectors.append(coeffs)
+            yield coeffs
+
+    monkeypatch.setattr(signed_perms, "_product_chis", counted)
+    assert expected_charpoly_signed_perms(a, b, MULTIPLICATIVE) == expected
+    assert len(vectors) == 192
+    assert all(len(coeffs) == 5 for coeffs in vectors)
+
+
+@pytest.mark.parametrize("entries_of", ["real", "gaussian", "mixed"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_each_product_conjugate_vector_is_chi_of_its_explicit_product(n, entries_of):
+    """Every vector that the multiplicative mean adds is C_0..C_n of chi of
+    its own conjugate M_A Q^T M_B Q, built as an explicit product, in the
+    oracle's order of (perm, signs); the pairs are not symmetric, so
+    B's minor at (pi T, pi S) is told from the one at (pi S, pi T)."""
+    a, b = dense_pair(n, entries_of)
+    assert a != a.transpose() and b != b.transpose() or n == 1
+    d, forms = conjugate_forms(a, b, MULTIPLICATIVE)
+    assert d == a._d * b._d
+    count = 0
+    for form, coeffs in zip(forms, signed_perms._product_chis(a._m, b._m, n), strict=True):
+        assert coeffs == _char_coeffs(_kernel_rows(form), n)
+        count += 1
+    assert count == 2 ** (n - 1) * math.factorial(n)
+
+
+@st.composite
+def minor_inputs(draw):
+    """An n x n integer form, n <= 5, dense or with a zero row, a zero column
+    or rank one."""
+    n = draw(st.integers(1, 5))
+    gaussian = draw(st.booleans())
+    part = st.integers(-10**6, 10**6) | st.integers(-3, 3)
+
+    def cells(count):
+        values = draw(st.lists(part, min_size=count, max_size=count))
+        if not gaussian:
+            return values
+        return [_GaussInt(x, y) for x, y in zip(values, draw(st.lists(part, min_size=count, max_size=count)))]
+
+    shape = draw(st.sampled_from(("dense", "zero-row", "zero-column", "rank-one")))
+    if shape == "rank-one":
+        u, v = cells(n), cells(n)
+        rows = [[x * y for y in v] for x in u]
+    else:
+        flat = cells(n * n)
+        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+        zero = rows[0][0] * 0
+        i = draw(st.integers(0, n - 1))
+        if shape == "zero-row":
+            rows[i] = [zero] * n
+        elif shape == "zero-column":
+            for row in rows:
+                row[i] = zero
+    return _join(*kernel._split(rows))
+
+
+@KERNEL
+@given(minor_inputs())
+def test_minor_tables_match_det_of_every_block(m):
+    """Every k x k minor det M[S, T] of the Laplace tables, S and T
+    lexicographic k-subsets, equals Bareiss' det of the S x T block."""
+    n = len(m)
+    tables = signed_perms._minor_tables(m, n)
+    assert len(tables) == n + 1 and tables[0] == [[1]]
+    for k in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        assert tables[k] == [[_det_int([[m[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
 
 
 # counts k where s = ceil(sqrt(k)) baby steps change: 1, 2 (s = k), 4, 5 (s = 2, 3), 9, 10
