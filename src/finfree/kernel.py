@@ -37,37 +37,36 @@ dense one is a scan of the off-diagonal cells, but the scan starts only when
 one of M[1][0], M[0][1] is zero: if both are nonzero, M is neither upper nor
 lower triangular, and Berkowitz starts after two lookups.
 
-Determinants: Bareiss fraction-free elimination on M. After step k every
-entry of the remaining block is a (k+1)-order minor of the row-permuted M
-(Sylvester's identity), so dividing by the previous pivot is exact; over the
-Gaussian integers the quotient is formed as z conj(w) / |w|^2, whose parts
-|w|^2 divides.
+Determinants: Bareiss fraction-free elimination on M, pivoting among the
+rows. After step k every entry of the remaining block is a (k+1)-order
+minor of the row-permuted M (Sylvester's identity), so dividing by the
+previous pivot is exact; over the Gaussian integers the quotient is formed
+as z conj(w) / |w|^2, whose parts |w|^2 divides.
 
 Principal minors: one tree of those same steps over the index sets, the
 Schur-complement recursion of Griffin & Tsatsomeros ("Principal minors,
-Part I", Linear Algebra Appl. 419, 2006) run over the integers. The node S
-holds det(M_S) and the block B_S[a][b] = det(M_{S+a, S+b}) of its bordered
-minors, for a, b past max S; the root is M, with det 1. Its child S + {j}
-has det(M_{S+j}) = B_S[j][j], and its block is one Bareiss step on B_S with
-pivot B_S[j][j] and exact divisor det(M_S). The children of each node come
-in increasing j, level by level, so each order comes out in lexicographic
-order. With no zero minor, order k costs C(n, k) steps of at most
-(n - k)^2 products, where one elimination per subset costs k^3 / 3 each.
-
-A node with det(M_S) = 0 has no divisor for its children's blocks. Its
-subtree starts again from its anchor U, the nearest ancestor with a nonzero
-minor: U's block A holds every minor of a superset, det(M_{U+W}) =
-det(A_W) / det(M_U)^(|W| - 1) (Sylvester), and Bareiss on A from the
-divisor det(M_U) keeps every step exact, with W the indices of S past U.
-Each child's minor costs one elimination of A on W + {j}, at most |S| + 1
-rows, unless a row or column of A_W that is zero already forces it to 0.
-A nonzero child then gets its block from one pass over A on W + {j} and the
-indices past j, pivoting within W + {j}, and the tree goes on from there.
-So a subtree of zero minors costs no more than one elimination per subset.
+Part I", Linear Algebra Appl. 419, 2006) run over the integers, on a matrix
+with no zero principal minor. The node S holds det(N_S) and the block
+B_S[a][b] = det(N_{S+a, S+b}) of its bordered minors, for a, b past max S;
+the root is N, with det 1. Its child S + {j} has det(N_{S+j}) = B_S[j][j],
+and its block is one Bareiss step on B_S with pivot B_S[j][j] and exact
+divisor det(N_S). The children of each node come in increasing j, level by
+level, so each order comes out in lexicographic order, and order k costs
+C(n, k) steps of at most (n - k)^2 products, where one elimination per
+subset costs k^3 / 3 each. No divisor is ever zero, since the tree runs on
+N = M + tI with t = 1 + max_i sum_j (|Re m_ij| + |Im m_ij|): N and each of
+its principal submatrices is strictly diagonally dominant, so none of its
+principal minors is zero (Levy-Desplanques; Horn & Johnson, Matrix
+Analysis, Thm 6.1.10). Since det(N_S) = sum over U in S of
+t^|S - U| det(M_U), the minors of each order of M share one value exactly
+when those of N do, so a balance test reads N's tree as it is; M's own
+minors come back by the inverse sum, det(M_S) = sum over U in S of
+(-t)^|S - U| det(N_U), one pass per index over the index sets.
 """
 
 from __future__ import annotations
 
+from itertools import chain, combinations, islice
 from operator import add, mul
 
 from .errors import SizeGuardError
@@ -229,98 +228,67 @@ def _berkowitz_gaussian(re, im, n: int) -> list:
     return list(map(_GaussInt, c[0], c[1]))
 
 
-def _bareiss(rows, k: int, prev=1):
-    """k fraction-free Bareiss steps on int (or _GaussInt) rows whose first k
-    rows and columns are the block to eliminate, pivoting among those k rows.
-    Each step divides exactly by the previous pivot, the first by ``prev``.
-
-    Returns (det, rest): rest is the rows past k without their first k
-    columns. With prev = 1, det is the determinant of the leading k x k block
-    and rest[a][b] the bordered minor on that block plus row a and column b.
-    When the rows are a node's block and prev its minor, both are minors of
-    the node's superset instead (module docstring). Returns (0, None) when the
-    leading block is singular."""
-    sign = 1
-    for lead in range(k, 0, -1):
-        p = next((r for r in range(lead) if rows[r][0]), None)
-        if p is None:
-            return 0, None
-        if p:
-            rows[0], rows[p] = rows[p], rows[0]
-            sign = -sign
-        (pivot, *top), rows = rows[0], rows[1:]
-        rows = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rows]
-        prev = pivot
-    if sign < 0:
-        return -prev, [[-v for v in row] for row in rows]
-    return prev, rows
-
-
 def _det_int(m):
     """det of a Gaussian integer matrix as a kernel scalar, by Bareiss
-    elimination; each division by the previous pivot is exact."""
-    return _bareiss(list(m), len(m))[0]
+    elimination with row pivoting; each division by the previous pivot is
+    exact (module docstring)."""
+    rows, prev, sign = list(m), 1, 1
+    while rows:
+        p = next((r for r, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            return 0
+        # the pivot row moves up past p rows
+        pivot, *top = rows.pop(p)
+        sign *= (-1) ** p
+        rows = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rows]
+        prev = pivot
+    return sign * prev
 
 
-def _minor_levels(m):
-    """The principal minors of the Gaussian integer matrix m, one
-    order at a time: for k = 0, 1, ..., n, the kernel scalars det(M_S)
-    over the k-subsets S in lexicographic order, by the Sylvester tree
-    (module docstring). Each level is built only when the next one is asked
-    for, so a caller that stops early pays for no deeper order."""
-    n = len(m)
-    # a node: (index past max S, det(M_S), its block when det(M_S) != 0, its
-    # anchor when det(M_S) = 0)
-    level = [(0, 1, m, None)]
+def _dominant(m):
+    """(t, M + tI) for t = 1 + max_i sum_j (|Re m_ij| + |Im m_ij|): M + tI and
+    each of its principal submatrices is strictly diagonally dominant, so none
+    of its principal minors is zero (module docstring)."""
+    t = 1 + max(sum(abs(v.real) + abs(v.imag) for v in row) for row in m)
+    return t, [[v + t if i == j else v for j, v in enumerate(row)] for i, row in enumerate(m)]
+
+
+def _minor_tree(m):
+    """The principal minors of the Gaussian integer matrix m, none of them
+    zero, one order at a time: for k = 0, 1, ..., n, the kernel scalars
+    det(M_S) over the k-subsets S in lexicographic order, by the Sylvester
+    tree (module docstring). Each level is built only when the next one is
+    asked for, so a caller that stops early pays for no deeper order."""
+    level = [(1, m)]
     yield [1]
-    for _ in range(n):
-        level = [child for node in level for child in _children(node, n)]
-        yield [det for _, det, _, _ in level]
+    for _ in range(len(m)):
+        level = [child for det, block in level for child in _children(det, block)]
+        yield [det for det, _ in level]
 
 
-def _children(node, n: int):
-    """The children S + {j}, j past max S in increasing order, of one node."""
-    off, det, block, anchor = node
-    if det:
-        # one Sylvester step per nonzero child, dividing exactly by det(M_S)
-        for p, top in enumerate(block):
-            pivot, tail = top[p], top[p + 1:]
-            if pivot:
-                child = [[(pivot * x - row[p] * y) // det for x, y in zip(row[p + 1:], tail)]
-                         for row in block[p + 1:]]
-                yield off + p + 1, pivot, child, None
-            else:
-                yield off + p + 1, 0, None, (block, det, off, (p,))
-        return
-    if off == n:
-        return
-    # det(M_S) = 0: work from the anchor U, the nearest ancestor with a nonzero
-    # minor: its block rows, first index base, prev = det(M_U), and pos, the
-    # positions in rows of the indices of S past U
-    rows, prev, base, pos = anchor
+def _children(det, block):
+    """(det(M_{S+j}), its block) for the children S + {j}, j past max S in
+    increasing order, of the node with minor det = det(M_S) and block B_S:
+    one Sylvester step each, dividing exactly by det(M_S)."""
+    for p, top in enumerate(block):
+        pivot, tail = top[p], top[p + 1:]
+        yield pivot, [[(pivot * x - row[p] * y) // det for x, y in zip(row[p + 1:], tail)] for row in block[p + 1:]]
 
-    def block_on(idx):
-        return [[rows[a][b] for b in idx] for a in idx]
 
-    held = block_on(pos)
-    # a column that is zero on the held block leaves the child only its cell
-    # in row j: two such columns, or one whose cell is zero, make its det 0;
-    # the same holds for rows
-    dead_cols = [b for b, col in zip(pos, zip(*held)) if not any(col)]
-    dead_rows = [a for a, row in zip(pos, held) if not any(row)]
-    for j in range(off, n):
-        q = j - base
-        if len(dead_cols) > 1 or len(dead_rows) > 1 or any(not rows[q][b] for b in dead_cols) or any(
-            not rows[a][q] for a in dead_rows
-        ):
-            minor = 0
-        else:
-            minor, _ = _bareiss(block_on(pos + (q,)), len(pos) + 1, prev)
-        if not minor:
-            yield j + 1, 0, None, (rows, prev, base, pos + (q,))
-        elif j < n - 1:
-            minor, child = _bareiss(block_on(pos + tuple(range(q, n - base))), len(pos) + 1, prev)
-            yield j + 1, minor, child, None
-        else:
-            yield j + 1, minor, [], None
-
+def _minor_levels(m, top: int) -> list:
+    """The principal minors of orders 0..top of the Gaussian integer matrix
+    m, as ``_minor_tree`` orders them, read off the tree of M + tI
+    (``_dominant``): det(M_S) = sum over U in S of (-t)^|S - U| det((M + tI)_U).
+    That is one pass per index i over the index sets as bitmasks, each set
+    with i taking -t times its value without i. Orders past top are never
+    built."""
+    n = len(m)
+    t, shifted = _dominant(m)
+    masks = [[sum(1 << i for i in s) for s in combinations(range(n), k)] for k in range(top + 1)]
+    minors = dict(zip(chain(*masks), chain(*islice(_minor_tree(shifted), top + 1))))
+    for i in range(n):
+        bit = 1 << i
+        for mask in minors:
+            if mask & bit:
+                minors[mask] -= t * minors[mask ^ bit]
+    return [[minors[mask] for mask in level] for level in masks]

@@ -24,15 +24,17 @@ The linear algebra itself runs on the integer forms in ``kernel``:
 characteristic polynomials from the diagonal when the matrix is triangular
 and by Berkowitz's division-free recurrence otherwise, determinants by
 Bareiss elimination, and all 2^n principal minors from one tree of
-fraction-free Sylvester steps, one order at a time in lexicographic order.
-``minor_table`` reads every order of it, ``principal_minors`` the orders up
-to k, and the principally balanced test stops at the first order whose
-minors differ. Since chi_M(x) = det(xI - dA) = d^n chi_A(x/d), coefficient k
-of chi_A is C_k / d^k, and the k-th moment
-tr(A^k)/n is p_k / (n d^k); det(A) = det(M) / d^n, and the principal minor
-on an index set S is det(M_S) / d^|S|. The FFP verdicts take chi_{A+B} and
-chi_{AB} from the integer forms directly: A + B at scale lcm(d_A, d_B), AB
-at scale d_A d_B (``_pair_form``). The signed-permutation means
+fraction-free Sylvester steps on M + tI, whose principal minors are all
+nonzero, one order at a time in lexicographic order. ``minor_table`` takes
+every order of M back from it, ``principal_minors`` the orders up to k,
+and the principally balanced test reads the tree of M + tI as it is,
+stopping at the first order whose minors differ. Since
+chi_M(x) = det(xI - dA) = d^n chi_A(x/d), coefficient k of chi_A is
+C_k / d^k, and the k-th moment tr(A^k)/n is p_k / (n d^k); det(A) =
+det(M) / d^n, and the principal minor on an index set S is det(M_S) / d^|S|.
+The FFP verdicts take chi_{A+B} and chi_{AB} from the integer forms
+directly: A + B at scale lcm(d_A, d_B), AB at scale d_A d_B
+(``_pair_form``). The signed-permutation means
 (``signed_perms``) take their integer forms from ``_pair_form`` too; no
 code here enumerates conjugates.
 
@@ -63,24 +65,28 @@ from .errors import DimensionMismatchError, IndexRangeError, ParseError, SizeGua
 from .kernel import (
     _char_coeffs,
     _det_int,
+    _dominant,
     _gmul,
     _gscale,
     _iadd,
     _join,
     _minor_levels,
+    _minor_tree,
     _split,
     _trace,
 )
 from .polynomials import Polynomial, _from_int, _power_sums
 from .scalars import GaussianRational, _scaled, as_scalar
 
-# all 2^n principal minors from the Sylvester tree: at n = 16 `minor_table` takes
-# about 0.3 s on a dense rational matrix, 0.8 s on a Gaussian one, 0.4-0.6 s on
-# sparse and sign 0/+-1 ones, 0.3 s on a rank-one one and 1.2 s on a Gaussian
-# skew-symmetric one, whose odd orders all vanish; `check-balanced` spends up to
-# 0.5 s more printing them (Python 3.11, 2-vCPU Xeon VM). Each step of n costs
-# about 2.1x: at 17 `check-balanced` takes 2.8-3.1 s on those two Gaussian
-# matrices, peaks at 100-130 MB and prints up to 14 MB, so the limit stays 16
+# all 2^n principal minors from the Sylvester tree on M + tI. At n = 16, on p/q entries
+# with |p|, q <= 10 (each part when Gaussian), `minor_table` takes 0.75-1.1 s in process on
+# a dense rational matrix, 3.1-4.1 s on a dense Gaussian one, 2.7-3.5 s on a Gaussian
+# skew-symmetric one, 0.7-1.0 s on a rank-one balanced one, 0.6-1.0 s on a sparse one (25%
+# p/q) and 0.6-0.9 s on a sign 0/+-1 one (three runs each, Python 3.11, 2-vCPU Xeon VM,
+# loaded, so read +-20%). The cost depends on n and entry size, not on where zeros fall.
+# A cold `check-balanced` takes 4.3-5.1 s on the dense Gaussian matrix and 2.9-3.7 s on the
+# skew-symmetric one, printing up to 6.8 MB. At 17 it takes 8.7-10.9 s on those two, peaks
+# at 92-139 MB and prints up to 14.8 MB, so the limit stays 16
 MINOR_ENUMERATION_LIMIT = 16
 # moments m_1..m_count (of a matrix or, past the degree, of a polynomial). At 1000, a
 # cold `moments --k` takes about 0.45 s on a dense rational 3x3 and 0.6 s on a
@@ -380,13 +386,15 @@ def principal_minors(a: Matrix, k: int) -> list[tuple[tuple[int, ...], GaussianR
     """All order-k principal minors as (index set, determinant) pairs.
 
     Index sets are 1-based and enumerated in lexicographic order;
-    the order-0 minor is the single empty-set entry with value 1.
+    the order-0 minor is the single empty-set entry with value 1. The
+    kernel's tree of M + tI builds the orders 0..k and no deeper one, and
+    the shift comes off those orders alone (``kernel._minor_levels``).
     """
     n = a.n
     if not 0 <= k <= n:
         raise IndexRangeError(f"minor order {k} out of range 0..{n}")
     _guard_minor_enumeration(n)
-    return _labelled(next(itertools.islice(_minor_levels(a._m), k, None)), a, k)
+    return _labelled(_minor_levels(a._m, k)[k], a, k)
 
 
 def _labelled(level, a: Matrix, k: int) -> list:
@@ -399,10 +407,14 @@ def _labelled(level, a: Matrix, k: int) -> list:
 def _minors_balanced(a: Matrix) -> bool:
     """Whether the principal minors of each order share one value. Those of
     order k are det(M_S) / d^k with one scale d^k, so their integer
-    numerators compare the same; the first order that mismatches ends the
-    test, before the tree builds the next one."""
+    numerators compare the same; and since det((M + tI)_S) sums
+    t^|S - U| det(M_U) over the subsets U of S, the orders 0..k of M are
+    balanced exactly when those of M + tI are. So the test reads the
+    kernel's tree of M + tI (``kernel._dominant``) with no shift taken off,
+    and the first order that mismatches ends it, before the tree builds the
+    next one."""
     _guard_minor_enumeration(a.n)
-    for level in _minor_levels(a._m):
+    for level in _minor_tree(_dominant(a._m)[1]):
         first = level[0]
         if any(v != first for v in level):
             return False
@@ -410,6 +422,7 @@ def _minors_balanced(a: Matrix) -> bool:
 
 
 def minor_table(a: Matrix) -> dict:
-    """{k: principal_minors(a, k)} for every order k = 0..n."""
+    """{k: principal_minors(a, k)} for every order k = 0..n, from one tree
+    of M + tI with the shift taken off every order (``kernel._minor_levels``)."""
     _guard_minor_enumeration(a.n)
-    return {k: _labelled(level, a, k) for k, level in enumerate(_minor_levels(a._m))}
+    return {k: _labelled(level, a, k) for k, level in enumerate(_minor_levels(a._m, a.n))}

@@ -268,9 +268,6 @@ class _GaussInt:
         norm = c * c + d * d
         return _GaussInt((a * c + b * d) // norm, (b * c - a * d) // norm)
 
-    def __rfloordiv__(self, other):
-        return _GaussInt(other.real, other.imag) // self
-
     def __neg__(self):
         return _GaussInt(-self.real, -self.imag)
 

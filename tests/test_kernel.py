@@ -10,6 +10,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -150,19 +151,33 @@ def test_product_matches_entrywise_sums(ab):
     assert (a @ b).rows == tuple(tuple(row) for row in matmul_entrywise(a.rows, b.rows))
 
 
+@st.composite
+def dense_nonsingular_pairs(draw, max_n=4):
+    """(A, B) of one size n <= max_n, every entry nonzero and det A, det B
+    nonzero."""
+    n = draw(st.integers(1, max_n))
+    gaussian = draw(st.booleans())
+    nonzero = st.builds(GaussianRational, FRACTIONS, FRACTIONS if gaussian else st.just(0)).filter(bool)
+    square = st.lists(st.lists(nonzero, min_size=n, max_size=n), min_size=n, max_size=n)
+    return tuple(draw(square.map(Matrix).filter(lambda m: m.det())) for _ in "ab")
+
+
 # no shrink phase: each shrink step reruns a mean of up to 384 conjugates and its
-# oracles, so a failure is reported as drawn, not after minutes of shrinking
-@settings(max_examples=30, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
-@given(pairs(max_n=4), st.sampled_from(("additive", "multiplicative")))
-def test_signed_perm_average_matches_per_conjugate_char_polys(ab, kind):
-    a, b = ab
-    polys = []
-    for perm, signs in signed_permutations(a.n):
-        conj = signed_conjugate(b, perm, signs)
-        polys.append(char_poly(a + conj if kind == "additive" else a @ conj))
-    mean = expected_charpoly_signed_perms(a, b, kind)
-    assert mean == average(polys)
-    assert mean == signed_perm_mean_per_conjugate(a, b, kind)
+# oracles, so a failure is reported as drawn, not after minutes of shrinking. Every
+# example checks both kinds on one dense nonsingular pair besides one from ``pairs``,
+# whose zero rows and singular matrices hide a wrong sign of
+# C_n = (-1)^n det M_A det M_B in the product's mean
+@settings(max_examples=6, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
+@given(dense_nonsingular_pairs(), pairs(max_n=4))
+def test_signed_perm_average_matches_per_conjugate_char_polys(dense, other):
+    for (a, b), kind in itertools.product((dense, other), ("additive", "multiplicative")):
+        polys = []
+        for perm, signs in signed_permutations(a.n):
+            conj = signed_conjugate(b, perm, signs)
+            polys.append(char_poly(a + conj if kind == "additive" else a @ conj))
+        mean = expected_charpoly_signed_perms(a, b, kind)
+        assert mean == average(polys)
+        assert mean == signed_perm_mean_per_conjugate(a, b, kind)
 
 
 def dense_pair(n: int, entries_of: str):
@@ -768,14 +783,15 @@ MINOR_SHAPES = ("dense", "singular", "sparse", "upper", "lower", "sign", "scalar
 
 
 @st.composite
-def minor_cases(draw):
-    """(matrix, shape), n = 1..8, real or Gaussian: dense, singular (one row a
-    multiple of another), sparse with entries 0 and +-1 (+-i too when
-    Gaussian), upper or lower triangular with a diagonal that is often zero,
-    a sign matrix, c I plus a sign matrix with zero diagonal, or a rank-one
-    principally balanced u_i c / u_j, whose minors past order 1 all vanish."""
+def minor_cases(draw, gaussian=None):
+    """(matrix, shape), n = 1..8, real or Gaussian (or as gaussian says):
+    dense, singular (one row a multiple of another), sparse with entries 0
+    and +-1 (+-i too when Gaussian), upper or lower triangular with a
+    diagonal that is often zero, a sign matrix, c I plus a sign matrix with
+    zero diagonal, or a rank-one principally balanced u_i c / u_j, whose
+    minors past order 1 all vanish."""
     n = draw(st.integers(1, 8))
-    gaussian = draw(st.booleans())
+    gaussian = draw(st.booleans()) if gaussian is None else gaussian
     entry = entries(gaussian, FRACTIONS if n <= 5 else SMALL_FRACTIONS)
     zero = GaussianRational(0)
     units = UNITS if gaussian else UNITS[:2]
@@ -812,7 +828,7 @@ def minor_cases(draw):
 @given(minor_cases())
 def test_minor_tree_matches_per_subset_elimination_and_cofactors(case):
     m, shape = case
-    levels = [[(v.real, v.imag) for v in level] for level in kernel._minor_levels(m._m)]
+    levels = [[(v.real, v.imag) for v in level] for level in kernel._minor_levels(m._m, m.n)]
     assert levels == [minors_by_elimination(_int_form(m)[1], k) for k in range(m.n + 1)]
     table = minor_table(m)
     assert table[0] == [((), 1)]
@@ -827,24 +843,92 @@ def test_minor_tree_matches_per_subset_elimination_and_cofactors(case):
     assert is_member(m, FamilyId.PRINCIPALLY_BALANCED) == balanced_by_minor_table(m)
 
 
+@settings(max_examples=100, deadline=None)
+@given(minor_cases())
+def test_shifted_matrix_has_no_zero_principal_minor(case):
+    """M + tI from ``kernel._dominant`` is strictly diagonally dominant, so
+    no principal minor of it is zero, by per-subset elimination, on every
+    shape, zero minors of M included; and t is 1 plus the largest row sum
+    of |Re| + |Im|."""
+    m, _ = case
+    t, shifted = kernel._dominant(m._m)
+    re, im = _int_form(m)[1]
+    im = im or [[0] * m.n] * m.n
+    assert t == 1 + max(sum(map(abs, r)) + sum(map(abs, i)) for r, i in zip(re, im))
+    assert [[x - (t if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(shifted)] == \
+        [list(row) for row in m._m]
+    parts = [[[v.real for v in row] for row in shifted], [[v.imag for v in row] for row in shifted]]
+    assert all(v != (0, 0) for k in range(m.n + 1) for v in minors_by_elimination(parts, k))
+
+
+def test_shift_needs_its_one():
+    """With t the largest row sum alone, [[-1, 1], [1, -1]] + 2I is singular;
+    the shift's + 1 keeps every principal minor nonzero."""
+    m = Matrix([[-1, 1], [1, -1]])
+    t, shifted = kernel._dominant(m._m)
+    assert t == 3 and shifted == [[2, 1], [1, 2]] and _det_int(shifted) == 3
+    assert _det_int([[-1 + t - 1, 1], [1, -1 + t - 1]]) == 0
+    assert principal_minors(m, 2) == [((1, 2), 0)] and m.det() == 0
+
+
+def test_shift_counts_imaginary_parts():
+    """With t from |Re| alone, [[0, i], [-i, 0]] + I is singular; with
+    |Re| + |Im| it is [[2, i], [-i, 2]], whose minors are 1, 2, 2 and 3."""
+    i = GaussianRational(0, 1)
+    m = Matrix([[0, i], [-i, 0]])
+    t, shifted = kernel._dominant(m._m)
+    assert t == 2 and [[(v.real, v.imag) for v in row] for row in shifted] == [[(2, 0), (0, 1)], [(0, -1), (2, 0)]]
+    assert [pair(v) for level in kernel._minor_tree(shifted) for v in level] == [(1, 0), (2, 0), (2, 0), (3, 0)]
+    assert _det_int(_join([[1, 0], [0, 1]], [[0, 1], [-1, 0]])) == 0
+    assert minor_table(m) == {0: [((), 1)], 1: [((1,), 0), ((2,), 0)], 2: [((1, 2), -1)]}
+
+
 @pytest.mark.parametrize("gaussian", [False, True])
-def test_minor_table_of_a_matrix_with_no_zero_minor_makes_no_elimination(monkeypatch, gaussian):
-    """Every principal minor of a strictly diagonally dominant matrix is
-    nonzero, so each node of the tree has a nonzero pivot and no subtree
-    falls back to elimination from an anchor."""
-    n = 6
-    rows = [[GaussianRational(4 * n if i == j else (i - j) % 3 - 1, (i + j) % 2 if gaussian else 0)
-             for j in range(n)] for i in range(n)]
-    m = Matrix(rows)
-    expected = [minors_by_elimination(_int_form(m)[1], k) for k in range(n + 1)]
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_minor_table_makes_no_elimination_on_any_shape(gaussian, data):
+    """The tree runs on M + tI, whose principal minors are all nonzero, so no
+    subset of any shape (rank-one, sparse, singular, sign and the rest, zero
+    minors of M included) falls back to a determinant by elimination."""
+    m, _ = data.draw(minor_cases(gaussian=gaussian))
+    expected = [minors_by_elimination(_int_form(m)[1], k) for k in range(m.n + 1)]
 
     def refused(*args):
-        raise AssertionError("per-subset elimination on a matrix with no zero minor")
+        raise AssertionError("per-subset elimination in the minor tree")
 
-    monkeypatch.setattr(kernel, "_bareiss", refused)
+    with mock.patch.object(kernel, "_det_int", refused):
+        table = minor_table(m)
+        balanced = is_member(m, FamilyId.PRINCIPALLY_BALANCED)
+    scales = [m._d**k for k in range(m.n + 1)]
+    assert [[v for _, v in table[k]] for k in range(m.n + 1)] == [
+        [GaussianRational(Fraction(re, d), Fraction(im, d)) for re, im in level] for d, level in zip(scales, expected)
+    ]
+    assert balanced == all(len(set(level)) == 1 for level in expected)
+
+
+def test_principal_minors_builds_no_order_past_k(monkeypatch):
+    """The tree expands each node of orders 0..k-1 once for order k and no
+    node past it, for principal_minors(a, k) and for a balance test that
+    stops at the first order whose minors differ."""
+    n = 6
+    m = Matrix([[Fraction((3 * i + 5 * j) % 7 - 3, 1 + (i + j) % 4) for j in range(n)] for i in range(n)])
     table = minor_table(m)
-    assert all(v for level in table.values() for _, v in level)
-    assert [[(v.re.numerator, v.im.numerator) for _, v in table[k]] for k in range(n + 1)] == expected
+    expanded = []
+    children = kernel._children
+
+    def counted(det, block):
+        expanded.append(len(block))
+        return children(det, block)
+
+    monkeypatch.setattr(kernel, "_children", counted)
+    for k in range(n + 1):
+        expanded.clear()
+        assert principal_minors(m, k) == table[k]
+        assert len(expanded) == sum(math.comb(n, j) for j in range(k))
+    # the diagonal is not constant, so order 1 already differs: only the root expands
+    expanded.clear()
+    assert not is_member(m, FamilyId.PRINCIPALLY_BALANCED)
+    assert expanded == [n]
 
 
 # -- the kernel's scalars stay inside it ----------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from finfree import (
     DegreeMismatchError,
+    GaussianRational,
     NonMonicError,
     Polynomial,
     boxplus,
@@ -214,3 +215,23 @@ class TestJson:
         for _ in range(50):
             p = rand_monic(rng, rng.randint(1, 8))
             assert Polynomial.from_json(p.to_json()) == p
+
+
+class TestStr:
+    """Golden text of ``str(Polynomial)``: highest degree first, zero
+    coefficients skipped, a coefficient 1 left off its monomial, every other
+    one in parentheses, the constant bare, and "0" when no term is left."""
+
+    @pytest.mark.parametrize(
+        ("coeffs", "text"),
+        [
+            ([1, Fraction(-3, 2), 0, GaussianRational(2, -1)], "x^3 + (-3/2)*x^2 + 2-1*i"),
+            ([Fraction(1, 2), GaussianRational(0, -1), 0, Fraction(-1, 3)], "(1/2)*x^3 + (0-1*i)*x^2 + -1/3"),
+            ([GaussianRational(1, 1), 0, 1], "(1+1*i)*x^2 + 1"),
+            ([1, 1], "x + 1"),
+            ([0, 0], "0"),
+            ([0], "0"),
+        ],
+    )
+    def test_golden_text(self, coeffs, text):
+        assert str(Polynomial(coeffs)) == text
