@@ -85,7 +85,7 @@ from .scalars import GaussianRational, _scaled, as_scalar
 # p/q) and 0.6-0.9 s on a sign 0/+-1 one (three runs each, Python 3.11, 2-vCPU Xeon VM,
 # loaded, so read +-20%). The cost depends on n and entry size, not on where zeros fall.
 # A cold `check-balanced` takes 4.3-5.1 s on the dense Gaussian matrix and 2.9-3.7 s on the
-# skew-symmetric one, printing up to 6.8 MB. At 17 it takes 8.7-10.9 s on those two, peaks
+# skew-symmetric one, printing up to 6.8 MB. At 17 it takes 8.2-10.9 s on those two, peaks
 # at 92-139 MB and prints up to 14.8 MB, so the limit stays 16
 MINOR_ENUMERATION_LIMIT = 16
 # moments m_1..m_count (of a matrix or, past the degree, of a polynomial). At 1000, a
