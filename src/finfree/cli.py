@@ -255,8 +255,7 @@ def _run(args) -> int:
         from .moments import MomentVector, ffp_sum_moments
 
         a, b = _load_matrix(args.a), _load_matrix(args.b)
-        if a.n != b.n:
-            raise ParseError(f"dimension mismatch: {a.n} vs {b.n}")
+        a._require_same_size(b)
         result = ffp_sum_moments(
             MomentVector.of_matrix(a), MomentVector.of_matrix(b), args.count
         )

@@ -33,9 +33,9 @@ from typing import Optional
 
 from .errors import IndexRangeError, ParseError, SizeGuardError, UnsupportedPairError
 from .ffp import FfpReport, _failure_report
-from .matrices import Matrix, _cycle_sums, _minors_balanced
+from .matrices import Matrix, _minors_balanced
 from .polynomials import ADDITIVE, Polynomial
-from .scalars import ONE, GaussianRational, as_scalar
+from .scalars import ONE, GaussianRational, _scaled, as_scalar
 
 # the subset DP takes about 0.11 s for a dense rational 12x12 and 0.32 s for a
 # Gaussian one (Python 3.11, 2-vCPU Xeon VM); each step of n doubles it
@@ -138,16 +138,48 @@ def cycle_sums(a: Matrix) -> CycleSums:
     """Cycle sums of every non-empty index subset, grouped by order.
 
     All 2^n - 1 sums come from one subset dynamic programme (Held-Karp
-    style) over the integer form of A: for each anchor s it extends the
-    paths that start at s through every set of larger indices, one vertex
-    at a time, and closes each path back to s. That is O(2^n n^2) products,
-    where enumerating every cycle costs sum_k C(n,k) (k-1)! k. Within an
-    order, index sets come in lexicographic order and are 1-based.
+    style) over the integer form M = d*A: for each anchor s, ``paths[mask]``
+    maps each end vertex v to the sum of M-products along the paths that
+    start at s and visit exactly the indices in ``mask``, all greater than
+    s. Closing each path with M[v][s] gives the sum C_I over the cycles
+    through I = {s} u mask, and c_I = C_I / d^|I|. Every cycle is counted
+    once, from its least index. That is O(2^n n^2) products, where
+    enumerating every cycle costs sum_k C(n,k) (k-1)! k. Within an order,
+    index sets come in lexicographic order and are 1-based.
     """
     n = a.n
     if n > CYCLE_SUM_LIMIT:
         raise SizeGuardError(f"cycle-sum enumeration refused for n={n} > {CYCLE_SUM_LIMIT}")
-    by_order = _cycle_sums(a)
+    d, m = a._d, a._m
+    sums = {}
+    for s in range(n):
+        sums[1 << s] = m[s][s]
+        rest = range(s + 1, n)
+        paths = {}
+        for v in rest:
+            if m[s][v]:
+                paths[1 << v] = {v: m[s][v]}
+        # masks hold bits above s only; ascending order visits every mask after its subsets
+        for mask in range(1 << (s + 1), 1 << n, 1 << (s + 1)):
+            ends = paths.pop(mask, None)
+            if not ends:
+                continue
+            closed = 0
+            for v, total in ends.items():
+                closed = closed + total * m[v][s]
+                row = m[v]
+                for w in rest:
+                    if mask >> w & 1 or not row[w]:
+                        continue
+                    nxt = paths.setdefault(mask | 1 << w, {})
+                    nxt[w] = nxt.get(w, 0) + total * row[w]
+            sums[mask | 1 << s] = closed
+    by_order = {}
+    for k in range(1, n + 1):
+        by_order[k] = []
+        for subset in itertools.combinations(range(n), k):
+            c = sums.get(sum(1 << i for i in subset), 0)
+            by_order[k].append((tuple(i + 1 for i in subset), _scaled(c, d**k)))
     balanced = all(
         all(v == entries[0][1] for _, v in entries[1:]) for entries in by_order.values()
     )
@@ -407,28 +439,31 @@ def diagonal_probe(n: int, subset, magnitude, kind: str) -> Matrix:
     return Matrix.diagonal([magnitude if i in inside else off for i in range(n)])
 
 
-def _find_diagonal_probe_failure(outsider: Matrix, kind: str) -> Optional[tuple[Matrix, FfpReport]]:
-    n = outsider.n
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            for magnitude in PROBE_MAGNITUDES:
-                probe = diagonal_probe(n, subset, magnitude, kind)
-                report = _failure_report(probe, outsider, kind)
-                if report is not None:
-                    return probe, report
-    return None
+def _diagonal_probes(n: int, kind: str):
+    """Every probe D(lambda, K): K a proper non-empty subset, by size and then
+    lexicographically, and lambda in ``PROBE_MAGNITUDES``."""
+    return (
+        diagonal_probe(n, subset, magnitude, kind)
+        for size in range(1, n)
+        for subset in itertools.combinations(range(n), size)
+        for magnitude in PROBE_MAGNITUDES
+    )
 
 
-def _find_unit_witness(outsider: Matrix, kind: str, cells) -> Optional[tuple[Matrix, FfpReport]]:
-    """First unit matrix E_{kl} (from a nonzero entry a_{lk} with 0-based
-    (l - 1, k - 1) in ``cells``) against which the outsider fails."""
-    n = outsider.n
-    for i, j in cells:
-        if outsider._m[i][j]:
-            witness = Matrix.unit(n, j + 1, i + 1)
-            report = _failure_report(outsider, witness, kind)
-            if report is not None:
-                return witness, report
+def _unit_witnesses(outsider: Matrix, cells):
+    """The unit matrix E_{kl} for each nonzero entry a_{lk} of the outsider
+    whose 0-based cell (l - 1, k - 1) is in ``cells``."""
+    return (Matrix.unit(outsider.n, j + 1, i + 1) for i, j in cells if outsider._m[i][j])
+
+
+def _first_failure(outsider: Matrix, partners, kind: str) -> Optional[tuple[Matrix, FfpReport]]:
+    """(partner, report) for the first partner against which the outsider
+    fails finite free position, or None when it fails against none. The
+    outsider goes first; its chi is computed once, on the first check."""
+    for partner in partners:
+        report = _failure_report(outsider, partner, kind)
+        if report is not None:
+            return partner, report
     return None
 
 
@@ -436,29 +471,29 @@ def _boundary_checks(pair, kind: str, n: int, rng: random.Random, bound: int) ->
     f, g = pair
     checks = []
 
-    def record(label, outsider, found):
+    def record(label, outsider, partners):
+        found = _first_failure(outsider, partners, kind)
         if found is None:
             raise LookupError(f"no failing witness found for {label}; sampler or probe bug")
-        partner, report = found
-        checks.append(BoundaryCheck(label, outsider, partner, report))
+        checks.append(BoundaryCheck(label, outsider, *found))
 
     if f is FamilyId.SCALAR:
         # escape from the scalar family: any non-scalar matrix must fail
         # against some matrix; diagonal non-scalar needs the probe route
         outsider = _sample_outside_scalar(rng, n, bound)
         if is_member(outsider, FamilyId.DIAGONAL):
-            record("non-scalar-vs-diagonal-probe", outsider, _find_diagonal_probe_failure(outsider, kind))
+            record("non-scalar-vs-diagonal-probe", outsider, _diagonal_probes(n, kind))
         else:
-            record("non-scalar-vs-unit-witness", outsider, _find_unit_witness(outsider, kind, _zero_cells(f, n)))
+            record("non-scalar-vs-unit-witness", outsider, _unit_witnesses(outsider, _zero_cells(f, n)))
         return checks
 
     # escape from g (the balanced-type family) fails against a diagonal probe
     outsider_g = _sample_outside_second_family(g, rng, n, bound)
-    record(f"non-{g.value}-vs-diagonal-probe", outsider_g, _find_diagonal_probe_failure(outsider_g, kind))
+    record(f"non-{g.value}-vs-diagonal-probe", outsider_g, _diagonal_probes(n, kind))
 
     # escape from f (the structural family) fails against a unit witness in g
     outsider_f = _sample_outside_first_family(f, rng, n, bound)
-    record(f"non-{f.value}-vs-unit-witness", outsider_f, _find_unit_witness(outsider_f, kind, _zero_cells(f, n)))
+    record(f"non-{f.value}-vs-unit-witness", outsider_f, _unit_witnesses(outsider_f, _zero_cells(f, n)))
     return checks
 
 

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import DimensionMismatchError, ParseError, SizeGuardError
+from .errors import DimensionMismatchError, SizeGuardError
 from .kernel import _char_coeffs
 from .matrices import Matrix, _chi_at, _pair_form, char_poly
 from .polynomials import (
@@ -46,6 +46,7 @@ from .polynomials import (
     Polynomial,
     _convolve_int,
     _from_int,
+    _product,
     boxplus,
     boxtimes,
 )
@@ -92,12 +93,6 @@ class FfpReport:
         }
 
 
-def _residual_indices(kind: str, n: int) -> range:
-    if kind == ADDITIVE:
-        return range(2, n + 1)
-    return range(1, n)
-
-
 class _FfpInts(NamedTuple):
     """The integer step of a verdict: P_k (``lhs``), w_k and N_k (``rhs``) at
     scale s, and the indices k with w_k P_k != N_k. The pair is in finite free
@@ -113,19 +108,16 @@ class _FfpInts(NamedTuple):
 
 def _ffp_ints(a: Matrix, b: Matrix, kind: str) -> _FfpInts:
     """The integer step of ``check_ffp``, without the report."""
-    if kind not in (ADDITIVE, MULTIPLICATIVE):
-        raise ParseError(f"unknown kind {kind!r}")
+    product = _product(kind)
     a._require_same_size(b)
-    product = kind == MULTIPLICATIVE
     s, ma, mb, combine = _pair_form(a, b, product)
     lhs = _char_coeffs(combine(ma, mb), a.n)
     # chi_A and chi_B at the scales of M_A and M_B, from the matrices' cached chi
     scale_a, scale_b = (a._d, b._d) if product else (s, s)
     weights, rhs = _convolve_int(_chi_at(a, scale_a), _chi_at(b, scale_b), product)
-    failing = [
-        k for k in _residual_indices(kind, a.n)
-        if weights[k] * lhs[k] != rhs[k]
-    ]
+    # the coefficients that can never differ (module docstring) are not compared
+    compared = range(1, a.n) if product else range(2, a.n + 1)
+    failing = [k for k in compared if weights[k] * lhs[k] != rhs[k]]
     return _FfpInts(kind, s, lhs, weights, rhs, failing)
 
 
@@ -204,11 +196,10 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
     n = a.n
     if n > SIGNED_PERM_LIMIT:
         raise SizeGuardError(f"signed-permutation enumeration refused for n={n} > {SIGNED_PERM_LIMIT}")
-    if kind not in (ADDITIVE, MULTIPLICATIVE):
-        raise ParseError(f"unknown kind {kind!r}")
+    product = _product(kind)
     from .signed_perms import _signed_perm_charpoly_mean
 
-    return _signed_perm_charpoly_mean(a, b, kind == MULTIPLICATIVE)
+    return _signed_perm_charpoly_mean(a, b, product)
 
 
 # -- Monte-Carlo expectation over Haar unitaries --------------------------
@@ -312,12 +303,11 @@ def expected_charpoly_haar_mc(
         )
     import numpy as np
 
-    if kind not in (ADDITIVE, MULTIPLICATIVE):
-        raise ParseError(f"unknown kind {kind!r}")
+    product = _product(kind)
     a_f = np.array([_floats(row) for row in a.rows])
     b_f = np.array([_floats(row) for row in b.rows])
 
-    exact = boxplus if kind == ADDITIVE else boxtimes
+    exact = boxtimes if product else boxplus
     target = exact(char_poly(a), char_poly(b))
     target_f = np.array(_floats(target.coeffs))
 
@@ -330,7 +320,7 @@ def expected_charpoly_haar_mc(
         for start in range(0, samples, chunk):
             u = haar_unitaries(n, min(chunk, samples - start), rng)
             conj = np.conj(np.transpose(u, (0, 2, 1))) @ b_f @ u
-            m = _finite(a_f + conj if kind == ADDITIVE else a_f @ conj)
+            m = _finite(a_f @ conj if product else a_f + conj)
             roots = np.linalg.eigvals(m)
             total = total + _charpoly_coeffs_from_roots(roots).sum(axis=0)
         avg = _finite(total / samples)

@@ -24,8 +24,7 @@ chi of the leading (r + 1) x (r + 1) block are those of chi_{A_r} times the
 
 Step r takes r - 1 matrix-vector products, r inner products with R and one
 Toeplitz product; over r = 1..n-1 that is 938 int products at n = 8 and
-4,796 at n = 12, about half of the 1,892 and 8,142 that power sums and
-Newton's identities took. Nothing is divided. Real input runs on int lists.
+4,796 at n = 12. Nothing is divided. Real input runs on int lists.
 On Gaussian input each vector is kept as its (re, im, re + im) int lists, so
 each inner product is three sums, not four (Gauss's trick, as in products).
 

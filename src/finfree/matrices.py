@@ -49,9 +49,6 @@ C_0..C_n by Newton's identities (``polynomials._power_sums``), on the
 kernel's scalars (ints, and ``scalars._GaussInt``s on complex input), so
 they take no matrix product and divide by nothing. Moments, cumulants and
 chi of one matrix compute chi once between them.
-
-Cycle sums: a subset DP over paths in M gives, for each index set I, the sum
-C_I of M-products along the cycles through exactly I; c_I = C_I / d^|I|.
 """
 
 from __future__ import annotations
@@ -142,18 +139,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._from_form(1, [[int(i == j) for j in range(n)] for i in range(n)])
+        return cls.diagonal([1] * n)
 
     @classmethod
     def diagonal(cls, values: Sequence) -> "Matrix":
-        # the least scale that clears the values clears the matrix too
-        d, (row,) = _cleared([[_exact(v) for v in values]])
-        if not row:
-            raise DimensionMismatchError("matrix must be square and non-empty")
-        n, zero = len(row), row[0] * 0
-        m = cls.__new__(cls)
-        m._set(d, tuple(tuple(row[i] if i == j else zero for j in range(n)) for i in range(n)))
-        return m
+        return cls([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
 
     @classmethod
     def unit(cls, n: int, k: int, l: int) -> "Matrix":
@@ -277,50 +267,6 @@ def _at_scale(a: Matrix, d: int):
     """The rows of d*A, for d a multiple of A's own scale."""
     f = d // a._d
     return a._m if f == 1 else _gscale(a._m, f)
-
-
-def _cycle_sums(a: Matrix) -> dict:
-    """{k: [(I, c_I) for each k-subset I in lexicographic order]}, I 1-based,
-    where c_I sums the entry products along every cycle through exactly I.
-
-    Subset DP on the integer form M = d*A: for each anchor s, ``paths[mask]``
-    maps each end vertex v to the sum of M-products along the paths that
-    start at s and visit exactly the indices in ``mask`` (all greater than
-    s). Closing each path with M[v][s] gives C_{{s} u mask}, and
-    c_I = C_I / d^|I|. Every cycle is counted once, from its least index.
-    Cost: O(2^n n^2) products, against sum_k C(n,k) (k-1)! k by enumeration.
-    """
-    d, n, m = a._d, a.n, a._m
-    sums = {}
-    for s in range(n):
-        sums[1 << s] = m[s][s]
-        rest = range(s + 1, n)
-        paths = {}
-        for v in rest:
-            if m[s][v]:
-                paths[1 << v] = {v: m[s][v]}
-        # masks hold bits above s only; ascending order visits every mask after its subsets
-        for mask in range(1 << (s + 1), 1 << n, 1 << (s + 1)):
-            ends = paths.pop(mask, None)
-            if not ends:
-                continue
-            closed = 0
-            for v, total in ends.items():
-                closed = closed + total * m[v][s]
-                row = m[v]
-                for w in rest:
-                    if mask >> w & 1 or not row[w]:
-                        continue
-                    nxt = paths.setdefault(mask | 1 << w, {})
-                    nxt[w] = nxt.get(w, 0) + total * row[w]
-            sums[mask | 1 << s] = closed
-    by_order = {}
-    for k in range(1, n + 1):
-        by_order[k] = []
-        for subset in itertools.combinations(range(n), k):
-            c = sums.get(sum(1 << i for i in subset), 0)
-            by_order[k].append((tuple(i + 1 for i in subset), _scaled(c, d**k)))
-    return by_order
 
 
 def _cached_chi(a: Matrix) -> list:

@@ -27,10 +27,11 @@ N_k is a sum of products of Gaussian integers with integer factors, so a
 Gaussian integer. The additive N_k are the product of the sequences
 (n-i)! A_i and (n-j)! B_j, cut off after degree n.
 
-``boxplus`` and ``boxtimes`` clear each polynomial with d, the lcm of the
-denominators of its coefficients' parts: d^k is a multiple of d for k >= 1
-and a_0 = 1, so a_k d^k is a Gaussian integer. The additive convolution
-brings both to s = lcm(d_p, d_q); the multiplicative one takes
+``boxplus`` and ``boxtimes`` share one body, ``_convolve``, and ``_product``
+reads a kind name as its flag. Each polynomial is cleared with d, the lcm of
+the denominators of its coefficients' parts: d^k is a multiple of d for
+k >= 1 and a_0 = 1, so a_k d^k is a Gaussian integer. The additive
+convolution brings both to s = lcm(d_p, d_q); the multiplicative one takes
 s = d_p d_q. The FFP verdicts (``ffp``) take A_k and B_k from the integer
 matrix kernel at the same scales instead. No floating point anywhere.
 """
@@ -53,6 +54,10 @@ from .scalars import ONE, GaussianRational, _GaussInt, _scaled, as_scalar
 # of digits; each doubling costs about 6-10x, and a 30 KB JSON file reaches hours
 # (Python 3.11, 2-vCPU Xeon VM)
 CONVOLUTION_DEGREE_LIMIT = 250
+
+# the two kinds of convolution, and of finite free position (``ffp``)
+ADDITIVE = "additive"
+MULTIPLICATIVE = "multiplicative"
 
 
 class Polynomial:
@@ -189,23 +194,30 @@ def _convolve_int(a: list, b: list, product: bool) -> tuple[list, list]:
     return [fact[0] * f for f in fact], [sum(map(mul, x[: k + 1], y[k::-1])) for k in range(n + 1)]
 
 
-# the two kinds of convolution, and of finite free position (``ffp``)
-ADDITIVE = "additive"
-MULTIPLICATIVE = "multiplicative"
+def _product(kind: str) -> bool:
+    """Whether ``kind`` names the multiplicative convolution rather than the
+    additive one; any other name is a ParseError."""
+    if kind not in (ADDITIVE, MULTIPLICATIVE):
+        raise ParseError(f"unknown kind {kind!r}")
+    return kind == MULTIPLICATIVE
+
+
+def _convolve(p: Polynomial, q: Polynomial, product: bool) -> Polynomial:
+    """p [x] q (``product``) or p [+] q, each side cleared at its own scale
+    d_p, d_q, with s = d_p d_q, or both at s = lcm(d_p, d_q) (module docstring)."""
+    _check_pair(p, q)
+    dp, dq = _denominator(p), _denominator(q)
+    s = dp * dq if product else math.lcm(dp, dq)
+    sp, sq = (dp, dq) if product else (s, s)
+    weights, out = _convolve_int(_cleared(p, sp), _cleared(q, sq), product)
+    return _from_int(out, s, weights)
 
 
 def boxplus(p: Polynomial, q: Polynomial) -> Polynomial:
     """Additive finite free convolution of two monic degree-n polynomials."""
-    _check_pair(p, q)
-    s = math.lcm(_denominator(p), _denominator(q))
-    weights, out = _convolve_int(_cleared(p, s), _cleared(q, s), False)
-    return _from_int(out, s, weights)
+    return _convolve(p, q, False)
 
 
 def boxtimes(p: Polynomial, q: Polynomial) -> Polynomial:
     """Multiplicative finite free convolution of two monic degree-n polynomials."""
-    _check_pair(p, q)
-    dp, dq = _denominator(p), _denominator(q)
-    weights, out = _convolve_int(_cleared(p, dp), _cleared(q, dq), True)
-    return _from_int(out, dp * dq, weights)
-
+    return _convolve(p, q, True)

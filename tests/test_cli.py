@@ -463,6 +463,31 @@ class TestSmallVerbs:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-ffp", "--kind", "additive"),
+            ("check-ffp", "--kind", "multiplicative"),
+            ("expect", "--kind", "additive"),
+            ("expect", "--kind", "multiplicative", "--mc", "--samples", "10", "--seed", "0"),
+            ("sum-moments",),
+        ],
+    )
+    def test_mismatched_sizes_are_a_dimension_mismatch(self, capsys, write_json, monkeypatch, argv):
+        """Every verb that takes two matrices refuses a 2x2 and a 3x3 with
+        the same error code, before any chi is computed."""
+
+        def no_chi(*_):
+            raise AssertionError("chi computed for a mismatched pair")
+
+        monkeypatch.setattr(finfree.matrices, "_char_coeffs", no_chi)
+        monkeypatch.setattr(finfree.ffp, "_char_coeffs", no_chi)
+        a = write_json("a.json", {"n": 2, "entries": [["1", "2"], ["3", "4"]]})
+        b = write_json("b.json", GAUSSIAN_A)
+        code, out, err = run(capsys, *argv, a, b)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "dimension-mismatch"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "charpoly", "/nonexistent/m.json")
         assert code == 1

@@ -45,7 +45,8 @@ from finfree import ffp, kernel, signed_perms
 from finfree.families import (
     PROBE_MAGNITUDES,
     _conjugated_triangular_balanced,
-    _find_diagonal_probe_failure,
+    _diagonal_probes,
+    _first_failure,
     _rank_one_balanced,
 )
 from finfree.kernel import (
@@ -94,6 +95,16 @@ FRACTIONS = st.builds(
     st.integers(1, 10**6) | st.integers(1, 10),
 )
 SMALL_FRACTIONS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+
+
+def _signed(numerators, denominators):
+    """Nonzero fractions, drawn with no filter: a sign times p/q, p and q > 0."""
+    return st.builds(lambda sign, p, q: Fraction(sign * p, q), st.sampled_from((1, -1)), numerators, denominators)
+
+
+# FRACTIONS and SMALL_FRACTIONS without zero
+NONZERO_FRACTIONS = _signed(st.integers(1, 10**6) | st.integers(1, 10), st.integers(1, 10**6) | st.integers(1, 10))
+SMALL_NONZERO_FRACTIONS = _signed(st.integers(1, 5), st.integers(1, 6))
 
 
 def entries(gaussian: bool, parts=FRACTIONS):
@@ -575,7 +586,7 @@ def test_probe_loop_computes_the_outsiders_chi_once(monkeypatch, kind):
 
     monkeypatch.setattr(matrix_module, "_char_coeffs", counting)
     monkeypatch.setattr(ffp, "_char_coeffs", counting)
-    assert _find_diagonal_probe_failure(outsider, kind) is None
+    assert _first_failure(outsider, _diagonal_probes(3, kind), kind) is None
     probes = (2**3 - 2) * len(PROBE_MAGNITUDES)
     # per probe: chi of the probe and of the sum or product; the outsider's chi once
     assert len(calls) == 2 * probes + 1
@@ -792,7 +803,8 @@ def minor_cases(draw, gaussian=None):
     minors past order 1 all vanish."""
     n = draw(st.integers(1, 8))
     gaussian = draw(st.booleans()) if gaussian is None else gaussian
-    entry = entries(gaussian, FRACTIONS if n <= 5 else SMALL_FRACTIONS)
+    parts, nonzero_parts = (FRACTIONS, NONZERO_FRACTIONS) if n <= 5 else (SMALL_FRACTIONS, SMALL_NONZERO_FRACTIONS)
+    entry = entries(gaussian, parts)
     zero = GaussianRational(0)
     units = UNITS if gaussian else UNITS[:2]
     shape = draw(st.sampled_from(MINOR_SHAPES))
@@ -818,8 +830,10 @@ def minor_cases(draw, gaussian=None):
         c = draw(st.sampled_from((GaussianRational(1), GaussianRational(-1))) | entry)
         rows = grid(lambda i, j: c if i == j else draw(st.sampled_from(units)))
     else:
-        u = draw(st.lists(entry.filter(bool), min_size=n, max_size=n))
-        c = draw(entry.filter(bool))
+        # a nonzero real part, so no draw is rejected at any n
+        nonzero = st.builds(GaussianRational, nonzero_parts, parts if gaussian else st.just(0))
+        u = draw(st.lists(nonzero, min_size=n, max_size=n))
+        c = draw(nonzero)
         rows = grid(lambda i, j: u[i] * c / u[j])
     return Matrix(rows), shape
 
@@ -829,7 +843,8 @@ def minor_cases(draw, gaussian=None):
 def test_minor_tree_matches_per_subset_elimination_and_cofactors(case):
     m, shape = case
     levels = [[(v.real, v.imag) for v in level] for level in kernel._minor_levels(m._m, m.n)]
-    assert levels == [minors_by_elimination(_int_form(m)[1], k) for k in range(m.n + 1)]
+    elimination = [minors_by_elimination(_int_form(m)[1], k) for k in range(m.n + 1)]
+    assert levels == elimination
     table = minor_table(m)
     assert table[0] == [((), 1)]
     assert principal_minors(m, 0) == [((), 1)]
@@ -840,7 +855,11 @@ def test_minor_tree_matches_per_subset_elimination_and_cofactors(case):
             for subset, value in entries_k:
                 idx = [i - 1 for i in subset]
                 assert value == cofactor_det([[m.rows[i][j] for j in idx] for i in idx])
-    assert is_member(m, FamilyId.PRINCIPALLY_BALANCED) == balanced_by_minor_table(m)
+        balanced = balanced_by_minor_table(m)
+    else:
+        # the minors of one order share the scale d^k, so their integer numerators compare
+        balanced = all(len(set(level)) == 1 for level in elimination)
+    assert is_member(m, FamilyId.PRINCIPALLY_BALANCED) == balanced
 
 
 @settings(max_examples=100, deadline=None)
