@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DimensionMismatchError, IndexRangeError, ParseError, SizeGuardError
 from .kernel import (
@@ -142,7 +142,8 @@ class Matrix:
         return cls.diagonal([1] * n)
 
     @classmethod
-    def diagonal(cls, values: Sequence) -> "Matrix":
+    def diagonal(cls, values: Iterable) -> "Matrix":
+        values = list(values)
         return cls([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
 
     @classmethod

@@ -376,6 +376,30 @@ class TestVerifyPair:
         assert payload["failures"] == []
         assert payload["trials"] == 10
 
+    # every supported pair, both kinds, at n = 3: the trials, the outsiders and the
+    # partners that the boundary search found, byte for byte
+    @pytest.mark.parametrize(
+        "families, kind, size, sha256",
+        [
+            ("diag,pb", "additive", 1066, "e19ac364cccd0c430fc9428bab2312ff42493d4f2f690fe534393dcdb284ba6b"),
+            ("diag,pb", "multiplicative", 1024, "0d71a377a10f00f23bf1f5b91359bb7cd6ceb422e65e4c1683921dce21b95241"),
+            ("ut,ut-const", "additive", 1073, "b10996966d6b106aaeeca4869ba4723a016171e2f8ca4860c4aaa59aa40e4fde"),
+            ("ut,ut-const", "multiplicative", 1017, "487058488a2bcd6bfc6f11e6e50b95c501ef86ecf0b18deed7e4b602ea04388a"),
+            ("lt,lt-const", "additive", 1076, "a4bd26cbd52483435fbae5788790d7cf97f1b35cbecf743848383bdd2fbeaa75"),
+            ("lt,lt-const", "multiplicative", 1015, "bff283a862b187a03f49278fe723af4277470a71c66a2028e8c6df78c520994b"),
+            ("scalar,all", "additive", 583, "548a84eb2d6baeedbbfba66eb66af96e04dbe30f6a875951abfc27ddb904a78f"),
+            ("scalar,all", "multiplicative", 590, "89b2056e08b7939d96aee708cf4bb09b70f9e8a56566256abcadc8030279f08e"),
+        ],
+    )
+    def test_golden_bytes(self, capsys, families, kind, size, sha256):
+        code, out, err = run(
+            capsys, "verify-pair", "--families", families, "--kind", kind,
+            "--trials", "3", "--n", "3", "--seed", "11",
+        )
+        assert (code, err) == (0, "")
+        assert len(out.encode()) == size
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_unsupported_pair(self, capsys):
         code, _, err = run(
             capsys, "verify-pair", "--families", "diag,ut", "--kind", "additive",

@@ -594,6 +594,17 @@ def test_probe_loop_computes_the_outsiders_chi_once(monkeypatch, kind):
     assert is_member(outsider, FamilyId.PRINCIPALLY_BALANCED)
 
 
+@pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+def test_first_failure_skips_the_partners_that_pass(kind):
+    # the two probes on the 0-based subset (0,) pass against this outsider; the next fails
+    outsider = Matrix([[1, 0, -1], [-1, 0, -1], [0, 1, 2]])
+    probes = list(_diagonal_probes(3, kind))
+    assert [check_ffp(outsider, p, kind).verdict for p in probes[:3]] == [True, True, False]
+    partner, report = _first_failure(outsider, probes, kind)
+    assert partner == probes[2]
+    assert report == check_ffp(outsider, partner, kind)
+
+
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_moments_cumulants_and_chi_of_one_matrix_compute_chi_once(monkeypatch, gaussian):
     m = Matrix([[GaussianRational(3 * i - j, i * j % 2 if gaussian else 0) for j in range(4)] for i in range(4)])
