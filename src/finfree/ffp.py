@@ -52,13 +52,14 @@ from .polynomials import (
 )
 from .scalars import GaussianRational, _scaled
 
-# 2^(n-1) n! conjugates: the additive mean takes one Berkowitz step per prefix of
-# them, the multiplicative one a signed sum of folded minor products per coefficient
-# of each. At n = 6 a dense p/q pair, |p|, q <= 10, takes 1.1-1.5 s (additive) and
-# 0.64-0.95 s (multiplicative) in process when rational, 5.0-8.5 and 3.5-5.1 s when
-# Gaussian (Python 3.11, 2-vCPU Xeon VM, two pairs; eight runs of each Gaussian
-# mean and of the rational multiplicative one); n = 7 is 14 times as many
-# conjugates, and the additive mean takes 15 s and more
+# 2^(n-1) |G| conjugates, G the group of ``signed_perms`` (3,840 at n = 6): the
+# additive mean takes one Berkowitz step per prefix of them, the multiplicative one a
+# signed sum of folded minor products per coefficient of each. At n = 6 a dense p/q
+# pair, |p|, q <= 10, takes 0.19-0.30 s (additive) and 0.10-0.12 s (multiplicative)
+# in process when rational, 1.3-1.8 and 0.78-1.0 s when Gaussian (Python 3.11,
+# 2-vCPU Xeon VM, two pairs, five runs of each mean). At n = 7 no group smaller than
+# A7 will do: 2^6 * 2,520 = 161,280 conjugates, 42 times as many, and a rational
+# pair took 9.9 s (additive) and 11.4 s (multiplicative) over A7
 SIGNED_PERM_LIMIT = 6
 
 # A Monte-Carlo average may cost samples * max(n, 3)^2 <= 9 * MC_SAMPLE_LIMIT. A Haar
@@ -168,8 +169,9 @@ def condition_2x2(a: Matrix, b: Matrix) -> GaussianRational:
 
 
 def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomial:
-    """Exact average of chi_{A + P^T B P} (or chi_{A P^T B P}) over all
-    signed permutation matrices P.
+    """Exact average of chi_{A + P^T B P} (or chi_{A P^T B P}) over the
+    signed permutation matrices P whose permutation lies in a group G that
+    is k-homogeneous for every k: the sign vectors times G.
 
     The result equals the corresponding finite free convolution exactly for
     every square Gaussian-rational pair, symmetric or not. Averaging over
@@ -177,9 +179,14 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
     expansion of det(xI - A - P^T B P) for the additive case, and in the
     Cauchy-Binet expansion of e_k(A P^T B P) for the multiplicative case.
     What is left is a sum of principal minors of A and of B, averaged over
-    the permutations, which is the convolution's coefficient formula.
+    the permutations, which is the convolution's coefficient formula as soon
+    as the permutations move every k-subset evenly. So the signed
+    permutations, a finite quadrature for the Haar mean (Marcus, Spielman &
+    Srivastava, PTRF 2022), need only the permutations of such a G
+    (Livingstone & Wagner, Math. Z. 90, 1965): S_n for n <= 2, C3 at n = 3,
+    A4 at n = 4, AGL(1, 5) at n = 5 and PGL(2, 5) at n = 6.
 
-    P and -P give the same conjugate, so the mean runs over the 2^(n-1) n!
+    P and -P give the same conjugate, so the mean runs over the 2^(n-1) |G|
     matrices P with signs[0] = +1, in ``signed_perms``, which is imported
     here, so no other verb loads it. The additive mean takes one Berkowitz
     step per prefix of P, not one chi per conjugate: the leading block of

@@ -298,10 +298,9 @@ I = GaussianRational(0, 1)
 def as_scalar(value) -> GaussianRational:
     """Coerce an int, Fraction, string (see ``GaussianRational.parse``), or
     GaussianRational."""
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+    scalar = _coerce(value)
+    if scalar is not None:
+        return scalar
     if isinstance(value, str):
         return GaussianRational.parse(value)
     raise ParseError(f"cannot interpret {value!r} as an exact scalar")

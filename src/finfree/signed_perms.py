@@ -1,12 +1,26 @@
 """The exact mean of chi over the signed-permutation conjugates of a pair.
 
 ``ffp.expected_charpoly_signed_perms`` imports this module when it is
-called; no other verb runs it. Q runs over the 2^(n-1) n! signed
-permutations with signs[0] = +1 (Q and -Q give one conjugate), where
+called; no other verb runs it. Q runs over the 2^(n-1) |G| signed
+permutations with signs[0] = +1 (Q and -Q give one conjugate) whose
+permutation pi lies in a group G on range(n), where
 (Q^T M_B Q)_ij = signs[i] signs[j] M_B[perm[i]][perm[j]]. Every conjugate
 keeps B's denominators, so the integer matrices of all of them share one
 scale (``matrices._pair_form``): their integer coefficients are summed as
-kernel scalars and divided once.
+kernel scalars and divided once, by 2^(n-1) |G|.
+
+Why G will do. The signed permutations are a finite quadrature for the
+Haar mean over unitary conjugates (Marcus, Spielman & Srivastava, PTRF
+2022). Summed over the signs, only products of principal minors survive in
+both expansions below, det M_A[S, S] det M_B[pi S, pi S] in the product and
+their kin in the sum. So the mean equals the convolution's formula as soon
+as pi S runs evenly over the k-subsets as pi runs over G, for every S: G
+must be k-homogeneous for every k (Livingstone & Wagner, Math. Z. 90,
+1965), and S_n is only the largest such group. Here G is S_n for n <= 2,
+the cyclic C3 at n = 3, A4 at n = 4, the affine maps x -> ax + b mod 5,
+AGL(1, 5), at n = 5 and PGL(2, 5) on the projective line over F_5 (with
+infinity as 5) at n = 6, of orders 1, 2, 3, 12, 20 and 120. At n = 7 only
+A7 would do.
 
 Additive: one walk over the prefixes of Q. Berkowitz's step r (``kernel``)
 reads only the leading (r + 1) x (r + 1) block of M_A + Q^T M_B Q, and that
@@ -14,9 +28,10 @@ block depends only on Q's first r + 1 (index, sign) choices. So one
 depth-first walk over those prefixes runs each step once per prefix: a node
 extends its parent's block by one row, one column and one corner cell, each
 cell A's plus B's signed one, and runs one ``kernel._berkowitz_step`` on its
-parent's coefficients; the leaves' coefficients are summed. At n = 4 that
-is 24 + 96 + 192 steps, where one chi per conjugate takes 3 x 192, and no
-leaf builds a full conjugate, adds two matrices or scans for triangularity.
+parent's coefficients; the leaves' coefficients are summed. The prefixes
+are those of G's elements, so at n = 4 that is 24 + 48 + 96 steps, where one
+chi per conjugate takes 3 x 96, and no leaf builds a full conjugate, adds
+two matrices or scans for triangularity.
 
 Multiplicative: Cauchy-Binet on minors taken once. No prefix of Q fixes a
 leading block of M_A Y, Y = Q^T M_B Q, since every entry of the product
@@ -28,7 +43,7 @@ and det Y[T, S] = sigma(T) sigma(S) eps(T) eps(S) det M_B[pi T, pi S], with
 sigma(T) the product of the signs on T and eps(T) the sign of the
 permutation that sorts pi T. Every k x k minor of M_A and of M_B, C(2n, n)
 of each over k = 0..n, comes from one Laplace recurrence on the minors of
-order k - 1. For each permutation pi the products
+order k - 1. For each pi in G the products
 w_ST = eps(S) eps(T) det M_A[S, T] det M_B[pi T, pi S] are formed once.
 (S, T) and (T, S) share the weight sigma(S) sigma(T), which is 1 on S = T,
 so with the folded f_ST = w_ST + w_TS for S < T a conjugate's C_k is
@@ -42,25 +57,53 @@ no multiplication. C_0 = 1 and C_n = (-1)^n det M_A det M_B.
 Each conjugate's coefficient vector is formed from its own (pi, signs) and
 only then added to the total. Summed over the sign vectors, the folded
 pairs cancel, and that cancellation is the identity the mean checks, so the
-sum is never taken over the signs first.
+sum is never taken over the signs first, and no conjugate of G is skipped.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .kernel import _berkowitz_step
 from .matrices import Matrix, _pair_form
 from .polynomials import Polynomial, _from_int
 
 
+# generators of G per n (module docstring), each a permutation i -> g[i]: a
+# transposition, a 3-cycle, a 3-cycle and a double transposition, x -> x + 1
+# and x -> 2x mod 5, and at n = 6 those two fixing infinity (5) and x -> -1/x
+_GENERATORS = {
+    1: (),
+    2: ((1, 0),),
+    3: ((1, 2, 0),),
+    4: ((1, 2, 0, 3), (1, 0, 3, 2)),
+    5: ((1, 2, 3, 4, 0), (0, 2, 4, 1, 3)),
+    6: ((1, 2, 3, 4, 0, 5), (0, 2, 4, 1, 3, 5), (5, 4, 2, 3, 1, 0)),
+}
+
+
+@lru_cache(maxsize=None)
+def _group(n: int) -> tuple:
+    """G's elements as tuples, in lexicographic order: the closure of
+    ``_GENERATORS[n]`` under composition."""
+    elements, todo = {tuple(range(n))}, [tuple(range(n))]
+    while todo:
+        g = todo.pop()
+        for h in _GENERATORS[n]:
+            gh = tuple(g[i] for i in h)
+            if gh not in elements:
+                elements.add(gh)
+                todo.append(gh)
+    return tuple(sorted(elements))
+
+
 def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool) -> Polynomial:
     """Exact mean of chi_{A + Q^T B Q} (``product``: chi_{A Q^T B Q}) over the
-    2^(n-1) n! signed permutations Q with signs[0] = +1: the integer
-    coefficients of every conjugate at one scale, summed and divided once."""
+    2^(n-1) |G| signed permutations Q with signs[0] = +1 and permutation in
+    G: the integer coefficients of every conjugate at one scale, summed and
+    divided once."""
     d, ma, mb, _ = _pair_form(a, b, product)
     n = a.n
     if product:
@@ -69,23 +112,25 @@ def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool) -> Polynomia
             total = list(map(add, total, coeffs))
     else:
         total = _additive_chi_sum(ma, mb, n)
-    return _from_int(total, d, [math.factorial(n) << (n - 1)] * (n + 1))
+    return _from_int(total, d, [len(_group(n)) << (n - 1)] * (n + 1))
 
 
 def _additive_chi_sum(a, b, n: int) -> list:
     """The sum of C_0..C_n of chi_{M_A + Q^T M_B Q} over the signed
-    permutations Q with signs[0] = +1, as kernel scalars, for the rows a of
-    M_A and b of M_B, by one walk over the prefixes of Q (module
-    docstring): conjugates that share a prefix share its steps."""
+    permutations Q with signs[0] = +1 and permutation in G, as kernel
+    scalars, for the rows a of M_A and b of M_B, by one walk over the
+    prefixes of G's elements (module docstring): conjugates that share a
+    prefix share its steps."""
     total = [0] * (n + 1)
 
-    def walk(block, perm, signs, c):
+    def walk(block, elements, signs, c):
+        # elements: G's elements that begin with the prefix walked so far
         nonlocal total
-        r = len(perm)
+        r = len(signs)
+        perm = elements[0][:r]
         a_left, a_col = a[r][:r], [row[r] for row in a[:r]]
-        for p in range(n):
-            if p in perm:
-                continue
+        for p, below in itertools.groupby(elements, itemgetter(r)):
+            below = list(below)
             # (Q^T M_B Q)_ij = signs[i] signs[j] M_B[perm[i]][perm[j]]: B's cells in
             # the new row and column, each times the sign of its other index,
             # are added for the new sign s = 1 and subtracted for s = -1
@@ -100,9 +145,9 @@ def _additive_chi_sum(a, b, n: int) -> list:
                     total = list(map(add, total, coeffs))
                 else:
                     child = [row + [v] for row, v in zip(block, col)] + [left + [diag]]
-                    walk(child, perm + [p], signs + [s], coeffs)
+                    walk(child, below, signs + [s], coeffs)
 
-    walk([], [], [], [1])
+    walk([], _group(n), [], [1])
     return total
 
 
@@ -114,14 +159,14 @@ def _layout(n: int):
       its first index S[0], the place of S[1:] among the (k-1)-subsets and,
       for each j, (j, S[j], the place of S without S[j]): what the Laplace
       recurrence reads;
-    - ``perms``: for each permutation pi, and each order k = 1..n-1, the
-      place of the sorted pi S and eps(S) for each k-subset S;
+    - ``perms``: for each pi in G, and each order k = 1..n-1, the place of
+      the sorted pi S and eps(S) for each k-subset S;
     - ``negatives``: for each sign vector with signs[0] = +1, and each order
       k = 1..n-1, the mask of the folded pairs (S < T, lexicographic) whose
       sigma(S) sigma(T) is -1.
 
-    Permutations come in ``itertools.permutations`` order and sign vectors
-    in ``itertools.product((1, -1), repeat=n - 1)`` order behind the +1."""
+    G's elements come in lexicographic order and sign vectors in
+    ``itertools.product((1, -1), repeat=n - 1)`` order behind the +1."""
     subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
     place = [{s: i for i, s in enumerate(level)} for level in subsets]
     laplace = [None] + [
@@ -131,7 +176,7 @@ def _layout(n: int):
     ]
     orders = range(1, n)
     perms = []
-    for perm in itertools.permutations(range(n)):
+    for perm in _group(n):
         by_order = []
         for k in orders:
             pos, eps = [], []
@@ -174,12 +219,13 @@ def _minor_tables(m, n: int) -> list:
 
 
 def _product_chis(a, b, n: int):
-    """Yield, for each signed permutation Q with signs[0] = +1, C_0..C_n of
-    chi_{M_A Q^T M_B Q} as kernel scalars, for the rows a of M_A and b of
-    M_B, by Cauchy-Binet on minors taken once (module docstring). Q runs
-    over permutations in ``itertools.permutations`` order and, within each,
-    over sign vectors in ``itertools.product((1, -1), repeat=n - 1)`` order
-    behind the +1; each vector belongs to one Q alone."""
+    """Yield, for each signed permutation Q with signs[0] = +1 and
+    permutation in G, C_0..C_n of chi_{M_A Q^T M_B Q} as kernel scalars, for
+    the rows a of M_A and b of M_B, by Cauchy-Binet on minors taken once
+    (module docstring). Q runs over G's elements in lexicographic order and,
+    within each, over sign vectors in ``itertools.product((1, -1),
+    repeat=n - 1)`` order behind the +1; each vector belongs to one Q
+    alone."""
     _, pairs, perms, negatives = _layout(n)
     ta, tb = _minor_tables(a, n), _minor_tables(b, n)
     last = ta[n][0][0] * tb[n][0][0]

@@ -26,8 +26,9 @@ products by the four-product complex rule and traces written here, not the
 kernel's rows of scalars, Gauss-trick products or traces. The signed
 permutations are enumerated here in full, all 2^n n! of them, and each
 conjugate of the half with signs[0] = +1 is built and combined with A in
-full, where the library walks the prefixes of Q (additive) or sums
-products of minors of A and B taken once (multiplicative).
+full, where the library runs over a smaller group of permutations and walks
+the prefixes of Q (additive) or sums products of minors of A and B taken
+once (multiplicative).
 
 The library has no inverse, conjugation or polynomial calculus, as the
 paper's results need none; the counterexample suites and the similarity
@@ -336,13 +337,14 @@ def moments_by_powers(m: Matrix, count: int) -> list:
     return out
 
 
-def signed_permutations(n: int):
-    """All 2^n n! signed permutations as (permutation, sign vector) pairs.
+def signed_permutations(n: int, perms=None):
+    """All 2^n n! signed permutations as (permutation, sign vector) pairs,
+    or the 2^n len(perms) whose permutation is in ``perms``.
 
     The pair (perm, signs) is the matrix P with P e_j = signs[j] e_{perm[j]}.
-    Permutations come in lexicographic order, sign vectors count in binary
-    with +1 first."""
-    for perm in itertools.permutations(range(n)):
+    Permutations come in lexicographic order (``perms``' order when given),
+    sign vectors count in binary with +1 first."""
+    for perm in itertools.permutations(range(n)) if perms is None else perms:
         for bits in itertools.product((1, -1), repeat=n):
             yield perm, bits
 
@@ -355,12 +357,14 @@ def signed_conjugate(b: Matrix, perm, signs) -> Matrix:
     return Matrix(matmul_entrywise(matmul_entrywise(p.transpose().rows, b.rows), p.rows))
 
 
-def conjugate_forms(a: Matrix, b: Matrix, kind: str):
+def conjugate_forms(a: Matrix, b: Matrix, kind: str, perms=None):
     """(d, forms): forms yields, for each signed permutation Q with
     signs[0] = +1 in ``signed_permutations`` order, the (re, im) form of
     d(A + Q^T B Q) (or d(A Q^T B Q)), built in full: Q^T B Q from B's form
     entry by entry, then added to A's form (``form_add``) at the scale
-    d = lcm(d_A, d_B), or multiplied by it (``form_mul``) at d = d_A d_B."""
+    d = lcm(d_A, d_B), or multiplied by it (``form_mul``) at d = d_A d_B.
+    Q's permutation runs over ``perms`` in their order, all of them when
+    None."""
     (da, ma), (db, mb) = _int_form(a), _int_form(b)
     if kind == ADDITIVE:
         d = math.lcm(da, db)
@@ -373,7 +377,7 @@ def conjugate_forms(a: Matrix, b: Matrix, kind: str):
         d, combine = da * db, form_mul
 
     def forms():
-        for perm, signs in signed_permutations(a.n):
+        for perm, signs in signed_permutations(a.n, perms):
             if signs[0] != 1:
                 continue
             conj = on_parts(mb, lambda x: [
@@ -386,12 +390,13 @@ def conjugate_forms(a: Matrix, b: Matrix, kind: str):
 
 
 def signed_perm_mean_per_conjugate(a: Matrix, b: Matrix, kind: str) -> Polynomial:
-    """The mean of chi_{A + Q^T B Q} (or chi_{A Q^T B Q}) over the signed
-    permutations Q with signs[0] = +1, one kernel chi per conjugate of
-    ``conjugate_forms``: the integer C_k of all of them are summed and
-    divided once. The library gets the additive mean from one walk over the
-    prefixes of Q instead, and the multiplicative one by Cauchy-Binet from
-    the minors of A and B, with no product and no chi per conjugate."""
+    """The mean of chi_{A + Q^T B Q} (or chi_{A Q^T B Q}) over all the
+    2^(n-1) n! signed permutations Q with signs[0] = +1, one kernel chi per
+    conjugate of ``conjugate_forms``: the integer C_k of all of them are
+    summed and divided once. The library runs over the permutations of a
+    smaller group G only, and gets the additive mean from one walk over the
+    prefixes of Q, and the multiplicative one by Cauchy-Binet from the minors
+    of A and B, with no product and no chi per conjugate."""
     d, forms = conjugate_forms(a, b, kind)
     n = a.n
     total = [0] * (n + 1)

@@ -173,10 +173,10 @@ def dense_nonsingular_pairs(draw, max_n=4):
     return tuple(draw(square.map(Matrix).filter(lambda m: m.det())) for _ in "ab")
 
 
-# no shrink phase: each shrink step reruns a mean of up to 384 conjugates and its
-# oracles, so a failure is reported as drawn, not after minutes of shrinking. Every
-# example checks both kinds on one dense nonsingular pair besides one from ``pairs``,
-# whose zero rows and singular matrices hide a wrong sign of
+# no shrink phase: each shrink step reruns a mean of up to 96 conjugates and its
+# oracles over up to 384, so a failure is reported as drawn, not after minutes of
+# shrinking. Every example checks both kinds on one dense nonsingular pair besides
+# one from ``pairs``, whose zero rows and singular matrices hide a wrong sign of
 # C_n = (-1)^n det M_A det M_B in the product's mean
 @settings(max_examples=6, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(dense_nonsingular_pairs(), pairs(max_n=4))
@@ -206,8 +206,11 @@ def dense_pair(n: int, entries_of: str):
 
 @pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])
 @pytest.mark.parametrize("entries_of", ["real", "gaussian", "mixed"])
-@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_signed_perm_mean_matches_per_conjugate_oracle_at_n_1_and_5(n, entries_of, kind):
+    """The mean over G's conjugates equals the full-group oracle's over all
+    2^(n-1) n! and the convolution, at n = 1..5 (the name keeps the sizes it
+    started with)."""
     a, b = dense_pair(n, entries_of)
     mean = expected_charpoly_signed_perms(a, b, kind)
     assert mean == signed_perm_mean_per_conjugate(a, b, kind)
@@ -216,9 +219,9 @@ def test_signed_perm_mean_matches_per_conjugate_oracle_at_n_1_and_5(n, entries_o
 
 @pytest.mark.parametrize("entries_of", ["real", "gaussian"])
 def test_additive_signed_perm_mean_shares_prefix_steps(monkeypatch, entries_of):
-    """At n = 4 the prefix walk runs 24 + 96 + 192 Berkowitz steps, one per
-    prefix past the first index, where one chi per conjugate would run
-    3 x 192; and it builds no conjugate, adds no matrices and scans none for
+    """At n = 4 the prefix walk over A4's 96 conjugates runs 24 + 48 + 96
+    Berkowitz steps, one per prefix past the first index, where one chi per
+    conjugate would run 3 x 96; and it builds no conjugate, adds no matrices and scans none for
     triangularity."""
     a, b = dense_pair(4, entries_of)
     expected = signed_perm_mean_per_conjugate(a, b, ADDITIVE)
@@ -236,14 +239,14 @@ def test_additive_signed_perm_mean_shares_prefix_steps(monkeypatch, entries_of):
 
     monkeypatch.setattr(signed_perms, "_berkowitz_step", counted)
     assert expected_charpoly_signed_perms(a, b, ADDITIVE) == expected
-    assert len(calls) == 24 + 96 + 192
-    assert [calls.count(r) for r in (1, 2, 3)] == [24, 96, 192]
+    assert len(calls) == 24 + 48 + 96
+    assert [calls.count(r) for r in (1, 2, 3)] == [24, 48, 96]
 
 
 @pytest.mark.parametrize("entries_of", ["real", "gaussian"])
 def test_multiplicative_signed_perm_mean_forms_one_vector_per_conjugate(monkeypatch, entries_of):
-    """At n = 4 the multiplicative mean forms 192 coefficient vectors, one per
-    conjugate, from the minors of A and B alone: it runs no chi, no matrix
+    """At n = 4 the multiplicative mean forms 96 coefficient vectors, one per
+    conjugate of A4, from the minors of A and B alone: it runs no chi, no matrix
     product and no Berkowitz step."""
     a, b = dense_pair(4, entries_of)
     expected = signed_perm_mean_per_conjugate(a, b, MULTIPLICATIVE)
@@ -264,7 +267,7 @@ def test_multiplicative_signed_perm_mean_forms_one_vector_per_conjugate(monkeypa
 
     monkeypatch.setattr(signed_perms, "_product_chis", counted)
     assert expected_charpoly_signed_perms(a, b, MULTIPLICATIVE) == expected
-    assert len(vectors) == 192
+    assert len(vectors) == 96
     assert all(len(coeffs) == 5 for coeffs in vectors)
 
 
@@ -273,17 +276,66 @@ def test_multiplicative_signed_perm_mean_forms_one_vector_per_conjugate(monkeypa
 def test_each_product_conjugate_vector_is_chi_of_its_explicit_product(n, entries_of):
     """Every vector that the multiplicative mean adds is C_0..C_n of chi of
     its own conjugate M_A Q^T M_B Q, built as an explicit product, in the
-    oracle's order of (perm, signs); the pairs are not symmetric, so
-    B's minor at (pi T, pi S) is told from the one at (pi S, pi T)."""
+    oracle's order of (perm, signs) over G's permutations; the pairs are not
+    symmetric, so B's minor at (pi T, pi S) is told from the one at
+    (pi S, pi T)."""
     a, b = dense_pair(n, entries_of)
     assert a != a.transpose() and b != b.transpose() or n == 1
-    d, forms = conjugate_forms(a, b, MULTIPLICATIVE)
+    group = signed_perms._group(n)
+    d, forms = conjugate_forms(a, b, MULTIPLICATIVE, group)
     assert d == a._d * b._d
     count = 0
     for form, coeffs in zip(forms, signed_perms._product_chis(a._m, b._m, n), strict=True):
         assert coeffs == _char_coeffs(_kernel_rows(form), n)
         count += 1
-    assert count == 2 ** (n - 1) * math.factorial(n)
+    assert count == 2 ** (n - 1) * len(group)
+
+
+@pytest.mark.parametrize("n, order", [(1, 1), (2, 2), (3, 3), (4, 12), (5, 20), (6, 120)])
+def test_each_group_is_k_homogeneous_for_every_k(n, order):
+    """G at each n up to SIGNED_PERM_LIMIT is a group of the stated order,
+    in lexicographic order, and moves the k-subsets of range(n) in one orbit
+    for every k."""
+    assert n <= ffp.SIGNED_PERM_LIMIT
+    group = signed_perms._group(n)
+    assert len(group) == order and list(group) == sorted(set(group))
+    assert tuple(range(n)) in group
+    elements = set(group)
+    assert all(tuple(g[i] for i in h) in elements for g in group for h in group)
+    for k in range(n + 1):
+        orbit = {tuple(sorted(g[i] for i in range(k))) for g in group}
+        assert orbit == set(itertools.combinations(range(n), k))
+
+
+@pytest.fixture
+def wrong_group(monkeypatch):
+    """Swap G at one n for given generators, with G and the layouts built
+    again before and after."""
+
+    def swap(n, generators):
+        monkeypatch.setitem(signed_perms._GENERATORS, n, generators)
+        signed_perms._group.cache_clear()
+        signed_perms._layout.cache_clear()
+
+    yield swap
+    signed_perms._group.cache_clear()
+    signed_perms._layout.cache_clear()
+
+
+@pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])
+@pytest.mark.parametrize("n, generators, order", [
+    (4, ((1, 2, 3, 0), (0, 3, 2, 1)), 8),  # D4: the square's 2-subsets split into sides and diagonals
+    (5, ((1, 2, 3, 4, 0),), 5),  # C5: the pentagon's split into sides and diagonals
+])
+def test_a_transitive_group_that_is_not_2_homogeneous_changes_the_mean(wrong_group, n, generators, order, kind):
+    """D4 at n = 4 and C5 at n = 5 are transitive on range(n) but not on its
+    2-subsets; in place of G each gives a mean that is not the convolution,
+    so the tests can tell a wrong group from a right one."""
+    a, b = dense_pair(n, "real")
+    right = expected_charpoly_signed_perms(a, b, kind)
+    wrong_group(n, generators)
+    assert len(signed_perms._group(n)) == order
+    assert expected_charpoly_signed_perms(a, b, kind) != right
 
 
 @st.composite
