@@ -2,8 +2,8 @@
 
 ``ffp.expected_charpoly_signed_perms`` imports this module when it is
 called; no other verb runs it. Q runs over the 2^(n-1) |G| signed
-permutations with signs[0] = +1 (Q and -Q give one conjugate) whose
-permutation pi lies in a group G on range(n), where
+permutations whose permutation pi lies in a group G on range(n) and whose
+signs[0] = +1 (Q and -Q give one conjugate), where
 (Q^T M_B Q)_ij = signs[i] signs[j] M_B[perm[i]][perm[j]]. Every conjugate
 keeps B's denominators, so the integer matrices of all of them share one
 scale (``matrices._pair_form``): their integer coefficients are summed as

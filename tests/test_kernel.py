@@ -217,6 +217,16 @@ def test_signed_perm_mean_matches_per_conjugate_oracle_at_n_1_and_5(n, entries_o
     assert mean == (boxplus if kind == ADDITIVE else boxtimes)(char_poly(a), char_poly(b))
 
 
+@pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])
+def test_signed_perm_mean_at_the_limit_is_the_convolution(kind):
+    """At n = SIGNED_PERM_LIMIT, over PGL(2, 5)'s 3,840 conjugates, the mean
+    of a dense non-symmetric real pair is the convolution (the full-group
+    oracle there takes seconds per kind, and runs in CI)."""
+    a, b = dense_pair(ffp.SIGNED_PERM_LIMIT, "real")
+    mean = expected_charpoly_signed_perms(a, b, kind)
+    assert mean == (boxplus if kind == ADDITIVE else boxtimes)(char_poly(a), char_poly(b))
+
+
 @pytest.mark.parametrize("entries_of", ["real", "gaussian"])
 def test_additive_signed_perm_mean_shares_prefix_steps(monkeypatch, entries_of):
     """At n = 4 the prefix walk over A4's 96 conjugates runs 24 + 48 + 96
