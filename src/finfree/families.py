@@ -31,18 +31,12 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional
 
-from .errors import IndexRangeError, ParseError, SizeGuardError, UnsupportedPairError
+from .errors import IndexRangeError, ParseError, UnsupportedPairError, _guard
 from .ffp import FfpReport, _failure_report
 from .matrices import Matrix, _minors_balanced
 from .polynomials import ADDITIVE, Polynomial
 from .scalars import ONE, GaussianRational, _scaled, as_scalar
 
-# the subset DP takes about 0.11 s for a dense rational 12x12 and 0.32 s for a
-# Gaussian one (Python 3.11, 2-vCPU Xeon VM); each step of n doubles it
-CYCLE_SUM_LIMIT = 12
-# the sum of n factorial-binomial products takes about 0.22 s at n = 1600, 0.44 s
-# at 2000 and 1.7 s at 3200 (Python 3.11, 2-vCPU Xeon VM); each doubling costs ~7x
-RANK_BOUND_LIMIT = 2000
 PROBE_MAGNITUDES = (10, 100)
 
 
@@ -147,9 +141,7 @@ def cycle_sums(a: Matrix) -> CycleSums:
     enumerating every cycle costs sum_k C(n,k) (k-1)! k. Within an order,
     index sets come in lexicographic order and are 1-based.
     """
-    n = a.n
-    if n > CYCLE_SUM_LIMIT:
-        raise SizeGuardError(f"cycle-sum enumeration refused for n={n} > {CYCLE_SUM_LIMIT}")
+    n = _guard("cycle-sums", a.n)
     d, m = a._d, a._m
     sums = {}
     for s in range(n):
@@ -540,8 +532,7 @@ def rank_upper_bound(n: int) -> int:
     variety; the empty sum at n=1 gives 0."""
     if n < 1:
         raise IndexRangeError(f"need n >= 1, got {n}")
-    if n > RANK_BOUND_LIMIT:
-        raise SizeGuardError(f"rank bound refused for n={n} > {RANK_BOUND_LIMIT}")
+    _guard("rank-bound", n)
     return sum(factorial(k) * comb(n, k) ** 2 for k in range(1, n))
 
 

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import DimensionMismatchError, SizeGuardError
+from .errors import DimensionMismatchError, SizeGuardError, _guard
 from .kernel import _char_coeffs
 from .matrices import Matrix, _chi_at, _pair_form, char_poly
 from .polynomials import (
@@ -51,22 +51,6 @@ from .polynomials import (
     boxtimes,
 )
 from .scalars import GaussianRational, _scaled
-
-# 2^(n-1) |G| conjugates, G the group of ``signed_perms`` (3,840 at n = 6): the
-# additive mean takes one Berkowitz step per prefix of them, the multiplicative one a
-# signed sum of folded minor products per coefficient of each. At n = 6 a dense p/q
-# pair, |p|, q <= 10, takes 0.19-0.30 s (additive) and 0.10-0.12 s (multiplicative)
-# in process when rational, 1.3-1.8 and 0.78-1.0 s when Gaussian (Python 3.11,
-# 2-vCPU Xeon VM, two pairs, five runs of each mean). At n = 7 no group smaller than
-# A7 will do: 2^6 * 2,520 = 161,280 conjugates, 42 times as many, and a rational
-# pair took 9.9 s (additive) and 11.4 s (multiplicative) over A7
-SIGNED_PERM_LIMIT = 6
-
-# A Monte-Carlo average may cost samples * max(n, 3)^2 <= 9 * MC_SAMPLE_LIMIT. A Haar
-# sample costs about 13 us at n = 3, 70-80 us at n = 8 and 360-460 us at n = 20, so
-# the most samples allowed (200000, 28125 and 4500) take 2.7, 2.0-2.3 and 1.6-2.1 s
-# in process, additive and multiplicative (Python 3.11, numpy 2.4, 2-vCPU Xeon VM)
-MC_SAMPLE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -201,8 +185,7 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
     """
     a._require_same_size(b)
     n = a.n
-    if n > SIGNED_PERM_LIMIT:
-        raise SizeGuardError(f"signed-permutation enumeration refused for n={n} > {SIGNED_PERM_LIMIT}")
+    _guard("signed-perms", n)
     product = _product(kind)
     from .signed_perms import _signed_perm_charpoly_mean
 
@@ -303,11 +286,7 @@ def expected_charpoly_haar_mc(
     n = a.n
     if samples < 1:
         raise SizeGuardError("need at least one sample")
-    if samples * max(n, 3) ** 2 > 9 * MC_SAMPLE_LIMIT:
-        raise SizeGuardError(
-            f"Monte-Carlo average refused for {samples} samples at n={n}:"
-            f" samples * max(n, 3)^2 > {9 * MC_SAMPLE_LIMIT}"
-        )
+    _guard("monte-carlo", samples * max(n, 3) ** 2, samples=samples, n=n)
     import numpy as np
 
     product = _product(kind)

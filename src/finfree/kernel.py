@@ -68,17 +68,8 @@ from __future__ import annotations
 from itertools import chain, combinations, islice
 from operator import add, mul
 
-from .errors import SizeGuardError
+from .errors import _guard
 from .scalars import _GaussInt
-
-# n for chi by Berkowitz. On dense p/q entries with |p|, q <= 10 at n = 64, a cold
-# `charpoly` takes 1.1 s (real) and 2.5 s (Gaussian), `cumulants` 1.3 and 3.3 s,
-# `check-ffp` 2.5-3.1 and 7.5-9.0 s and `expect --mc --samples 1` 2.4 and 6.9 s
-# (Python 3.11, 2-vCPU Xeon VM). The cost grows about as n^3.7: at n = 96 `charpoly`
-# takes 5.0 and 15.6 s and a multiplicative `check-ffp` 16.8 s, so a 500 x 500 file
-# would take about an hour. Triangular input skips Berkowitz and this limit: its chi
-# costs O(n^2) int products, and `char_poly` takes 85 ms in process at n = 500
-CHI_DIMENSION_LIMIT = 64
 
 
 def _split(m):
@@ -154,13 +145,12 @@ def _coeffs_from_roots(roots) -> list:
 def _char_coeffs(m, n: int) -> list:
     """C_0..C_n of chi_M = x^n + C_1 x^{n-1} + ... + C_n for the n x n
     Gaussian integer matrix M, as kernel scalars: from the diagonal when M
-    is triangular, else by Berkowitz (module docstring), which refuses
-    n > ``CHI_DIMENSION_LIMIT``."""
+    is triangular, else by Berkowitz (module docstring), which refuses n past
+    the ``chi`` guard (``errors.GUARDS``)."""
     diagonal = _triangular_diagonal(m, n)
     if diagonal is not None:
         return _coeffs_from_roots(diagonal)
-    if n > CHI_DIMENSION_LIMIT:
-        raise SizeGuardError(f"characteristic polynomial refused for n={n} > {CHI_DIMENSION_LIMIT}")
+    _guard("chi", n)
     re, im = _split(m)
     if im is None:
         return _berkowitz_int(re, n)

@@ -58,7 +58,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DimensionMismatchError, IndexRangeError, ParseError, SizeGuardError
+from .errors import DimensionMismatchError, IndexRangeError, ParseError, _guard
 from .kernel import (
     _char_coeffs,
     _det_int,
@@ -74,26 +74,6 @@ from .kernel import (
 )
 from .polynomials import Polynomial, _from_int, _power_sums
 from .scalars import GaussianRational, _scaled, as_scalar
-
-# all 2^n principal minors from the Sylvester tree on M + tI. At n = 16, on p/q entries
-# with |p|, q <= 10 (each part when Gaussian), `minor_table` takes 0.75-1.1 s in process on
-# a dense rational matrix, 3.1-4.1 s on a dense Gaussian one, 2.7-3.5 s on a Gaussian
-# skew-symmetric one, 0.7-1.0 s on a rank-one balanced one, 0.6-1.0 s on a sparse one (25%
-# p/q) and 0.6-0.9 s on a sign 0/+-1 one (three runs each, Python 3.11, 2-vCPU Xeon VM,
-# loaded, so read +-20%). The cost depends on n and entry size, not on where zeros fall.
-# A cold `check-balanced` takes 4.3-5.1 s on the dense Gaussian matrix and 2.9-3.7 s on the
-# skew-symmetric one, printing up to 6.8 MB. At 17 it takes 8.2-10.9 s on those two, peaks
-# at 92-139 MB and prints up to 14.8 MB, so the limit stays 16
-MINOR_ENUMERATION_LIMIT = 16
-# moments m_1..m_count (of a matrix or, past the degree, of a polynomial). At 1000, a
-# cold `moments --k` takes about 0.45 s on a dense rational 3x3 and 0.6 s on a
-# Gaussian one, 0.55-0.6 s on a dense rational 8x8 and 1.2-1.6 s on a Gaussian one,
-# printing 2.4-7.7 MB; `sum-moments --count` takes 0.55-0.65 s on the rational 3x3,
-# 1.5 s on the rational 8x8 and 8.3 s on the Gaussian 8x8, whose Newton steps run on
-# GaussianRationals (Python 3.11, 2-vCPU Xeon VM). Each doubling of the count costs
-# 5-9x in process (1000 -> 2000: moments of the rational 8x8 0.16 -> 1.4 s, the sum
-# path 0.8 -> 5.7 s)
-MOMENT_COUNT_LIMIT = 1000
 
 
 class Matrix:
@@ -312,21 +292,8 @@ def moment_vector_of(a: Matrix, count: int | None = None) -> list[GaussianRation
     """First ``count`` moments of A (default n): m_k = p_k / (n d^k), with the
     power sums p_k = tr(M^k) of the integer form M = d*A read off the cached
     C_0..C_n of chi_M by Newton's identities (``polynomials._power_sums``)."""
-    count = a.n if count is None else _guard_moment_count(count)
+    count = a.n if count is None else _guard("moments", count)
     return [_scaled(p, a.n * a._d**k) for k, p in enumerate(_power_sums(_cached_chi(a), count), 1)]
-
-
-def _guard_moment_count(count: int) -> int:
-    if count > MOMENT_COUNT_LIMIT:
-        raise SizeGuardError(f"moment count refused: {count} > {MOMENT_COUNT_LIMIT}")
-    return count
-
-
-def _guard_minor_enumeration(n: int):
-    if n > MINOR_ENUMERATION_LIMIT:
-        raise SizeGuardError(
-            f"minor enumeration refused for n={n} > {MINOR_ENUMERATION_LIMIT}"
-        )
 
 
 def principal_minors(a: Matrix, k: int) -> list[tuple[tuple[int, ...], GaussianRational]]:
@@ -340,7 +307,7 @@ def principal_minors(a: Matrix, k: int) -> list[tuple[tuple[int, ...], GaussianR
     n = a.n
     if not 0 <= k <= n:
         raise IndexRangeError(f"minor order {k} out of range 0..{n}")
-    _guard_minor_enumeration(n)
+    _guard("minors", n)
     return _labelled(_minor_levels(a._m, k)[k], a, k)
 
 
@@ -360,7 +327,7 @@ def _minors_balanced(a: Matrix) -> bool:
     kernel's tree of M + tI (``kernel._dominant``) with no shift taken off,
     and the first order that mismatches ends it, before the tree builds the
     next one."""
-    _guard_minor_enumeration(a.n)
+    _guard("minors", a.n)
     for level in _minor_tree(_dominant(a._m)[1]):
         first = level[0]
         if any(v != first for v in level):
@@ -371,5 +338,5 @@ def _minors_balanced(a: Matrix) -> bool:
 def minor_table(a: Matrix) -> dict:
     """{k: principal_minors(a, k)} for every order k = 0..n, from one tree
     of M + tI with the shift taken off every order (``kernel._minor_levels``)."""
-    _guard_minor_enumeration(a.n)
+    _guard("minors", a.n)
     return {k: _labelled(level, a, k) for k, level in enumerate(_minor_levels(a._m, a.n))}

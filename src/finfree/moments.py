@@ -37,9 +37,9 @@ from math import comb, perm
 from typing import Optional, Sequence
 
 from .errors import (
-    DegreeMismatchError, DimensionMismatchError, IndexRangeError, NonMonicError, ParseError,
+    DegreeMismatchError, DimensionMismatchError, IndexRangeError, NonMonicError, ParseError, _guard,
 )
-from .matrices import Matrix, _guard_moment_count, char_poly, moment_vector_of
+from .matrices import Matrix, char_poly, moment_vector_of
 from .polynomials import Polynomial, _power_sums, boxplus
 from .scalars import ONE, ZERO, GaussianRational, as_scalar
 
@@ -118,7 +118,7 @@ def moments_from_coeffs(p: Polynomial, count: Optional[int] = None) -> MomentVec
     n = p.degree
     if n < 1:
         raise DegreeMismatchError("moment extraction needs degree >= 1")
-    sums = _power_sums(p.coeffs, n if count is None else _guard_moment_count(count))
+    sums = _power_sums(p.coeffs, n if count is None else _guard("moments", count))
     return MomentVector(n, [s * Fraction(1, n) for s in sums])
 
 

@@ -43,17 +43,8 @@ from math import comb, factorial
 from operator import mul
 from typing import Iterable
 
-from .errors import DegreeMismatchError, NonMonicError, ParseError, SizeGuardError
+from .errors import DegreeMismatchError, NonMonicError, ParseError, _guard
 from .scalars import ONE, GaussianRational, _GaussInt, _scaled, as_scalar
-
-# the degree of both convolutions. On p/q coefficients with |p|, q <= 10 at degree
-# 250, `boxplus` takes 0.25 s in process on real input and 1.2 s on Gaussian input,
-# and a cold `convolve --kind additive` 0.7 and 1.6 s (`boxtimes` and the
-# multiplicative verb stay under 0.5 s). At degree 500 those are 4.2 and 17 s, nearly
-# all in the n^2 / 2 products (n-i)! A_i (n-j)! B_j, whose factors grow to thousands
-# of digits; each doubling costs about 6-10x, and a 30 KB JSON file reaches hours
-# (Python 3.11, 2-vCPU Xeon VM)
-CONVOLUTION_DEGREE_LIMIT = 250
 
 # the two kinds of convolution, and of finite free position (``ffp``)
 ADDITIVE = "additive"
@@ -129,8 +120,7 @@ def _check_pair(p: Polynomial, q: Polynomial) -> int:
     n = p.degree
     if n < 1:
         raise DegreeMismatchError("convolutions need degree >= 1")
-    if n > CONVOLUTION_DEGREE_LIMIT:
-        raise SizeGuardError(f"convolution refused for degree {n} > {CONVOLUTION_DEGREE_LIMIT}")
+    _guard("convolution", n)
     if not p.is_monic or not q.is_monic:
         raise NonMonicError("convolution inputs must be monic")
     return n

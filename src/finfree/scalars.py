@@ -9,8 +9,8 @@ more than 4300 decimal digits to or from a string (``sys.int_info``), and
 this module never raises that limit: longer digit strings go through
 ``Decimal``, which has none, so a value of any size prints and parses
 exactly.
-Exponent forms ("1e-5") are bounded by ``EXPONENT_LIMIT`` before any power
-of ten is computed.
+Exponent forms ("1e-5") are bounded by the ``exponent`` guard
+(``errors.GUARDS``) before any power of ten is computed.
 
 The exact integer kernel computes on Gaussian integers instead: an int, or a
 ``_GaussInt`` when the value is complex, and ``_scaled`` divides either by a
@@ -19,11 +19,12 @@ positive integer to give a GaussianRational.
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import ParseError, SizeGuardError
+from .errors import GUARDS, ParseError, SizeGuardError, _guard
 
 _ZERO = Fraction(0)
 
@@ -49,12 +50,6 @@ def _coerced(method):
     return operator
 
 
-# |exponent| of "<number>e<exponent>": 1e10000 parses in 0.3 ms and prints its
-# 10001 digits in about 2 ms; 1e100000 takes 8 ms and 0.22 s, 1e1000000 0.31 s
-# to parse (Python 3.11, 2-vCPU Xeon VM). The cost grows faster than the
-# exponent, and an 11-character "1e999999999" would need a 415 MB int.
-EXPONENT_LIMIT = 10_000
-
 # CPython lets its int/str digit limit go no lower than 640 digits, so ints of
 # at most 2000 bits (602 digits) and strings of at most 600 characters always
 # convert directly; Decimal converts longer ones, as it has no such limit
@@ -77,11 +72,10 @@ def _rational(text: str) -> Fraction:
     # an exponent form ends in e<digits>, as Fraction reads it
     _, e, exponent = text.lower().rpartition("e")
     exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    # a longer digit string than the limit's is refused before int() reads it
-    if e and exponent.isdecimal() and (
-        len(exponent) > len(str(EXPONENT_LIMIT)) or int(exponent) > EXPONENT_LIMIT
-    ):
-        raise SizeGuardError(f"exponent in {text[:40]!r} exceeds {EXPONENT_LIMIT}")
+    if e and exponent.isdecimal():
+        # a longer digit string than the limit's is past it, and int() never reads it
+        past = len(exponent) > len(str(GUARDS["exponent"][0]))
+        _guard("exponent", math.inf if past else int(exponent), text=text[:40])
     try:
         return Fraction(text)
     except ValueError:
@@ -124,7 +118,8 @@ class GaussianRational:
 
         Denominators of 1 may be omitted; signs are explicit. Either part may
         also be a decimal or exponent form that ``Fraction`` reads ("1e-5"),
-        with |exponent| at most ``EXPONENT_LIMIT`` (else ``SizeGuardError``).
+        with |exponent| at most the ``exponent`` guard's limit (else
+        ``SizeGuardError``).
         This is the inverse of ``str()`` and round-trips bit-exactly.
         """
         s = text.strip().replace(" ", "")

@@ -15,7 +15,7 @@ import finfree.matrices
 import finfree.moments
 from finfree import Polynomial, SizeGuardError, as_scalar, minor_table
 from finfree.cli import main
-from finfree.ffp import MC_SAMPLE_LIMIT
+from finfree.errors import GUARDS
 
 GOLDEN_A = {"n": 3, "entries": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}
 GOLDEN_B = {"n": 3, "entries": [["1", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]]}
@@ -324,7 +324,7 @@ class TestExpect:
         monkeypatch.setattr(finfree.ffp, "haar_unitaries", refuse)
         # one sample past the limit at n = 2, and at n = 20 the 20000 samples that
         # n = 3 allows, which would take about 10 s there
-        for n, samples in ((2, MC_SAMPLE_LIMIT + 1), (20, 20_000)):
+        for n, samples in ((2, GUARDS["monte-carlo"][0] // 9 + 1), (20, 20_000)):
             diagonal = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
             a = write_json("a.json", {"n": n, "entries": diagonal})
             code, out, err = run(
@@ -342,10 +342,10 @@ class TestExpect:
             raise Sampled
 
         monkeypatch.setattr(finfree.ffp, "haar_unitaries", sampled)
-        assert MC_SAMPLE_LIMIT >= 20_000
+        assert GUARDS["monte-carlo"][0] // 9 >= 20_000
         for n in (2, 20):
             a = finfree.matrices.Matrix.identity(n)
-            most = 9 * MC_SAMPLE_LIMIT // max(n, 3) ** 2
+            most = GUARDS["monte-carlo"][0] // max(n, 3) ** 2
             with pytest.raises(Sampled):
                 finfree.ffp.expected_charpoly_haar_mc(a, a, "additive", most, 1)
             with pytest.raises(SizeGuardError):

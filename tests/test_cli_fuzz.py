@@ -2,13 +2,13 @@
 0/1/2 exit-code contract with one JSON line and no traceback.
 
 The strategies aim at the input classes that broke the contract before:
-malformed scalars, exponent forms around ``EXPONENT_LIMIT``, values around
-the float range fed to ``expect --mc``, deep JSON nesting, a declared
-``n``/``degree`` that disagrees with the payload, rows that are not lists,
-bool/float/null entries, counts past ``MOMENT_COUNT_LIMIT`` and
-``MC_SAMPLE_LIMIT``, and ``-h``/``--help`` among the free-form argv words;
-and ``charpoly`` and ``convolve`` on both sides of ``CHI_DIMENSION_LIMIT`` and
-``CONVOLUTION_DEGREE_LIMIT``.
+malformed scalars, exponent forms around the ``exponent`` guard's limit,
+values around the float range fed to ``expect --mc``, deep JSON nesting, a
+declared ``n``/``degree`` that disagrees with the payload, rows that are not
+lists, bool/float/null entries, counts past the ``moments`` and
+``monte-carlo`` guards, and ``-h``/``--help`` among the free-form argv words;
+and ``charpoly`` and ``convolve`` on both sides of the ``chi`` and
+``convolution`` guards' limits (``finfree.errors.GUARDS``).
 """
 
 import contextlib
@@ -23,15 +23,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from finfree.cli import main
-from finfree.ffp import MC_SAMPLE_LIMIT
-from finfree.kernel import CHI_DIMENSION_LIMIT
-from finfree.matrices import MOMENT_COUNT_LIMIT
-from finfree.polynomials import CONVOLUTION_DEGREE_LIMIT
-from finfree.scalars import EXPONENT_LIMIT
+from finfree.errors import GUARDS
 
 MALFORMED = ["", " ", "1/0", "1//2", "++1", "1+*i", "*i", "1e", "e5", "0x10", "nan", "inf",
              "1_0", "--1", "1/2/3", "i", "1+2i", "\u0661", "1e+", "1.5.2", "3*i*i"]
-LIMIT_EXPONENTS = [1, 2, 5, EXPONENT_LIMIT - 1, EXPONENT_LIMIT, EXPONENT_LIMIT + 1]
+LIMIT_EXPONENTS = [
+    1, 2, 5, GUARDS["exponent"][0] - 1, GUARDS["exponent"][0], GUARDS["exponent"][0] + 1,
+]
 # around the largest float, 1.8e308, and its square root
 FLOAT_EXPONENTS = [150, 154, 155, 300, 308, 309, 400]
 
@@ -131,10 +129,12 @@ def polynomial_file(n):
 
 
 count = mostly(
-    st.integers(1, 6), st.integers(MOMENT_COUNT_LIMIT + 1, 10**9), st.integers(-3, 0),
+    st.integers(1, 6), st.integers(GUARDS["moments"][0] + 1, 10**9), st.integers(-3, 0),
     st.sampled_from(["x", "1.5", ""]), weight=3,
 ).map(str)
-samples = mostly(st.integers(-1, 30), st.sampled_from([MC_SAMPLE_LIMIT + 1, 10**12])).map(str)
+samples = mostly(
+    st.integers(-1, 30), st.sampled_from([GUARDS["monte-carlo"][0] // 9 + 1, 10**12]),
+).map(str)
 kind = mostly(st.sampled_from(["additive", "multiplicative"]), st.just("bogus"), weight=10)
 families = mostly(
     st.sampled_from(["diag,pb", "ut,ut-const", "lt-const,lt", "all,scalar"]),
@@ -200,7 +200,7 @@ def invocations(draw):
 @st.composite
 def edge_invocations(draw):
     """Well-formed inputs at two edges: expect --mc on entries around the
-    float range, and moment counts past ``MOMENT_COUNT_LIMIT``."""
+    float range, and moment counts past the ``moments`` guard."""
     n = draw(st.integers(1, 3))
     entries = draw(st.sampled_from([small_scalar, float_scalar, float_scalar]))
     files = {key: {"n": n, "entries": draw(square(n, entries))} for key in ("a", "b")}
@@ -228,9 +228,9 @@ def guard_invocations(draw, verb, past):
         return f"{re}{rng.choice('+-')}{rng.randint(1, 9)}/{rng.randint(1, 9)}*i" if gaussian else re
 
     if verb == "charpoly":
-        n = CHI_DIMENSION_LIMIT + past
+        n = GUARDS["chi"][0] + past
         return [verb, "a"], {"a": {"n": n, "entries": [[entry() for _ in range(n)] for _ in range(n)]}}
-    n = CONVOLUTION_DEGREE_LIMIT + past
+    n = GUARDS["convolution"][0] + past
     files = {key: {"degree": n, "coeffs": ["1", *(entry() for _ in range(n))]} for key in ("a", "b")}
     return [verb, "--kind", draw(st.sampled_from(["additive", "multiplicative"])), "a", "b"], files
 

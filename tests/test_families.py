@@ -344,10 +344,10 @@ class TestRankBound:
             rank_upper_bound(0)
 
     def test_size_guard(self):
-        from finfree.families import RANK_BOUND_LIMIT
+        from finfree.errors import GUARDS
 
         with pytest.raises(SizeGuardError):
-            rank_upper_bound(RANK_BOUND_LIMIT + 1)
+            rank_upper_bound(GUARDS["rank-bound"][0] + 1)
 
 
 class TestBalancedCharPoly:

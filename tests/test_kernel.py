@@ -42,6 +42,7 @@ from finfree import (
 )
 import finfree.matrices as matrix_module
 from finfree import ffp, kernel, signed_perms
+from finfree.errors import GUARDS
 from finfree.families import (
     PROBE_MAGNITUDES,
     _conjugated_triangular_balanced,
@@ -219,10 +220,11 @@ def test_signed_perm_mean_matches_per_conjugate_oracle_at_n_1_and_5(n, entries_o
 
 @pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])
 def test_signed_perm_mean_at_the_limit_is_the_convolution(kind):
-    """At n = SIGNED_PERM_LIMIT, over PGL(2, 5)'s 3,840 conjugates, the mean
-    of a dense non-symmetric real pair is the convolution (the full-group
-    oracle there takes seconds per kind, and runs in CI)."""
-    a, b = dense_pair(ffp.SIGNED_PERM_LIMIT, "real")
+    """At the signed-perms guard's limit, n = 6, over PGL(2, 5)'s 3,840
+    conjugates, the mean of a dense non-symmetric real pair is the
+    convolution (the full-group oracle there takes seconds per kind, and runs
+    in ``tests/cold_guards.py``)."""
+    a, b = dense_pair(GUARDS["signed-perms"][0], "real")
     mean = expected_charpoly_signed_perms(a, b, kind)
     assert mean == (boxplus if kind == ADDITIVE else boxtimes)(char_poly(a), char_poly(b))
 
@@ -303,10 +305,10 @@ def test_each_product_conjugate_vector_is_chi_of_its_explicit_product(n, entries
 
 @pytest.mark.parametrize("n, order", [(1, 1), (2, 2), (3, 3), (4, 12), (5, 20), (6, 120)])
 def test_each_group_is_k_homogeneous_for_every_k(n, order):
-    """G at each n up to SIGNED_PERM_LIMIT is a group of the stated order,
-    in lexicographic order, and moves the k-subsets of range(n) in one orbit
-    for every k."""
-    assert n <= ffp.SIGNED_PERM_LIMIT
+    """G at each n up to the signed-perms guard's limit is a group of the
+    stated order, in lexicographic order, and moves the k-subsets of range(n)
+    in one orbit for every k."""
+    assert n <= GUARDS["signed-perms"][0]
     group = signed_perms._group(n)
     assert len(group) == order and list(group) == sorted(set(group))
     assert tuple(range(n)) in group

@@ -32,8 +32,8 @@ from finfree import (
     mult_ffp_moment,
     sample_member,
 )
+from finfree.errors import GUARDS
 from finfree.families import random_matrix
-from finfree.matrices import MOMENT_COUNT_LIMIT
 from helpers import (
     conjugate,
     rand_invertible,
@@ -370,7 +370,7 @@ class TestMomentCountGuard:
 
         monkeypatch.setattr(finfree.matrices, "_power_sums", refuse)
         monkeypatch.setattr(finfree.moments, "_power_sums", refuse)
-        over = MOMENT_COUNT_LIMIT + 1
+        over = GUARDS["moments"][0] + 1
         with pytest.raises(SizeGuardError):
             MomentVector.of_matrix(REMARK_A, over)
         with pytest.raises(SizeGuardError):
@@ -380,6 +380,7 @@ class TestMomentCountGuard:
 
     def test_the_limit_itself_is_allowed(self):
         one = Matrix([[2]])
-        assert len(MomentVector.of_matrix(one, MOMENT_COUNT_LIMIT)) == MOMENT_COUNT_LIMIT
-        top = moments_from_coeffs(char_poly(one), MOMENT_COUNT_LIMIT)[MOMENT_COUNT_LIMIT]
-        assert top == 2**MOMENT_COUNT_LIMIT
+        limit = GUARDS["moments"][0]
+        assert len(MomentVector.of_matrix(one, limit)) == limit
+        top = moments_from_coeffs(char_poly(one), limit)[limit]
+        assert top == 2**limit

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finfree import GaussianRational, ParseError, SizeGuardError, as_scalar
-from finfree.scalars import EXPONENT_LIMIT, I, ONE, ZERO, _GaussInt, _int_str, _scaled
+from finfree.errors import GUARDS
+from finfree.scalars import I, ONE, ZERO, _GaussInt, _int_str, _scaled
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -142,17 +143,20 @@ def test_long_malformed_strings_are_parse_errors(text):
 
 
 def test_exponent_at_the_limit_parses():
-    assert GaussianRational.parse(f"1e-{EXPONENT_LIMIT}") == Fraction(1, 10**EXPONENT_LIMIT)
+    limit = GUARDS["exponent"][0]
+    assert GaussianRational.parse(f"1e-{limit}") == Fraction(1, 10**limit)
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        f"1e{EXPONENT_LIMIT + 1}",
-        f"1e-{EXPONENT_LIMIT + 1}",
-        f"3/4+1e{EXPONENT_LIMIT + 1}*i",
-        f"1E+00{EXPONENT_LIMIT + 1}",
-        f"1e{10 * EXPONENT_LIMIT + 1}",  # more digits than the limit has
+        f"1e{GUARDS['exponent'][0] + 1}",
+        f"1e-{GUARDS['exponent'][0] + 1}",
+        f"3/4+1e{GUARDS['exponent'][0] + 1}*i",
+        f"1E+00{GUARDS['exponent'][0] + 1}",
+        f"1e{10 * GUARDS['exponent'][0] + 1}",  # more digits than the limit has
+        # more digits than CPython's int() reads: only the digit-length check refuses it
+        pytest.param("1e" + "9" * 5000, id="1e9...9-5000-digits"),
     ],
 )
 def test_exponent_past_the_limit_is_refused(text):
