@@ -26,7 +26,7 @@ import sys
 
 from .errors import FinFreeError, ParseError
 from .polynomials import ADDITIVE, MULTIPLICATIVE, Polynomial, boxplus, boxtimes
-from .scalars import _int_str
+from .scalars import _int_str, _json
 
 
 class _UsageError(Exception):
@@ -69,10 +69,6 @@ def _tolerance(text: str) -> float:
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return value
-
-
-def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _fail(code: str, message: str) -> int:
@@ -131,7 +127,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("expect", help="expected characteristic polynomial over conjugations")
     p.add_argument("--kind", choices=[ADDITIVE, MULTIPLICATIVE], required=True)
     p.add_argument("--mc", action="store_true", help="Monte-Carlo over Haar unitaries")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=_at_least(1))
     p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--tolerance", type=_tolerance)
     p.add_argument("a")
@@ -166,73 +162,57 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _run(args) -> int:
+def _run(args):
+    """The verb's result: a record, a polynomial, or a dict of those and JSON values."""
     if args.verb == "charpoly":
         from .matrices import char_poly
 
-        _emit(char_poly(_load_matrix(args.matrix)).to_json())
-    elif args.verb == "convolve":
+        return char_poly(_load_matrix(args.matrix))
+    if args.verb == "convolve":
         op = boxplus if args.kind == ADDITIVE else boxtimes
-        _emit(op(_load_polynomial(args.p), _load_polynomial(args.q)).to_json())
-    elif args.verb == "check-ffp":
+        return op(_load_polynomial(args.p), _load_polynomial(args.q))
+    if args.verb == "check-ffp":
         from .ffp import check_ffp
 
-        report = check_ffp(_load_matrix(args.a), _load_matrix(args.b), args.kind)
-        _emit(report.to_json())
-        return 0 if report.verdict else 2
-    elif args.verb == "check-balanced":
+        return check_ffp(_load_matrix(args.a), _load_matrix(args.b), args.kind)
+    if args.verb == "check-balanced":
         from .matrices import minor_table
 
         m = _load_matrix(args.matrix)
         table = minor_table(m)
         # each order's distinct values, in the order they first appear
-        distinct = {
-            str(k): [str(v) for v in dict.fromkeys(v for _, v in table[k])] for k in range(1, m.n + 1)
+        distinct = {k: list(dict.fromkeys(v for _, v in table[k])) for k in range(1, m.n + 1)}
+        return {
+            "balanced": all(len(values) == 1 for values in distinct.values()),
+            "minor_values": distinct,
+            "n": m.n,
         }
-        _emit(
-            {
-                "balanced": all(len(values) == 1 for values in distinct.values()),
-                "minor_values": distinct,
-                "n": m.n,
-            }
-        )
-    elif args.verb == "cycle-sums":
+    if args.verb == "cycle-sums":
         from .families import cycle_sums
 
-        _emit(cycle_sums(_load_matrix(args.matrix)).to_json())
-    elif args.verb == "expect":
+        return cycle_sums(_load_matrix(args.matrix))
+    if args.verb == "expect":
         a, b = _load_matrix(args.a), _load_matrix(args.b)
         if args.mc:
             if args.samples is None or args.seed is None:
                 raise _UsageError("expect --mc requires --samples and --seed")
             from .ffp import expected_charpoly_haar_mc
 
-            result = expected_charpoly_haar_mc(
-                a, b, args.kind, args.samples, args.seed, args.tolerance
-            )
-            _emit(result.to_json())
-        else:
-            from .ffp import expected_charpoly_signed_perms
-            from .matrices import char_poly
+            return expected_charpoly_haar_mc(a, b, args.kind, args.samples, args.seed, args.tolerance)
+        from .ffp import expected_charpoly_signed_perms
+        from .matrices import char_poly
 
-            averaged = expected_charpoly_signed_perms(a, b, args.kind)
-            op = boxplus if args.kind == ADDITIVE else boxtimes
-            exact = op(char_poly(a), char_poly(b))
-            _emit(
-                {
-                    "kind": args.kind,
-                    "average": averaged.to_json(),
-                    "convolution": exact.to_json(),
-                    "equal": averaged == exact,
-                }
-            )
-    elif args.verb == "verify-pair":
+        averaged = expected_charpoly_signed_perms(a, b, args.kind)
+        op = boxplus if args.kind == ADDITIVE else boxtimes
+        exact = op(char_poly(a), char_poly(b))
+        return {"kind": args.kind, "average": averaged, "convolution": exact, "equal": averaged == exact}
+    if args.verb == "verify-pair":
         from .families import FamilyId, verify_pair
 
         tags = args.families.split(",")
         if len(tags) != 2:
             raise _UsageError("--families wants exactly two comma-separated tags")
-        report = verify_pair(
+        return verify_pair(
             FamilyId.parse(tags[0]),
             FamilyId.parse(tags[1]),
             args.kind,
@@ -241,55 +221,50 @@ def _run(args) -> int:
             args.n,
             args.bound,
         )
-        _emit(report.to_json())
-    elif args.verb == "moments":
+    if args.verb == "moments":
         from .moments import MomentVector
 
-        m = _load_matrix(args.matrix)
-        _emit(MomentVector.of_matrix(m, args.k).to_json())
-    elif args.verb == "cumulants":
+        return MomentVector.of_matrix(_load_matrix(args.matrix), args.k)
+    if args.verb == "cumulants":
         from .moments import cumulants_of_matrix
 
-        _emit(cumulants_of_matrix(_load_matrix(args.matrix)).to_json())
-    elif args.verb == "sum-moments":
+        return cumulants_of_matrix(_load_matrix(args.matrix))
+    if args.verb == "sum-moments":
         from .moments import MomentVector, ffp_sum_moments
 
         a, b = _load_matrix(args.a), _load_matrix(args.b)
         a._require_same_size(b)
-        result = ffp_sum_moments(
-            MomentVector.of_matrix(a), MomentVector.of_matrix(b), args.count
-        )
-        _emit(result.to_json())
-    elif args.verb == "rank-bound":
+        return ffp_sum_moments(MomentVector.of_matrix(a), MomentVector.of_matrix(b), args.count)
+    if args.verb == "rank-bound":
         from .families import rank_upper_bound
 
-        _emit({"n": args.n, "rank_bound": _int_str(rank_upper_bound(args.n))})
-    elif args.verb == "witness-ekl":
-        from .ffp import ekl_witness
+        return {"n": args.n, "rank_bound": _int_str(rank_upper_bound(args.n))}
+    # witness-ekl
+    from .ffp import ekl_witness
 
-        witness = ekl_witness(_load_matrix(args.matrix))
-        if witness is None:
-            _emit({"found": False})
-        else:
-            k, l, report = witness
-            _emit({"found": True, "k": k, "l": l, "report": report.to_json()})
-    return 0
+    witness = ekl_witness(_load_matrix(args.matrix))
+    if witness is None:
+        return {"found": False}
+    k, l, report = witness
+    return {"found": True, "k": k, "l": l, "report": report}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _run(args)
+        result = _run(args)
     except _Help as text:
-        _emit({"help": str(text)})
-        return 0
+        result = {"help": str(text)}
     except _UsageError as exc:
         return _fail("usage", str(exc))
     except FinFreeError as exc:
         return _fail(exc.code, str(exc))
     except OSError as exc:
         return _fail("io-error", str(exc))
+    sys.stdout.write(json.dumps(_json(result), sort_keys=True) + "\n")
+    # only check-ffp's report has a verdict; a false one exits 2, for shell pipelines
+    return 0 if getattr(result, "verdict", True) else 2
 
 
 if __name__ == "__main__":

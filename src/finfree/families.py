@@ -33,9 +33,9 @@ from typing import Optional
 
 from .errors import IndexRangeError, ParseError, UnsupportedPairError, _guard
 from .ffp import FfpReport, _failure_report
-from .matrices import Matrix, _minors_balanced
+from .matrices import Matrix, _constant, _labelled, _masks, _minors_balanced
 from .polynomials import ADDITIVE, Polynomial
-from .scalars import ONE, GaussianRational, _scaled, as_scalar
+from .scalars import ONE, GaussianRational, _Record, as_scalar
 
 PROBE_MAGNITUDES = (10, 100)
 
@@ -142,7 +142,7 @@ def cycle_sums(a: Matrix) -> CycleSums:
     index sets come in lexicographic order and are 1-based.
     """
     n = _guard("cycle-sums", a.n)
-    d, m = a._d, a._m
+    m = a._m
     sums = {}
     for s in range(n):
         sums[1 << s] = m[s][s]
@@ -166,16 +166,9 @@ def cycle_sums(a: Matrix) -> CycleSums:
                     nxt = paths.setdefault(mask | 1 << w, {})
                     nxt[w] = nxt.get(w, 0) + total * row[w]
             sums[mask | 1 << s] = closed
-    by_order = {}
-    for k in range(1, n + 1):
-        by_order[k] = []
-        for subset in itertools.combinations(range(n), k):
-            c = sums.get(sum(1 << i for i in subset), 0)
-            by_order[k].append((tuple(i + 1 for i in subset), _scaled(c, d**k)))
-    balanced = all(
-        all(v == entries[0][1] for _, v in entries[1:]) for entries in by_order.values()
-    )
-    return CycleSums(n, by_order, balanced)
+    # the sums of one order share the scale d^k, so their numerators compare the same
+    levels = [[sums.get(mask, 0) for mask in level] for level in _masks(n, n)]
+    return CycleSums(n, {k: _labelled(levels[k], a, k) for k in range(1, n + 1)}, _constant(levels))
 
 
 # -- samplers ---------------------------------------------------------------
@@ -319,7 +312,7 @@ SUPPORTED_PAIRS = (
 
 
 @dataclass(frozen=True)
-class BoundaryCheck:
+class BoundaryCheck(_Record):
     """A matrix outside one family together with a partner inside the other
     family against which finite free position fails."""
 
@@ -328,17 +321,9 @@ class BoundaryCheck:
     partner: Matrix
     report: FfpReport
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "outsider": self.outsider.to_json(),
-            "partner": self.partner.to_json(),
-            "report": self.report.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class TrialFailure:
+class TrialFailure(_Record):
     """A sampled pair that fails finite free position: trial ``trial`` of a
     run, drawn from ``random.Random(seed)``, so ``verify_pair`` with this
     seed and one trial draws the same pair again."""
@@ -349,18 +334,9 @@ class TrialFailure:
     trial: int
     seed: int
 
-    def to_json(self) -> dict:
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "a": self.a.to_json(),
-            "b": self.b.to_json(),
-            "report": self.report.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class PairCheckReport:
+class PairCheckReport(_Record):
     families: tuple
     kind: str
     trials: int
@@ -372,17 +348,6 @@ class PairCheckReport:
     @property
     def all_passed(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "families": [f.value for f in self.families],
-            "kind": self.kind,
-            "trials": self.trials,
-            "n": self.n,
-            "seed": self.seed,
-            "failures": [f.to_json() for f in self.failures],
-            "boundary_checks": [c.to_json() for c in self.boundary_checks],
-        }
 
 
 def verify_pair(

@@ -50,11 +50,11 @@ from .polynomials import (
     boxplus,
     boxtimes,
 )
-from .scalars import GaussianRational, _scaled
+from .scalars import GaussianRational, _Record, _scaled
 
 
 @dataclass(frozen=True)
-class FfpReport:
+class FfpReport(_Record):
     """Outcome of one finite-free-position check.
 
     ``residuals`` maps coefficient index k (of x^{n-k}) to the exact
@@ -67,15 +67,6 @@ class FfpReport:
     residuals: dict
     lhs: Polynomial
     rhs: Polynomial
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "residuals": {str(k): str(v) for k, v in self.residuals.items()},
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
-        }
 
 
 class _FfpInts(NamedTuple):
@@ -196,7 +187,7 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
 
 
 @dataclass(frozen=True)
-class HaarAverageResult:
+class HaarAverageResult(_Record):
     """Float average of characteristic polynomials over Haar samples."""
 
     kind: str
@@ -205,23 +196,7 @@ class HaarAverageResult:
     coeffs: tuple  # real parts, descending degree
     max_deviation: float  # max |avg - exact convolution| over coefficients
     tolerance: Optional[float]
-
-    @property
-    def within_tolerance(self) -> Optional[bool]:
-        if self.tolerance is None:
-            return None
-        return self.max_deviation < self.tolerance
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "samples": self.samples,
-            "seed": self.seed,
-            "coeffs": list(self.coeffs),
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "within_tolerance": self.within_tolerance,
-        }
+    within_tolerance: Optional[bool]  # None without a tolerance, else max_deviation < tolerance
 
 
 def _floats(values) -> list:
@@ -318,6 +293,7 @@ def expected_charpoly_haar_mc(
         coeffs=tuple(float(x) for x in avg.real),
         max_deviation=deviation,
         tolerance=tolerance,
+        within_tolerance=None if tolerance is None else deviation < tolerance,
     )
 
 

@@ -264,6 +264,12 @@ def _children(det, block):
         yield pivot, [[(pivot * x - row[p] * y) // det for x, y in zip(row[p + 1:], tail)] for row in block[p + 1:]]
 
 
+def _masks(n: int, top: int) -> list:
+    """The k-subsets of range(n) as bitmasks, for k = 0..top, each order in
+    lexicographic order of its subsets, as ``_minor_tree`` orders minors."""
+    return [[sum(1 << i for i in s) for s in combinations(range(n), k)] for k in range(top + 1)]
+
+
 def _minor_levels(m, top: int) -> list:
     """The principal minors of orders 0..top of the Gaussian integer matrix
     m, as ``_minor_tree`` orders them, read off the tree of M + tI
@@ -273,7 +279,7 @@ def _minor_levels(m, top: int) -> list:
     built."""
     n = len(m)
     t, shifted = _dominant(m)
-    masks = [[sum(1 << i for i in s) for s in combinations(range(n), k)] for k in range(top + 1)]
+    masks = _masks(n, top)
     minors = dict(zip(chain(*masks), chain(*islice(_minor_tree(shifted), top + 1))))
     for i in range(n):
         bit = 1 << i

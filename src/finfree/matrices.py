@@ -67,6 +67,7 @@ from .kernel import (
     _gscale,
     _iadd,
     _join,
+    _masks,  # families.cycle_sums labels its sums over these masks with _labelled
     _minor_levels,
     _minor_tree,
     _split,
@@ -140,6 +141,8 @@ class Matrix:
             entries = obj["entries"]
         except (TypeError, KeyError) as exc:
             raise ParseError(f"matrix JSON needs 'n' and 'entries': {exc}") from None
+        if type(n) is not int:
+            raise ParseError(f"matrix JSON 'n' must be an integer, got {n!r}")
         if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
             raise ParseError("matrix JSON 'entries' must be a list of row lists")
         m = cls([[GaussianRational.from_json(x) for x in row] for row in entries])
@@ -328,11 +331,13 @@ def _minors_balanced(a: Matrix) -> bool:
     and the first order that mismatches ends it, before the tree builds the
     next one."""
     _guard("minors", a.n)
-    for level in _minor_tree(_dominant(a._m)[1]):
-        first = level[0]
-        if any(v != first for v in level):
-            return False
-    return True
+    return _constant(_minor_tree(_dominant(a._m)[1]))
+
+
+def _constant(levels) -> bool:
+    """Whether each level holds one value; ``all`` stops at the first level
+    that does not, so a lazy ``levels`` builds no deeper one."""
+    return all(level.count(level[0]) == len(level) for level in levels)
 
 
 def minor_table(a: Matrix) -> dict:

@@ -41,11 +41,11 @@ from .errors import (
 )
 from .matrices import Matrix, char_poly, moment_vector_of
 from .polynomials import Polynomial, _power_sums, boxplus
-from .scalars import ONE, ZERO, GaussianRational, as_scalar
+from .scalars import ONE, ZERO, GaussianRational, _Record, as_scalar
 
 
 @dataclass(frozen=True)
-class _Values:
+class _Values(_Record):
     """n and a 1-based vector of exact values, named by the subclass's ``_what``."""
 
     n: int
@@ -57,9 +57,6 @@ class _Values:
         if isinstance(self.values, str) or not isinstance(self.values, Sequence):
             raise ParseError(f"{self._what} vector values must be a sequence, got {self.values!r}")
         object.__setattr__(self, "values", tuple(as_scalar(v) for v in self.values))
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "values": [str(v) for v in self.values]}
 
     def __getitem__(self, k: int) -> GaussianRational:
         if not 1 <= k <= len(self.values):

@@ -69,6 +69,8 @@ class Polynomial:
             coeffs = obj["coeffs"]
         except (TypeError, KeyError) as exc:
             raise ParseError(f"polynomial JSON needs 'degree' and 'coeffs': {exc}") from None
+        if type(degree) is not int:
+            raise ParseError(f"polynomial JSON 'degree' must be an integer, got {degree!r}")
         if not isinstance(coeffs, list):
             raise ParseError("polynomial JSON 'coeffs' must be a list")
         p = cls(GaussianRational.from_json(c) for c in coeffs)
@@ -129,8 +131,7 @@ def _check_pair(p: Polynomial, q: Polynomial) -> int:
 def _from_int(numerators, s: int, weights=None) -> Polynomial:
     """The polynomial with coefficient k = N_k / (w_k s^k), from kernel
     scalars N_k and positive ints w_k (every w_k = 1 when ``weights`` is None)."""
-    if weights is None:
-        return Polynomial(_scaled(z, s**k) for k, z in enumerate(numerators))
+    weights = weights or [1] * len(numerators)
     return Polynomial(_scaled(z, w * s**k) for k, (z, w) in enumerate(zip(numerators, weights)))
 
 

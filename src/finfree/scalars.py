@@ -15,6 +15,11 @@ Exponent forms ("1e-5") are bounded by the ``exponent`` guard
 The exact integer kernel computes on Gaussian integers instead: an int, or a
 ``_GaussInt`` when the value is complex, and ``_scaled`` divides either by a
 positive integer to give a GaussianRational.
+
+Results reach JSON by one rule, ``_json``: a value with its own ``to_json``
+gives that, containers map through, an enum gives its value and a
+GaussianRational its string. ``_Record`` is the base of the frozen
+dataclasses that serialize as their fields.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from decimal import Decimal
+from enum import Enum
 from fractions import Fraction
 
 from .errors import GUARDS, ParseError, SizeGuardError, _guard
@@ -288,6 +294,33 @@ def _scaled(z, d: int) -> GaussianRational:
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
+
+
+def _json(value):
+    """The JSON form of a result, by one rule, checked in this order: a value
+    with its own ``to_json`` gives what that returns; a dict gives a dict
+    with str keys; a list or tuple gives a list; an enum gives its value; a
+    GaussianRational gives its string; anything else is returned as it is."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, dict):
+        return {str(k): _json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, GaussianRational):
+        return str(value)
+    return value
+
+
+class _Record:
+    """Base of a dataclass whose JSON form maps each field name to ``_json``
+    of its value. It reads ``__dataclass_fields__`` directly, so this module
+    needs no ``dataclasses``."""
+
+    def to_json(self) -> dict:
+        return {name: _json(getattr(self, name)) for name in self.__dataclass_fields__}
 
 
 def as_scalar(value) -> GaussianRational:

@@ -259,6 +259,38 @@ class TestBalancedAndCycles:
         assert payload["balanced"] is True
         assert [e["sum"] for e in payload["orders"]["2"]] == ["12", "12", "12"]
 
+    # recorded before records serialized through one rule (scalars._json)
+    @pytest.mark.parametrize(
+        "matrix, expected",
+        [
+            (
+                EXAMPLE_PB,
+                '{"balanced": true, "n": 3, "orders": {"1": [{"indices": [1], "sum": "1"}, '
+                '{"indices": [2], "sum": "1"}, {"indices": [3], "sum": "1"}], "2": [{"indices": [1, 2], '
+                '"sum": "12"}, {"indices": [1, 3], "sum": "12"}, {"indices": [2, 3], "sum": "12"}], '
+                '"3": [{"indices": [1, 2, 3], "sum": "-114"}]}}\n',
+            ),
+            (
+                GAUSSIAN_A,
+                '{"balanced": false, "n": 3, "orders": {"1": [{"indices": [1], "sum": "1/2"}, '
+                '{"indices": [2], "sum": "-1/3"}, {"indices": [3], "sum": "1"}], "2": [{"indices": [1, 2], '
+                '"sum": "0+2*i"}, {"indices": [1, 3], "sum": "0"}, {"indices": [2, 3], "sum": "3/4+3/4*i"}], '
+                '"3": [{"indices": [1, 2, 3], "sum": "0"}]}}\n',
+            ),
+        ],
+    )
+    def test_cycle_sums_stdout_bytes(self, capsys, write_json, matrix, expected):
+        code, out, err = run(capsys, "cycle-sums", write_json("m.json", matrix))
+        assert (code, out, err) == (0, expected, "")
+
+    def test_cycle_sums_golden_bytes(self, capsys, write_json):
+        code, out, err = run(capsys, "cycle-sums", write_json("m.json", DENSE_7))
+        assert (code, err) == (0, "")
+        assert len(out.encode()) == 5878
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6b065f65b0be8752eba0031929d3bfafa06a8584a8794331a536d66d712f667d"
+        )
+
 
 class TestExpect:
     def test_exact_mode(self, capsys, write_json):
@@ -280,6 +312,49 @@ class TestExpect:
         assert payload["samples"] == 500
         assert isinstance(payload["max_deviation"], float)
         assert payload["within_tolerance"] is True
+
+    # recorded before records serialized through one rule (scalars._json); the pair
+    # is Gaussian and not symmetric, so neither kind's average is a plain convolution
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            (
+                "additive",
+                '{"average": {"coeffs": ["1", "-1/6-1*i", "17/36-107/36*i", "-697/360+7/72*i"], '
+                '"degree": 3}, "convolution": {"coeffs": ["1", "-1/6-1*i", "17/36-107/36*i", '
+                '"-697/360+7/72*i"], "degree": 3}, "equal": true, "kind": "additive"}\n',
+            ),
+            (
+                "multiplicative",
+                '{"average": {"coeffs": ["1", "7/18-7/18*i", "-17/12-19/12*i", "-803/180+47/20*i"], '
+                '"degree": 3}, "convolution": {"coeffs": ["1", "7/18-7/18*i", "-17/12-19/12*i", '
+                '"-803/180+47/20*i"], "degree": 3}, "equal": true, "kind": "multiplicative"}\n',
+            ),
+        ],
+    )
+    def test_exact_stdout_bytes(self, capsys, write_json, kind, expected):
+        a, b = write_json("a.json", GAUSSIAN_A), write_json("b.json", GAUSSIAN_B)
+        code, out, err = run(capsys, "expect", "--kind", kind, a, b)
+        assert (code, out, err) == (0, expected, "")
+
+    # the floats hang on numpy and LAPACK, so only the keys and the verdict are pinned
+    @pytest.mark.parametrize("tolerance", [None, "0.5", "1e-9"])
+    def test_mc_keys(self, capsys, write_json, tolerance):
+        a, b = write_json("a.json", GAUSSIAN_A), write_json("b.json", GAUSSIAN_B)
+        argv = ["expect", "--kind", "additive", "--mc", "--samples", "20", "--seed", "2", a, b]
+        if tolerance is not None:
+            argv[-2:-2] = ["--tolerance", tolerance]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert set(payload) == {
+            "coeffs", "kind", "max_deviation", "samples", "seed", "tolerance", "within_tolerance",
+        }
+        if tolerance is None:
+            assert payload["tolerance"] is payload["within_tolerance"] is None
+        else:
+            assert payload["tolerance"] == float(tolerance)
+            assert payload["within_tolerance"] is (payload["max_deviation"] < float(tolerance))
 
     def test_mc_requires_seed(self, capsys, write_json):
         a = write_json("a.json", {"n": 2, "entries": [["1", "0"], ["0", "-1"]]})
@@ -485,6 +560,37 @@ class TestSmallVerbs:
         assert code == 0
         assert json.loads(out) == {"found": False}
 
+    # recorded before records serialized through one rule (scalars._json)
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("rank-bound", "--n", "3"), '{"n": 3, "rank_bound": "27"}\n'),
+            (("rank-bound", "--n", "6"), '{"n": 6, "rank_bound": "12606"}\n'),
+            (
+                ("witness-ekl", "B"),
+                '{"found": true, "k": 1, "l": 2, "report": {"kind": "additive", "lhs": {"coeffs": '
+                '["1", "-3", "1", "1"], "degree": 3}, "residuals": {"2": "-1", "3": "1"}, "rhs": '
+                '{"coeffs": ["1", "-3", "2", "0"], "degree": 3}, "verdict": false}}\n',
+            ),
+            (
+                ("witness-ekl", "A"),
+                '{"found": true, "k": 1, "l": 2, "report": {"kind": "additive", "lhs": {"coeffs": '
+                '["1", "-7/6", "-11/4-11/4*i", "61/24+19/8*i"], "degree": 3}, "residuals": {"2": "-2", '
+                '"3": "2"}, "rhs": {"coeffs": ["1", "-7/6", "-3/4-11/4*i", "13/24+19/8*i"], "degree": 3}, '
+                '"verdict": false}}\n',
+            ),
+            (("witness-ekl", "D"), '{"found": false}\n'),
+        ],
+    )
+    def test_stdout_bytes(self, capsys, write_json, argv, expected):
+        paths = {
+            "A": write_json("a.json", GAUSSIAN_A),
+            "B": write_json("b.json", GOLDEN_B),
+            "D": write_json("d.json", {"n": 2, "entries": [["1", "0"], ["0", "2"]]}),
+        }
+        code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert (code, out, err) == (0, expected, "")
+
 
 class TestErrorPaths:
     @pytest.mark.parametrize(
@@ -670,6 +776,17 @@ class TestPayloadShapes:
         p = write_json("p.json", {"degree": 1, "coeffs": 5})
         self.assert_parse_error(capsys, "convolve", "--kind", "additive", p, p)
 
+    @pytest.mark.parametrize("size", [True, 2.0, "2"])
+    def test_declared_matrix_size_not_an_integer(self, capsys, write_json, size):
+        entries = [["2"]] if size is True else [["1", "0"], ["0", "1"]]
+        self.assert_parse_error(capsys, "charpoly", write_json("m.json", {"n": size, "entries": entries}))
+
+    @pytest.mark.parametrize("size", [True, 2.0, "2"])
+    def test_declared_degree_not_an_integer(self, capsys, write_json, size):
+        coeffs = ["1", "-2"] if size is True else ["1", "0", "-1"]
+        p = write_json("p.json", {"degree": size, "coeffs": coeffs})
+        self.assert_parse_error(capsys, "convolve", "--kind", "additive", p, p)
+
     def test_exponent_in_imaginary_part(self, capsys, write_json):
         path = write_json("m.json", {"n": 1, "entries": [["2+1e-5*i"]]})
         code, out, _ = run(capsys, "charpoly", path)
@@ -726,6 +843,13 @@ class TestRangeChecks:
         a = write_json("a.json", {"n": 2, "entries": [["1", "0"], ["0", "-1"]]})
         self.assert_usage_error(
             capsys, "expect", "--kind", "additive", "--mc", "--samples", "10", "--seed", "-1", a, a
+        )
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_expect_mc_samples_below_one(self, capsys, write_json, samples):
+        a = write_json("a.json", {"n": 2, "entries": [["1", "0"], ["0", "-1"]]})
+        self.assert_usage_error(
+            capsys, "expect", "--kind", "additive", "--mc", "--samples", samples, "--seed", "1", a, a
         )
 
     def test_moments_k_below_one(self, capsys, write_json):
