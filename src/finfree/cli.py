@@ -154,7 +154,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=_at_least(1))
 
     p = sub.add_parser("rank-bound", help="upper bound for the rank of a finite free variety")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
 
     p = sub.add_parser("witness-ekl", help="unit-matrix witness for a non-diagonal matrix")
     p.add_argument("matrix")

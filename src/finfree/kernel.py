@@ -164,24 +164,17 @@ def _toeplitz(t) -> list:
     return [t[i::-1] for i in range(len(t))]
 
 
-def _berkowitz_step(block, left, col, diag, c) -> list:
-    """One step of Berkowitz's recurrence (module docstring) on kernel
-    scalars: the coefficients of chi of the r x r ``block`` (by rows, r >= 1)
-    bordered by the row ``left``, the column ``col`` and the corner ``diag``,
-    from the coefficients c of chi of ``block``. The additive
-    signed-permutation walk (``signed_perms``) runs it once per prefix."""
-    t = [1, -diag, -sum(map(mul, left, col))]
-    for _ in range(len(block) - 1):
-        col = [sum(map(mul, row, col)) for row in block]
-        t.append(-sum(map(mul, left, col)))
-    return [sum(map(mul, row, c)) for row in _toeplitz(t)]
-
-
 def _berkowitz_int(x, n: int) -> list:
-    """C_0..C_n of chi of the int matrix x, by Berkowitz's recurrence."""
+    """C_0..C_n of chi of the int matrix x, by Berkowitz's recurrence (module
+    docstring): step r borders the leading block with R, S and x[r][r]."""
     c = [1, -x[0][0]]
     for r in range(1, n):
-        c = _berkowitz_step([row[:r] for row in x[:r]], x[r][:r], [row[r] for row in x[:r]], x[r][r], c)
+        block, left, col = [row[:r] for row in x[:r]], x[r][:r], [row[r] for row in x[:r]]
+        t = [1, -x[r][r], -sum(map(mul, left, col))]
+        for _ in range(r - 1):
+            col = [sum(map(mul, row, col)) for row in block]
+            t.append(-sum(map(mul, left, col)))
+        c = [sum(map(mul, row, c)) for row in _toeplitz(t)]
     return c
 
 

@@ -22,20 +22,8 @@ AGL(1, 5), at n = 5 and PGL(2, 5) on the projective line over F_5 (with
 infinity as 5) at n = 6, of orders 1, 2, 3, 12, 20 and 120. At n = 7 only
 A7 would do.
 
-Additive: one walk over the prefixes of Q. Berkowitz's step r (``kernel``)
-reads only the leading (r + 1) x (r + 1) block of M_A + Q^T M_B Q, and that
-block depends only on Q's first r + 1 (index, sign) choices. So one
-depth-first walk over those prefixes runs each step once per prefix: a node
-extends its parent's block by one row, one column and one corner cell, each
-cell A's plus B's signed one, and runs one ``kernel._berkowitz_step`` on its
-parent's coefficients; the leaves' coefficients are summed. The prefixes
-are those of G's elements, so at n = 4 that is 24 + 48 + 96 steps, where one
-chi per conjugate takes 3 x 96, and no leaf builds a full conjugate, adds
-two matrices or scans for triangularity.
-
-Multiplicative: Cauchy-Binet on minors taken once. No prefix of Q fixes a
-leading block of M_A Y, Y = Q^T M_B Q, since every entry of the product
-sums over all of Q. But coefficient k of chi_{M_A Y} is
+Multiplicative: Cauchy-Binet on minors taken once. With Y = Q^T M_B Q,
+coefficient k of chi_{M_A Y} is
 
     C_k = (-1)^k sum_{|S| = |T| = k} det M_A[S, T] det Y[T, S],
 
@@ -43,30 +31,43 @@ and det Y[T, S] = sigma(T) sigma(S) eps(T) eps(S) det M_B[pi T, pi S], with
 sigma(T) the product of the signs on T and eps(T) the sign of the
 permutation that sorts pi T. Every k x k minor of M_A and of M_B, C(2n, n)
 of each over k = 0..n, comes from one Laplace recurrence on the minors of
-order k - 1. For each pi in G the products
-w_ST = eps(S) eps(T) det M_A[S, T] det M_B[pi T, pi S] are formed once.
-(S, T) and (T, S) share the weight sigma(S) sigma(T), which is 1 on S = T,
-so with the folded f_ST = w_ST + w_TS for S < T a conjugate's C_k is
-(-1)^k (sum_S w_SS + sum_{S < T} +-f_ST). Per pi and k that is the base
-(-1)^k (sum_S w_SS + sum_{S < T} f_ST), the C_k of all signs +1, plus the
-flip -(-1)^k 2 f_ST of each pair that takes -. Which pairs take - depends
-only on the sign vector, so it is fixed once per n, and a conjugate sums
-the flips of its pairs with ``compress``: at n = 4 up to 27 additions, and
-no multiplication. C_0 = 1 and C_n = (-1)^n det M_A det M_B.
+order k - 1. Per pi the products w_ST = eps(S) eps(T) det M_A[S, T]
+det M_B[pi T, pi S] are formed once and folded, f_ST = w_ST + w_TS for
+S < T, as (S, T) and (T, S) share the weight sigma(S) sigma(T), 1 on S = T.
+Per pi and k the base (-1)^k (sum_S w_SS + sum_{S < T} f_ST) is the C_k of
+all signs +1, and a conjugate adds the flip -(-1)^k 2 f_ST of each pair
+that takes -: at n = 4 up to 27 additions. C_0 = 1 and C_n = (-1)^n det M_A
+det M_B.
 
-Each conjugate's coefficient vector is formed from its own (pi, signs) and
-only then added to the total. Summed over the sign vectors, the folded
-pairs cancel, and that cancellation is the identity the mean checks, so the
-sum is never taken over the signs first, and no conjugate of G is skipped.
+Additive: the minors of a sum (M. Marcus, "Determinants of sums", College
+Math. J. 21, 1990), on the same minors. Coefficient k of chi_{M_A + Y} is
+
+    C_k = (-1)^k sum_{|S| = k} sum_{I, J in S, |I| = |J|}
+          (-1)^(s_S(I) + s_S(J)) det M_A[I, J] det Y[S - I, S - J],
+
+s_S(I) the sum of the 1-based places of I in S. With Y0[i][j] =
+M_B[pi i][pi j], det Y[P, R] = sigma(P) sigma(R) det Y0[P, R], and
+(S - I) ^ (S - J) = I ^ J = D, so a term's sign factor is sigma(D). The
+minors each term reads, and its group (k, D), are fixed once per n: 194
+terms at n = 4, 3,988 at n = 6. Per call, A's side of the terms is one
+list; per pi, Y0's minors are B's moved by pos and signed by eps, one
+``map(mul, ...)`` forms every term and each group is summed. A conjugate's
+C_k is the sum of all groups less twice those whose D holds an odd number
+of flipped signs.
+
+In both, the pairs or groups that a sign vector flips are a mask fixed once
+per n, summed with ``compress``. Each conjugate's vector is formed from its
+own (pi, signs), with no matrix built and no chi run, and only then added:
+summed over the signs, the flips cancel, and that cancellation is the
+identity the mean checks, so no sum over the signs is taken first.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul
 
-from .kernel import _berkowitz_step
 from .matrices import Matrix, _pair_form
 from .polynomials import Polynomial, _from_int
 
@@ -106,64 +107,32 @@ def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool) -> Polynomia
     divided once."""
     d, ma, mb, _ = _pair_form(a, b, product)
     n = a.n
-    if product:
-        total = [0] * (n + 1)
-        for coeffs in _product_chis(ma, mb, n):
-            total = list(map(add, total, coeffs))
-    else:
-        total = _additive_chi_sum(ma, mb, n)
-    return _from_int(total, d, [len(_group(n)) << (n - 1)] * (n + 1))
-
-
-def _additive_chi_sum(a, b, n: int) -> list:
-    """The sum of C_0..C_n of chi_{M_A + Q^T M_B Q} over the signed
-    permutations Q with signs[0] = +1 and permutation in G, as kernel
-    scalars, for the rows a of M_A and b of M_B, by one walk over the
-    prefixes of G's elements (module docstring): conjugates that share a
-    prefix share its steps."""
     total = [0] * (n + 1)
-
-    def walk(block, elements, signs, c):
-        # elements: G's elements that begin with the prefix walked so far
-        nonlocal total
-        r = len(signs)
-        perm = elements[0][:r]
-        a_left, a_col = a[r][:r], [row[r] for row in a[:r]]
-        for p, below in itertools.groupby(elements, itemgetter(r)):
-            below = list(below)
-            # (Q^T M_B Q)_ij = signs[i] signs[j] M_B[perm[i]][perm[j]]: B's cells in
-            # the new row and column, each times the sign of its other index,
-            # are added for the new sign s = 1 and subtracted for s = -1
-            b_left = [b[p][q] if si == 1 else -b[p][q] for q, si in zip(perm, signs)]
-            b_col = [b[q][p] if si == 1 else -b[q][p] for q, si in zip(perm, signs)]
-            diag = a[r][r] + b[p][p]
-            for s, op in ((1, add), (-1, sub)) if r else ((1, add),):
-                left, col = list(map(op, a_left, b_left)), list(map(op, a_col, b_col))
-                # a 1 x 1 block's coefficients need no step
-                coeffs = _berkowitz_step(block, left, col, diag, c) if r else [1, -diag]
-                if r + 1 == n:
-                    total = list(map(add, total, coeffs))
-                else:
-                    child = [row + [v] for row, v in zip(block, col)] + [left + [diag]]
-                    walk(child, below, signs + [s], coeffs)
-
-    walk([], _group(n), [], [1])
-    return total
+    for coeffs in (_product_chis if product else _sum_chis)(ma, mb, n):
+        total = list(map(add, total, coeffs))
+    return _from_int(total, d, [len(_group(n)) << (n - 1)] * (n + 1))
 
 
 @lru_cache(maxsize=None)
 def _layout(n: int):
-    """What the product sums at size n share, built once per n:
+    """What the means at size n share, built once per n:
 
     - ``laplace[k][i]``: for the i-th k-subset S of range(n), lexicographic,
       its first index S[0], the place of S[1:] among the (k-1)-subsets and,
       for each j, (j, S[j], the place of S without S[j]): what the Laplace
       recurrence reads;
-    - ``perms``: for each pi in G, and each order k = 1..n-1, the place of
+    - ``perms``: for each pi in G, and each order k = 0..n, the place of
       the sorted pi S and eps(S) for each k-subset S;
     - ``negatives``: for each sign vector with signs[0] = +1, and each order
       k = 1..n-1, the mask of the folded pairs (S < T, lexicographic) whose
-      sigma(S) sigma(T) is -1.
+      sigma(S) sigma(T) is -1;
+    - ``terms``: the sum's terms (S, I, J) per order k = 1..n, grouped by
+      D = I ^ J. From every minor laid flat (order by order, each table by
+      rows) and then their negatives, ``a_at`` picks each term's signed
+      det M[I, J] and ``b_at`` its det M[S - I, S - J]; ``groups`` holds the
+      (start, stop, D) of each group per order, and ``odd`` per sign vector
+      and order the mask of the groups whose D holds an odd number of
+      flipped signs.
 
     G's elements come in lexicographic order and sign vectors in
     ``itertools.product((1, -1), repeat=n - 1)`` order behind the +1."""
@@ -174,11 +143,10 @@ def _layout(n: int):
          for s in subsets[k]]
         for k in range(1, n + 1)
     ]
-    orders = range(1, n)
     perms = []
     for perm in _group(n):
         by_order = []
-        for k in orders:
+        for k in range(n + 1):
             pos, eps = [], []
             for s in subsets[k]:
                 image = [perm[i] for i in s]
@@ -187,15 +155,32 @@ def _layout(n: int):
                 eps.append(-1 if inversions & 1 else 1)
             by_order.append((pos, eps))
         perms.append(by_order)
+    flat = {cell: i for i, cell in enumerate((s, t) for level in subsets for s in level for t in level)}
+    terms, groups = [], []
+    for k in range(1, n + 1):
+        # (D, the place of the term's signed det M[I, J], that of its det M[S - I, S - J])
+        by_d = sorted(
+            (sum(1 << x for x in set(i) ^ set(j)),
+             flat[i, j] + len(flat) * ((k + sum(map(s.index, i + j))) & 1),
+             flat[tuple(x for x in s if x not in i), tuple(x for x in s if x not in j)])
+            for s in subsets[k] for size in range(k + 1)
+            for i, j in itertools.product(itertools.combinations(s, size), repeat=2))
+        groups.append([])
+        for d, group in itertools.groupby(by_d, itemgetter(0)):
+            start = len(terms)
+            terms.extend(group)
+            groups[-1].append((start, len(terms), d))
+    _, a_at, b_at = zip(*terms)
     masks = [[sum(1 << i for i in s) for s in subsets[k]] for k in range(n + 1)]
     pairs = [list(itertools.combinations(range(len(subsets[k])), 2)) for k in range(n + 1)]
-    negatives = []
+    negatives, odd = [], []
     for tail in itertools.product((1, -1), repeat=n - 1):
         flipped = sum(1 << i for i, s in enumerate(tail, 1) if s < 0)
         # sigma(S) sigma(T) is -1 when S and T differ on an odd number of flipped signs
         negatives.append([[bin((masks[k][i] ^ masks[k][j]) & flipped).count("1") & 1 for i, j in pairs[k]]
-                          for k in orders])
-    return laplace, pairs, perms, negatives
+                          for k in range(1, n)])
+        odd.append([[bin(d & flipped).count("1") & 1 for _, _, d in level] for level in groups])
+    return laplace, pairs, perms, negatives, (itemgetter(*a_at), itemgetter(*b_at), groups, odd)
 
 
 def _minor_tables(m, n: int) -> list:
@@ -222,11 +207,9 @@ def _product_chis(a, b, n: int):
     """Yield, for each signed permutation Q with signs[0] = +1 and
     permutation in G, C_0..C_n of chi_{M_A Q^T M_B Q} as kernel scalars, for
     the rows a of M_A and b of M_B, by Cauchy-Binet on minors taken once
-    (module docstring). Q runs over G's elements in lexicographic order and,
-    within each, over sign vectors in ``itertools.product((1, -1),
-    repeat=n - 1)`` order behind the +1; each vector belongs to one Q
-    alone."""
-    _, pairs, perms, negatives = _layout(n)
+    (module docstring). Q runs over G's elements and, within each, over the
+    sign vectors, in ``_layout``'s order; each vector belongs to one Q alone."""
+    _, pairs, perms, negatives, _ = _layout(n)
     ta, tb = _minor_tables(a, n), _minor_tables(b, n)
     last = ta[n][0][0] * tb[n][0][0]
     if n & 1:
@@ -234,7 +217,7 @@ def _product_chis(a, b, n: int):
     for by_order in perms:
         # per order k: the base and the flips of the folded pairs (module docstring)
         folded = []
-        for k, (pos, eps) in enumerate(by_order, 1):
+        for k, (pos, eps) in enumerate(by_order[1:n], 1):
             x, y = ta[k], tb[k]
             diag = sum(x[i][i] * y[p][p] for i, p in enumerate(pos))
             pair = []
@@ -249,4 +232,28 @@ def _product_chis(a, b, n: int):
             for (base, flips), negative in zip(folded, by_sign):
                 coeffs.append(base + sum(itertools.compress(flips, negative)))
             coeffs.append(last)
+            yield coeffs
+
+
+def _sum_chis(a, b, n: int):
+    """``_product_chis`` for chi_{M_A + Q^T M_B Q}, in the same order of Q,
+    from the minors of a sum (module docstring)."""
+    _, _, perms, _, (a_at, b_at, groups, odd) = _layout(n)
+    flat = [v for table in _minor_tables(a, n) for row in table for v in row]
+    a_side = a_at(flat + [-v for v in flat])
+    tb = _minor_tables(b, n)
+    for by_order in perms:
+        # the minors of Y0 = (M_B[pi i][pi j]): B's, moved and signed by pi
+        y0 = [row[q] if f == e else -row[q] for table, (pos, eps) in zip(tb, by_order)
+              for row, e in zip(map(table.__getitem__, pos), eps) for q, f in zip(pos, eps)]
+        terms = list(map(mul, a_side, b_at(y0)))
+        # per order k: the base, all signs +1, and the flip of each group of one D
+        folded = []
+        for bounds in groups:
+            sums = [sum(terms[i:j]) for i, j, _ in bounds]
+            folded.append((sum(sums), [-2 * v for v in sums]))
+        for by_sign in odd:
+            coeffs = [1]
+            for (base, flips), negative in zip(folded, by_sign):
+                coeffs.append(base + sum(itertools.compress(flips, negative)))
             yield coeffs

@@ -26,9 +26,9 @@ products by the four-product complex rule and traces written here, not the
 kernel's rows of scalars, Gauss-trick products or traces. The signed
 permutations are enumerated here in full, all 2^n n! of them, and each
 conjugate of the half with signs[0] = +1 is built and combined with A in
-full, where the library runs over a smaller group of permutations and walks
-the prefixes of Q (additive) or sums products of minors of A and B taken
-once (multiplicative).
+full, where the library runs over a smaller group of permutations and sums
+products of minors of A and B taken once, by the expansion of the minors
+of a sum (additive) or by Cauchy-Binet (multiplicative).
 
 The library has no inverse, conjugation or polynomial calculus, as the
 paper's results need none; the counterexample suites and the similarity
@@ -394,9 +394,10 @@ def signed_perm_mean_per_conjugate(a: Matrix, b: Matrix, kind: str) -> Polynomia
     2^(n-1) n! signed permutations Q with signs[0] = +1, one kernel chi per
     conjugate of ``conjugate_forms``: the integer C_k of all of them are
     summed and divided once. The library runs over the permutations of a
-    smaller group G only, and gets the additive mean from one walk over the
-    prefixes of Q, and the multiplicative one by Cauchy-Binet from the minors
-    of A and B, with no product and no chi per conjugate."""
+    smaller group G only, and gets both means from the minors of A and B,
+    the additive one by the expansion of the minors of a sum (Marcus 1990)
+    and the multiplicative one by Cauchy-Binet, with no sum, no product and
+    no chi per conjugate."""
     d, forms = conjugate_forms(a, b, kind)
     n = a.n
     total = [0] * (n + 1)

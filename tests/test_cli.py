@@ -860,6 +860,10 @@ class TestRangeChecks:
         m = write_json("m.json", GOLDEN_B)
         self.assert_usage_error(capsys, "sum-moments", m, m, "--count", "0")
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_rank_bound_n_below_one(self, capsys, n):
+        self.assert_usage_error(capsys, "rank-bound", "--n", n)
+
 
 def test_import_leaves_numpy_out():
     """numpy loads only with ``expect --mc``; importing the package and the

@@ -230,29 +230,32 @@ def test_signed_perm_mean_at_the_limit_is_the_convolution(kind):
 
 
 @pytest.mark.parametrize("entries_of", ["real", "gaussian"])
-def test_additive_signed_perm_mean_shares_prefix_steps(monkeypatch, entries_of):
-    """At n = 4 the prefix walk over A4's 96 conjugates runs 24 + 48 + 96
-    Berkowitz steps, one per prefix past the first index, where one chi per
-    conjugate would run 3 x 96; and it builds no conjugate, adds no matrices and scans none for
-    triangularity."""
+def test_additive_signed_perm_mean_forms_one_vector_per_conjugate(monkeypatch, entries_of):
+    """At n = 4 the additive mean forms 96 coefficient vectors, one per
+    conjugate of A4, from the minors of A and B alone: it builds no
+    conjugate, adds no matrices, scans none for triangularity and runs no
+    chi and no Berkowitz step."""
     a, b = dense_pair(4, entries_of)
     expected = signed_perm_mean_per_conjugate(a, b, ADDITIVE)
 
     def refused(*args):
-        raise AssertionError("a full conjugate on the additive path")
+        raise AssertionError("a sum or a chi on the additive path")
 
-    for module, name in ((matrix_module, "_char_coeffs"), (matrix_module, "_iadd"), (kernel, "_triangular_diagonal")):
-        monkeypatch.setattr(module, name, refused)
-    step, calls = signed_perms._berkowitz_step, []
+    for module in (kernel, matrix_module, signed_perms):
+        for name in ("_char_coeffs", "_iadd", "_triangular_diagonal", "_berkowitz_int", "_berkowitz_gaussian"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    chis, vectors = signed_perms._sum_chis, []
 
     def counted(*args):
-        calls.append(len(args[0]))
-        return step(*args)
+        for coeffs in chis(*args):
+            vectors.append(coeffs)
+            yield coeffs
 
-    monkeypatch.setattr(signed_perms, "_berkowitz_step", counted)
+    monkeypatch.setattr(signed_perms, "_sum_chis", counted)
     assert expected_charpoly_signed_perms(a, b, ADDITIVE) == expected
-    assert len(calls) == 24 + 48 + 96
-    assert [calls.count(r) for r in (1, 2, 3)] == [24, 48, 96]
+    assert len(vectors) == 96
+    assert all(len(coeffs) == 5 for coeffs in vectors)
 
 
 @pytest.mark.parametrize("entries_of", ["real", "gaussian"])
@@ -267,7 +270,7 @@ def test_multiplicative_signed_perm_mean_forms_one_vector_per_conjugate(monkeypa
         raise AssertionError("a product or a chi on the multiplicative path")
 
     for module in (kernel, matrix_module, signed_perms):
-        for name in ("_char_coeffs", "_gmul", "_berkowitz_step"):
+        for name in ("_char_coeffs", "_gmul", "_berkowitz_int", "_berkowitz_gaussian"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused)
     chis, vectors = signed_perms._product_chis, []
@@ -298,6 +301,27 @@ def test_each_product_conjugate_vector_is_chi_of_its_explicit_product(n, entries
     assert d == a._d * b._d
     count = 0
     for form, coeffs in zip(forms, signed_perms._product_chis(a._m, b._m, n), strict=True):
+        assert coeffs == _char_coeffs(_kernel_rows(form), n)
+        count += 1
+    assert count == 2 ** (n - 1) * len(group)
+
+
+@pytest.mark.parametrize("entries_of", ["real", "gaussian", "mixed"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_each_sum_conjugate_vector_is_chi_of_its_explicit_sum(n, entries_of):
+    """Every vector that the additive mean adds is C_0..C_n of chi of its own
+    conjugate M_A + Q^T M_B Q, built as an explicit sum at the pair's common
+    scale, in the oracle's order of (perm, signs) over G's permutations; the
+    pairs are not symmetric, so B's minor at (pi P, pi R) is told from the
+    one at (pi R, pi P)."""
+    a, b = dense_pair(n, entries_of)
+    assert a != a.transpose() and b != b.transpose() or n == 1
+    group = signed_perms._group(n)
+    d, forms = conjugate_forms(a, b, ADDITIVE, group)
+    scale, ma, mb, _ = matrix_module._pair_form(a, b, False)
+    assert d == scale
+    count = 0
+    for form, coeffs in zip(forms, signed_perms._sum_chis(ma, mb, n), strict=True):
         assert coeffs == _char_coeffs(_kernel_rows(form), n)
         count += 1
     assert count == 2 ** (n - 1) * len(group)
@@ -351,10 +375,10 @@ def test_a_transitive_group_that_is_not_2_homogeneous_changes_the_mean(wrong_gro
 
 
 @st.composite
-def minor_inputs(draw):
-    """An n x n integer form, n <= 5, dense or with a zero row, a zero column
-    or rank one."""
-    n = draw(st.integers(1, 5))
+def minor_inputs(draw, n=None):
+    """An n x n integer form, n <= 5 unless given, dense or with a zero row, a
+    zero column or rank one."""
+    n = draw(st.integers(1, 5)) if n is None else n
     gaussian = draw(st.booleans())
     part = st.integers(-10**6, 10**6) | st.integers(-3, 3)
 
@@ -392,6 +416,28 @@ def test_minor_tables_match_det_of_every_block(m):
     for k in range(1, n + 1):
         subsets = list(itertools.combinations(range(n), k))
         assert tables[k] == [[_det_int([[m[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
+
+
+@st.composite
+def minor_input_pairs(draw):
+    """Two ``minor_inputs`` of one size n <= 4, each drawn on its own."""
+    n = draw(st.integers(1, 4))
+    return draw(minor_inputs(n)), draw(minor_inputs(n))
+
+
+@KERNEL
+@given(minor_input_pairs())
+def test_sum_chis_add_up_to_the_chis_of_explicit_sums(pair):
+    """On integer forms with a zero row, a zero column or rank one and parts
+    up to 10^6, the vectors of ``_sum_chis`` sum to the chis of G's explicit
+    conjugates M_A + Q^T M_B Q."""
+    ma, mb = pair
+    n = len(ma)
+    a, b = (Matrix([[GaussianRational(v.real, v.imag) for v in row] for row in m]) for m in pair)
+    d, forms = conjugate_forms(a, b, ADDITIVE, signed_perms._group(n))
+    assert d == 1
+    explicit = [_char_coeffs(_kernel_rows(form), n) for form in forms]
+    assert [sum(c) for c in zip(*signed_perms._sum_chis(ma, mb, n))] == [sum(c) for c in zip(*explicit)]
 
 
 # counts k where s = ceil(sqrt(k)) baby steps change: 1, 2 (s = k), 4, 5 (s = 2, 3), 9, 10
