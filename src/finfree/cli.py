@@ -199,6 +199,9 @@ def _run(args):
             from .ffp import expected_charpoly_haar_mc
 
             return expected_charpoly_haar_mc(a, b, args.kind, args.samples, args.seed, args.tolerance)
+        for flag in ("samples", "seed", "tolerance"):
+            if getattr(args, flag) is not None:
+                raise _UsageError(f"expect --{flag} requires --mc")
         from .ffp import expected_charpoly_signed_perms
         from .matrices import char_poly
 

@@ -164,15 +164,15 @@ def expected_charpoly_signed_perms(a: Matrix, b: Matrix, kind: str) -> Polynomia
     P and -P give the same conjugate, so the mean runs over the 2^(n-1) |G|
     matrices P with signs[0] = +1, in ``signed_perms``, which is imported
     here, so no other verb loads it. Both means take every minor of A and
-    of B once and build no conjugate and no chi. The additive mean expands
-    each principal minor of A + P^T B P over minors of A and of B (M.
-    Marcus, "Determinants of sums", College Math. J. 21, 1990), whose terms
-    are multiplied once per permutation and summed by their sign class; the
-    multiplicative mean takes Cauchy-Binet sums of products of minors, one
-    signed sum of folded pairs per coefficient. Each conjugate's
-    coefficients are formed on their own before they are added, so the
-    cancellation over the signs, which is what the identity asserts, is
-    computed, not assumed.
+    of B once and build no conjugate and no chi: a coefficient of a
+    conjugate is a signed sum of products of a minor of A and a minor of B,
+    by Cauchy-Binet for the product and by the expansion of the minors of a
+    sum (M. Marcus, "Determinants of sums", College Math. J. 21, 1990) for
+    the sum, and one loop serves both kinds, multiplying the terms once per
+    permutation and summing them by the index set on which their sign under
+    P depends. Each conjugate's coefficients are formed on their own before
+    they are added, so the cancellation over the signs, which is what the
+    identity asserts, is computed, not assumed.
     """
     a._require_same_size(b)
     n = a.n

@@ -293,7 +293,6 @@ def _scaled(z, d: int) -> GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
 
 
 def _json(value):

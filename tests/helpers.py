@@ -59,6 +59,7 @@ from finfree.scalars import _GaussInt
 
 ZERO = as_scalar(0)
 ONE = as_scalar(1)
+I = GaussianRational(0, 1)
 
 
 def pair(z) -> tuple:

@@ -362,6 +362,15 @@ class TestExpect:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize("flag, value", [("--samples", "5"), ("--seed", "1"), ("--tolerance", "0.1")])
+    def test_monte_carlo_flag_without_mc_is_a_usage_error(self, capsys, write_json, flag, value):
+        """The exact mean takes no samples, seed or tolerance: a flag it would
+        drop is refused, not ignored."""
+        a = write_json("a.json", {"n": 2, "entries": [["1", "0"], ["0", "-1"]]})
+        code, out, err = run(capsys, "expect", "--kind", "additive", flag, value, a, a)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "usage", "message": f"expect {flag} requires --mc"}
+
     def test_size_guard(self, capsys, write_json):
         big = {"n": 7, "entries": [["1" if i == j else "0" for j in range(7)] for i in range(7)]}
         a = write_json("a.json", big)

@@ -21,9 +21,9 @@ from finfree import (
     is_additive_ffp,
     is_multiplicative_ffp,
 )
-from finfree.scalars import I
 from finfree.families import random_matrix
 from helpers import (
+    I,
     conjugate,
     inverse,
     poly_of_matrix,

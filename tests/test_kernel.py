@@ -230,101 +230,80 @@ def test_signed_perm_mean_at_the_limit_is_the_convolution(kind):
 
 
 @pytest.mark.parametrize("entries_of", ["real", "gaussian"])
-def test_additive_signed_perm_mean_forms_one_vector_per_conjugate(monkeypatch, entries_of):
-    """At n = 4 the additive mean forms 96 coefficient vectors, one per
-    conjugate of A4, from the minors of A and B alone: it builds no
-    conjugate, adds no matrices, scans none for triangularity and runs no
-    chi and no Berkowitz step."""
+@pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])
+def test_signed_perm_mean_forms_one_vector_per_conjugate(monkeypatch, kind, entries_of):
+    """At n = 4 either mean forms 96 coefficient vectors, one per conjugate
+    of A4, from the minors of A and B alone: it builds no conjugate, adds or
+    multiplies no matrices, scans none for triangularity and runs no chi and
+    no Berkowitz step."""
     a, b = dense_pair(4, entries_of)
-    expected = signed_perm_mean_per_conjugate(a, b, ADDITIVE)
+    expected = signed_perm_mean_per_conjugate(a, b, kind)
 
     def refused(*args):
-        raise AssertionError("a sum or a chi on the additive path")
+        raise AssertionError("a sum, a product or a chi on the signed-permutation path")
 
     for module in (kernel, matrix_module, signed_perms):
-        for name in ("_char_coeffs", "_iadd", "_triangular_diagonal", "_berkowitz_int", "_berkowitz_gaussian"):
+        for name in ("_char_coeffs", "_iadd", "_gmul", "_triangular_diagonal", "_berkowitz_int", "_berkowitz_gaussian"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused)
-    chis, vectors = signed_perms._sum_chis, []
+    chis, vectors = signed_perms._chis, []
 
     def counted(*args):
         for coeffs in chis(*args):
             vectors.append(coeffs)
             yield coeffs
 
-    monkeypatch.setattr(signed_perms, "_sum_chis", counted)
-    assert expected_charpoly_signed_perms(a, b, ADDITIVE) == expected
+    monkeypatch.setattr(signed_perms, "_chis", counted)
+    assert expected_charpoly_signed_perms(a, b, kind) == expected
     assert len(vectors) == 96
     assert all(len(coeffs) == 5 for coeffs in vectors)
 
 
-@pytest.mark.parametrize("entries_of", ["real", "gaussian"])
-def test_multiplicative_signed_perm_mean_forms_one_vector_per_conjugate(monkeypatch, entries_of):
-    """At n = 4 the multiplicative mean forms 96 coefficient vectors, one per
-    conjugate of A4, from the minors of A and B alone: it runs no chi, no matrix
-    product and no Berkowitz step."""
-    a, b = dense_pair(4, entries_of)
-    expected = signed_perm_mean_per_conjugate(a, b, MULTIPLICATIVE)
+def test_a_mean_builds_the_term_tables_of_its_own_kind_alone():
+    """From fresh caches, a multiplicative mean at n = 4 builds the
+    multiplicative term table and not the additive one, which is built only
+    when asked for."""
+    signed_perms._terms.cache_clear()
+    expected_charpoly_signed_perms(*dense_pair(4, "real"), MULTIPLICATIVE)
+    info = signed_perms._terms.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    signed_perms._terms(4, False)
+    info = signed_perms._terms.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
-    def refused(*args):
-        raise AssertionError("a product or a chi on the multiplicative path")
 
-    for module in (kernel, matrix_module, signed_perms):
-        for name in ("_char_coeffs", "_gmul", "_berkowitz_int", "_berkowitz_gaussian"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refused)
-    chis, vectors = signed_perms._product_chis, []
-
-    def counted(*args):
-        for coeffs in chis(*args):
-            vectors.append(coeffs)
-            yield coeffs
-
-    monkeypatch.setattr(signed_perms, "_product_chis", counted)
-    assert expected_charpoly_signed_perms(a, b, MULTIPLICATIVE) == expected
-    assert len(vectors) == 96
-    assert all(len(coeffs) == 5 for coeffs in vectors)
+def each_conjugate_vector_is_chi_of_its_explicit_form(n, entries_of, kind):
+    """Every vector that the mean of ``kind`` adds is C_0..C_n of chi of its
+    own conjugate M_A + Q^T M_B Q or M_A Q^T M_B Q, built in full at the
+    pair's scale, in the oracle's order of (perm, signs) over G's
+    permutations; the pairs are not symmetric, so B's minor at (pi P, pi R)
+    is told from the one at (pi R, pi P)."""
+    a, b = dense_pair(n, entries_of)
+    assert a != a.transpose() and b != b.transpose() or n == 1
+    group = signed_perms._group(n)
+    d, forms = conjugate_forms(a, b, kind, group)
+    product = kind == MULTIPLICATIVE
+    scale, ma, mb, _ = matrix_module._pair_form(a, b, product)
+    assert d == scale
+    count = 0
+    for form, coeffs in zip(forms, signed_perms._chis(ma, mb, n, product), strict=True):
+        assert coeffs == _char_coeffs(_kernel_rows(form), n)
+        count += 1
+    assert count == 2 ** (n - 1) * len(group)
 
 
 @pytest.mark.parametrize("entries_of", ["real", "gaussian", "mixed"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_each_product_conjugate_vector_is_chi_of_its_explicit_product(n, entries_of):
-    """Every vector that the multiplicative mean adds is C_0..C_n of chi of
-    its own conjugate M_A Q^T M_B Q, built as an explicit product, in the
-    oracle's order of (perm, signs) over G's permutations; the pairs are not
-    symmetric, so B's minor at (pi T, pi S) is told from the one at
-    (pi S, pi T)."""
-    a, b = dense_pair(n, entries_of)
-    assert a != a.transpose() and b != b.transpose() or n == 1
-    group = signed_perms._group(n)
-    d, forms = conjugate_forms(a, b, MULTIPLICATIVE, group)
-    assert d == a._d * b._d
-    count = 0
-    for form, coeffs in zip(forms, signed_perms._product_chis(a._m, b._m, n), strict=True):
-        assert coeffs == _char_coeffs(_kernel_rows(form), n)
-        count += 1
-    assert count == 2 ** (n - 1) * len(group)
+    """``each_conjugate_vector_is_chi_of_its_explicit_form``, multiplicative."""
+    each_conjugate_vector_is_chi_of_its_explicit_form(n, entries_of, MULTIPLICATIVE)
 
 
 @pytest.mark.parametrize("entries_of", ["real", "gaussian", "mixed"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_each_sum_conjugate_vector_is_chi_of_its_explicit_sum(n, entries_of):
-    """Every vector that the additive mean adds is C_0..C_n of chi of its own
-    conjugate M_A + Q^T M_B Q, built as an explicit sum at the pair's common
-    scale, in the oracle's order of (perm, signs) over G's permutations; the
-    pairs are not symmetric, so B's minor at (pi P, pi R) is told from the
-    one at (pi R, pi P)."""
-    a, b = dense_pair(n, entries_of)
-    assert a != a.transpose() and b != b.transpose() or n == 1
-    group = signed_perms._group(n)
-    d, forms = conjugate_forms(a, b, ADDITIVE, group)
-    scale, ma, mb, _ = matrix_module._pair_form(a, b, False)
-    assert d == scale
-    count = 0
-    for form, coeffs in zip(forms, signed_perms._sum_chis(ma, mb, n), strict=True):
-        assert coeffs == _char_coeffs(_kernel_rows(form), n)
-        count += 1
-    assert count == 2 ** (n - 1) * len(group)
+    """``each_conjugate_vector_is_chi_of_its_explicit_form``, additive."""
+    each_conjugate_vector_is_chi_of_its_explicit_form(n, entries_of, ADDITIVE)
 
 
 @pytest.mark.parametrize("n, order", [(1, 1), (2, 2), (3, 3), (4, 12), (5, 20), (6, 120)])
@@ -426,18 +405,20 @@ def minor_input_pairs(draw):
 
 
 @KERNEL
-@given(minor_input_pairs())
-def test_sum_chis_add_up_to_the_chis_of_explicit_sums(pair):
+@given(minor_input_pairs(), st.sampled_from((ADDITIVE, MULTIPLICATIVE)))
+def test_sum_chis_add_up_to_the_chis_of_explicit_sums(pair, kind):
     """On integer forms with a zero row, a zero column or rank one and parts
-    up to 10^6, the vectors of ``_sum_chis`` sum to the chis of G's explicit
-    conjugates M_A + Q^T M_B Q."""
+    up to 10^6, the vectors of ``_chis`` of either kind sum to the chis of
+    G's explicit conjugates M_A + Q^T M_B Q or M_A Q^T M_B Q (the name keeps
+    the kind it started with)."""
     ma, mb = pair
     n = len(ma)
     a, b = (Matrix([[GaussianRational(v.real, v.imag) for v in row] for row in m]) for m in pair)
-    d, forms = conjugate_forms(a, b, ADDITIVE, signed_perms._group(n))
+    d, forms = conjugate_forms(a, b, kind, signed_perms._group(n))
     assert d == 1
     explicit = [_char_coeffs(_kernel_rows(form), n) for form in forms]
-    assert [sum(c) for c in zip(*signed_perms._sum_chis(ma, mb, n))] == [sum(c) for c in zip(*explicit)]
+    chis = signed_perms._chis(ma, mb, n, kind == MULTIPLICATIVE)
+    assert [sum(c) for c in zip(*chis)] == [sum(c) for c in zip(*explicit)]
 
 
 # counts k where s = ceil(sqrt(k)) baby steps change: 1, 2 (s = k), 4, 5 (s = 2, 3), 9, 10

@@ -1,6 +1,8 @@
-"""The package surface: ``finfree`` imports its submodules lazily and still
-exports every name in ``__all__``."""
+"""The package surface: ``finfree`` imports its submodules lazily, still
+exports every name in ``__all__``, and defines nothing at module level that
+neither ``src/finfree`` reads nor ``__all__`` exports."""
 
+import ast
 import importlib
 import json
 import os
@@ -17,6 +19,35 @@ def test_every_exported_name_is_its_submodules_object():
     for name in finfree.__all__:
         module = importlib.import_module(f"finfree.{finfree._HOME[name]}")
         assert getattr(finfree, name) is getattr(module, name)
+
+
+def test_every_module_level_name_is_read_in_the_package_or_exported():
+    """Every function, class and assigned name at the top of a module of
+    ``src/finfree`` is loaded somewhere in ``src/finfree``, as a name or an
+    attribute, or is in ``__all__``; dunders are exempt. A helper that only
+    the tests use belongs in ``tests/``."""
+    trees = {path.name: ast.parse(path.read_text()) for path in Path(finfree.__file__).parent.glob("*.py")}
+    loaded = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                names = []
+            unused += [f"{module}: {name}" for name in names
+                       if not (name.startswith("__") and name.endswith("__"))
+                       and name not in loaded and name not in finfree.__all__]
+    assert len(trees) > 1
+    assert not unused
 
 
 def test_dir_lists_every_exported_name():

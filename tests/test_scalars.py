@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from finfree import GaussianRational, ParseError, SizeGuardError, as_scalar
 from finfree.errors import GUARDS
-from finfree.scalars import I, ONE, ZERO, _GaussInt, _int_str, _scaled
+from finfree.scalars import ONE, ZERO, _GaussInt, _int_str, _scaled
+from helpers import I
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
