@@ -80,7 +80,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # not JSON, or not UTF-8 text
         raise ParseError(f"{path}: {exc}") from None
     except (RecursionError, MemoryError) as exc:  # nesting deeper than the decoder's stack
         raise ParseError(f"{path}: JSON too deeply nested or too large ({type(exc).__name__})") from None

@@ -42,26 +42,56 @@ det Y0[P, R] = eps(P) eps(R) det M_B[pi P, pi R], eps(P) the sign of the
 permutation that sorts pi P. So the minors each term reads, its sign and its
 group (k, D) are fixed once per n and kind: C(2n, n) terms in the product
 and sum_k C(n, k) C(2k, k) in the sum, 70 and 195 at n = 4, 924 and 3,989 at
-n = 6, C_0's one term included. Every k x k minor of M_A and of M_B, C(2n, n)
-of each over k = 0..n, comes from one Laplace recurrence on the minors of
-order k - 1. Per call, A's side of the terms is one list; per pi, one gather
-moves B's minors to Y0's, one ``map(mul, ...)`` forms every term and each
-group is summed. A conjugate's C_k is the sum of the groups of order k less
-twice those whose D holds an odd number of flipped signs, a mask fixed once
-per n and summed with ``compress``. Each conjugate's vector is formed from
-its own (pi, signs), with no matrix built and no chi run, and only then
-added: summed over the signs, the flips cancel, and that cancellation is the
+n = 6, C_0's one term included.
+
+Minors by gathers. Every k x k minor of M_A and of M_B, C(2n, n) of each over
+k = 0..n, comes from one Laplace recurrence along the first row of S,
+det M[S, T] = sum_j (-1)^j M[S[0]][T[j]] det M[S[1:], T - T[j]]. Per order
+k, one gather takes the row entries from M laid flat and then negated, so
+(-1)^j comes with the index, and one the minors of order k - 1; one
+``map(mul, ...)`` forms the products, and each run of k of them is summed.
+
+Signs by one gather. Per call, A's side of the terms is one list; per pi,
+one gather moves B's minors to Y0's, one ``map(mul, ...)`` forms every term
+and each group is summed, into one list over all orders. A conjugate's C_k
+is the sum of its groups of order k, each negated when its D holds an odd
+number of flipped signs. So one gather, fixed once per n and kind, picks
+for every sign vector and order each group's sum or its negative from the
+sums followed by their negatives, and one ``map(sum, ...)`` over fixed runs
+of those picks gives all 2^(n-1) (n + 1) coefficients of pi's conjugates;
+each conjugate's vector is a slice. Each vector is formed from its own
+(pi, signs), with no matrix built and no chi run, and only then added:
+summed over the signs, the flips cancel, and that cancellation is the
 identity the mean checks, so no sum over the signs is taken first.
+
+Gaussian input on ints. Every step after the minors is linear in A's side
+and in B's side, so when either form is complex each signed flat minor
+z = x + yi is packed as the int x + y 2^W and the same loop runs on ints:
+Kronecker substitution for Z[i] = Z[X]/(X^2 + 1) at X = 2^W. A product of
+two packed minors is r + c X + i X^2 with r = x x', c = x y' + y x' and
+i = y y', so each yielded coefficient is V = r + c X + i X^2, the digits
+now sums of +-those over the terms of one C_k, and C_k = (r - i) + c i.
+Let a and b be the largest part of A's and of B's minors (Y0's are B's,
+up to sign), of bit lengths bits(a) and bits(b), and T the term count. A
+term's digits are at most a b, 2 a b and a b in size, and C_k sums at most
+T terms, so each digit of V is at most 2 a b T < 2^(bits(a) + bits(b) +
+bits(T) + 1). With W = bits(a) + bits(b) + bits(T) + 2 every digit thus
+lies in [-(2^(W-1) - 1), 2^(W-1) - 1], and there the balanced residue of V
+mod 2^W is r, that of (V - r) / 2^W is c, and i = (V - r - c X) / X^2, all
+exact. A digit of 2^(W-1) reads back as -2^(W-1) with a carry, and 2 a b T
+can pass 2^(W-2), so W cannot be one bit smaller. Real input never packs
+or decodes.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul, neg
 
 from .matrices import Matrix, _pair_form
 from .polynomials import Polynomial, _from_int
+from .scalars import _GaussInt
 
 
 # generators of G per n (module docstring), each a permutation i -> g[i]: a
@@ -99,9 +129,7 @@ def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool) -> Polynomia
     divided once."""
     d, ma, mb, _ = _pair_form(a, b, product)
     n = a.n
-    total = [0] * (n + 1)
-    for coeffs in _chis(ma, mb, n, product):
-        total = list(map(add, total, coeffs))
+    total = list(map(sum, zip(*_chis(ma, mb, n, product))))
     return _from_int(total, d, [len(_group(n)) << (n - 1)] * (n + 1))
 
 
@@ -109,10 +137,11 @@ def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool) -> Polynomia
 def _layout(n: int):
     """What both means at size n share, built once per n:
 
-    - ``laplace[k][i]``: for the i-th k-subset S of range(n), lexicographic,
-      its first index S[0], the place of S[1:] among the (k-1)-subsets and,
-      for each j, (j, S[j], the place of S without S[j]): what the Laplace
-      recurrence reads;
+    - ``laplace``: for each order k = 2..n, the two gathers of its Laplace
+      step along the first row of S, det M[S, T] = sum_j (-1)^j M[S[0]][T[j]]
+      det M[S[1:], T - T[j]], one index per (S, T, j) with (S, T) laid flat:
+      the first from the entries of M laid flat and then their negatives, so
+      (-1)^j comes with the index, the second from the minors of order k - 1;
     - ``moves``: for each pi in G, in lexicographic order, the gather that
       takes every minor of M_B laid flat (order by order, each table by rows)
       and then their negatives to the flat minors of Y0: det Y0[P, R] =
@@ -121,11 +150,12 @@ def _layout(n: int):
       (P, R) when laid flat, for the term tables of ``_terms``."""
     subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
     place = [{s: i for i, s in enumerate(level)} for level in subsets]
-    laplace = [None] + [
-        [(s[0], place[k - 1][s[1:]], [(j, t, place[k - 1][s[:j] + s[j + 1:]]) for j, t in enumerate(s)])
-         for s in subsets[k]]
-        for k in range(1, n + 1)
-    ]
+    laplace = []
+    for k in range(2, n + 1):
+        below, size = place[k - 1], len(subsets[k - 1])
+        cells = [(s[0] * n + t[j] + n * n * (j & 1), below[s[1:]] * size + below[t[:j] + t[j + 1:]])
+                 for s in subsets[k] for t in subsets[k] for j in range(k)]
+        laplace.append([itemgetter(*at) for at in zip(*cells)])
     flat = {cell: i for i, cell in enumerate((s, t) for level in subsets for s in level for t in level)}
     moves = []
     for perm in _group(n):
@@ -152,13 +182,15 @@ def _terms(n: int, product: bool):
     """The terms of C_0..C_n at size n for one kind (module docstring), built
     once per n and kind: ``a_at`` picks each term's signed det M_A[I, J] from
     every minor laid flat and then their negatives (``_layout``), and ``b_at``
-    its det Y0[P, R] from the flat minors of Y0; ``groups[k]`` holds the slice
-    of each group of order k, and ``odd``, for each sign vector with
-    signs[0] = +1 in ``itertools.product((1, -1), repeat=n - 1)`` order behind
-    the +1, and each order, the mask of the groups whose D holds an odd
-    number of flipped signs."""
+    its det Y0[P, R] from the flat minors of Y0; ``groups`` holds the slice
+    of each group (k, D), order by order; ``sign_at`` picks, for each sign
+    vector with signs[0] = +1 in ``itertools.product((1, -1), repeat=n - 1)``
+    order behind the +1, each group's sum, or its negative when its D holds
+    an odd number of flipped signs, from the group sums and then their
+    negatives; ``runs`` holds the slice of those picks that sums to each C_k,
+    sign vector by sign vector."""
     _, _, subsets, flat = _layout(n)
-    terms, groups, ds = [], [], []
+    terms, groups, ds, ends = [], [], [], [0]
     for k, level in enumerate(subsets):
         # (I, J, P, R, the parity of the term's sign)
         if product:
@@ -170,45 +202,43 @@ def _terms(n: int, product: bool):
                      for i, j in itertools.product(itertools.combinations(s, size), repeat=2)]
         by_d = sorted((sum(1 << x for x in set(i) ^ set(j)), flat[i, j] + len(flat) * (sign & 1), flat[p, r])
                       for i, j, p, r, sign in cells)
-        groups.append([])
-        ds.append([])
         for d, group in itertools.groupby(by_d, itemgetter(0)):
             start = len(terms)
             terms.extend(group)
-            groups[-1].append(slice(start, len(terms)))
-            ds[-1].append(d)
+            groups.append(slice(start, len(terms)))
+            ds.append(d)
+        ends.append(len(ds))
     _, a_at, b_at = zip(*terms)
-    odd = []
+    sign_at, runs = [], []
     for tail in itertools.product((1, -1), repeat=n - 1):
         flipped = sum(1 << i for i, s in enumerate(tail, 1) if s < 0)
-        odd.append([[bin(d & flipped).count("1") & 1 for d in level] for level in ds])
-    return itemgetter(*a_at), itemgetter(*b_at), groups, odd
+        runs += [slice(len(sign_at) + lo, len(sign_at) + hi) for lo, hi in zip(ends, ends[1:])]
+        sign_at += [g + len(ds) * (bin(d & flipped).count("1") & 1) for g, d in enumerate(ds)]
+    return itemgetter(*a_at), itemgetter(*b_at), groups, itemgetter(*sign_at), runs
 
 
 def _minor_tables(m, n: int) -> list:
-    """For k = 0..n, the table t[k][i][j] = det M[S_i, S_j] over the k-subsets
-    S_i of range(n) in lexicographic order, as kernel scalars: every minor of
-    the rows m, each order from the one before by Laplace expansion along
-    its first row."""
-    laplace = _layout(n)[0]
-    tables = [[[1]]]
-    for k in range(1, n + 1):
-        prev = tables[-1]
-        table = []
-        for first, rest, _ in laplace[k]:
-            row, below = m[first], prev[rest]
-            table.append([
-                sum(row[t] * below[drop] if j & 1 == 0 else -(row[t] * below[drop]) for j, t, drop in cols)
-                for _, _, cols in laplace[k]
-            ])
-        tables.append(table)
+    """For k = 0..n, every minor det M[S, T] of order k of the rows m, as
+    kernel scalars laid flat: S and, within each S, T run over the k-subsets
+    of range(n) in lexicographic order. Order 1 is the entries; each order
+    past it is one Laplace step on the order below (``_layout``): two
+    gathers, one ``map(mul, ...)`` and the sum of each run of k products."""
+    entries = [v for row in m for v in row]
+    signed, tables = entries + list(map(neg, entries)), [[1], entries]
+    for k, (row_at, below_at) in enumerate(_layout(n)[0], 2):
+        tables.append(list(map(sum, zip(*[map(mul, row_at(signed), below_at(tables[-1]))] * k))))
     return tables
 
 
-def _signed_flat(m, n: int) -> list:
-    """Every minor of the rows m laid flat (``_layout``), then their negatives."""
-    flat = [v for table in _minor_tables(m, n) for row in table for v in row]
-    return flat + [-v for v in flat]
+def _unpack(v: int, width: int) -> _GaussInt:
+    """The Gaussian integer (r - i) + c i packed as v = r + c 2^width +
+    i 2^(2 width), its digits r and c each of size below 2^(width - 1)
+    (module docstring)."""
+    half = 1 << (width - 1)
+    r = (v + half) % (half << 1) - half
+    v = (v - r) >> width
+    c = (v + half) % (half << 1) - half
+    return _GaussInt(r - ((v - c) >> width), c)
 
 
 def _chis(a, b, n: int, product: bool):
@@ -218,12 +248,23 @@ def _chis(a, b, n: int, product: bool):
     M_B, from their minors taken once (module docstring). Q runs over G's
     elements and, within each, over the sign vectors, in the order of
     ``_layout`` and ``_terms``; each vector belongs to one Q alone."""
-    a_at, b_at, groups, odd = _terms(n, product)
-    a_side, b_side = a_at(_signed_flat(a, n)), _signed_flat(b, n)
+    a_at, b_at, groups, sign_at, runs = _terms(n, product)
+    flats = [[v for table in _minor_tables(m, n) for v in table] for m in (a, b)]
+    width = 0
+    if type(a[0][0]) is not int or type(b[0][0]) is not int:
+        # Z[i] packed into one int: W = bits(a) + bits(b) + bits(T) + 2, the term count T being
+        # where the last group stops, is wide enough for any digit of any C_k (module docstring)
+        width = sum(max(abs(v.real) | abs(v.imag) for v in f).bit_length() for f in flats)
+        width += groups[-1].stop.bit_length() + 2
+        flats = [[v.real + (v.imag << width) for v in f] for f in flats]
+    a_side, b_side = (f + list(map(neg, f)) for f in flats)
+    a_side = a_at(a_side)
     for move in _layout(n)[1]:
         terms = list(map(mul, a_side, b_at(move(b_side))))
-        # per order k: the sum of each group of one D, the base (all signs +1) and each group's flip
-        sums = [list(map(sum, map(terms.__getitem__, level))) for level in groups]
-        bases, flips = list(map(sum, sums)), [[-2 * v for v in level] for level in sums]
-        for by_sign in odd:
-            yield list(map(add, bases, map(sum, map(itertools.compress, flips, by_sign))))
+        sums = list(map(sum, map(terms.__getitem__, groups)))
+        picked = sign_at(sums + list(map(neg, sums)))
+        coeffs = list(map(sum, map(picked.__getitem__, runs)))
+        if width:
+            coeffs = [_unpack(v, width) for v in coeffs]
+        for i in range(0, len(coeffs), n + 1):
+            yield coeffs[i:i + n + 1]

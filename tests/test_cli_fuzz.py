@@ -237,9 +237,14 @@ def guard_invocations(draw, verb, past):
 
 def assert_contract(argv, files):
     """Run ``main(argv)`` on the files, named in argv by their keys, and
-    return its exit code and stderr."""
+    return its exit code and stderr. A file is a JSON payload, ("raw", text)
+    written as UTF-8, or bytes written as they are."""
     with tempfile.TemporaryDirectory() as directory:
         for key, payload in files.items():
+            if isinstance(payload, bytes):
+                with open(os.path.join(directory, key), "wb") as handle:
+                    handle.write(payload)
+                continue
             with open(os.path.join(directory, key), "w", encoding="utf-8") as handle:
                 if isinstance(payload, tuple):
                     handle.write(payload[1])
@@ -285,3 +290,18 @@ def test_cost_guards_admit_their_limits_and_refuse_one_past(verb, past, data):
     assert code == (1 if past else 0)
     if past:
         assert json.loads(err)["error"] == "size-guard"
+
+
+@pytest.mark.parametrize("raw", [
+    b"\xff\xfe",
+    b"\x80",
+    json.dumps({"n": 1, "entries": [["1"]]}).encode("utf-16"),
+], ids=["ff-fe", "lone-80", "utf-16-json"])
+@pytest.mark.parametrize("verb", ["charpoly", "convolve"])
+def test_a_file_that_is_not_utf_8_is_a_parse_error(verb, raw):
+    """Bytes that do not decode as UTF-8, valid JSON in UTF-16 among them,
+    are a parse error with exit code 1, not a traceback."""
+    argv = ["charpoly", "a"] if verb == "charpoly" else ["convolve", "--kind", "additive", "a", "a"]
+    code, err = assert_contract(argv, {"a": raw})
+    assert code == 1
+    assert json.loads(err)["error"] == "parse-error"

@@ -387,14 +387,15 @@ def minor_inputs(draw, n=None):
 @KERNEL
 @given(minor_inputs())
 def test_minor_tables_match_det_of_every_block(m):
-    """Every k x k minor det M[S, T] of the Laplace tables, S and T
-    lexicographic k-subsets, equals Bareiss' det of the S x T block."""
+    """Every k x k minor det M[S, T] of the Laplace tables, laid flat over
+    the lexicographic k-subsets S and then T, equals Bareiss' det of the
+    S x T block."""
     n = len(m)
     tables = signed_perms._minor_tables(m, n)
-    assert len(tables) == n + 1 and tables[0] == [[1]]
+    assert len(tables) == n + 1 and tables[0] == [1]
     for k in range(1, n + 1):
         subsets = list(itertools.combinations(range(n), k))
-        assert tables[k] == [[_det_int([[m[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
+        assert tables[k] == [_det_int([[m[i][j] for j in t] for i in s]) for s in subsets for t in subsets]
 
 
 @st.composite
@@ -419,6 +420,52 @@ def test_sum_chis_add_up_to_the_chis_of_explicit_sums(pair, kind):
     explicit = [_char_coeffs(_kernel_rows(form), n) for form in forms]
     chis = signed_perms._chis(ma, mb, n, kind == MULTIPLICATIVE)
     assert [sum(c) for c in zip(*chis)] == [sum(c) for c in zip(*explicit)]
+
+
+@st.composite
+def wide_pairs(draw):
+    """(A, B) of one size n <= 4 with integer parts up to 10^30 in size, far
+    past ``minor_inputs``' 10^6, so that the packing width grows with them:
+    both Gaussian, or one real and the other Gaussian."""
+    n = draw(st.integers(1, 4))
+    part = st.integers(-10**30, 10**30) | st.integers(-3, 3)
+
+    def matrix(gaussian):
+        entry = st.builds(GaussianRational, part, part if gaussian else st.just(0))
+        return Matrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+    return tuple(map(matrix, draw(st.sampled_from(((True, True), (False, True), (True, False))))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_pairs(), st.sampled_from((ADDITIVE, MULTIPLICATIVE)))
+def test_gaussian_and_mixed_means_with_parts_up_to_10_30_are_the_convolution(pair, kind):
+    """The packed Gaussian means, on parts up to 10^30, equal the
+    convolution of the two chis."""
+    a, b = pair
+    mean = expected_charpoly_signed_perms(a, b, kind)
+    assert mean == (boxplus if kind == ADDITIVE else boxtimes)(char_poly(a), char_poly(b))
+
+
+@pytest.mark.parametrize("width", [2, 3, 17, 64, 200])
+def test_unpack_reads_each_digit_up_to_one_below_half_the_base(width):
+    """Digits r, c, i of +-(2^(width-1) - 1) and 0 read back as the Gaussian
+    integer (r - i) + c i; a digit r or c of 2^(width-1) does not, so the
+    width of the packed means cannot be one bit smaller."""
+    edge = (1 << (width - 1)) - 1
+    for r, c, i in itertools.product((-edge, 0, edge), repeat=3):
+        assert signed_perms._unpack(r + (c << width) + (i << 2 * width), width) == _GaussInt(r - i, c)
+    for r, c in ((edge + 1, 0), (0, edge + 1)):
+        assert signed_perms._unpack(r + (c << width), width) != _GaussInt(r, c)
+
+
+@pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])
+def test_a_real_mean_never_unpacks(monkeypatch, kind):
+    """Real input runs on its own ints: neither mean decodes a packed int."""
+    a, b = dense_pair(4, "real")
+    monkeypatch.setattr(signed_perms, "_unpack", None)
+    mean = expected_charpoly_signed_perms(a, b, kind)
+    assert mean == (boxplus if kind == ADDITIVE else boxtimes)(char_poly(a), char_poly(b))
 
 
 # counts k where s = ceil(sqrt(k)) baby steps change: 1, 2 (s = k), 4, 5 (s = 2, 3), 9, 10
