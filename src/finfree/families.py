@@ -364,8 +364,16 @@ def verify_pair(
     the supported complementary pairs. Per-trial seeds are seed + index, so
     trials are independent and order-insensitive, and a failure records its
     index and seed. Only a failing trial gets a report.
+
+    A run past the ``minors`` limit with pb in the pair, or past the ``chi``
+    limit with a trial to run, meets a dense matrix and would end in that
+    guard's refusal after its draws; it is refused before the first one.
     """
     pair = _normalize_pair(f, g)
+    if FamilyId.PRINCIPALLY_BALANCED in pair:
+        _guard("minors", n)
+    if trials >= 1:
+        _guard("chi", n)
     failures = []
     for t in range(trials):
         rng = random.Random(seed + t)

@@ -7,13 +7,14 @@ no tolerance anywhere.
 
 Verdicts compare integers. A and B are stored as their integer forms
 d_A*A and d_B*B (``matrices``), and the integer kernel gives the
-coefficients P_k, A_k, B_k of chi_{A+B} (or chi_{AB}), chi_A and chi_B, all
-at one scale s: s = lcm(d_A, d_B) for the sum, s = d_A d_B for the product.
-A_k and B_k come from each matrix's cached chi, so a matrix checked against
-many partners has its chi computed once. The integer convolution
-(``polynomials``) turns A_k, B_k into N_k and w_k with coefficient k of
-the convolution equal to N_k / (w_k s^k), and coefficient k agrees iff
-w_k P_k == N_k.
+coefficients P_k of chi_{A+B} (or chi_{AB}) at the scale s = lcm(d_A, d_B)
+of the sum, or s = d_A d_B of the product (``matrices._pair_form``), and
+A_k, B_k of chi_A and chi_B at d_A and d_B. A_k and B_k come from each
+matrix's cached chi, so a matrix checked against many partners has its chi
+computed once. The integer convolution (``polynomials._convolve_int``)
+picks the same s from d_A and d_B and turns A_k, B_k into N_k and w_k with
+coefficient k of the convolution equal to N_k / (w_k s^k), and coefficient
+k agrees iff w_k P_k == N_k.
 
 A check is two steps. The integer step (``_ffp_ints``) gives P_k, w_k, N_k
 and the indices k where w_k P_k != N_k; the verdict is that this list is
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import DimensionMismatchError, SizeGuardError, _guard
-from .kernel import _char_coeffs
-from .matrices import Matrix, _chi_at, _pair_form, char_poly
+from .kernel import _char_coeffs, _coeffs_from_roots
+from .matrices import Matrix, _cached_chi, _pair_form, char_poly
 from .polynomials import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -88,9 +89,7 @@ def _ffp_ints(a: Matrix, b: Matrix, kind: str) -> _FfpInts:
     a._require_same_size(b)
     s, ma, mb, combine = _pair_form(a, b, product)
     lhs = _char_coeffs(combine(ma, mb), a.n)
-    # chi_A and chi_B at the scales of M_A and M_B, from the matrices' cached chi
-    scale_a, scale_b = (a._d, b._d) if product else (s, s)
-    weights, rhs = _convolve_int(_chi_at(a, scale_a), _chi_at(b, scale_b), product)
+    _, weights, rhs = _convolve_int(_cached_chi(a), a._d, _cached_chi(b), b._d, product)
     # the coefficients that can never differ (module docstring) are not compared
     compared = range(1, a.n) if product else range(2, a.n + 1)
     failing = [k for k in compared if weights[k] * lhs[k] != rhs[k]]
@@ -228,19 +227,6 @@ def haar_unitaries(n: int, count: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))[:, np.newaxis, :]
 
 
-def _charpoly_coeffs_from_roots(roots: np.ndarray) -> np.ndarray:
-    """Batched monic coefficients (descending) from eigenvalue batches."""
-    import numpy as np
-
-    count, n = roots.shape
-    coeffs = np.zeros((count, n + 1), dtype=complex)
-    coeffs[:, 0] = 1.0
-    for k in range(n):
-        r = roots[:, k][:, np.newaxis]
-        coeffs[:, 1 : k + 2] = coeffs[:, 1 : k + 2] - r * coeffs[:, 0 : k + 1]
-    return coeffs
-
-
 def expected_charpoly_haar_mc(
     a: Matrix,
     b: Matrix,
@@ -283,7 +269,8 @@ def expected_charpoly_haar_mc(
             conj = np.conj(np.transpose(u, (0, 2, 1))) @ b_f @ u
             m = _finite(a_f @ conj if product else a_f + conj)
             roots = np.linalg.eigvals(m)
-            total = total + _charpoly_coeffs_from_roots(roots).sum(axis=0)
+            # the C_k come as columns over the samples; stacked, one row per sample
+            total = total + np.stack(_coeffs_from_roots(roots.T), axis=1).sum(axis=0)
         avg = _finite(total / samples)
         deviation = float(_finite(np.max(np.abs(avg - target_f))))
     return HaarAverageResult(

@@ -135,7 +135,9 @@ def _triangular_diagonal(m, n: int):
 
 def _coeffs_from_roots(roots) -> list:
     """C_0..C_n of prod (x - z) over the kernel scalars z, one factor at a
-    time: C_k <- C_k - z C_{k-1}."""
+    time: C_k <- C_k - z C_{k-1}. The same steps run on the Monte-Carlo
+    lane's numpy columns (``ffp.expected_charpoly_haar_mc``): each z a column
+    of roots, one per sample, and each C_k then a column of coefficients."""
     coeffs = [1]
     for z in roots:
         coeffs = [c - z * p for c, p in zip(coeffs + [0], [0] + coeffs)]

@@ -39,10 +39,10 @@ directly: A + B at scale lcm(d_A, d_B), AB at scale d_A d_B
 code here enumerates conjugates.
 
 The integer coefficients C_0..C_n of chi_M are cached on the (immutable)
-matrix the first time they are needed, at its own scale d. A verdict that
-needs chi of s*A for a multiple s of d takes C_k (s/d)^k, so checking one
-matrix against many partners (the boundary probes of ``families``) computes
-its chi once.
+matrix the first time they are needed, at its own scale d, which is the
+scale a verdict's convolution takes them at (``polynomials._convolve_int``),
+so checking one matrix against many partners (the boundary probes of
+``families``) computes its chi once.
 
 Moments come from that cache too: the power sums p_k = tr(M^k) follow from
 C_0..C_n by Newton's identities (``polynomials._power_sums``), on the
@@ -259,13 +259,6 @@ def _cached_chi(a: Matrix) -> list:
     if a._chi is None:
         a._chi = _char_coeffs(a._m, a.n)
     return a._chi
-
-
-def _chi_at(a: Matrix, s: int) -> list:
-    """C_0..C_n of chi_{sA} for s a multiple of A's scale d: the cached
-    C_k of chi_{dA} times (s/d)^k."""
-    f = s // a._d
-    return [c * f**k for k, c in enumerate(_cached_chi(a))]
 
 
 def char_poly(a: Matrix) -> Polynomial:

@@ -13,27 +13,30 @@ and the multiplicative convolution is
 
 Both run over the kernel's scalars: a Gaussian integer is an int or a
 ``scalars._GaussInt``, and real input gives ints only. Write
-a_k = A_k / s^k and b_k = B_k / s^k with Gaussian integers A_k, B_k and one
-positive integer scale s (for the multiplicative convolution
-a_k = A_k / d_p^k, b_k = B_k / d_q^k and s = d_p d_q). For i + j = k,
-C(n-i, j)/C(n, j) = (n-i)!(n-j)! / (n!(n-k)!), so coefficient k of either
-convolution is N_k / (w_k s^k) with
+a_k = A_k / d_a^k and b_k = B_k / d_b^k with Gaussian integers A_k, B_k and
+positive integer scales d_a, d_b. Both convolutions are one coefficient
+formula at a scale s chosen per kind, and ``_convolve_int`` is the one place
+that chooses it: s = d_a d_b for the multiplicative convolution, which takes
+A_k and B_k as they are, and s = lcm(d_a, d_b) for the additive one, which
+first brings both sides to s, A_k (s/d_a)^k and B_k (s/d_b)^k. For
+i + j = k, C(n-i, j)/C(n, j) = (n-i)!(n-j)! / (n!(n-k)!), so coefficient k
+of either convolution is N_k / (w_k s^k) with
 
     additive:        w_k = n!(n-k)!,  N_k = sum_{i+j=k} (n-i)!(n-j)! A_i B_j
-    multiplicative:  w_k = C(n, k),   N_k = (-1)^k A_k B_k.
+    multiplicative:  w_k = C(n, k),   N_k = (-1)^k A_k B_k,
 
-Each w_k is a product of factorials or a binomial, so an integer, and each
-N_k is a sum of products of Gaussian integers with integer factors, so a
-Gaussian integer. The additive N_k are the product of the sequences
-(n-i)! A_i and (n-j)! B_j, cut off after degree n.
+A_i and B_j in the additive N_k taken at s. Each w_k is a product of
+factorials or a binomial, so an integer, and each N_k is a sum of products
+of Gaussian integers with integer factors, so a Gaussian integer. The
+additive N_k are the product of the sequences (n-i)! A_i and (n-j)! B_j,
+cut off after degree n.
 
 ``boxplus`` and ``boxtimes`` share one body, ``_convolve``, and ``_product``
-reads a kind name as its flag. Each polynomial is cleared with d, the lcm of
-the denominators of its coefficients' parts: d^k is a multiple of d for
-k >= 1 and a_0 = 1, so a_k d^k is a Gaussian integer. The additive
-convolution brings both to s = lcm(d_p, d_q); the multiplicative one takes
-s = d_p d_q. The FFP verdicts (``ffp``) take A_k and B_k from the integer
-matrix kernel at the same scales instead. No floating point anywhere.
+reads a kind name as its flag. Each polynomial is cleared at its own scale
+(``_cleared``), d the lcm of the denominators of its coefficients' parts:
+d^k is a multiple of d for k >= 1 and a_0 = 1, so a_k d^k is a Gaussian
+integer. The FFP verdicts (``ffp``) pass each matrix's cached chi at the
+matrix's own scale instead. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -154,35 +157,36 @@ def _power_sums(f, count: int) -> list:
     return sums
 
 
-def _cleared(p: Polynomial, s: int) -> list:
-    """A_k = a_k s^k as kernel scalars; s is a multiple of every denominator
-    in p, which is monic."""
+def _cleared(p: Polynomial) -> tuple[list, int]:
+    """(A, d) for the monic p: d the lcm of the denominators of its
+    coefficients' parts, and A_k = a_k d^k as kernel scalars."""
+    d = math.lcm(*(c.re.denominator for c in p.coeffs), *(c.im.denominator for c in p.coeffs))
     out = []
     power = 1
     for c in p.coeffs:
         re = c.re.numerator * (power // c.re.denominator)
         out.append(_GaussInt(re, c.im.numerator * (power // c.im.denominator)) if c.im else re)
-        power *= s
-    return out
+        power *= d
+    return out, d
 
 
-def _denominator(p: Polynomial) -> int:
-    return math.lcm(*(c.re.denominator for c in p.coeffs), *(c.im.denominator for c in p.coeffs))
-
-
-def _convolve_int(a: list, b: list, product: bool) -> tuple[list, list]:
-    """(w, N) for the monic degree-n coefficients A_0..A_n and B_0..B_n, given
-    as kernel scalars: coefficient k of a [x] b (``product``) or of a [+] b
-    is N_k / (w_k s^k), N_k a kernel scalar (module docstring)."""
+def _convolve_int(a: list, da: int, b: list, db: int, product: bool) -> tuple[int, list, list]:
+    """(s, w, N) for the monic degree-n coefficients a_k = A_k / da^k and
+    b_k = B_k / db^k, A_0..A_n and B_0..B_n given as kernel scalars:
+    coefficient k of a [x] b (``product``) or of a [+] b is N_k / (w_k s^k),
+    N_k a kernel scalar, at s = da db or lcm(da, db) (module docstring)."""
     n = len(a) - 1
     if product:
-        return [comb(n, k) for k in range(n + 1)], [
+        return da * db, [comb(n, k) for k in range(n + 1)], [
             x * y * (-1) ** k for k, (x, y) in enumerate(zip(a, b))
         ]
+    s = math.lcm(da, db)
     fact = [factorial(n - i) for i in range(n + 1)]
-    x, y = list(map(mul, fact, a)), list(map(mul, fact, b))
+    # (n-i)! A_i and (n-j)! B_j, both sides brought to the scale s
+    x = [f * (s // da) ** i * c for i, (f, c) in enumerate(zip(fact, a))]
+    y = [f * (s // db) ** j * c for j, (f, c) in enumerate(zip(fact, b))]
     # the terms i + j = k: a runs up from 0, b down from k
-    return [fact[0] * f for f in fact], [sum(map(mul, x[: k + 1], y[k::-1])) for k in range(n + 1)]
+    return s, [fact[0] * f for f in fact], [sum(map(mul, x[: k + 1], y[k::-1])) for k in range(n + 1)]
 
 
 def _product(kind: str) -> bool:
@@ -195,12 +199,9 @@ def _product(kind: str) -> bool:
 
 def _convolve(p: Polynomial, q: Polynomial, product: bool) -> Polynomial:
     """p [x] q (``product``) or p [+] q, each side cleared at its own scale
-    d_p, d_q, with s = d_p d_q, or both at s = lcm(d_p, d_q) (module docstring)."""
+    (module docstring)."""
     _check_pair(p, q)
-    dp, dq = _denominator(p), _denominator(q)
-    s = dp * dq if product else math.lcm(dp, dq)
-    sp, sq = (dp, dq) if product else (s, s)
-    weights, out = _convolve_int(_cleared(p, sp), _cleared(q, sq), product)
+    s, weights, out = _convolve_int(*_cleared(p), *_cleared(q), product)
     return _from_int(out, s, weights)
 
 

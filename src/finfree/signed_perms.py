@@ -52,17 +52,19 @@ k, one gather takes the row entries from M laid flat and then negated, so
 ``map(mul, ...)`` forms the products, and each run of k of them is summed.
 
 Signs by one gather. Per call, A's side of the terms is one list; per pi,
-one gather moves B's minors to Y0's, one ``map(mul, ...)`` forms every term
-and each group is summed, into one list over all orders. A conjugate's C_k
-is the sum of its groups of order k, each negated when its D holds an odd
-number of flipped signs. So one gather, fixed once per n and kind, picks
-for every sign vector and order each group's sum or its negative from the
-sums followed by their negatives, and one ``map(sum, ...)`` over fixed runs
-of those picks gives all 2^(n-1) (n + 1) coefficients of pi's conjugates;
-each conjugate's vector is a slice. Each vector is formed from its own
-(pi, signs), with no matrix built and no chi run, and only then added:
-summed over the signs, the flips cancel, and that cancellation is the
-identity the mean checks, so no sum over the signs is taken first.
+one gather, fixed once per n and kind, takes each term's det Y0[P, R] =
+eps(P) eps(R) det M_B[pi P, pi R] straight from B's signed flat minors, one
+``map(mul, ...)`` forms every term and each group is summed, into one list
+over all orders. A conjugate's C_k is the sum of its groups of order k, each
+negated when its D holds an odd number of flipped signs. So one gather,
+fixed once per n and kind, picks for every sign vector and order each
+group's sum or its negative from the sums followed by their negatives, and
+one ``map(sum, ...)`` over fixed runs of those picks gives all
+2^(n-1) (n + 1) coefficients of pi's conjugates; each conjugate's vector is
+a slice. Each vector is formed from its own (pi, signs), with no matrix
+built and no chi run, and only then added: summed over the signs, the flips
+cancel, and that cancellation is the identity the mean checks, so no sum
+over the signs is taken first.
 
 Gaussian input on ints. Every step after the minors is linear in A's side
 and in B's side, so when either form is complex each signed flat minor
@@ -142,9 +144,9 @@ def _layout(n: int):
       det M[S[1:], T - T[j]], one index per (S, T, j) with (S, T) laid flat:
       the first from the entries of M laid flat and then their negatives, so
       (-1)^j comes with the index, the second from the minors of order k - 1;
-    - ``moves``: for each pi in G, in lexicographic order, the gather that
-      takes every minor of M_B laid flat (order by order, each table by rows)
-      and then their negatives to the flat minors of Y0: det Y0[P, R] =
+    - ``moves``: for each pi in G, in lexicographic order, the index list
+      that takes every minor of M_B laid flat (order by order, each table by
+      rows) and then their negatives to the flat minors of Y0: det Y0[P, R] =
       eps(P) eps(R) det M_B[pi P, pi R];
     - ``subsets[k]``, the k-subsets, and ``flat``, the place of each minor
       (P, R) when laid flat, for the term tables of ``_terms``."""
@@ -173,7 +175,7 @@ def _layout(n: int):
             for p, e in zip(pos, odd):
                 at.extend(map((offset + p * size).__add__, cols[e]))
             offset += size * size
-        moves.append(itemgetter(*at))
+        moves.append(at)
     return laplace, moves, subsets, flat
 
 
@@ -181,15 +183,17 @@ def _layout(n: int):
 def _terms(n: int, product: bool):
     """The terms of C_0..C_n at size n for one kind (module docstring), built
     once per n and kind: ``a_at`` picks each term's signed det M_A[I, J] from
-    every minor laid flat and then their negatives (``_layout``), and ``b_at``
-    its det Y0[P, R] from the flat minors of Y0; ``groups`` holds the slice
+    every minor laid flat and then their negatives (``_layout``), and
+    ``b_ats``, one per pi in G, its det Y0[P, R] from every minor of M_B laid
+    flat and then their negatives, pi's move (``_layout``) taken at the
+    term's place among the flat minors of Y0; ``groups`` holds the slice
     of each group (k, D), order by order; ``sign_at`` picks, for each sign
     vector with signs[0] = +1 in ``itertools.product((1, -1), repeat=n - 1)``
     order behind the +1, each group's sum, or its negative when its D holds
     an odd number of flipped signs, from the group sums and then their
     negatives; ``runs`` holds the slice of those picks that sums to each C_k,
     sign vector by sign vector."""
-    _, _, subsets, flat = _layout(n)
+    _, moves, subsets, flat = _layout(n)
     terms, groups, ds, ends = [], [], [], [0]
     for k, level in enumerate(subsets):
         # (I, J, P, R, the parity of the term's sign)
@@ -214,7 +218,8 @@ def _terms(n: int, product: bool):
         flipped = sum(1 << i for i, s in enumerate(tail, 1) if s < 0)
         runs += [slice(len(sign_at) + lo, len(sign_at) + hi) for lo, hi in zip(ends, ends[1:])]
         sign_at += [g + len(ds) * (bin(d & flipped).count("1") & 1) for g, d in enumerate(ds)]
-    return itemgetter(*a_at), itemgetter(*b_at), groups, itemgetter(*sign_at), runs
+    b_ats = [itemgetter(*map(move.__getitem__, b_at)) for move in moves]
+    return itemgetter(*a_at), b_ats, groups, itemgetter(*sign_at), runs
 
 
 def _minor_tables(m, n: int) -> list:
@@ -248,7 +253,7 @@ def _chis(a, b, n: int, product: bool):
     M_B, from their minors taken once (module docstring). Q runs over G's
     elements and, within each, over the sign vectors, in the order of
     ``_layout`` and ``_terms``; each vector belongs to one Q alone."""
-    a_at, b_at, groups, sign_at, runs = _terms(n, product)
+    a_at, b_ats, groups, sign_at, runs = _terms(n, product)
     flats = [[v for table in _minor_tables(m, n) for v in table] for m in (a, b)]
     width = 0
     if type(a[0][0]) is not int or type(b[0][0]) is not int:
@@ -259,8 +264,8 @@ def _chis(a, b, n: int, product: bool):
         flats = [[v.real + (v.imag << width) for v in f] for f in flats]
     a_side, b_side = (f + list(map(neg, f)) for f in flats)
     a_side = a_at(a_side)
-    for move in _layout(n)[1]:
-        terms = list(map(mul, a_side, b_at(move(b_side))))
+    for b_at in b_ats:
+        terms = list(map(mul, a_side, b_at(b_side)))
         sums = list(map(sum, map(terms.__getitem__, groups)))
         picked = sign_at(sums + list(map(neg, sums)))
         coeffs = list(map(sum, map(picked.__getitem__, runs)))

@@ -54,7 +54,11 @@ def matrices(tmp, row, n, names="a"):
 
 
 def chi(n, tmp):
-    return [(["charpoly", a], None) for (a,), _ in matrices(tmp, "chi", n)]
+    # verify-pair's trial draws are triangular; its boundary search meets a dense matrix
+    pair = ["verify-pair", "--families", "ut,ut-const", "--kind", "additive", "--trials", "1",
+            "--n", str(n), "--seed", "0"]
+    return [(["charpoly", a], None) for (a,), _ in matrices(tmp, "chi", n)] + [
+        (pair, lambda out: out["n"] == n and out["failures"] == [])]
 
 
 def convolution(n, tmp):

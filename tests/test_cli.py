@@ -500,6 +500,28 @@ class TestVerifyPair:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize(
+        "families, n, message",
+        [
+            ("ut,ut-const", "1000", "characteristic polynomial refused for n=1000 > 64"),
+            ("diag,pb", "65", "minor enumeration refused for n=65 > 16"),
+        ],
+    )
+    def test_refused_before_the_first_draw(self, capsys, monkeypatch, families, n, message):
+        """A run that would end in a size guard's refusal after its draws is
+        refused before the first one, with the same text."""
+
+        def no_draw(*_):
+            raise AssertionError("a member drawn for a run past a size guard")
+
+        monkeypatch.setattr(finfree.families, "sample_member", no_draw)
+        code, out, err = run(
+            capsys, "verify-pair", "--families", families, "--kind", "additive",
+            "--trials", "1", "--n", n, "--seed", "0",
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "size-guard", "message": message}
+
 
 class TestMomentVerbs:
     def test_moments(self, capsys, write_json):
@@ -661,6 +683,36 @@ class TestErrorPaths:
         code, out, err = run(capsys, "charpoly", path)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "parse-error"
+
+    @pytest.mark.parametrize(
+        "argv, error, message",
+        [
+            (("rank-bound", "--n", "x"), "usage", "argument --n: invalid int value: 'x'"),
+            (("expect", "--kind", "additive", "--mc", "--samples", "10", "--seed", "0", "--tolerance", "x",
+              "ONE", "ONE"), "usage", "argument --tolerance: invalid float value: 'x'"),
+            (("verify-pair", "--families", "pb", "--kind", "additive", "--n", "3", "--seed", "0"),
+             "usage", "--families wants exactly two comma-separated tags"),
+            (("verify-pair", "--families", "x,pb", "--kind", "additive", "--n", "3", "--seed", "0"),
+             "parse-error", "unknown family tag 'x'"),
+            (("charpoly", "TRUE"), "parse-error", "cannot interpret True as an exact scalar"),
+            (("convolve", "--kind", "additive", "NO_DEGREE", "NO_DEGREE"),
+             "parse-error", "polynomial JSON needs 'degree' and 'coeffs': 'degree'"),
+            (("convolve", "--kind", "additive", "SHORT", "SHORT"),
+             "parse-error", "declared degree 3 but 2 coefficients"),
+        ],
+    )
+    def test_refusal_code_and_message(self, capsys, write_json, argv, error, message):
+        """Each malformed argument or payload exits 1 with its error code and
+        text on stderr and nothing on stdout."""
+        paths = {
+            "ONE": write_json("one.json", {"n": 1, "entries": [["1"]]}),
+            "TRUE": write_json("true.json", {"n": 1, "entries": [[True]]}),
+            "NO_DEGREE": write_json("no-degree.json", {"coeffs": ["1", "2"]}),
+            "SHORT": write_json("short.json", {"degree": 3, "coeffs": ["1", "2"]}),
+        }
+        code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": error, "message": message}
 
 
 class TestHelp:

@@ -8,6 +8,7 @@ import pytest
 from finfree import (
     DimensionMismatchError,
     Matrix,
+    ParseError,
     Polynomial,
     SizeGuardError,
     boxplus,
@@ -182,6 +183,12 @@ class Test2x2ClosedForm:
     def test_wrong_size(self):
         with pytest.raises(DimensionMismatchError):
             condition_2x2(Matrix.identity(3), Matrix.identity(3))
+
+
+def test_an_unknown_kind_is_a_parse_error():
+    with pytest.raises(ParseError) as refused:
+        check_ffp(Matrix.identity(2), Matrix.identity(2), "bogus")
+    assert (refused.value.code, str(refused.value)) == ("parse-error", "unknown kind 'bogus'")
 
 
 def _sample_2x2_ffp_pair(rng):

@@ -324,17 +324,21 @@ def test_each_group_is_k_homogeneous_for_every_k(n, order):
 
 @pytest.fixture
 def wrong_group(monkeypatch):
-    """Swap G at one n for given generators, with G and the layouts built
-    again before and after."""
+    """Swap G at one n for given generators, with G, the layouts and the
+    term tables, whose gathers are built from G, built again before and
+    after."""
+
+    def rebuild():
+        signed_perms._group.cache_clear()
+        signed_perms._layout.cache_clear()
+        signed_perms._terms.cache_clear()
 
     def swap(n, generators):
         monkeypatch.setitem(signed_perms._GENERATORS, n, generators)
-        signed_perms._group.cache_clear()
-        signed_perms._layout.cache_clear()
+        rebuild()
 
     yield swap
-    signed_perms._group.cache_clear()
-    signed_perms._layout.cache_clear()
+    rebuild()
 
 
 @pytest.mark.parametrize("kind", [ADDITIVE, MULTIPLICATIVE])

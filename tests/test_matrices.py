@@ -5,6 +5,7 @@ import pytest
 
 from finfree import (
     DimensionMismatchError,
+    FinFreeError,
     IndexRangeError,
     Matrix,
     Polynomial,
@@ -177,6 +178,19 @@ class TestArithmetic:
             Matrix.identity(2) + Matrix.identity(3)
         with pytest.raises(DimensionMismatchError):
             Matrix.identity(2) @ Matrix.identity(3)
+
+    @pytest.mark.parametrize(
+        "call, code, message",
+        [
+            (lambda: Matrix.unit(2, 3, 1), "index-out-of-range", "unit position (3,1) outside 1..2"),
+            (lambda: Matrix.unit(2, 1, 0), "index-out-of-range", "unit position (1,0) outside 1..2"),
+            (lambda: Matrix.identity(2) + 1, "dimension-mismatch", "expected a Matrix, got int"),
+        ],
+    )
+    def test_refusal_code_and_message(self, call, code, message):
+        with pytest.raises(FinFreeError) as refused:
+            call()
+        assert (refused.value.code, str(refused.value)) == (code, message)
 
     def test_not_square(self):
         with pytest.raises(DimensionMismatchError):

@@ -10,6 +10,7 @@ from finfree import (
     DegreeMismatchError,
     DimensionMismatchError,
     FamilyId,
+    FinFreeError,
     GaussianRational,
     IndexRangeError,
     Matrix,
@@ -354,6 +355,26 @@ class TestVectorConstructor:
     def test_n_must_be_a_positive_int(self, cls, n):
         with pytest.raises(DimensionMismatchError):
             cls(n, ["1"])
+
+    @pytest.mark.parametrize(
+        "call, code, message",
+        [
+            (lambda: MomentVector(2, "12"), "parse-error", "moment vector values must be a sequence, got '12'"),
+            (lambda: MomentVector(2, [1, 2])[3], "index-out-of-range", "moment index 3 out of range 1..2"),
+            (lambda: coeffs_from_moments(MomentVector(3, [1, 2])),
+             "dimension-mismatch", "need 3 moments, got 2"),
+            (lambda: moments_from_coeffs(Polynomial([2, 1])),
+             "non-monic", "moment extraction needs a monic polynomial"),
+            (lambda: ffp_sum_moments(MomentVector(2, [1, 2]), MomentVector(3, [1, 2, 3])),
+             "dimension-mismatch", "dimension mismatch: 2 vs 3"),
+            (lambda: cumulants_from_moments(MomentVector(2, [1, 2, 3])),
+             "dimension-mismatch", "cumulants are defined up to the dimension: 3 moments for n=2"),
+        ],
+    )
+    def test_refusal_code_and_message(self, call, code, message):
+        with pytest.raises(FinFreeError) as refused:
+            call()
+        assert (refused.value.code, str(refused.value)) == (code, message)
 
     def test_valid_vectors(self):
         assert MomentVector(2, (3, "1/2")).values == (3, Fraction(1, 2))
