@@ -57,12 +57,16 @@ GUARDS = {
     # costs O(n^2) int products, and `char_poly` takes 85 ms in process at n = 500
     "chi": (64, "characteristic polynomial refused for n={value} > {limit}"),
     # the degree of both convolutions. On p/q coefficients with |p|, q <= 10 at degree
-    # 250, `boxplus` takes 0.25 s in process on real input and 1.2 s on Gaussian input,
-    # and a cold `convolve --kind additive` 0.7 and 1.6 s (`boxtimes` and the
-    # multiplicative verb stay under 0.5 s). At degree 500 those are 4.2 and 17 s, nearly
-    # all in the n^2 / 2 products (n-i)! A_i (n-j)! B_j, whose factors grow to thousands
-    # of digits; each doubling costs about 6-10x, and a 30 KB JSON file reaches hours
-    # (Python 3.11, 2-vCPU Xeon VM)
+    # 250, `boxplus` takes 0.13-0.15 s in process on real input and 0.4-0.6 s on Gaussian
+    # input, and a cold `convolve --kind additive` 0.3 and 0.8 s (`boxtimes` takes under
+    # 10 ms). On the chis of two diagonal 250 x 250 p/q matrices, whose coefficients'
+    # denominators run far past the matrices' scale, `boxplus` takes 0.2-0.3 s, a cold
+    # `convolve` on the two `charpoly` outputs 0.4-0.45 s, and `expect --mc --samples 1` on
+    # the pair 1.6-3.3 s, mostly in reading its 0.3 MB files. `sum-moments` reaches this
+    # guard through `boxplus` too. At degree 500 `boxplus` takes 2.4-2.6 s (real), 6.8-7.3 s
+    # (Gaussian) and 3.8-3.9 s (the diagonal chis), nearly all in the n^2 / 2 products
+    # (n-i)! A_i (n-j)! B_j, whose factors grow to thousands of digits; each doubling costs
+    # 12-18x, and a 30 KB JSON file reaches hours (Python 3.11, 2-vCPU Xeon VM)
     "convolution": (250, "convolution refused for degree {value} > {limit}"),
     # all 2^n principal minors from the Sylvester tree on M + tI. At n = 16, on p/q entries
     # with |p|, q <= 10 (each part when Gaussian), `minor_table` takes 0.75-1.1 s in process on
@@ -74,14 +78,17 @@ GUARDS = {
     # skew-symmetric one, printing up to 6.8 MB. At 17 it takes 8.2-10.9 s on those two, peaks
     # at 92-139 MB and prints up to 14.8 MB, so the limit stays 16
     "minors": (16, "minor enumeration refused for n={value} > {limit}"),
-    # moments m_1..m_count (of a matrix or, past the degree, of a polynomial). At 1000, a
-    # cold `moments --k` takes about 0.45 s on a dense rational 3x3 and 0.6 s on a
-    # Gaussian one, 0.55-0.6 s on a dense rational 8x8 and 1.2-1.6 s on a Gaussian one,
-    # printing 2.4-7.7 MB; `sum-moments --count` takes 0.55-0.65 s on the rational 3x3,
-    # 1.5 s on the rational 8x8 and 8.3 s on the Gaussian 8x8, whose Newton steps run on
-    # GaussianRationals (Python 3.11, 2-vCPU Xeon VM). Each doubling of the count costs
-    # 5-9x in process (1000 -> 2000: moments of the rational 8x8 0.16 -> 1.4 s, the sum
-    # path 0.8 -> 5.7 s)
+    # moments m_1..m_count (of a matrix or, past the degree, of a polynomial), by Newton's
+    # identities on integer forms. At 1000, a cold `moments --k` takes 0.25 s on a dense
+    # rational 3x3, 0.75 s on a Gaussian one, 0.55 s on a dense rational 8x8 and 1.0 s on a
+    # Gaussian one, printing 1.3-7.8 MB; `sum-moments --count`, whose moments come from the
+    # [+] of the two chis, takes 0.2 s on the rational 3x3, 1.0 s on the Gaussian 3x3, 0.75 s
+    # on the rational 8x8 and 1.9-2.0 s on the Gaussian 8x8 (Python 3.11, 2-vCPU Xeon VM).
+    # Each doubling of the count costs 6-7x in process (1000 -> 2000: moments of the
+    # rational 8x8 0.2 -> 1.2 s, the sum path 0.44 -> 2.8 s, and 0.9 -> 6.4 s on the
+    # Gaussian 8x8). The limit bounds the count only: at the default count, `sum-moments` on
+    # two diagonal 250 x 250 p/q matrices takes 16-19 s cold, its Newton steps on the ints
+    # of an 88,000-bit integer form
     "moments": (1000, "moment count refused: {value} > {limit}"),
     # 2^(n-1) |G| conjugates, G the group of ``signed_perms`` (3,840 at n = 6): each mean
     # takes a signed sum of grouped minor products per coefficient of each, on ints, Gaussian

@@ -18,7 +18,9 @@ product at d_A d_B, is divided by the gcd of its scale and all the parts of
 its entries.)
 
 Products: A B = (M_A M_B) / (d_A d_B). Sums: A + B = (s/d_A M_A + s/d_B M_B) / s
-with s = lcm(d_A, d_B).
+with s = lcm(d_A, d_B). ``_pair_form`` is the one place that picks these
+scales: ``+`` and ``@`` build their results from it, as the FFP verdicts
+and the signed-permutation means build their integer forms.
 
 The linear algebra itself runs on the integer forms in ``kernel``:
 characteristic polynomials from the diagonal when the matrix is triangular
@@ -33,10 +35,8 @@ chi_M(x) = det(xI - dA) = d^n chi_A(x/d), coefficient k of chi_A is
 C_k / d^k, and the k-th moment tr(A^k)/n is p_k / (n d^k); det(A) =
 det(M) / d^n, and the principal minor on an index set S is det(M_S) / d^|S|.
 The FFP verdicts take chi_{A+B} and chi_{AB} from the integer forms
-directly: A + B at scale lcm(d_A, d_B), AB at scale d_A d_B
-(``_pair_form``). The signed-permutation means
-(``signed_perms``) take their integer forms from ``_pair_form`` too; no
-code here enumerates conjugates.
+directly, at the scales of ``_pair_form``; no code here enumerates
+conjugates.
 
 The integer coefficients C_0..C_n of chi_M are cached on the (immutable)
 matrix the first time they are needed, at its own scale d, which is the
@@ -45,7 +45,7 @@ so checking one matrix against many partners (the boundary probes of
 ``families``) computes its chi once.
 
 Moments come from that cache too: the power sums p_k = tr(M^k) follow from
-C_0..C_n by Newton's identities (``polynomials._power_sums``), on the
+C_0..C_n by Newton's identities (``polynomials._moments``), on the
 kernel's scalars (ints, and ``scalars._GaussInt``s on complex input), so
 they take no matrix product and divide by nothing. Moments, cumulants and
 chi of one matrix compute chi once between them.
@@ -73,7 +73,7 @@ from .kernel import (
     _split,
     _trace,
 )
-from .polynomials import Polynomial, _from_int, _power_sums
+from .polynomials import Polynomial, _from_int, _moment_count, _moments
 from .scalars import GaussianRational, _scaled, as_scalar
 
 
@@ -145,7 +145,7 @@ class Matrix:
             raise ParseError(f"matrix JSON 'n' must be an integer, got {n!r}")
         if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
             raise ParseError("matrix JSON 'entries' must be a list of row lists")
-        m = cls([[GaussianRational.from_json(x) for x in row] for row in entries])
+        m = cls(entries)
         if m.n != n:
             raise ParseError(f"declared n={n} but got {m.n} rows")
         return m
@@ -184,18 +184,21 @@ class Matrix:
         if self.n != other.n:
             raise DimensionMismatchError(f"dimension mismatch: {self.n} vs {other.n}")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combined(self, other: "Matrix", product: bool) -> "Matrix":
+        """A B (``product``) or A + B, from the pair's integer forms."""
         self._require_same_size(other)
-        d = math.lcm(self._d, other._d)
-        return Matrix._from_form(d, _iadd(_at_scale(self, d), _at_scale(other, d)))
+        d, ma, mb, combine = _pair_form(self, other, product)
+        return Matrix._from_form(d, combine(ma, mb))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combined(other, False)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._require_same_size(other)
         return self + other.scale(-1)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._require_same_size(other)
-        return Matrix._from_form(self._d * other._d, _gmul(self._m, other._m))
+        return self._combined(other, True)
 
     def scale(self, factor) -> "Matrix":
         e, ((z,),) = _cleared([[_exact(factor)]])
@@ -278,18 +281,16 @@ def _pair_form(a: Matrix, b: Matrix, product: bool):
 
 
 def matrix_moment(a: Matrix, k: int) -> GaussianRational:
-    """k-th moment: the normalized trace tr(A^k)/n, k >= 1."""
-    if k < 1:
-        raise IndexRangeError(f"moment order must be >= 1, got {k}")
+    """k-th moment: the normalized trace tr(A^k)/n, k >= 1 (a smaller k is
+    refused as a count of moments is)."""
     return moment_vector_of(a, k)[-1]
 
 
 def moment_vector_of(a: Matrix, count: int | None = None) -> list[GaussianRational]:
     """First ``count`` moments of A (default n): m_k = p_k / (n d^k), with the
     power sums p_k = tr(M^k) of the integer form M = d*A read off the cached
-    C_0..C_n of chi_M by Newton's identities (``polynomials._power_sums``)."""
-    count = a.n if count is None else _guard("moments", count)
-    return [_scaled(p, a.n * a._d**k) for k, p in enumerate(_power_sums(_cached_chi(a), count), 1)]
+    C_0..C_n of chi_M by Newton's identities (``polynomials._moments``)."""
+    return _moments(_cached_chi(a), a._d, a.n, _moment_count(count, a.n))
 
 
 def principal_minors(a: Matrix, k: int) -> list[tuple[tuple[int, ...], GaussianRational]]:

@@ -12,17 +12,21 @@ For a monic degree-n polynomial sum_k a_k x^(n-k), the series sum_k a_k t^k
 is prod_i (1 - x_i t) over its roots x_i, so p_r = sum_i x_i^r = n m_r for
 the root moments m_r (tr(A^r)/n when the polynomial is chi_A).
 
-The first identity is ``polynomials._power_sums``, the one power-sum
-routine of the package: it divides by nothing, so ``matrices`` runs it on
-the integer coefficients of a matrix's cached chi for its moments, and here
-it runs on GaussianRationals. The second is ``_series``.
+The first identity is ``polynomials._moments``, the one power-sum routine
+of the package. It divides by nothing, and it runs on integer forms only:
+a matrix's cached chi at the matrix's scale (``matrices``), and here every
+series cleared at the scale its coefficients need (``polynomials._cleared``),
+so no GaussianRational enters it. The second identity is ``_series``, which
+divides by k and stays on GaussianRationals.
 
 Finite free cumulants follow Arizmendi & Perales, "Cumulants for finite free
 convolution", J. Combin. Theory Ser. A (2018), arXiv:1611.06598. The
 additive convolution multiplies F̂(t) = sum_k â_k t^k, â_k = a_k (n-k)!/n!,
 so log F̂ adds, and with p̂ the power sums of F̂
 
-    kappa_j = -j n^(j-1) [t^j] log F̂(t) = n^(j-1) p̂_j.
+    kappa_j = -j n^(j-1) [t^j] log F̂(t) = n^(j-1) p̂_j = n^j m̂_j,
+
+with m̂_j = p̂_j / n what ``_moments`` gives for F̂.
 
 Moments from cumulants run the same steps in reverse. These cumulants add
 for pairs in additive finite free position and equal that paper's
@@ -37,10 +41,10 @@ from math import comb, perm
 from typing import Optional, Sequence
 
 from .errors import (
-    DegreeMismatchError, DimensionMismatchError, IndexRangeError, NonMonicError, ParseError, _guard,
+    DegreeMismatchError, DimensionMismatchError, IndexRangeError, NonMonicError, ParseError,
 )
 from .matrices import Matrix, char_poly, moment_vector_of
-from .polynomials import Polynomial, _power_sums, boxplus
+from .polynomials import Polynomial, _cleared, _moment_count, _moments, boxplus
 from .scalars import ONE, ZERO, GaussianRational, _Record, as_scalar
 
 
@@ -115,8 +119,7 @@ def moments_from_coeffs(p: Polynomial, count: Optional[int] = None) -> MomentVec
     n = p.degree
     if n < 1:
         raise DegreeMismatchError("moment extraction needs degree >= 1")
-    sums = _power_sums(p.coeffs, n if count is None else _guard("moments", count))
-    return MomentVector(n, [s * Fraction(1, n) for s in sums])
+    return MomentVector(n, _moments(*_cleared(p.coeffs), n, _moment_count(count, n)))
 
 
 def ffp_sum_moments(
@@ -176,15 +179,14 @@ def moments_from_cumulants(kappa: CumulantVector, j: int) -> GaussianRational:
         raise IndexRangeError(f"cumulant order {j} outside 1..{len(kappa)}")
     n = kappa.n
     rescaled = _series([kappa[k] * Fraction(1, n ** (k - 1)) for k in range(1, min(j, n) + 1)], 1)
-    coeffs = [f * perm(n, k) for k, f in enumerate(rescaled)]
-    return _power_sums(coeffs, j)[-1] * Fraction(1, n)
+    return _moments(*_cleared([f * perm(n, k) for k, f in enumerate(rescaled)]), n, j)[-1]
 
 
 def _cumulants(coeffs: Sequence, n: int) -> CumulantVector:
-    """kappa_1..kappa_L = n^(j-1) p̂_j from a_0..a_L of a degree-n polynomial."""
-    rescaled = [a * Fraction(1, perm(n, k)) for k, a in enumerate(coeffs)]
-    sums = _power_sums(rescaled, len(coeffs) - 1)
-    return CumulantVector(n, [s * n ** (j - 1) for j, s in enumerate(sums, 1)])
+    """kappa_1..kappa_L = n^j m̂_j from a_0..a_L of a degree-n polynomial."""
+    rescaled = _cleared([a * Fraction(1, perm(n, k)) for k, a in enumerate(coeffs)])
+    moments = _moments(*rescaled, n, len(coeffs) - 1)
+    return CumulantVector(n, [m * n**j for j, m in enumerate(moments, 1)])
 
 
 def cumulants_from_moments(m: MomentVector) -> CumulantVector:

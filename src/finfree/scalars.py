@@ -112,13 +112,6 @@ class GaussianRational:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_json(cls, value) -> "GaussianRational":
-        """Decode a JSON scalar: a string encoding (see ``parse``) or an integer."""
-        if isinstance(value, bool):
-            raise ParseError(f"cannot interpret {value!r} as an exact scalar")
-        return as_scalar(value)
-
-    @classmethod
     def parse(cls, text: str) -> "GaussianRational":
         """Parse the string encoding: "p/q", "p/q+r/s*i", "r/s*i".
 
@@ -324,8 +317,9 @@ class _Record:
 
 def as_scalar(value) -> GaussianRational:
     """Coerce an int, Fraction, string (see ``GaussianRational.parse``), or
-    GaussianRational."""
-    scalar = _coerce(value)
+    GaussianRational. This is the one reader of an exact scalar, from JSON
+    or from Python: a bool is none, though Python counts it as an int."""
+    scalar = None if isinstance(value, bool) else _coerce(value)
     if scalar is not None:
         return scalar
     if isinstance(value, str):

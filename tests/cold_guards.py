@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 import finfree
-from finfree import Matrix, Polynomial, as_scalar
+from finfree import Matrix, Polynomial, as_scalar, char_poly
 from finfree.errors import GUARDS
 from helpers import signed_perm_mean_per_conjugate
 
@@ -68,7 +68,21 @@ def convolution(n, tmp):
         coeffs = [["1", *(entry(rng, gaussian) for _ in range(n))] for _ in "pq"]
         p, q = (write(tmp, f"{s}-{gaussian}", {"degree": n, "coeffs": c}) for s, c in zip("pq", coeffs))
         calls += [(["convolve", "--kind", kind, p, q], None) for kind in KINDS]
-    return calls
+    # the chis of two diagonal p/q matrices, whose coefficients' denominators run far
+    # past the matrices' own scale; expect --mc reaches the guard through boxplus
+    a, b = (Matrix.diagonal([as_scalar(entry(rng, False)) for _ in range(n)]) for _ in "ab")
+    chis = [write(tmp, f"chi-{s}", char_poly(m).to_json()) for s, m in zip("ab", (a, b))]
+    pair = [write(tmp, f"diagonal-{s}", m.to_json()) for s, m in zip("ab", (a, b))]
+
+    def traces_add(out):
+        # coefficient 1 of the additive convolution is that of chi_A plus that of chi_B
+        return as_scalar(out["coeffs"][1]) == -(a.trace() + b.trace())
+
+    return calls + [
+        (["convolve", "--kind", "additive", *chis], traces_add),
+        (["expect", "--mc", "--samples", "1", "--seed", "0", "--kind", "additive", *pair],
+         lambda out: out["samples"] == 1 and len(out["coeffs"]) == n + 1),
+    ]
 
 
 def minors(n, tmp):

@@ -16,7 +16,9 @@ cofactor-expanded minors (not integer Bareiss minors), structural membership
 by each family's equations written out on the entries (not the table of
 vanishing cells), principal minors by one Bareiss elimination per index
 set (not the Sylvester tree), the samplers' draws as Fractions (not integer
-pairs), the single-eigenvalue test by shifting x^n by the mean
+pairs), a polynomial's moments, its cumulants and moments from cumulants by
+Newton's identities on GaussianRationals (not on an integer form cleared at
+a chosen scale), the single-eigenvalue test by shifting x^n by the mean
 (not coefficient by coefficient), and the Matrix operations entry by entry
 on GaussianRational rows (not on the integer form that Matrix stores).
 
@@ -266,6 +268,49 @@ def char_coeffs_by_newton(m) -> list:
             im += cr * pi + ci * pr
         coeffs.append((-re // k, -im // k))
     return coeffs
+
+
+def power_sums_by_newton(f, count: int) -> list:
+    """p_1..p_count of the series f_0 + f_1 t + ..., f_0 = 1, reading f_r = 0
+    past the end, by Newton's identities p_r = -r f_r - sum_{i<r} f_i p_{r-i}
+    on the GaussianRationals f_r as they are: the library runs them on the
+    integer form of the series at a scale it picks, never on these."""
+    sums = []
+    for r in range(1, count + 1):
+        acc = f[r] * -r if r < len(f) else ZERO
+        for i in range(1, min(r - 1, len(f) - 1) + 1):
+            acc = acc - f[i] * sums[r - i - 1]
+        sums.append(acc)
+    return sums
+
+
+def series_by_newton(sums, n: int) -> list:
+    """f_0..f_k, f_0 = 1, of the series whose power sums are n p_1..n p_k, by
+    k f_k = -n sum_{i=1..k} f_{k-i} p_i on GaussianRationals."""
+    f = [ONE]
+    for k in range(1, len(sums) + 1):
+        f.append(sum((f[k - i] * sums[i - 1] for i in range(1, k + 1)), ZERO) * Fraction(-n, k))
+    return f
+
+
+def moments_by_newton(coeffs, n: int, count: int) -> list:
+    """m_1..m_count = p_r / n of the monic degree-n coefficients a_0..a_n."""
+    return [p * Fraction(1, n) for p in power_sums_by_newton(coeffs, count)]
+
+
+def cumulants_by_newton(coeffs, n: int) -> list:
+    """kappa_j = n^(j-1) p̂_j for j = 1..L, p̂ the power sums of the series
+    â_k = a_k (n-k)!/n! from a_0..a_L (Arizmendi & Perales)."""
+    rescaled = [a * Fraction(1, perm(n, k)) for k, a in enumerate(coeffs)]
+    return [p * n ** (j - 1) for j, p in enumerate(power_sums_by_newton(rescaled, len(coeffs) - 1), 1)]
+
+
+def moment_from_cumulants_by_newton(kappa, n: int, j: int) -> GaussianRational:
+    """m_j from kappa_1..kappa_j at dimension n: the series â from the power
+    sums kappa_k / n^(k-1), k <= n, then m_j of a_k = â_k n!/(n-k)!."""
+    sums = [kappa[k - 1] * Fraction(1, n ** (k - 1)) for k in range(1, min(j, n) + 1)]
+    hat = series_by_newton(sums, 1)
+    return moments_by_newton([c * perm(n, k) for k, c in enumerate(hat)], n, j)[-1]
 
 
 def _flat(m, by_columns: bool = False):

@@ -793,19 +793,19 @@ class TestLargeAndDeepInput:
         "argv", [("moments", "A", "--k", "100000"), ("sum-moments", "A", "A", "--count", "100000")]
     )
     def test_moment_count_guard(self, capsys, write_json, monkeypatch, argv):
-        power_sums = finfree.matrices._power_sums
+        moments = finfree.matrices._moments
 
-        def first_two(f, count):
+        def first_two(f, d, n, count):
             # sum-moments takes each matrix's n = 2 moments before the requested count
             assert count <= 2, "the guard must refuse before the requested power sums"
-            return power_sums(f, count)
+            return moments(f, d, n, count)
 
         def refuse(*_):
             raise AssertionError("the guard must refuse before any power sum is computed")
 
         m = write_json("m.json", {"n": 2, "entries": [["1", "2"], ["3", "4"]]})
-        monkeypatch.setattr(finfree.matrices, "_power_sums", first_two)
-        monkeypatch.setattr(finfree.moments, "_power_sums", refuse)
+        monkeypatch.setattr(finfree.matrices, "_moments", first_two)
+        monkeypatch.setattr(finfree.moments, "_moments", refuse)
         code, out, err = run(capsys, *(m if x == "A" else x for x in argv))
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "size-guard"

@@ -42,7 +42,7 @@ from finfree import (
 )
 import finfree.matrices as matrix_module
 from finfree import ffp, kernel, signed_perms
-from finfree.errors import GUARDS
+from finfree.errors import GUARDS, IndexRangeError
 from finfree.families import (
     PROBE_MAGNITUDES,
     _conjugated_triangular_balanced,
@@ -501,8 +501,12 @@ def test_moment_vector_matches_repeated_powers(m, which):
     """Newton's identities on the cached chi against entrywise matrix powers
     and against traces of integer powers on the baby-step/giant-step
     schedule, at counts past the degree and at each change of baby-step
-    count."""
+    count. A count of zero is refused."""
     count = {"zero": 0, "one": 1, "n": m.n, "n+3": m.n + 3, "3n+1": 3 * m.n + 1}.get(which, which)
+    if count == 0:
+        with pytest.raises(IndexRangeError, match="moment count must be >= 1, got 0"):
+            moment_vector_of(m, count)
+        return
     moments = moment_vector_of(m, count)
     assert moments == moments_by_powers(m, count)
     assert moments == moments_by_power_sums(m, count)

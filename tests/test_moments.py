@@ -35,12 +35,19 @@ from finfree import (
 )
 from finfree.errors import GUARDS
 from finfree.families import random_matrix
+from finfree.matrices import moment_vector_of
+from finfree.polynomials import _moments, boxplus, boxtimes
+from finfree.scalars import _GaussInt
 from helpers import (
     conjugate,
+    cumulants_by_newton,
+    moment_from_cumulants_by_newton,
+    moments_by_newton,
     rand_invertible,
     rand_monic,
     rand_scalar,
     root_power,
+    series_by_newton,
     single_eigenvalue_by_shift,
 )
 
@@ -369,6 +376,15 @@ class TestVectorConstructor:
              "dimension-mismatch", "dimension mismatch: 2 vs 3"),
             (lambda: cumulants_from_moments(MomentVector(2, [1, 2, 3])),
              "dimension-mismatch", "cumulants are defined up to the dimension: 3 moments for n=2"),
+            # a count of moments below 1, wherever the ``moments`` guard applies
+            (lambda: moment_vector_of(REMARK_B, 0), "index-out-of-range", "moment count must be >= 1, got 0"),
+            (lambda: MomentVector.of_matrix(REMARK_B, -1),
+             "index-out-of-range", "moment count must be >= 1, got -1"),
+            (lambda: matrix_moment(REMARK_B, 0), "index-out-of-range", "moment count must be >= 1, got 0"),
+            (lambda: moments_from_coeffs(char_poly(REMARK_B), -3),
+             "index-out-of-range", "moment count must be >= 1, got -3"),
+            (lambda: ffp_sum_moments(MomentVector(1, [1]), MomentVector(1, [2]), 0),
+             "index-out-of-range", "moment count must be >= 1, got 0"),
         ],
     )
     def test_refusal_code_and_message(self, call, code, message):
@@ -389,8 +405,8 @@ class TestMomentCountGuard:
         def refuse(*_):
             raise AssertionError("the guard must refuse before any power sum is computed")
 
-        monkeypatch.setattr(finfree.matrices, "_power_sums", refuse)
-        monkeypatch.setattr(finfree.moments, "_power_sums", refuse)
+        monkeypatch.setattr(finfree.matrices, "_moments", refuse)
+        monkeypatch.setattr(finfree.moments, "_moments", refuse)
         over = GUARDS["moments"][0] + 1
         with pytest.raises(SizeGuardError):
             MomentVector.of_matrix(REMARK_A, over)
@@ -405,3 +421,95 @@ class TestMomentCountGuard:
         assert len(MomentVector.of_matrix(one, limit)) == limit
         top = moments_from_coeffs(char_poly(one), limit)[limit]
         assert top == 2**limit
+
+    def test_empty_series_inside_the_conversions_still_work(self):
+        assert cumulants_from_moments(MomentVector(2, [])) == CumulantVector(2, ())
+        assert cumulants_from_moments(MomentVector(2, [3])) == CumulantVector(2, (3,))
+
+
+# -- Newton's identities on integer forms, against GaussianRational Newton ------
+
+PARTS = st.fractions(min_value=-20, max_value=20, max_denominator=12) | st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def monic_polynomials(draw):
+    """A monic polynomial of degree n <= 6 with real, Gaussian or mixed
+    coefficients (some complex, some real), or the chi of a matrix of such
+    entries, or the [+] or [x] of two such chis."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("real", "gaussian", "mixed")))
+    imag = {"real": st.just(0), "gaussian": PARTS.filter(bool), "mixed": PARTS}[kind]
+    scalars = st.builds(GaussianRational, PARTS, imag)
+    source = draw(st.sampled_from(("coeffs", "chi", "boxplus", "boxtimes")))
+    if source == "coeffs":
+        return Polynomial([1, *draw(st.lists(scalars, min_size=n, max_size=n))])
+    n = min(n, 4)
+    rows = st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n)
+    a, b = (char_poly(Matrix(draw(rows))) for _ in "ab")
+    return {"chi": a, "boxplus": boxplus(a, b), "boxtimes": boxtimes(a, b)}[source]
+
+
+NEWTON = settings(max_examples=60, deadline=None)
+
+
+class TestIntegerNewton:
+    """The conversions run Newton's identities on integer forms only; each
+    equals the recurrence on GaussianRationals (``helpers``), past n too."""
+
+    @NEWTON
+    @given(monic_polynomials(), st.integers(1, 20))
+    def test_moments_from_coeffs(self, p, count):
+        assert list(moments_from_coeffs(p, count).values) == moments_by_newton(p.coeffs, p.degree, count)
+
+    @NEWTON
+    @given(monic_polynomials(), st.data())
+    def test_cumulants_from_moments(self, p, data):
+        n = p.degree
+        m = MomentVector(n, moments_from_coeffs(p).values[: data.draw(st.integers(0, n))])
+        expected = cumulants_by_newton(series_by_newton(m.values, n), n)
+        assert list(cumulants_from_moments(m).values) == expected
+
+    @NEWTON
+    @given(monic_polynomials(), st.data())
+    def test_moments_from_cumulants(self, p, data):
+        n = p.degree
+        extra = data.draw(st.lists(PARTS, max_size=2 * n))
+        kappa = CumulantVector(n, [*cumulants_by_newton(p.coeffs, n), *extra])
+        j = data.draw(st.integers(1, len(kappa)))
+        assert moments_from_cumulants(kappa, j) == moment_from_cumulants_by_newton(kappa.values, n, j)
+
+    @NEWTON
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.builds(GaussianRational, PARTS, PARTS | st.just(0)), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_cumulants_of_matrix(self, rows):
+        a = Matrix(rows)
+        assert list(cumulants_of_matrix(a).values) == cumulants_by_newton(char_poly(a).coeffs, a.n)
+
+    def test_every_caller_hands_the_power_sums_kernel_scalars(self, monkeypatch):
+        import finfree.matrices
+        import finfree.moments
+
+        seen = []
+
+        def checked(f, d, n, count):
+            assert all(type(x) is int or type(x) is _GaussInt for x in f), f
+            assert type(d) is int and d >= 1 and type(n) is int
+            seen.append(count)
+            return _moments(f, d, n, count)
+
+        monkeypatch.setattr(finfree.matrices, "_moments", checked)
+        monkeypatch.setattr(finfree.moments, "_moments", checked)
+        rng = random.Random(33)
+        for a in (REMARK_B, Matrix([["1/2", "1/3+2*i"], ["-1/5*i", "7/4"]])):
+            ma = MomentVector.of_matrix(a, 5)
+            m = MomentVector.of_matrix(a)
+            moments_from_coeffs(char_poly(a), 7)
+            ffp_sum_moments(m, MomentVector.of_matrix(rand_invertible(rng, a.n)), 6)
+            kappa = cumulants_from_moments(m)
+            cumulants_of_matrix(a)
+            moments_from_cumulants(kappa, a.n)
+            assert ma[1] == m[1]
+        assert len(seen) == 2 * 8

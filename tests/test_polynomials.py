@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -14,6 +15,8 @@ from finfree import (
     boxplus,
     boxtimes,
 )
+from finfree.polynomials import _cleared
+from finfree.scalars import _GaussInt, _scaled
 from helpers import (
     boxplus_via_derivatives,
     derivative,
@@ -235,3 +238,27 @@ class TestStr:
     )
     def test_golden_text(self, coeffs, text):
         assert str(Polynomial(coeffs)) == text
+
+
+# -- the scale a polynomial is cleared at ---------------------------------------
+
+CLEARED_PARTS = st.fractions(min_value=-20, max_value=20, max_denominator=60) | st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@given(st.lists(st.builds(GaussianRational, CLEARED_PARTS, CLEARED_PARTS | st.just(0)), max_size=8))
+def test_cleared_forms_are_kernel_scalars_at_a_divisor_of_the_lcm(tail):
+    """Every A_k is an int or a _GaussInt with a_k = A_k / d^k, and d divides
+    the lcm of every denominator, so no form is larger than at that lcm."""
+    coeffs = [GaussianRational(1), *tail]
+    forms, d = _cleared(coeffs)
+    assert all(type(z) is int or (type(z) is _GaussInt and z.imag) for z in forms)
+    assert [_scaled(z, d**k) for k, z in enumerate(forms)] == coeffs
+    lcm = math.lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+    assert type(d) is int and lcm % d == 0
+
+
+def test_cleared_takes_the_scale_the_coefficients_need():
+    # x^2 + x/2 + 1/4: the lcm is 4, but 1/4 = 1/2^2 already clears at 2
+    assert _cleared(Polynomial([1, "1/2", "1/4"]).coeffs) == ([1, 1, 1], 2)
+    assert _cleared(Polynomial([1, "1/2", "1/3", "1/8*i"]).coeffs) == ([1, 3, 12, _GaussInt(0, 27)], 6)

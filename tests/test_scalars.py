@@ -4,7 +4,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finfree import GaussianRational, ParseError, SizeGuardError, as_scalar
+from finfree import (
+    CumulantVector,
+    GaussianRational,
+    Matrix,
+    MomentVector,
+    ParseError,
+    Polynomial,
+    SizeGuardError,
+    as_scalar,
+)
 from finfree.errors import GUARDS
 from finfree.scalars import ONE, ZERO, _GaussInt, _int_str, _scaled
 from helpers import I
@@ -206,3 +215,26 @@ def test_scaled_reads_an_int_as_a_real_gaussian_int(z, d):
 def test_gauss_int_repr_shows_its_value():
     assert repr(_GaussInt(3, -4)) == "_GaussInt(3, -4)"
     assert repr([_GaussInt(0, 1), 2]) == "[_GaussInt(0, 1), 2]"
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        as_scalar,
+        lambda b: Matrix([[b]]),
+        lambda b: Matrix([[1, 0], [0, b]]),
+        lambda b: Matrix.diagonal([1, b]),
+        lambda b: Polynomial([1, b]),
+        lambda b: MomentVector(1, [b]),
+        lambda b: CumulantVector(2, [1, b]),
+        lambda b: Matrix.from_json({"n": 1, "entries": [[b]]}),
+        lambda b: Polynomial.from_json({"degree": 1, "coeffs": ["1", b]}),
+    ],
+)
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_is_no_exact_scalar_to_any_reader(read, value):
+    """One reader decides what an exact scalar is, for JSON and for Python:
+    a bool is refused, though Python counts it as an int."""
+    with pytest.raises(ParseError) as refused:
+        read(value)
+    assert str(refused.value) == f"cannot interpret {value} as an exact scalar"
