@@ -92,13 +92,13 @@ GUARDS = {
     "moments": (1000, "moment count refused: {value} > {limit}"),
     # 2^(n-1) |G| conjugates, G the group of ``signed_perms`` (3,840 at n = 6): each mean
     # takes a signed sum of grouped minor products per coefficient of each, on ints, Gaussian
-    # minors packed into one int. At n = 6 a dense p/q pair, |p|, q <= 10, takes 0.08-0.09 s
-    # (additive) and 0.04-0.05 s (multiplicative) in process when rational, 0.19-0.21 and
-    # 0.12-0.16 s when Gaussian; a cold `expect` takes 0.20-0.21 and 0.16-0.17 s, and
-    # 0.33-0.35 and 0.24-0.26 s (Python 3.11, 2-vCPU Xeon VM, two pairs, the medians of twenty
-    # runs of each mean in process and of eight cold per pair). At n = 7 no group smaller
-    # than A7 will do: 2^6 * 2,520 = 161,280 conjugates, 42 times as many, and one gather of
-    # C(14, 7) = 3,432 minors per permutation, 8.6 million indices in all
+    # minors packed into one int, in passes over blocks of permutations. At n = 6 a dense p/q
+    # pair, |p|, q <= 10, takes 0.07 s (additive) and 0.036 s (multiplicative) in process when
+    # rational, 0.14-0.15 and 0.06 s when Gaussian; a cold `expect` takes 0.22 and
+    # 0.15-0.16 s, and 0.29-0.30 and 0.18 s (Python 3.11, 2-vCPU Xeon VM, two pairs, the
+    # medians of twenty runs of each mean in process and of eight cold per pair). At n = 7 no
+    # group smaller than A7 will do: 2^6 * 2,520 = 161,280 conjugates, 42 times as many, and
+    # C(14, 7) = 3,432 minors of B gathered per permutation, 8.6 million indices in all
     "signed-perms": (6, "signed-permutation enumeration refused for n={value} > {limit}"),
     # the subset DP takes about 0.11 s for a dense rational 12x12 and 0.32 s for a
     # Gaussian one (Python 3.11, 2-vCPU Xeon VM); each step of n doubles it

@@ -51,45 +51,53 @@ k, one gather takes the row entries from M laid flat and then negated, so
 (-1)^j comes with the index, and one the minors of order k - 1; one
 ``map(mul, ...)`` forms the products, and each run of k of them is summed.
 
-Signs by one gather. Per call, A's side of the terms is one list; per pi,
-one gather, fixed once per n and kind, takes each term's det Y0[P, R] =
-eps(P) eps(R) det M_B[pi P, pi R] straight from B's signed flat minors, one
-``map(mul, ...)`` forms every term and each group is summed, into one list
-over all orders. A conjugate's C_k is the sum of its groups of order k, each
-negated when its D holds an odd number of flipped signs. So one gather,
-fixed once per n and kind, picks for every sign vector and order each
-group's sum or its negative from the sums followed by their negatives, and
-one ``map(sum, ...)`` over fixed runs of those picks gives all
-2^(n-1) (n + 1) coefficients of pi's conjugates; each conjugate's vector is
-a slice. Each vector is formed from its own (pi, signs), with no matrix
-built and no chi run, and only then added: summed over the signs, the flips
-cancel, and that cancellation is the identity the mean checks, so no sum
-over the signs is taken first.
+Blocks of permutations, one pass each. G's permutations, in lexicographic
+order, are cut into blocks of whole permutations of at most
+``_BLOCK_TERMS`` terms in all, and every n <= 4 is one block, the whole
+group. Per block, one gather takes each term's signed det M_A[I, J] from A's
+signed flat minors, once for each pi in the block, and one its det Y0[P, R]
+= eps(P) eps(R) det M_B[pi P, pi R] straight from B's; one
+``map(mul, ...)`` forms every term. The terms come laid out by the size of
+their group (k, D), so the sums of all the groups of one size, over every pi
+in the block, come from one ``map(sum, ...)`` over fixed runs of that size.
+A conjugate's C_k is the sum of its groups of order k, each negated when its
+D holds an odd number of flipped signs. So one more gather, fixed once per
+n, kind and block length, picks, order by order and for every (pi, signs)
+of the block, each group's sum or its negative from the sums followed by
+their negatives, and per order one ``map(sum, ...)`` over fixed runs of
+those picks gives the column of C_k over the block's conjugates. Each
+conjugate's vector, one place of every column, is formed from its own
+(pi, signs), with no matrix built and no chi run, and only then added:
+summed over the signs, the flips cancel, and that cancellation is the
+identity the mean checks, so no sum over the signs is taken first.
 
 Gaussian input on ints. Every step after the minors is linear in A's side
 and in B's side, so when either form is complex each signed flat minor
 z = x + yi is packed as the int x + y 2^W and the same loop runs on ints:
 Kronecker substitution for Z[i] = Z[X]/(X^2 + 1) at X = 2^W. A product of
 two packed minors is r + c X + i X^2 with r = x x', c = x y' + y x' and
-i = y y', so each yielded coefficient is V = r + c X + i X^2, the digits
-now sums of +-those over the terms of one C_k, and C_k = (r - i) + c i.
-Let a and b be the largest part of A's and of B's minors (Y0's are B's,
-up to sign), of bit lengths bits(a) and bits(b), and T the term count. A
-term's digits are at most a b, 2 a b and a b in size, and C_k sums at most
-T terms, so each digit of V is at most 2 a b T < 2^(bits(a) + bits(b) +
-bits(T) + 1). With W = bits(a) + bits(b) + bits(T) + 2 every digit thus
-lies in [-(2^(W-1) - 1), 2^(W-1) - 1], and there the balanced residue of V
-mod 2^W is r, that of (V - r) / 2^W is c, and i = (V - r - c X) / X^2, all
-exact. A digit of 2^(W-1) reads back as -2^(W-1) with a carry, and 2 a b T
-can pass 2^(W-2), so W cannot be one bit smaller. Real input never packs
-or decodes.
+i = y y', so each conjugate's packed coefficient is r + c X + i X^2, the
+digits now sums of +-those over the terms of one C_k. Each vector is formed
+so, in packed form, before it is added; the mean sums the packed C_k of all
+N = 2^(n-1) |G| conjugates and decodes each total V = r + c X + i X^2 once,
+as (r - i) + c i. Let a and b be the largest part of A's and of B's minors
+(Y0's are B's, up to sign), of bit lengths bits(a) and bits(b), and T the
+term count. A term's digits are at most a b, 2 a b and a b in size, C_k sums
+at most T terms and V sums N of those, so each digit of V is at most
+2 a b T N < 2^(bits(a) + bits(b) + bits(T) + bits(N) + 1). With W = bits(a)
++ bits(b) + bits(T) + bits(N) + 2 every digit thus lies in
+[-(2^(W-1) - 1), 2^(W-1) - 1], and there the balanced residue of V mod 2^W
+is r, that of (V - r) / 2^W is c, and i = (V - r - c X) / X^2, all exact;
+so is the decode of any one conjugate's C_k, whose digits are smaller. A
+digit of 2^(W-1) reads back as -2^(W-1) with a carry, and 2 a b T N can pass
+2^(W-2), so W cannot be one bit smaller. Real input never packs or decodes.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import itemgetter, mul, neg
+from operator import add, itemgetter, mul, neg
 
 from .matrices import Matrix, _pair_form
 from .polynomials import Polynomial, _from_int
@@ -128,10 +136,13 @@ def _signed_perm_charpoly_mean(a: Matrix, b: Matrix, product: bool) -> Polynomia
     """Exact mean of chi_{A + Q^T B Q} (``product``: chi_{A Q^T B Q}) over the
     2^(n-1) |G| signed permutations Q with signs[0] = +1 and permutation in
     G: the integer coefficients of every conjugate at one scale, summed and
-    divided once."""
+    divided once; on complex input each packed total is decoded once."""
     d, ma, mb, _ = _pair_form(a, b, product)
     n = a.n
-    total = list(map(sum, zip(*_chis(ma, mb, n, product))))
+    width, blocks = _chis(ma, mb, n, product)
+    total = [sum(map(sum, column)) for column in zip(*blocks)]
+    if width:
+        total = [_unpack(v, width) for v in total]
     return _from_int(total, d, [len(_group(n)) << (n - 1)] * (n + 1))
 
 
@@ -144,12 +155,9 @@ def _layout(n: int):
       det M[S[1:], T - T[j]], one index per (S, T, j) with (S, T) laid flat:
       the first from the entries of M laid flat and then their negatives, so
       (-1)^j comes with the index, the second from the minors of order k - 1;
-    - ``moves``: for each pi in G, in lexicographic order, the index list
-      that takes every minor of M_B laid flat (order by order, each table by
-      rows) and then their negatives to the flat minors of Y0: det Y0[P, R] =
-      eps(P) eps(R) det M_B[pi P, pi R];
-    - ``subsets[k]``, the k-subsets, and ``flat``, the place of each minor
-      (P, R) when laid flat, for the term tables of ``_terms``."""
+    - ``subsets[k]``, the k-subsets, ``place[k]``, the place of each among
+      them, and ``flat``, the place of each minor (P, R) when laid flat (order
+      by order, each table by rows), for the term tables of ``_terms``."""
     subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
     place = [{s: i for i, s in enumerate(level)} for level in subsets]
     laplace = []
@@ -159,8 +167,76 @@ def _layout(n: int):
                  for s in subsets[k] for t in subsets[k] for j in range(k)]
         laplace.append([itemgetter(*at) for at in zip(*cells)])
     flat = {cell: i for i, cell in enumerate((s, t) for level in subsets for s in level for t in level)}
-    moves = []
-    for perm in _group(n):
+    return laplace, subsets, place, flat
+
+
+# The most terms one pass of ``_chis`` takes. Every n <= 4 runs in one pass over the whole
+# group (2,340 terms at most, the additive mean's at n = 4); past that a pass takes whole
+# permutations up to this many terms, and the last pass may take fewer. One pass over the
+# whole group at n = 6 made the real dense p/q means slower in process, additive 73 -> 80-88
+# ms and multiplicative 36 -> 36-47 ms, and raised peak RSS from 22 to 72 and from 20 to 49
+# MB; at n = 5 budgets of 1,024 to 16,384 terms timed within 0.4 ms of each other (Python
+# 3.11, 2-vCPU Xeon VM)
+_BLOCK_TERMS = 4096
+
+
+@lru_cache(maxsize=None)
+def _terms(n: int, product: bool):
+    """The terms of C_0..C_n at size n for one kind (module docstring) and
+    the passes of ``_chis`` over them, built once per n and kind: (T,
+    widths, shapes), T the terms of one permutation and ``widths[k]`` the
+    number of groups (k, D) of order k. G's permutations, in lexicographic
+    order, are cut into blocks of as many as ``_BLOCK_TERMS`` allows, the
+    last block maybe shorter, and ``shapes`` holds, per block length, full
+    blocks first, (a_at, runs, sign_at, conjugates, b_ats):
+
+    - ``a_at`` picks each term's signed det M_A[I, J], for every pi of a
+      block, from every minor laid flat and then their negatives; a block's
+      terms come by the size of their group, size by size, then pi by pi and
+      group by group;
+    - ``runs`` holds, per size, (the size, the number of groups of that
+      size in a block), so that one ``map(sum, ...)`` over fixed runs of the
+      size gives those groups' sums;
+    - ``sign_at`` picks, for each order k, then each pi of the block, then
+      each sign vector with signs[0] = +1 in ``itertools.product((1, -1),
+      repeat=n - 1)`` order behind the +1, each group's sum of order k, or
+      its negative when its D holds an odd number of flipped signs, from
+      the block's group sums and then their negatives;
+    - ``conjugates`` is the number of (pi, signs) in a block;
+    - ``b_ats`` holds one gather per block of that length, in G's order:
+      each term's det Y0[P, R] = eps(P) eps(R) det M_B[pi P, pi R], in
+      ``a_at``'s order, from every minor of M_B laid flat and then their
+      negatives."""
+    _, subsets, place, flat = _layout(n)
+    # one permutation's terms, each (k, D as a bit mask, A's signed place, the place of (P, R)),
+    # sorted into its groups (k, D)
+    terms = []
+    for k, level in enumerate(subsets):
+        # (I, J, P, R, the parity of the term's sign)
+        if product:
+            cells = [(s, t, t, s, k) for s in level for t in level]
+        else:
+            cells = [(i, j, tuple(x for x in s if x not in i), tuple(x for x in s if x not in j),
+                      k + sum(map(s.index, i + j)))
+                     for s in level for size in range(k + 1)
+                     for i, j in itertools.product(itertools.combinations(s, size), repeat=2)]
+        terms += sorted((k, sum(1 << x for x in set(i) ^ set(j)), flat[i, j] + len(flat) * (sign & 1), flat[p, r])
+                        for i, j, p, r, sign in cells)
+    # each group as (k, D, its terms' places in A's side, their places (P, R)), by order and
+    # by size
+    groups = [(k, d, *zip(*(term[2:] for term in group)))
+              for (k, d), group in itertools.groupby(terms, itemgetter(0, 1))]
+    orders, sizes = [[] for _ in range(n + 1)], {}
+    for g in groups:
+        orders[g[0]].append(g)
+        sizes.setdefault(len(g[2]), []).append(g)
+    flips = [sum(1 << i for i, s in enumerate(tail, 1) if s < 0) for tail in itertools.product((1, -1), repeat=n - 1)]
+    # one int object per signed place of B's minors, which every gather of B's side shares
+    places = list(range(2 * len(flat)))
+
+    def moved(perm):
+        # for each minor (P, R) laid flat, the place of det Y0[P, R] = eps(P) eps(R)
+        # det M_B[pi P, pi R] among B's minors laid flat and then their negatives
         at, offset = [], 0
         for k, level in enumerate(subsets):
             # per k-subset S: the place of the sorted pi S, and whether eps(S) is -1
@@ -175,51 +251,35 @@ def _layout(n: int):
             for p, e in zip(pos, odd):
                 at.extend(map((offset + p * size).__add__, cols[e]))
             offset += size * size
-        moves.append(at)
-    return laplace, moves, subsets, flat
+        return at
 
-
-@lru_cache(maxsize=None)
-def _terms(n: int, product: bool):
-    """The terms of C_0..C_n at size n for one kind (module docstring), built
-    once per n and kind: ``a_at`` picks each term's signed det M_A[I, J] from
-    every minor laid flat and then their negatives (``_layout``), and
-    ``b_ats``, one per pi in G, its det Y0[P, R] from every minor of M_B laid
-    flat and then their negatives, pi's move (``_layout``) taken at the
-    term's place among the flat minors of Y0; ``groups`` holds the slice
-    of each group (k, D), order by order; ``sign_at`` picks, for each sign
-    vector with signs[0] = +1 in ``itertools.product((1, -1), repeat=n - 1)``
-    order behind the +1, each group's sum, or its negative when its D holds
-    an odd number of flipped signs, from the group sums and then their
-    negatives; ``runs`` holds the slice of those picks that sums to each C_k,
-    sign vector by sign vector."""
-    _, moves, subsets, flat = _layout(n)
-    terms, groups, ds, ends = [], [], [], [0]
-    for k, level in enumerate(subsets):
-        # (I, J, P, R, the parity of the term's sign)
-        if product:
-            cells = [(s, t, t, s, k) for s in level for t in level]
-        else:
-            cells = [(i, j, tuple(x for x in s if x not in i), tuple(x for x in s if x not in j),
-                      k + sum(map(s.index, i + j)))
-                     for s in level for size in range(k + 1)
-                     for i, j in itertools.product(itertools.combinations(s, size), repeat=2)]
-        by_d = sorted((sum(1 << x for x in set(i) ^ set(j)), flat[i, j] + len(flat) * (sign & 1), flat[p, r])
-                      for i, j, p, r, sign in cells)
-        for d, group in itertools.groupby(by_d, itemgetter(0)):
-            start = len(terms)
-            terms.extend(group)
-            groups.append(slice(start, len(terms)))
-            ds.append(d)
-        ends.append(len(ds))
-    _, a_at, b_at = zip(*terms)
-    sign_at, runs = [], []
-    for tail in itertools.product((1, -1), repeat=n - 1):
-        flipped = sum(1 << i for i, s in enumerate(tail, 1) if s < 0)
-        runs += [slice(len(sign_at) + lo, len(sign_at) + hi) for lo, hi in zip(ends, ends[1:])]
-        sign_at += [g + len(ds) * (bin(d & flipped).count("1") & 1) for g, d in enumerate(ds)]
-    b_ats = [itemgetter(*map(move.__getitem__, b_at)) for move in moves]
-    return itemgetter(*a_at), b_ats, groups, itemgetter(*sign_at), runs
+    group = _group(n)
+    per = min(len(group), max(1, _BLOCK_TERMS // len(terms)))
+    shapes = []
+    for m, blocks in itertools.groupby((group[i:i + per] for i in range(0, len(group), per)), len):
+        # a block of m permutations: each term's place among the minors (P, R) of the block's
+        # permutations laid side by side, and each group's sum's place among the block's
+        a_at, minors_at, runs, where = [], [], [], {}
+        for size, bucket in sizes.items():
+            for j in range(m):
+                for k, d, a_places, b_places in bucket:
+                    where[j, k, d] = len(where)
+                    a_at += a_places
+                    minors_at += map((j * len(flat)).__add__, b_places)
+            runs.append((size, m * len(bucket)))
+        sign_at = []
+        for k, order in enumerate(orders):
+            # sign vector by sign vector, each group's shift to its negative's place, or 0
+            shifts = [len(where) * (bin(d & flipped).count("1") & 1) for flipped in flips for _, d, _, _ in order]
+            for j in range(m):
+                sign_at += map(add, [where[j, k, d] for _, d, _, _ in order] * len(flips), shifts)
+        b_ats = []
+        for block in blocks:
+            moves = list(map(places.__getitem__, itertools.chain.from_iterable(map(moved, block))))
+            b_ats.append(itemgetter(*map(moves.__getitem__, minors_at)))
+        shapes.append((itemgetter(*a_at), runs, itemgetter(*sign_at), m << (n - 1), b_ats))
+    widths = list(map(len, orders))
+    return len(terms), widths, shapes
 
 
 def _minor_tables(m, n: int) -> list:
@@ -247,29 +307,34 @@ def _unpack(v: int, width: int) -> _GaussInt:
 
 
 def _chis(a, b, n: int, product: bool):
-    """Yield, for each signed permutation Q with signs[0] = +1 and
-    permutation in G, C_0..C_n of chi_{M_A Q^T M_B Q} (``product``) or of
-    chi_{M_A + Q^T M_B Q} as kernel scalars, for the rows a of M_A and b of
-    M_B, from their minors taken once (module docstring). Q runs over G's
-    elements and, within each, over the sign vectors, in the order of
-    ``_layout`` and ``_terms``; each vector belongs to one Q alone."""
-    a_at, b_ats, groups, sign_at, runs = _terms(n, product)
+    """(W, blocks): C_0..C_n of chi_{M_A Q^T M_B Q} (``product``) or of
+    chi_{M_A + Q^T M_B Q}, as kernel scalars, for each signed permutation Q
+    with signs[0] = +1 and permutation in G, for the rows a of M_A and b of
+    M_B, from their minors taken once (module docstring). ``blocks`` holds
+    one entry per block of ``_terms``, in G's order: the columns C_0, ...,
+    C_n over the block's (pi, signs), pi in lexicographic order and, within
+    each, the sign vectors. Each conjugate's vector is its place in every
+    column and belongs to that Q alone. W is 0 on real input; otherwise
+    every coefficient is packed at width W, which is wide enough for the sum
+    of each C_k over all the conjugates."""
+    term_count, widths, shapes = _terms(n, product)
     flats = [[v for table in _minor_tables(m, n) for v in table] for m in (a, b)]
     width = 0
     if type(a[0][0]) is not int or type(b[0][0]) is not int:
-        # Z[i] packed into one int: W = bits(a) + bits(b) + bits(T) + 2, the term count T being
-        # where the last group stops, is wide enough for any digit of any C_k (module docstring)
+        # Z[i] packed into one int: W = bits(a) + bits(b) + bits(T) + bits(N) + 2, for T terms
+        # and N conjugates, is wide enough for any digit of the sum of a C_k over all of them
+        # (module docstring)
         width = sum(max(abs(v.real) | abs(v.imag) for v in f).bit_length() for f in flats)
-        width += groups[-1].stop.bit_length() + 2
+        width += term_count.bit_length() + (len(_group(n)) << (n - 1)).bit_length() + 2
         flats = [[v.real + (v.imag << width) for v in f] for f in flats]
     a_side, b_side = (f + list(map(neg, f)) for f in flats)
-    a_side = a_at(a_side)
-    for b_at in b_ats:
-        terms = list(map(mul, a_side, b_at(b_side)))
-        sums = list(map(sum, map(terms.__getitem__, groups)))
-        picked = sign_at(sums + list(map(neg, sums)))
-        coeffs = list(map(sum, map(picked.__getitem__, runs)))
-        if width:
-            coeffs = [_unpack(v, width) for v in coeffs]
-        for i in range(0, len(coeffs), n + 1):
-            yield coeffs[i:i + n + 1]
+    blocks = []
+    for a_at, runs, sign_at, conjugates, b_ats in shapes:
+        a_terms = a_at(a_side)
+        for b_at in b_ats:
+            terms, sums = map(mul, a_terms, b_at(b_side)), []
+            for size, groups in runs:
+                sums += itertools.islice(map(sum, zip(*[terms] * size)), groups)
+            picked = iter(sign_at(sums + list(map(neg, sums))))
+            blocks.append([list(itertools.islice(map(sum, zip(*[picked] * w)), conjugates)) for w in widths])
+    return width, blocks

@@ -249,9 +249,9 @@ def test_signed_perm_mean_forms_one_vector_per_conjugate(monkeypatch, kind, entr
     chis, vectors = signed_perms._chis, []
 
     def counted(*args):
-        for coeffs in chis(*args):
-            vectors.append(coeffs)
-            yield coeffs
+        width, blocks = chis(*args)
+        vectors.extend(coeffs for columns in blocks for coeffs in zip(*columns))
+        return width, blocks
 
     monkeypatch.setattr(signed_perms, "_chis", counted)
     assert expected_charpoly_signed_perms(a, b, kind) == expected
@@ -272,12 +272,27 @@ def test_a_mean_builds_the_term_tables_of_its_own_kind_alone():
     assert (info.misses, info.currsize) == (2, 2)
 
 
+def conjugate_vectors(ma, mb, n, product):
+    """The vectors C_0..C_n that ``_chis`` forms, one per conjugate in its
+    order, each read back from its packed ints when the input is complex."""
+    width, blocks = signed_perms._chis(ma, mb, n, product)
+    for columns in blocks:
+        for coeffs in zip(*columns):
+            yield [signed_perms._unpack(v, width) for v in coeffs] if width else list(coeffs)
+
+
 def each_conjugate_vector_is_chi_of_its_explicit_form(n, entries_of, kind):
     """Every vector that the mean of ``kind`` adds is C_0..C_n of chi of its
     own conjugate M_A + Q^T M_B Q or M_A Q^T M_B Q, built in full at the
     pair's scale, in the oracle's order of (perm, signs) over G's
     permutations; the pairs are not symmetric, so B's minor at (pi P, pi R)
-    is told from the one at (pi R, pi P)."""
+    is told from the one at (pi R, pi P). At n = 5 the group spans more than
+    one block of ``_terms``, and the multiplicative mean's last block is
+    short."""
+    if n == 5:
+        shapes = signed_perms._terms(n, kind == MULTIPLICATIVE)[2]
+        assert sum(len(b_ats) for *_, b_ats in shapes) > 1
+        assert len(shapes) == 1 + (kind == MULTIPLICATIVE)
     a, b = dense_pair(n, entries_of)
     assert a != a.transpose() and b != b.transpose() or n == 1
     group = signed_perms._group(n)
@@ -286,21 +301,21 @@ def each_conjugate_vector_is_chi_of_its_explicit_form(n, entries_of, kind):
     scale, ma, mb, _ = matrix_module._pair_form(a, b, product)
     assert d == scale
     count = 0
-    for form, coeffs in zip(forms, signed_perms._chis(ma, mb, n, product), strict=True):
+    for form, coeffs in zip(forms, conjugate_vectors(ma, mb, n, product), strict=True):
         assert coeffs == _char_coeffs(_kernel_rows(form), n)
         count += 1
     assert count == 2 ** (n - 1) * len(group)
 
 
 @pytest.mark.parametrize("entries_of", ["real", "gaussian", "mixed"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_each_product_conjugate_vector_is_chi_of_its_explicit_product(n, entries_of):
     """``each_conjugate_vector_is_chi_of_its_explicit_form``, multiplicative."""
     each_conjugate_vector_is_chi_of_its_explicit_form(n, entries_of, MULTIPLICATIVE)
 
 
 @pytest.mark.parametrize("entries_of", ["real", "gaussian", "mixed"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_each_sum_conjugate_vector_is_chi_of_its_explicit_sum(n, entries_of):
     """``each_conjugate_vector_is_chi_of_its_explicit_form``, additive."""
     each_conjugate_vector_is_chi_of_its_explicit_form(n, entries_of, ADDITIVE)
@@ -422,16 +437,16 @@ def test_sum_chis_add_up_to_the_chis_of_explicit_sums(pair, kind):
     d, forms = conjugate_forms(a, b, kind, signed_perms._group(n))
     assert d == 1
     explicit = [_char_coeffs(_kernel_rows(form), n) for form in forms]
-    chis = signed_perms._chis(ma, mb, n, kind == MULTIPLICATIVE)
+    chis = conjugate_vectors(ma, mb, n, kind == MULTIPLICATIVE)
     assert [sum(c) for c in zip(*chis)] == [sum(c) for c in zip(*explicit)]
 
 
 @st.composite
 def wide_pairs(draw):
-    """(A, B) of one size n <= 4 with integer parts up to 10^30 in size, far
+    """(A, B) of one size n <= 5 with integer parts up to 10^30 in size, far
     past ``minor_inputs``' 10^6, so that the packing width grows with them:
     both Gaussian, or one real and the other Gaussian."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
     part = st.integers(-10**30, 10**30) | st.integers(-3, 3)
 
     def matrix(gaussian):
