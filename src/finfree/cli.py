@@ -11,10 +11,14 @@ All scalar values in emitted JSON are exact strings; only ``expect --mc``
 emits decimal floats. ``-h`` and ``--help``, top-level or after a verb, print
 {"help": <usage text>} and exit 0.
 
-A verb imports only the modules it runs: ``polynomials`` (the kind names and
-the convolutions) at module level, anything else on that verb's branch of
-``_run``, after parsing. ``charpoly``, ``convolve`` and ``check-balanced``
-start without ``families``, ``ffp``, ``moments`` or ``dataclasses``.
+A verb imports and builds only what it runs: ``polynomials`` (the kind
+names, the convolutions and the rank bound) at module level, anything else
+on that verb's branch of ``_run``, after parsing, and the subparser of that
+verb alone (``_build_parser``). ``charpoly``, ``convolve``,
+``check-balanced``, ``cycle-sums`` and ``rank-bound`` start without
+``families``, ``ffp``, ``moments`` or ``dataclasses``; ``moments``,
+``cumulants`` and ``sum-moments`` without ``families``, ``ffp`` or
+``dataclasses``. This paragraph stays last: the top-level help is the rest.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 import sys
 
 from .errors import FinFreeError, ParseError
-from .polynomials import ADDITIVE, MULTIPLICATIVE, Polynomial, boxplus, boxtimes
+from .polynomials import ADDITIVE, MULTIPLICATIVE, Polynomial, boxplus, boxtimes, rank_upper_bound
 from .scalars import _int_str, _json
 
 
@@ -96,7 +100,68 @@ def _load_polynomial(path: str) -> Polynomial:
     return Polynomial.from_json(_load_json(path))
 
 
-def _build_parser() -> _Parser:
+_KIND = {"choices": [ADDITIVE, MULTIPLICATIVE], "required": True}
+
+# verb -> (its help line, its arguments: each one ``add_argument``'s name and keywords)
+_VERBS = {
+    "charpoly": ("characteristic polynomial of a matrix", [("matrix", {})]),
+    "convolve": (
+        "finite free convolution of two polynomials",
+        [("--kind", _KIND), ("p", {}), ("q", {})],
+    ),
+    "check-ffp": (
+        "finite free position verdict for a matrix pair",
+        [("--kind", _KIND), ("a", {}), ("b", {})],
+    ),
+    "check-balanced": ("principally balanced membership with minor values", [("matrix", {})]),
+    "cycle-sums": ("cycle sums of every index subset", [("matrix", {})]),
+    "expect": (
+        "expected characteristic polynomial over conjugations",
+        [
+            ("--kind", _KIND),
+            ("--mc", {"action": "store_true", "help": "Monte-Carlo over Haar unitaries"}),
+            ("--samples", {"type": _at_least(1)}),
+            ("--seed", {"type": _at_least(0)}),
+            ("--tolerance", {"type": _tolerance}),
+            ("a", {}),
+            ("b", {}),
+        ],
+    ),
+    "verify-pair": (
+        "sample a complementary family pair and check FFP",
+        [
+            ("--families", {"required": True, "help": "comma-separated pair, e.g. diag,pb"}),
+            ("--kind", _KIND),
+            ("--trials", {"type": _at_least(1), "default": 100}),
+            ("--n", {"type": _at_least(1), "required": True}),
+            ("--seed", {"type": int, "required": True}),
+            ("--bound", {"type": _at_least(1), "default": 10}),
+        ],
+    ),
+    "moments": (
+        "normalized trace moments of a matrix",
+        [("matrix", {}), ("--k", {"type": _at_least(1), "help": "how many moments (default: the dimension)"})],
+    ),
+    "cumulants": ("finite free cumulants of a matrix", [("matrix", {})]),
+    "sum-moments": (
+        "moments of A+B via the convolution pipeline",
+        [("a", {}), ("b", {}), ("--count", {"type": _at_least(1)})],
+    ),
+    "rank-bound": (
+        "upper bound for the rank of a finite free variety",
+        [("--n", {"type": _at_least(1), "required": True})],
+    ),
+    "witness-ekl": ("unit-matrix witness for a non-diagonal matrix", [("matrix", {})]),
+}
+
+
+def _build_parser(argv) -> _Parser:
+    """The parser for ``argv``: with only the subparser of the verb that
+    ``argv`` starts with, or with every verb's when it starts with none (no
+    argument, ``-h`` or an unknown verb), so the top-level help and the
+    invalid-choice message still list them all. A verb's own help and
+    errors never read the other verbs' subparsers, so its bytes are the same
+    either way."""
     # the docstring as written, without its last paragraph (the import rule)
     parser = _Parser(
         prog="finfree",
@@ -104,61 +169,12 @@ def _build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("charpoly", help="characteristic polynomial of a matrix")
-    p.add_argument("matrix")
-
-    p = sub.add_parser("convolve", help="finite free convolution of two polynomials")
-    p.add_argument("--kind", choices=[ADDITIVE, MULTIPLICATIVE], required=True)
-    p.add_argument("p")
-    p.add_argument("q")
-
-    p = sub.add_parser("check-ffp", help="finite free position verdict for a matrix pair")
-    p.add_argument("--kind", choices=[ADDITIVE, MULTIPLICATIVE], required=True)
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("check-balanced", help="principally balanced membership with minor values")
-    p.add_argument("matrix")
-
-    p = sub.add_parser("cycle-sums", help="cycle sums of every index subset")
-    p.add_argument("matrix")
-
-    p = sub.add_parser("expect", help="expected characteristic polynomial over conjugations")
-    p.add_argument("--kind", choices=[ADDITIVE, MULTIPLICATIVE], required=True)
-    p.add_argument("--mc", action="store_true", help="Monte-Carlo over Haar unitaries")
-    p.add_argument("--samples", type=_at_least(1))
-    p.add_argument("--seed", type=_at_least(0))
-    p.add_argument("--tolerance", type=_tolerance)
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = sub.add_parser("verify-pair", help="sample a complementary family pair and check FFP")
-    p.add_argument("--families", required=True, help="comma-separated pair, e.g. diag,pb")
-    p.add_argument("--kind", choices=[ADDITIVE, MULTIPLICATIVE], required=True)
-    p.add_argument("--trials", type=_at_least(1), default=100)
-    p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bound", type=_at_least(1), default=10)
-
-    p = sub.add_parser("moments", help="normalized trace moments of a matrix")
-    p.add_argument("matrix")
-    p.add_argument("--k", type=_at_least(1), help="how many moments (default: the dimension)")
-
-    p = sub.add_parser("cumulants", help="finite free cumulants of a matrix")
-    p.add_argument("matrix")
-
-    p = sub.add_parser("sum-moments", help="moments of A+B via the convolution pipeline")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--count", type=_at_least(1))
-
-    p = sub.add_parser("rank-bound", help="upper bound for the rank of a finite free variety")
-    p.add_argument("--n", type=_at_least(1), required=True)
-
-    p = sub.add_parser("witness-ekl", help="unit-matrix witness for a non-diagonal matrix")
-    p.add_argument("matrix")
-
+    verbs = argv[:1] if argv and argv[0] in _VERBS else _VERBS
+    for verb in verbs:
+        line, arguments = _VERBS[verb]
+        p = sub.add_parser(verb, help=line)
+        for name, options in arguments:
+            p.add_argument(name, **options)
     return parser
 
 
@@ -188,7 +204,7 @@ def _run(args):
             "n": m.n,
         }
     if args.verb == "cycle-sums":
-        from .families import cycle_sums
+        from .matrices import cycle_sums
 
         return cycle_sums(_load_matrix(args.matrix))
     if args.verb == "expect":
@@ -239,8 +255,6 @@ def _run(args):
         a._require_same_size(b)
         return ffp_sum_moments(MomentVector.of_matrix(a), MomentVector.of_matrix(b), args.count)
     if args.verb == "rank-bound":
-        from .families import rank_upper_bound
-
         return {"n": args.n, "rank_bound": _int_str(rank_upper_bound(args.n))}
     # witness-ekl
     from .ffp import ekl_witness
@@ -253,7 +267,8 @@ def _run(args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         result = _run(args)

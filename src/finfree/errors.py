@@ -86,10 +86,24 @@ GUARDS = {
     # on the rational 8x8 and 1.9-2.0 s on the Gaussian 8x8 (Python 3.11, 2-vCPU Xeon VM).
     # Each doubling of the count costs 6-7x in process (1000 -> 2000: moments of the
     # rational 8x8 0.2 -> 1.2 s, the sum path 0.44 -> 2.8 s, and 0.9 -> 6.4 s on the
-    # Gaussian 8x8). The limit bounds the count only: at the default count, `sum-moments` on
-    # two diagonal 250 x 250 p/q matrices takes 16-19 s cold, its Newton steps on the ints
-    # of an 88,000-bit integer form
+    # Gaussian 8x8). The limit bounds the count only; the `sum-moments` row bounds the sum's
+    # moments by n too
     "moments": (1000, "moment count refused: {value} > {limit}"),
+    # n * max(n, count) for the moments of a sum. Past the two moment vectors it costs the
+    # series of n coefficients from each, O(n^2) rational steps, and then count Newton steps
+    # on the [+] of the two, whose integer form grows with n. On two diagonal p/q matrices,
+    # |p|, q <= 10, a cold `sum-moments` at the default count took 0.7 s at n = 125, 1.6 s at
+    # 150, 4.7 s at 200 and 12.6-19 s at 250 (its Newton steps 9.6 s in process); at n = 250
+    # and count 1 it took 2.7 s, and 8.8 s on Gaussian entries (the series 6.9 s in process),
+    # so n costs even at a small count. At the limit it takes 1.0-1.2 s on those real pairs
+    # and 3.4-3.8 s on Gaussian ones (n = 125 at count 160, and n = 141 at the default
+    # count, 19,881), 2.6 s on Gaussian ones at n = 20 and count 1000, and 5.8 s on two dense
+    # Gaussian 64 x 64 at count 312, 5 s of it the two chis (the `chi` row). One past it,
+    # n = 113 at count 177 is refused in 0.4 s (Python 3.11, 2-vCPU Xeon VM)
+    "sum-moments": (
+        20_000,
+        "moments of a sum refused for {count} moments at n={n}: n * max(n, count) > {limit}",
+    ),
     # 2^(n-1) |G| conjugates, G the group of ``signed_perms`` (3,840 at n = 6): each mean
     # takes a signed sum of grouped minor products per coefficient of each, on ints, Gaussian
     # minors packed into one int, in passes over blocks of permutations. At n = 6 a dense p/q

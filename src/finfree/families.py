@@ -28,14 +28,16 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Optional
 
-from .errors import IndexRangeError, ParseError, UnsupportedPairError, _guard
+from .errors import ParseError, UnsupportedPairError, _guard
 from .ffp import FfpReport, _failure_report
-from .matrices import Matrix, _constant, _labelled, _masks, _minors_balanced
-from .polynomials import ADDITIVE, Polynomial
-from .scalars import ONE, GaussianRational, _Record, as_scalar
+# CycleSums, cycle_sums and rank_upper_bound live with what they read, so the
+# light verbs run without this module; they are re-exported here
+from .matrices import CycleSums, Matrix, _minors_balanced, cycle_sums
+from .polynomials import ADDITIVE, Polynomial, rank_upper_bound
+from .scalars import ONE, _Record, as_scalar
 
 PROBE_MAGNITUDES = (10, 100)
 
@@ -96,79 +98,6 @@ def is_member(a: Matrix, family: FamilyId) -> bool:
     return all(not m[i][j] for i, j in _zero_cells(family, a.n)) and (
         not constant or all(m[i][i] == m[0][0] for i in range(a.n))
     )
-
-
-# -- cycle sums -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CycleSums:
-    """Cycle sums c_I grouped by |I|, with the order-wise constancy flag.
-
-    c_I sums, over all cycles visiting exactly the index set I and anchored
-    at min I, the products of matrix entries along the cycle. Orderwise
-    constancy of cycle sums characterizes principally balanced matrices.
-    """
-
-    n: int
-    by_order: dict
-    balanced: bool
-
-    def values(self, k: int) -> list[GaussianRational]:
-        return [v for _, v in self.by_order[k]]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "balanced": self.balanced,
-            "orders": {
-                str(k): [{"indices": list(idx), "sum": str(v)} for idx, v in entries]
-                for k, entries in self.by_order.items()
-            },
-        }
-
-
-def cycle_sums(a: Matrix) -> CycleSums:
-    """Cycle sums of every non-empty index subset, grouped by order.
-
-    All 2^n - 1 sums come from one subset dynamic programme (Held-Karp
-    style) over the integer form M = d*A: for each anchor s, ``paths[mask]``
-    maps each end vertex v to the sum of M-products along the paths that
-    start at s and visit exactly the indices in ``mask``, all greater than
-    s. Closing each path with M[v][s] gives the sum C_I over the cycles
-    through I = {s} u mask, and c_I = C_I / d^|I|. Every cycle is counted
-    once, from its least index. That is O(2^n n^2) products, where
-    enumerating every cycle costs sum_k C(n,k) (k-1)! k. Within an order,
-    index sets come in lexicographic order and are 1-based.
-    """
-    n = _guard("cycle-sums", a.n)
-    m = a._m
-    sums = {}
-    for s in range(n):
-        sums[1 << s] = m[s][s]
-        rest = range(s + 1, n)
-        paths = {}
-        for v in rest:
-            if m[s][v]:
-                paths[1 << v] = {v: m[s][v]}
-        # masks hold bits above s only; ascending order visits every mask after its subsets
-        for mask in range(1 << (s + 1), 1 << n, 1 << (s + 1)):
-            ends = paths.pop(mask, None)
-            if not ends:
-                continue
-            closed = 0
-            for v, total in ends.items():
-                closed = closed + total * m[v][s]
-                row = m[v]
-                for w in rest:
-                    if mask >> w & 1 or not row[w]:
-                        continue
-                    nxt = paths.setdefault(mask | 1 << w, {})
-                    nxt[w] = nxt.get(w, 0) + total * row[w]
-            sums[mask | 1 << s] = closed
-    # the sums of one order share the scale d^k, so their numerators compare the same
-    levels = [[sums.get(mask, 0) for mask in level] for level in _masks(n, n)]
-    return CycleSums(n, {k: _labelled(levels[k], a, k) for k in range(1, n + 1)}, _constant(levels))
 
 
 # -- samplers ---------------------------------------------------------------
@@ -497,16 +426,7 @@ def _sample_outside_first_family(f: FamilyId, rng: random.Random, n: int, bound:
     return m
 
 
-# -- assorted formulas -------------------------------------------------------
-
-
-def rank_upper_bound(n: int) -> int:
-    """Upper bound sum_{k=1}^{n-1} k! C(n,k)^2 on the rank of a finite free
-    variety; the empty sum at n=1 gives 0."""
-    if n < 1:
-        raise IndexRangeError(f"need n >= 1, got {n}")
-    _guard("rank-bound", n)
-    return sum(factorial(k) * comb(n, k) ** 2 for k in range(1, n))
+# -- the principally balanced characteristic polynomial ----------------------
 
 
 def pb_charpoly_from_minors(minors) -> Polynomial:

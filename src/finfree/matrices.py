@@ -1,5 +1,5 @@
 """Exact dense matrices: characteristic polynomials, determinants, principal
-minors and moments.
+minors, cycle sums and moments.
 
 Storage: a ``Matrix`` is its integer form, plus caches derived from it. For
 a matrix A of Gaussian rationals, d is the lcm of the denominators of every
@@ -49,6 +49,12 @@ C_0..C_n by Newton's identities (``polynomials._moments``), on the
 kernel's scalars (ints, and ``scalars._GaussInt``s on complex input), so
 they take no matrix product and divide by nothing. Moments, cumulants and
 chi of one matrix compute chi once between them.
+
+Cycle sums come from one subset dynamic programme over M (``cycle_sums``),
+whose levels are labelled and tested for order-wise constancy as the minor
+tree's are (``_labelled``, ``_constant``). They live here rather than in
+``families`` so that the ``cycle-sums`` verb loads neither ``families`` nor
+``ffp``.
 """
 
 from __future__ import annotations
@@ -67,14 +73,14 @@ from .kernel import (
     _gscale,
     _iadd,
     _join,
-    _masks,  # families.cycle_sums labels its sums over these masks with _labelled
+    _masks,  # cycle_sums labels its sums over these masks with _labelled
     _minor_levels,
     _minor_tree,
     _split,
     _trace,
 )
 from .polynomials import Polynomial, _from_int, _moment_count, _moments
-from .scalars import GaussianRational, _scaled, as_scalar
+from .scalars import GaussianRational, _Record, _scaled, as_scalar
 
 
 class Matrix:
@@ -339,3 +345,71 @@ def minor_table(a: Matrix) -> dict:
     of M + tI with the shift taken off every order (``kernel._minor_levels``)."""
     _guard("minors", a.n)
     return {k: _labelled(level, a, k) for k, level in enumerate(_minor_levels(a._m, a.n))}
+
+
+class CycleSums(_Record):
+    """Cycle sums c_I grouped by |I|, with the order-wise constancy flag; a
+    plain record (``scalars._Record``).
+
+    c_I sums, over all cycles visiting exactly the index set I and anchored
+    at min I, the products of matrix entries along the cycle. Orderwise
+    constancy of cycle sums characterizes principally balanced matrices.
+    """
+
+    __slots__ = _fields = ("n", "by_order", "balanced")
+
+    def values(self, k: int) -> list[GaussianRational]:
+        return [v for _, v in self.by_order[k]]
+
+    def to_json(self) -> dict:
+        return {
+            "n": self.n,
+            "balanced": self.balanced,
+            "orders": {
+                str(k): [{"indices": list(idx), "sum": str(v)} for idx, v in entries]
+                for k, entries in self.by_order.items()
+            },
+        }
+
+
+def cycle_sums(a: Matrix) -> CycleSums:
+    """Cycle sums of every non-empty index subset, grouped by order.
+
+    All 2^n - 1 sums come from one subset dynamic programme (Held-Karp
+    style) over the integer form M = d*A: for each anchor s, ``paths[mask]``
+    maps each end vertex v to the sum of M-products along the paths that
+    start at s and visit exactly the indices in ``mask``, all greater than
+    s. Closing each path with M[v][s] gives the sum C_I over the cycles
+    through I = {s} u mask, and c_I = C_I / d^|I|. Every cycle is counted
+    once, from its least index. That is O(2^n n^2) products, where
+    enumerating every cycle costs sum_k C(n,k) (k-1)! k. Within an order,
+    index sets come in lexicographic order and are 1-based.
+    """
+    n = _guard("cycle-sums", a.n)
+    m = a._m
+    sums = {}
+    for s in range(n):
+        sums[1 << s] = m[s][s]
+        rest = range(s + 1, n)
+        paths = {}
+        for v in rest:
+            if m[s][v]:
+                paths[1 << v] = {v: m[s][v]}
+        # masks hold bits above s only; ascending order visits every mask after its subsets
+        for mask in range(1 << (s + 1), 1 << n, 1 << (s + 1)):
+            ends = paths.pop(mask, None)
+            if not ends:
+                continue
+            closed = 0
+            for v, total in ends.items():
+                closed = closed + total * m[v][s]
+                row = m[v]
+                for w in rest:
+                    if mask >> w & 1 or not row[w]:
+                        continue
+                    nxt = paths.setdefault(mask | 1 << w, {})
+                    nxt[w] = nxt.get(w, 0) + total * row[w]
+            sums[mask | 1 << s] = closed
+    # the sums of one order share the scale d^k, so their numerators compare the same
+    levels = [[sums.get(mask, 0) for mask in level] for level in _masks(n, n)]
+    return CycleSums(n, {k: _labelled(levels[k], a, k) for k in range(1, n + 1)}, _constant(levels))

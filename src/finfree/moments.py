@@ -35,32 +35,30 @@ set-partition moment formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
 from typing import Optional, Sequence
 
 from .errors import (
-    DegreeMismatchError, DimensionMismatchError, IndexRangeError, NonMonicError, ParseError,
+    DegreeMismatchError, DimensionMismatchError, IndexRangeError, NonMonicError, ParseError, _guard,
 )
 from .matrices import Matrix, char_poly, moment_vector_of
 from .polynomials import Polynomial, _cleared, _moment_count, _moments, boxplus
 from .scalars import ONE, ZERO, GaussianRational, _Record, as_scalar
 
 
-@dataclass(frozen=True)
 class _Values(_Record):
-    """n and a 1-based vector of exact values, named by the subclass's ``_what``."""
+    """n and a 1-based vector of exact values, named by the subclass's ``_what``;
+    a plain record (``scalars._Record``)."""
 
-    n: int
-    values: tuple
+    __slots__ = _fields = ("n", "values")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise DimensionMismatchError(f"{self._what} vector needs a positive int n, got {self.n!r}")
-        if isinstance(self.values, str) or not isinstance(self.values, Sequence):
-            raise ParseError(f"{self._what} vector values must be a sequence, got {self.values!r}")
-        object.__setattr__(self, "values", tuple(as_scalar(v) for v in self.values))
+    def __init__(self, n: int, values: Sequence):
+        if type(n) is not int or n < 1:
+            raise DimensionMismatchError(f"{self._what} vector needs a positive int n, got {n!r}")
+        if isinstance(values, str) or not isinstance(values, Sequence):
+            raise ParseError(f"{self._what} vector values must be a sequence, got {values!r}")
+        super().__init__(n, tuple(as_scalar(v) for v in values))
 
     def __getitem__(self, k: int) -> GaussianRational:
         if not 1 <= k <= len(self.values):
@@ -75,6 +73,7 @@ class MomentVector(_Values):
     """Moments m_1..m_k of an n x n matrix; canonically k = n, but callers
     may request more (Newton's recursion extends past the degree)."""
 
+    __slots__ = ()
     _what = "moment"
 
     @classmethod
@@ -86,6 +85,7 @@ class CumulantVector(_Values):
     """Finite free cumulants kappa_1..kappa_n; the order-n dependence is
     recorded because the conversion formulas depend on the dimension."""
 
+    __slots__ = ()
     _what = "cumulant"
 
 
@@ -127,9 +127,13 @@ def ffp_sum_moments(
 ) -> MomentVector:
     """Moments of A + B for a pair in additive finite free position, built by
     converting both moment vectors to coefficients, convolving, and reading
-    moments back off."""
+    moments back off. The count (n by default) is checked first, by the
+    ``moments`` guard and then by the ``sum-moments`` guard on n * max(n, count)."""
     if ma.n != mb.n:
         raise DimensionMismatchError(f"dimension mismatch: {ma.n} vs {mb.n}")
+    n = ma.n
+    count = _moment_count(count, n)
+    _guard("sum-moments", n * max(n, count), n=n, count=count)
     combined = boxplus(coeffs_from_moments(ma), coeffs_from_moments(mb))
     return moments_from_coeffs(combined, count)
 

@@ -53,6 +53,10 @@ its power sums divided by n d^r. The recurrence
 divides by nothing, so it runs on kernel scalars. A matrix's moments (its
 cached chi at its scale), a polynomial's, cumulants and moments from
 cumulants all go through it (``moments``). No floating point anywhere.
+
+The rank bound of a finite free variety, ``rank_upper_bound``, is a sum of
+integers that lives here, where every CLI verb already looks, so the cold
+``rank-bound`` verb loads nothing more.
 """
 
 from __future__ import annotations
@@ -237,3 +241,12 @@ def boxplus(p: Polynomial, q: Polynomial) -> Polynomial:
 def boxtimes(p: Polynomial, q: Polynomial) -> Polynomial:
     """Multiplicative finite free convolution of two monic degree-n polynomials."""
     return _convolve(p, q, True)
+
+
+def rank_upper_bound(n: int) -> int:
+    """Upper bound sum_{k=1}^{n-1} k! C(n,k)^2 on the rank of a finite free
+    variety; the empty sum at n=1 gives 0."""
+    if n < 1:
+        raise IndexRangeError(f"need n >= 1, got {n}")
+    _guard("rank-bound", n)
+    return sum(factorial(k) * comb(n, k) ** 2 for k in range(1, n))

@@ -18,8 +18,9 @@ positive integer to give a GaussianRational.
 
 Results reach JSON by one rule, ``_json``: a value with its own ``to_json``
 gives that, containers map through, an enum gives its value and a
-GaussianRational its string. ``_Record`` is the base of the frozen
-dataclasses that serialize as their fields.
+GaussianRational its string. ``_Record`` is the base of the result records
+that serialize as their fields, plain ``__slots__`` records and frozen
+dataclasses alike.
 """
 
 from __future__ import annotations
@@ -307,12 +308,57 @@ def _json(value):
 
 
 class _Record:
-    """Base of a dataclass whose JSON form maps each field name to ``_json``
-    of its value. It reads ``__dataclass_fields__`` directly, so this module
-    needs no ``dataclasses``."""
+    """Base of the result records, whose JSON form maps each field name to
+    ``_json`` of its value.
+
+    A plain record names its fields in ``_fields`` and keeps them in
+    ``__slots__`` of the same names: ``matrices.CycleSums`` and the moment
+    and cumulant vectors of ``moments``. This class makes it behave as a
+    frozen dataclass would: built from its fields in order, immutable, equal
+    to a record of its own class with equal fields, hashed as the tuple of
+    them, shown as ``Name(field=value, ...)``, and copied and pickled by its
+    fields. So ``matrices`` and ``moments`` never import ``dataclasses``,
+    which with ``inspect`` costs a cold CLI verb about 6 ms.
+
+    The records of ``ffp`` and ``families`` stay frozen dataclasses, which
+    replace all of that and whose fields this class reads from
+    ``__dataclass_fields__``: those modules import ``dataclasses`` anyway,
+    and the benchmark's own tests build variants of ``FfpReport`` and
+    ``PairCheckReport`` with ``dataclasses.replace``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce_ex__(self, protocol):
+        # copy and pickle would set a plain record's slots, which it refuses; call the class instead
+        return (type(self), self._values()) if self._fields else super().__reduce_ex__(protocol)
 
     def to_json(self) -> dict:
-        return {name: _json(getattr(self, name)) for name in self.__dataclass_fields__}
+        return {name: _json(getattr(self, name)) for name in self._fields or self.__dataclass_fields__}
 
 
 def as_scalar(value) -> GaussianRational:

@@ -15,6 +15,7 @@ It takes about a minute. Tier-1 does not collect this file, and
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -109,6 +110,26 @@ def moments(n, tmp):
     return calls
 
 
+def sum_moments(value, tmp):
+    # the largest size at most the square root of the value that divides it, so the count
+    # value // size is at least the size and size * max(size, count) is the value
+    size = max(k for k in range(1, math.isqrt(value) + 1) if value % k == 0)
+    count = value // size
+    rng = random.Random(f"sum-moments-{value}")
+    calls = []
+    for gaussian in (False, True):
+        a, b = (Matrix.diagonal([as_scalar(entry(rng, gaussian)) for _ in range(size)]) for _ in "ab")
+        files = [write(tmp, f"diagonal-{s}-{gaussian}", m.to_json()) for s, m in zip("ab", (a, b))]
+
+        def first_moment(out, a=a, b=b):
+            # m_1 of the sum is m_1(A) + m_1(B)
+            mean = (a.trace() + b.trace()) / size
+            return len(out["values"]) == count and as_scalar(out["values"][0]) == mean
+
+        calls.append((["sum-moments", *files, "--count", str(count)], first_moment))
+    return calls
+
+
 def signed_perms(n, tmp):
     def mean(a, b, kind):
         # the mean is the convolution, and the mean of one chi per conjugate over all of S_n
@@ -154,6 +175,7 @@ PROBES = {
     "convolution": convolution,
     "minors": minors,
     "moments": moments,
+    "sum-moments": sum_moments,
     "signed-perms": signed_perms,
     "cycle-sums": cycle_sums,
     "rank-bound": rank_bound,

@@ -13,6 +13,7 @@ import finfree.families
 import finfree.ffp
 import finfree.matrices
 import finfree.moments
+import finfree.polynomials
 from finfree import Polynomial, SizeGuardError, as_scalar, minor_table
 from finfree.cli import main
 from finfree.errors import GUARDS
@@ -738,6 +739,73 @@ class TestHelp:
             assert payload["help"].startswith(f"usage: finfree {argv[0]}")
 
 
+# one usage error per verb that the parser itself refuses: a bad value, or a missing or extra argument
+USAGE_ERRORS = {
+    "charpoly": ["charpoly"],
+    "convolve": ["convolve", "p.json", "q.json"],
+    "check-ffp": ["check-ffp", "--kind", "additive", "a.json"],
+    "check-balanced": ["check-balanced", "m.json", "extra"],
+    "cycle-sums": ["cycle-sums"],
+    "expect": ["expect", "--kind", "additive", "--samples", "x", "a.json", "b.json"],
+    "verify-pair": ["verify-pair", "--families", "diag,pb", "--kind", "additive", "--n", "0", "--seed", "1"],
+    "moments": ["moments", "m.json", "--k", "0"],
+    "cumulants": ["cumulants"],
+    "sum-moments": ["sum-moments", "a.json", "b.json", "--count", "x"],
+    "rank-bound": ["rank-bound", "--n", "two"],
+    "witness-ekl": ["witness-ekl", "m.json", "--bogus"],
+}
+
+
+def full_parser_bytes(argv) -> tuple:
+    """(exit code, stdout, stderr) of ``main`` had it parsed ``argv`` with
+    every verb's subparser built, for an argv whose parse ends in help or in
+    a usage error."""
+    try:
+        finfree.cli._build_parser([]).parse_args(argv)
+    except finfree.cli._Help as text:
+        return 0, json.dumps({"help": str(text)}, sort_keys=True) + "\n", ""
+    except finfree.cli._UsageError as exc:
+        return 1, "", json.dumps({"error": "usage", "message": str(exc)}, sort_keys=True) + "\n"
+    raise AssertionError(f"{argv} parses")
+
+
+class TestOneVerbParser:
+    """``main`` builds only the subparser of the verb its argv starts with;
+    every help text and usage error is byte for byte what the parser with
+    all verbs gives."""
+
+    @pytest.mark.parametrize("verb", list(finfree.cli._VERBS))
+    def test_only_the_named_verb_is_built(self, verb):
+        parser = finfree.cli._build_parser([verb, "--help"])
+        assert parser.format_usage() == f"usage: finfree [-h] {{{verb}}} ...\n"
+
+    @pytest.mark.parametrize("verb", list(finfree.cli._VERBS))
+    @pytest.mark.parametrize("form", ["help", "usage"])
+    def test_verb_bytes_match_the_full_parser(self, capsys, verb, form):
+        argv = [verb, "--help"] if form == "help" else USAGE_ERRORS[verb]
+        assert run(capsys, *argv) == full_parser_bytes(argv)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["-h", "charpoly"], ["no-such-verb"]])
+    def test_top_level_lists_every_verb(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == full_parser_bytes(argv)
+        text = json.loads(out)["help"] if code == 0 else json.loads(err)["message"]
+        assert all(verb in text for verb in finfree.cli._VERBS)
+
+    def test_no_verb(self, capsys):
+        code, out, err = run(capsys)
+        assert (code, out, err) == full_parser_bytes([])
+        assert json.loads(err)["message"] == "the following arguments are required: verb"
+
+    def test_top_level_help_is_the_docstring_without_its_import_rule(self, capsys):
+        """The import-rule paragraph stays last in the ``cli`` docstring, and
+        the top-level help shows the rest of it."""
+        body, _, rule = finfree.cli.__doc__.rstrip().rpartition("\n\n")
+        help_text = json.loads(run(capsys, "-h")[1])["help"]
+        assert body in help_text and rule not in help_text
+        assert "import" in rule and "dataclasses" in rule
+
+
 class TestLargeAndDeepInput:
     """Exact values of any size print and parse exactly; deep nesting and
     huge exponent forms are input errors, not tracebacks."""
@@ -783,8 +851,8 @@ class TestLargeAndDeepInput:
         def refuse(*_):
             raise AssertionError("the guard must refuse before any term is computed")
 
-        monkeypatch.setattr(finfree.families, "factorial", refuse)
-        monkeypatch.setattr(finfree.families, "comb", refuse)
+        monkeypatch.setattr(finfree.polynomials, "factorial", refuse)
+        monkeypatch.setattr(finfree.polynomials, "comb", refuse)
         code, out, err = run(capsys, "rank-bound", "--n", "1000000")
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "size-guard"
@@ -938,79 +1006,77 @@ def test_import_leaves_numpy_out():
     assert result.stdout.strip() == "False"
 
 
+# the finfree submodules a cold run of each verb loads, with dataclasses and numpy;
+# every verb loads these four
+_BASE = {"cli", "errors", "polynomials", "scalars"}
+_MATRIX = _BASE | {"kernel", "matrices"}
+_FFP = _MATRIX | {"ffp", "dataclasses"}
+IMPORT_BUDGET = {
+    "charpoly": _MATRIX,
+    "convolve": _BASE,
+    "check-ffp": _FFP,
+    "check-balanced": _MATRIX,
+    "cycle-sums": _MATRIX,
+    "expect": _FFP | {"signed_perms"},
+    "expect --mc": _FFP | {"numpy"},
+    "verify-pair": _FFP | {"families"},
+    "moments": _MATRIX | {"moments"},
+    "cumulants": _MATRIX | {"moments"},
+    "sum-moments": _MATRIX | {"moments"},
+    "rank-bound": _BASE,
+    "witness-ekl": _FFP,
+}
+
+
+def test_import_budget_says_what_the_light_verbs_leave_out():
+    heavy = {"families", "ffp", "dataclasses"}
+    assert not heavy & (IMPORT_BUDGET["cycle-sums"] | IMPORT_BUDGET["rank-bound"])
+    assert not any("dataclasses" in IMPORT_BUDGET[verb] for verb in ("moments", "cumulants", "sum-moments"))
+    assert [verb for verb, modules in IMPORT_BUDGET.items() if "numpy" in modules] == ["expect --mc"]
+    assert {verb.split()[0] for verb in IMPORT_BUDGET} == set(finfree.cli._VERBS)
+
+
 def test_light_verbs_import_only_what_they_run(tmp_path):
-    """charpoly, convolve and check-balanced run without families, ffp,
-    moments or dataclasses ever being imported."""
-    m = tmp_path / "m.json"
-    m.write_text(json.dumps(EXAMPLE_PB))
-    p = tmp_path / "p.json"
-    p.write_text(json.dumps(GAUSSIAN_P))
-    q = tmp_path / "q.json"
-    q.write_text(json.dumps(GAUSSIAN_Q))
-    runs = [
-        ["charpoly", str(m)],
-        ["convolve", "--kind", "additive", str(p), str(q)],
-        ["convolve", "--kind", "multiplicative", str(p), str(q)],
-        ["check-balanced", str(m)],
-    ]
-    code = (
-        "import json, sys\n"
-        "from finfree.cli import main\n"
-        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "heavy = ['finfree.families', 'finfree.ffp', 'finfree.moments', 'dataclasses']\n"
-        "print(json.dumps([codes, [name for name in heavy if name in sys.modules]]))\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(runs)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    lines = result.stdout.splitlines()
-    assert len(lines) == len(runs) + 1
-    assert json.loads(lines[-1]) == [[0] * len(runs), []]
-
-
-def test_only_exact_expect_imports_the_signed_permutation_module(tmp_path):
-    """Every verb but the exact ``expect`` runs without ``finfree.signed_perms``
-    being imported, and the exact ``expect`` imports it."""
-    scalar = {"n": 3, "entries": [["2", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]]}
-    files = {"a": GAUSSIAN_A, "b": GAUSSIAN_B, "s": scalar, "m": EXAMPLE_PB, "p": GAUSSIAN_P, "q": GAUSSIAN_Q}
-    path = {}
+    """Each verb, run cold in its own interpreter, loads exactly the finfree
+    submodules of its row of ``IMPORT_BUDGET``, and ``dataclasses`` and
+    numpy only where the row names them: only the exact ``expect`` loads
+    ``signed_perms``, and only ``verify-pair`` loads ``families``."""
+    files = {"m": EXAMPLE_PB, "a": GAUSSIAN_A, "b": GAUSSIAN_B, "p": GAUSSIAN_P, "q": GAUSSIAN_Q}
     for name, payload in files.items():
-        path[name] = str(tmp_path / f"{name}.json")
-        Path(path[name]).write_text(json.dumps(payload))
-    a, b, s, m, p, q = (path[name] for name in "absmpq")
-    runs = [
-        ["charpoly", m],
-        ["convolve", "--kind", "multiplicative", p, q],
-        ["check-ffp", "--kind", "additive", m, s],
-        ["check-balanced", m],
-        ["cycle-sums", m],
-        ["expect", "--mc", "--kind", "additive", "--samples", "10", "--seed", "0", a, b],
-        ["verify-pair", "--families", "diag,pb", "--kind", "additive", "--trials", "2", "--n", "3", "--seed", "0"],
-        ["moments", m],
-        ["cumulants", m],
-        ["sum-moments", a, b],
-        ["rank-bound", "--n", "3"],
-        ["witness-ekl", m],
-    ]
-    exact = [["expect", "--kind", "multiplicative", a, b]]
-    code = (
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    m, a, b, p, q = (str(tmp_path / f"{name}.json") for name in "mabpq")
+    runs = {
+        "charpoly": ["charpoly", m],
+        "convolve": ["convolve", "--kind", "multiplicative", p, q],
+        "check-ffp": ["check-ffp", "--kind", "additive", a, b],
+        "check-balanced": ["check-balanced", m],
+        "cycle-sums": ["cycle-sums", m],
+        "expect": ["expect", "--kind", "additive", a, b],
+        "expect --mc": ["expect", "--mc", "--kind", "additive", "--samples", "10", "--seed", "0", a, b],
+        "verify-pair": ["verify-pair", "--families", "diag,pb", "--kind", "additive", "--trials", "2",
+                        "--n", "3", "--seed", "0"],
+        "moments": ["moments", m],
+        "cumulants": ["cumulants", m],
+        "sum-moments": ["sum-moments", a, b],
+        "rank-bound": ["rank-bound", "--n", "3"],
+        "witness-ekl": ["witness-ekl", m],
+    }
+    script = (
         "import json, sys\n"
         "from finfree.cli import main\n"
-        "runs, exact = json.loads(sys.argv[1])\n"
-        "codes = [main(argv) for argv in runs]\n"
-        "before = 'finfree.signed_perms' in sys.modules\n"
-        "codes += [main(argv) for argv in exact]\n"
-        "print(json.dumps([codes, before, 'finfree.signed_perms' in sys.modules]))\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        "loaded = [name.removeprefix('finfree.') for name in sys.modules\n"
+        "          if name.startswith('finfree.') or name in ('dataclasses', 'numpy')]\n"
+        "print(json.dumps([code, sorted(loaded)]))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c", code, json.dumps([runs, exact])],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    lines = result.stdout.splitlines()
-    assert len(lines) == len(runs) + len(exact) + 1
-    assert json.loads(lines[-1]) == [[0] * (len(runs) + len(exact)), False, True]
+    assert set(runs) == set(IMPORT_BUDGET)
+    for verb, argv in runs.items():
+        result = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        code, loaded = json.loads(result.stdout.splitlines()[-1])
+        assert code in (0, 2), verb
+        assert set(loaded) == IMPORT_BUDGET[verb], verb

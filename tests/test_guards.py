@@ -8,6 +8,7 @@ import cold_guards
 from finfree import (
     GaussianRational,
     Matrix,
+    MomentVector,
     Polynomial,
     SizeGuardError,
     boxplus,
@@ -15,6 +16,7 @@ from finfree import (
     cycle_sums,
     expected_charpoly_haar_mc,
     expected_charpoly_signed_perms,
+    ffp_sum_moments,
     minor_table,
     moments_from_coeffs,
     rank_upper_bound,
@@ -36,6 +38,10 @@ REFUSALS = {
     "convolution": (lambda: boxplus(monic(251), monic(251)), "convolution refused for degree 251 > 250"),
     "minors": (lambda: minor_table(dense(17)), "minor enumeration refused for n=17 > 16"),
     "moments": (lambda: moments_from_coeffs(monic(3), 1001), "moment count refused: 1001 > 1000"),
+    "sum-moments": (
+        lambda: ffp_sum_moments(MomentVector(113, [1] * 113), MomentVector(113, [2] * 113), 177),
+        "moments of a sum refused for 177 moments at n=113: n * max(n, count) > 20000",
+    ),
     "signed-perms": (
         lambda: expected_charpoly_signed_perms(dense(7), dense(7), "additive"),
         "signed-permutation enumeration refused for n=7 > 6",

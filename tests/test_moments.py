@@ -385,6 +385,9 @@ class TestVectorConstructor:
              "index-out-of-range", "moment count must be >= 1, got -3"),
             (lambda: ffp_sum_moments(MomentVector(1, [1]), MomentVector(1, [2]), 0),
              "index-out-of-range", "moment count must be >= 1, got 0"),
+            # the series of n coefficients costs at any count, so n alone can pass the guard
+            (lambda: ffp_sum_moments(MomentVector(142, [1] * 142), MomentVector(142, [2] * 142), 1),
+             "size-guard", "moments of a sum refused for 1 moments at n=142: n * max(n, count) > 20000"),
         ],
     )
     def test_refusal_code_and_message(self, call, code, message):

@@ -60,6 +60,12 @@ def test_submodules_import_from_the_package():
     assert families.verify_pair is finfree.verify_pair
     assert ffp.ADDITIVE == finfree.ADDITIVE == "additive"
     assert ffp.MULTIPLICATIVE == finfree.MULTIPLICATIVE == "multiplicative"
+    # moved out of families for the light verbs, and re-exported there
+    from finfree import matrices, polynomials
+
+    assert families.cycle_sums is matrices.cycle_sums is finfree.cycle_sums
+    assert families.CycleSums is matrices.CycleSums is finfree.CycleSums
+    assert families.rank_upper_bound is polynomials.rank_upper_bound is finfree.rank_upper_bound
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -1,5 +1,8 @@
-import pytest
+import copy
+import pickle
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from finfree import (
     Polynomial,
     SizeGuardError,
     as_scalar,
+    cycle_sums,
 )
 from finfree.errors import GUARDS
 from finfree.scalars import ONE, ZERO, _GaussInt, _int_str, _scaled
@@ -238,3 +242,29 @@ def test_a_bool_is_no_exact_scalar_to_any_reader(read, value):
     with pytest.raises(ParseError) as refused:
         read(value)
     assert str(refused.value) == f"cannot interpret {value} as an exact scalar"
+
+
+def test_plain_records_behave_as_frozen_dataclasses():
+    """``CycleSums`` and the moment and cumulant vectors are plain
+    ``__slots__`` records: built from their fields in order, immutable, equal
+    only to a record of their own class with equal fields, hashed, shown,
+    copied and pickled as a frozen dataclass of those fields would be."""
+    m = MomentVector(2, [1, "1/2"])
+    assert m == MomentVector(2, (1, Fraction(1, 2)))
+    assert m != CumulantVector(2, [1, "1/2"]) and m != MomentVector(2, [1, 2])
+    assert hash(m) == hash((2, (ONE, GaussianRational(Fraction(1, 2)))))
+    assert repr(m) == "MomentVector(n=2, values=(GaussianRational(1), GaussianRational(1/2)))"
+    assert m.to_json() == {"n": 2, "values": ["1", "1/2"]}
+    assert not hasattr(m, "__dict__")
+    assert copy.copy(m) == copy.deepcopy(m) == pickle.loads(pickle.dumps(m)) == m
+    for name in ("n", "values", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    sums = cycle_sums(Matrix.diagonal([1, 2]))
+    assert sums == cycle_sums(Matrix.diagonal([1, 2])) != cycle_sums(Matrix.diagonal([1, 3]))
+    assert (sums.n, sums.balanced, sums.values(1), sums.values(2)) == (2, False, [1, 2], [0])
+    assert pickle.loads(pickle.dumps(sums)) == copy.deepcopy(sums) == sums
+    with pytest.raises(TypeError):
+        hash(sums)  # by_order is a dict, as it was in the dataclass
